@@ -14,13 +14,7 @@ params = bx.MarketParams(theta=5e-5, gamma=5.0, rho=0.5,
                          sigma_eps_sq=0.125 ** 2, sigma_eta_sq=0.001)
 mandate = bx.ExecutionMandate(s0=100000.0, p0=50.0, horizon=20)
 
-episodes = []
-for i in range(200):
-    path = bx.generate_noise_path(bx.substream_seed(7, i), mandate.horizon,
-                                  params.sigma_eps_sq, params.sigma_eta_sq)
-    episodes.append(bx.run_episode("ar", params, mandate, path))
-
-conv = bx.summarize_convergence(episodes)
+conv = bx.run_convergence(200, params, mandate, base_seed=7)
 
 truth = {"theta_hat": params.theta, "gamma_hat": params.gamma,
          "rho_hat": params.rho, "sigma_eps_sq_hat": params.sigma_eps_sq,

@@ -6,11 +6,12 @@ from .estimation import (COND_LIMIT, RHO_CLAMP, EstimationError,
                          ObservationHistory, ParameterEstimates, estimate_all,
                          fit_impact, fit_rho, fit_variances)
 from .market import (ExecutionMandate, MarketParams, MarketState, NoisePath,
-                     generate_noise_path, info_step, price_step,
+                     check_seed, generate_noise_path, info_step, price_step,
                      stationary_info_component_std, substream_seed)
 from .simulation import (ConvergenceSummary, MonteCarloSummary, PeriodRecord,
                          RunResult, StrategyStats, per_share_improvement,
-                         run_episode, run_monte_carlo, summarize_convergence)
+                         run_convergence, run_episode, run_episode_batch,
+                         run_monte_carlo, summarize_convergence)
 from .strategies import (STRATEGIES, CoefficientSchedule, OrderDecision,
                          ar_adjustment_factor, decide_order, informed_order,
                          naive_order, solve_coefficients)

@@ -26,9 +26,12 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .market import ExecutionMandate, MarketParams, generate_noise_path, substream_seed
-from .simulation import (ESTIMATE_FIELDS, run_episode, run_monte_carlo,
-                         summarize_convergence)
+from .market import (ExecutionMandate, MarketParams, check_seed, generate_noise_path,
+                     substream_seed)
+# summarize_convergence is unused here but stays importable under this name:
+# bench/tracer.py wraps bestexec.cli.summarize_convergence
+from .simulation import (ESTIMATE_FIELDS, run_convergence, run_episode,  # noqa: F401
+                         run_monte_carlo, summarize_convergence)
 from .strategies import STRATEGIES
 
 __all__ = ["RunSpec", "SpecError", "parse_config", "render_config",
@@ -138,12 +141,11 @@ def validate(spec: RunSpec) -> RunSpec:
     try:
         spec.market_params()
         spec.mandate()
+        check_seed(spec.seed)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     if spec.n_sims < 1:
         raise SpecError(f"n_sims: must be >= 1 (got {spec.n_sims})")
-    if spec.seed < 0:
-        raise SpecError(f"seed: must be >= 0 (got {spec.seed})")
     if not spec.strategies:
         raise SpecError("strategy: at least one strategy required")
     for name in spec.strategies:
@@ -303,15 +305,8 @@ def cmd_convergence(spec: RunSpec) -> int:
     with per-period mean and spread of the five estimates."""
     if "ar" not in spec.strategies:
         raise SpecError("strategy: convergence requires the 'ar' strategy")
-    params = spec.market_params()
-    mandate = spec.mandate()
-    episodes = []
-    for i in range(spec.n_sims):
-        path = generate_noise_path(substream_seed(spec.seed, i), spec.horizon,
-                                   spec.sigma_eps_sq, spec.sigma_eta_sq)
-        episodes.append(run_episode("ar", params, mandate, path,
-                                    clamp_nonneg_orders=spec.clamp_nonneg_orders))
-    conv = summarize_convergence(episodes)
+    conv = run_convergence(spec.n_sims, spec.market_params(), spec.mandate(), spec.seed,
+                           clamp_nonneg_orders=spec.clamp_nonneg_orders)
     rows = [CONVERGENCE_HEADER]
     for idx, t in enumerate(conv.periods):
         cells = [str(int(t))]

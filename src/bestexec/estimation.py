@@ -125,11 +125,17 @@ def fit_impact(history: ObservationHistory) -> tuple[float, float]:
     The returned pair is the unique minimizer, so residuals are orthogonal to
     both regressors.
     """
-    if history.n_obs < 2:
-        raise EstimationError(f"impact fit needs >= 2 observations (got {history.n_obs})")
-    b = history.orders
-    x = history.info
-    dp = history.delta_p
+    theta_hat, gamma_hat, _, _ = _solve_impact(history.delta_p, history.orders,
+                                               history.info)
+    return theta_hat, gamma_hat
+
+
+def _solve_impact(dp: np.ndarray, b: np.ndarray,
+                  x: np.ndarray) -> tuple[float, float, float, float]:
+    """(theta_hat, gamma_hat, sum X^2, det) from the 2x2 normal equations,
+    solved by Cramer's rule; the last two give theta_hat's standard error."""
+    if len(dp) < 2:
+        raise EstimationError(f"impact fit needs >= 2 observations (got {len(dp)})")
     sbb = float(b @ b)
     sxb = float(x @ b)
     sxx = float(x @ x)
@@ -140,7 +146,7 @@ def fit_impact(history: ObservationHistory) -> tuple[float, float]:
     spx = float(dp @ x)
     theta_hat = (sxx * spb - sxb * spx) / det
     gamma_hat = (sbb * spx - sxb * spb) / det
-    return theta_hat, gamma_hat
+    return theta_hat, gamma_hat, sxx, det
 
 
 def _cond_2x2(m00: float, m01: float, m11: float) -> float:
@@ -186,39 +192,20 @@ def fit_variances(history: ObservationHistory,
     for name in ("theta_hat", "gamma_hat", "rho_hat"):
         if math.isnan(getattr(estimates, name)):
             raise EstimationError(f"variance fit needs a value for {name}")
-    r_price = history.delta_p - estimates.theta_hat * history.orders \
-        - estimates.gamma_hat * history.info
-    series = history.info_series()
-    r_info = series[1:] - estimates.rho_hat * series[:-1]
-    return float(r_price @ r_price) / (t - 1), float(r_info @ r_info) / (t - 1)
+    return (_price_residual_var(history.delta_p, history.orders, history.info,
+                                estimates.theta_hat, estimates.gamma_hat),
+            _info_residual_var(history.info_series(), estimates.rho_hat))
 
 
-def _theta_significant(history: ObservationHistory, theta_hat: float,
-                       s2e_hat: float) -> bool:
-    """theta_hat must clear THETA_TSTAT_MIN standard errors to be usable.
+def _price_residual_var(dp: np.ndarray, b: np.ndarray, x: np.ndarray,
+                        theta_hat: float, gamma_hat: float) -> float:
+    r = dp - theta_hat * b - gamma_hat * x
+    return float(r @ r) / (len(dp) - 1)
 
-    Var(theta_hat) = s2e * sum X^2 / det from the normal equations, with the
-    residual variance on a degrees-of-freedom basis (two fitted parameters),
-    so at least three observations are required: a two-point fit interpolates
-    exactly and says nothing about theta. A genuinely zero residual variance
-    (noiseless fit) is significant for any theta_hat > 0.
-    """
-    if not theta_hat > 0.0:
-        return False
-    n = history.n_obs
-    if n < 3:
-        return False
-    b = history.orders
-    x = history.info
-    sbb = float(b @ b)
-    sxb = float(x @ b)
-    sxx = float(x @ x)
-    det = sbb * sxx - sxb * sxb
-    sse = s2e_hat * (n - 1)
-    var_theta = sse / (n - 2) * sxx / det
-    if var_theta <= 0.0:
-        return True
-    return theta_hat >= THETA_TSTAT_MIN * math.sqrt(var_theta)
+
+def _info_residual_var(series: np.ndarray, rho_hat: float) -> float:
+    r = series[1:] - rho_hat * series[:-1]
+    return float(r @ r) / (len(series) - 2)
 
 
 def estimate_all(history: ObservationHistory,
@@ -232,35 +219,42 @@ def estimate_all(history: ObservationHistory,
     s2e_hat, s2h_hat = base.sigma_eps_sq_hat, base.sigma_eta_sq_hat
     impact_valid = False
     rho_valid = False
+    n = history.n_obs
+    dp, b, x = history.delta_p, history.orders, history.info
+    series = history.info_series()
 
     impact_fitted = False
     try:
-        theta_hat, gamma_hat = fit_impact(history)
+        theta_hat, gamma_hat, sxx, det = _solve_impact(dp, b, x)
         impact_fitted = True
     except EstimationError:
         pass
 
     rho_fitted = False
     try:
-        raw = _rho_raw(history.info_series())
+        raw = _rho_raw(series)
         rho_hat = min(max(raw, -RHO_CLAMP), RHO_CLAMP)
         rho_fitted = True
         rho_valid = rho_hat == raw
     except EstimationError:
         pass
 
-    if history.n_obs >= 2:
+    if n >= 2:
         if impact_fitted:
-            r = history.delta_p - theta_hat * history.orders - gamma_hat * history.info
-            s2e_hat = float(r @ r) / (history.n_obs - 1)
-            impact_valid = _theta_significant(history, theta_hat, s2e_hat)
+            s2e_hat = _price_residual_var(dp, b, x, theta_hat, gamma_hat)
+            # significance gate: Var(theta_hat) = s2e * sum X^2 / det, with the
+            # residual variance on n - 2 degrees of freedom, so a two-point fit
+            # (exact interpolation) never qualifies; a zero residual variance
+            # (noiseless fit) qualifies for any theta_hat > 0
+            if theta_hat > 0.0 and n >= 3:
+                var_theta = s2e_hat * (n - 1) / (n - 2) * sxx / det
+                impact_valid = (var_theta <= 0.0
+                                or theta_hat >= THETA_TSTAT_MIN * math.sqrt(var_theta))
         if rho_fitted:
-            series = history.info_series()
-            r = series[1:] - rho_hat * series[:-1]
-            s2h_hat = float(r @ r) / (history.n_obs - 1)
+            s2h_hat = _info_residual_var(series, rho_hat)
 
     return ParameterEstimates(
         theta_hat=theta_hat, gamma_hat=gamma_hat, rho_hat=rho_hat,
         sigma_eps_sq_hat=s2e_hat, sigma_eta_sq_hat=s2h_hat,
-        impact_valid=impact_valid, rho_valid=rho_valid, n_obs=history.n_obs,
+        impact_valid=impact_valid, rho_valid=rho_valid, n_obs=n,
     )

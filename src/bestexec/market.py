@@ -29,12 +29,21 @@ __all__ = [
     "ExecutionMandate",
     "NoisePath",
     "MarketState",
+    "check_seed",
     "substream_seed",
     "generate_noise_path",
     "info_step",
     "price_step",
     "stationary_info_component_std",
 ]
+
+
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    """Reject NaN and infinite fields, naming the first offending one."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite (got {value})")
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,7 @@ class MarketParams:
     sigma_eta_sq: float
 
     def __post_init__(self):
+        _require_finite(self, ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq"))
         if not abs(self.rho) < 1.0:
             raise ValueError(f"rho: |rho| must be < 1 (got {self.rho})")
         if self.sigma_eps_sq < 0.0:
@@ -72,6 +82,7 @@ class ExecutionMandate:
     horizon: int
 
     def __post_init__(self):
+        _require_finite(self, ("s0", "p0", "horizon"))
         if self.s0 <= 0.0:
             raise ValueError(f"s0: must be > 0 (got {self.s0})")
         if self.p0 <= 0.0:
@@ -120,6 +131,15 @@ class MarketState:
     price: float
     info: float
     shares_remaining: float
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """Return `seed` as an int after checking that it fits the 8-byte unsigned
+    encoding substream_seed and generate_noise_path key on; the message names
+    the field `name`."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"{name}: must be in [0, 2**64) (got {seed})")
+    return int(seed)
 
 
 def substream_seed(seed: int, index: int, tag: str = "episode") -> int:

@@ -11,6 +11,12 @@ strategy in the set, which removes the shared noise from the strategy
 comparison. Everything is deterministic given (n_sims, base_seed, params,
 mandate).
 
+Two engines run episodes. run_episode is the readable scalar reference and
+runs the online (ar) strategy. run_episode_batch advances many naive or
+informed episodes at once as (n_sims,) vectors; those rules are affine in
+(S_t, X_{t-1}), and the batch loop applies the same helpers in the same
+operation order, so its results equal run_episode's bit for bit.
+
 Per-share improvement conventions: a RunResult compares an episode's actual
 cost against that strategy's own ex-ante expected cost, while the Monte Carlo
 summary measures every strategy against the common uniform-split expected
@@ -27,8 +33,10 @@ import numpy as np
 
 from .estimation import ObservationHistory, ParameterEstimates, estimate_all
 from .market import (ExecutionMandate, MarketParams, MarketState, NoisePath,
-                     generate_noise_path, info_step, price_step, substream_seed)
-from .strategies import CoefficientSchedule, decide_order, solve_coefficients
+                     check_seed, generate_noise_path, info_step, price_step,
+                     substream_seed)
+from .strategies import (STRATEGIES, CoefficientSchedule, decide_order,
+                         naive_order, solve_coefficients)
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
@@ -38,8 +46,10 @@ __all__ = [
     "MonteCarloSummary",
     "ConvergenceSummary",
     "run_episode",
+    "run_episode_batch",
     "per_share_improvement",
     "run_monte_carlo",
+    "run_convergence",
     "summarize_convergence",
     "ESTIMATE_FIELDS",
 ]
@@ -165,6 +175,56 @@ def _expected_cost_for(strategy_kind, params, truth, mandate, schedule,
     return naive_expected_cost(mandate.s0, mandate.p0, 1, T, truth.theta)
 
 
+def run_episode_batch(strategy_kind: str, params: MarketParams,
+                      mandate: ExecutionMandate, eps: np.ndarray, eta: np.ndarray,
+                      clamp_nonneg_orders: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one naive or informed episode per row of the (n_sims, T) shock
+    arrays eps and eta, all simulations advancing together.
+
+    Returns (actual_cost, orders, accumulated_cost) with shapes (n_sims,),
+    (n_sims, T) and (n_sims, T). Row i equals, bit for bit, the actual_cost,
+    shares_bought and accumulated_cost of run_episode on the path
+    (eps[i], eta[i]): each period applies the same elementwise operations in
+    the same order. The online strategy has no batch form.
+    """
+    if strategy_kind not in ("naive", "informed"):
+        raise ValueError(f"strategy_kind: the batch engine runs naive or informed "
+                         f"(got {strategy_kind!r})")
+    T = mandate.horizon
+    if eps.ndim != 2 or eps.shape != eta.shape or eps.shape[1] != T:
+        raise ValueError(f"noise arrays must both have shape (n_sims, {T}) "
+                         f"(got {eps.shape} and {eta.shape})")
+    schedule = solve_coefficients(params, T) if strategy_kind == "informed" else None
+    n = eps.shape[0]
+    eps_by_t = np.ascontiguousarray(eps.T)
+    eta_by_t = np.ascontiguousarray(eta.T)
+
+    price = np.full(n, float(mandate.p0))
+    x = np.zeros(n)
+    s = np.full(n, float(mandate.s0))
+    cost = np.zeros(n)
+    orders = np.empty((n, T))
+    cum_cost = np.empty((n, T))
+    for t in range(1, T + 1):
+        if t == T:
+            order = s
+        else:
+            order = naive_order(s, t, T)
+            if strategy_kind == "informed":
+                order = order + schedule.f[t - 1] * x
+            if clamp_nonneg_orders:
+                # np.where, not np.maximum: a -0.0 order must pass through as is
+                order = np.where(order < 0.0, 0.0, order)
+        x = info_step(x, params.rho, eta_by_t[t - 1])
+        price = price_step(price, order, x, params.theta, params.gamma, eps_by_t[t - 1])
+        cost = cost + price * order
+        s = s - order
+        orders[:, t - 1] = order
+        cum_cost[:, t - 1] = cost
+    return cost, orders, cum_cost
+
+
 def per_share_improvement(expected_cost: float, actual_cost: float, s0: float) -> float:
     """(expected - actual) / s0: positive when the run beat its benchmark."""
     if s0 <= 0.0:
@@ -203,62 +263,88 @@ class MonteCarloSummary:
     stats: dict[str, StrategyStats]
 
 
+def _noise_paths(n_sims: int, params: MarketParams, horizon: int,
+                 base_seed: int) -> list[NoisePath]:
+    """The common random numbers: simulation i's path is keyed by
+    substream_seed(base_seed, i)."""
+    if n_sims < 1:
+        raise ValueError(f"n_sims: must be >= 1 (got {n_sims})")
+    base_seed = check_seed(base_seed, "base_seed")
+    return [generate_noise_path(substream_seed(base_seed, i), horizon,
+                                params.sigma_eps_sq, params.sigma_eta_sq)
+            for i in range(n_sims)]
+
+
 def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
                     mandate: ExecutionMandate, base_seed: int,
                     clamp_nonneg_orders: bool = False) -> MonteCarloSummary:
     """Run n_sims paired episodes of every strategy in strategy_set.
 
     Simulation i draws its noise path from substream_seed(base_seed, i) and
-    every strategy consumes that same path object, so comparisons are under
-    common random numbers. Results are reduced in simulation-index order and
-    are bit-identical for a fixed (n_sims, base_seed, params, mandate).
+    every strategy consumes that same path, so comparisons are under common
+    random numbers. naive and informed run on the batch engine, ar on
+    run_episode per simulation. Results are reduced in simulation-index order
+    and are bit-identical for a fixed (n_sims, base_seed, params, mandate).
+    base_seed must lie in [0, 2**64).
     """
-    if n_sims < 1:
-        raise ValueError(f"n_sims: must be >= 1 (got {n_sims})")
     strategies = tuple(dict.fromkeys(strategy_set))
+    for strat in strategies:
+        if strat not in STRATEGIES:
+            raise ValueError(f"strategy_set: unknown strategy {strat!r}")
+    paths = _noise_paths(n_sims, params, mandate.horizon, base_seed)
     T = mandate.horizon
-    schedule = solve_coefficients(params, T) if "informed" in strategies else None
     benchmark = naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
-
-    actual = {s: np.empty(n_sims) for s in strategies}
-    orders = {s: np.empty((n_sims, T)) for s in strategies}
-    cum_cost = {s: np.empty((n_sims, T)) for s in strategies}
-    digests = {s: [] for s in strategies}
+    digests = [path.digest() for path in paths]
+    eps = np.stack([path.eps for path in paths])
+    eta = np.stack([path.eta for path in paths])
 
     # expected accumulated cost of the unperturbed uniform split, per period
     per = mandate.s0 / T
     bench_cum = np.cumsum([(mandate.p0 + params.theta * per * t) * per
                            for t in range(1, T + 1)])
 
-    for i in range(n_sims):
-        path = generate_noise_path(substream_seed(base_seed, i), T,
-                                   params.sigma_eps_sq, params.sigma_eta_sq)
-        for strat in strategies:
-            res = run_episode(strat, params, mandate, path, schedule=schedule,
-                              clamp_nonneg_orders=clamp_nonneg_orders)
-            actual[strat][i] = res.actual_cost
-            orders[strat][i] = [row.shares_bought for row in res.blotter[1:]]
-            cum_cost[strat][i] = [row.accumulated_cost for row in res.blotter[1:]]
-            digests[strat].append(res.noise_digest)
-
     stats = {}
     for strat in strategies:
-        imp = (benchmark - actual[strat]) / mandate.s0
-        periodwise = np.mean((bench_cum - cum_cost[strat]) / mandate.s0, axis=1)
+        if strat == "ar":
+            actual, orders, cum_cost = _run_ar(params, mandate, paths,
+                                               clamp_nonneg_orders)
+        else:
+            actual, orders, cum_cost = run_episode_batch(
+                strat, params, mandate, eps, eta,
+                clamp_nonneg_orders=clamp_nonneg_orders)
+        imp = (benchmark - actual) / mandate.s0
+        periodwise = np.mean((bench_cum - cum_cost) / mandate.s0, axis=1)
         stats[strat] = StrategyStats(
             mean_improvement=float(np.mean(imp)),
             sd_improvement=float(np.std(imp, ddof=1)) if n_sims > 1 else 0.0,
             mean_improvement_periodwise=float(np.mean(periodwise)),
-            mean_order_size=np.mean(orders[strat], axis=0),
-            accumulated_cost_variance=(np.var(cum_cost[strat], axis=0, ddof=1)
+            mean_order_size=np.mean(orders, axis=0),
+            accumulated_cost_variance=(np.var(cum_cost, axis=0, ddof=1)
                                        if n_sims > 1 else np.zeros(T)),
-            per_sim_actual_cost=actual[strat],
+            per_sim_actual_cost=actual,
             per_sim_improvement=imp,
-            noise_digests=digests[strat],
+            noise_digests=list(digests),
         )
     return MonteCarloSummary(n_sims=n_sims, base_seed=int(base_seed),
                              strategies=strategies,
                              benchmark_expected_cost=benchmark, stats=stats)
+
+
+def _run_ar(params: MarketParams, mandate: ExecutionMandate, paths: list[NoisePath],
+            clamp_nonneg_orders: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Online-strategy run_episode per path, unpacked into run_episode_batch's
+    (actual_cost, orders, accumulated_cost) arrays."""
+    T = mandate.horizon
+    actual = np.empty(len(paths))
+    orders = np.empty((len(paths), T))
+    cum_cost = np.empty((len(paths), T))
+    for i, path in enumerate(paths):
+        res = run_episode("ar", params, mandate, path,
+                          clamp_nonneg_orders=clamp_nonneg_orders)
+        actual[i] = res.actual_cost
+        orders[i] = [row.shares_bought for row in res.blotter[1:]]
+        cum_cost[i] = [row.accumulated_cost for row in res.blotter[1:]]
+    return actual, orders, cum_cost
 
 
 @dataclass
@@ -269,6 +355,19 @@ class ConvergenceSummary:
     mean: dict[str, np.ndarray]              # field -> (T,)
     sd: dict[str, np.ndarray]                # field -> (T,)
     n_episodes: int
+
+
+def run_convergence(n_sims: int, params: MarketParams, mandate: ExecutionMandate,
+                    base_seed: int, clamp_nonneg_orders: bool = False
+                    ) -> ConvergenceSummary:
+    """Run n_sims online-strategy episodes, simulation i on the noise path of
+    substream_seed(base_seed, i) as in run_monte_carlo, and summarize their
+    estimate trajectories."""
+    paths = _noise_paths(n_sims, params, mandate.horizon, base_seed)
+    return summarize_convergence(
+        run_episode("ar", params, mandate, path,
+                    clamp_nonneg_orders=clamp_nonneg_orders)
+        for path in paths)
 
 
 def summarize_convergence(episodes) -> ConvergenceSummary:

@@ -111,7 +111,7 @@ def solve_coefficients(params: MarketParams, horizon: int) -> CoefficientSchedul
     Requires params.theta > 0 (strict convexity of every Bellman step) and
     |rho| < 1 (already enforced by MarketParams).
     """
-    if params.theta <= 0.0:
+    if not params.theta > 0.0:
         raise ValueError(f"theta: must be > 0 for a convex Bellman step (got {params.theta})")
     T = int(horizon)
     if T < 1:
@@ -154,8 +154,8 @@ def informed_order(shares_remaining: float, x_prev: float, t: int,
     f_t = schedule.at(t)[5]
     if t == schedule.horizon:
         return OrderDecision(order=shares_remaining, rationale_tag="final_period")
-    # e_t = 1/(T-t+1) exactly, so the uniform part is computed as the division
-    uniform = shares_remaining / (schedule.horizon - t + 1)
+    # e_t = 1/(T-t+1) exactly, so the uniform part is the naive split's division
+    uniform = naive_order(shares_remaining, t, schedule.horizon)
     return OrderDecision(order=uniform + f_t * x_prev, rationale_tag="informed")
 
 

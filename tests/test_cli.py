@@ -191,3 +191,36 @@ def test_unwritable_output_path(tmp_path, capsys):
                "--out-dir", str(blocker / "sub")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["99999999999999999999999", str(2 ** 64), "-1"])
+def test_out_of_range_seed_exits_2_naming_the_field(tmp_path, capsys, seed):
+    rc = main(["montecarlo", "--seed", seed, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    rc = main(["montecarlo", "--seed", str(2 ** 64 - 1), "--n-sims", "2",
+               "--strategy", "naive", "--out-dir", str(tmp_path)])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["theta", "gamma", "rho", "sigma_eps_sq",
+                                 "sigma_eta_sq", "s0", "p0"])
+def test_non_finite_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    for command in ("simulate", "montecarlo"):
+        rc = main([command, f"{flag}={value}", "--strategy", "naive",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    rc = main(["convergence", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bestexec import (ExecutionMandate, MarketParams, NoisePath,
+from bestexec import (ExecutionMandate, MarketParams, NoisePath, check_seed,
                       generate_noise_path, info_step, price_step,
                       stationary_info_component_std, substream_seed)
 
@@ -114,3 +114,32 @@ def test_generate_noise_path_validation():
         generate_noise_path(0, 0, 0.01, 0.01)
     with pytest.raises(ValueError):
         generate_noise_path(0, 10, -0.01, 0.01)
+
+
+PARAM_FIELDS = ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+def test_market_params_reject_non_finite_fields(field, value):
+    values = dict(zip(PARAM_FIELDS, (5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)))
+    values[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+        MarketParams(**values)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["s0", "p0", "horizon"])
+def test_mandate_rejects_non_finite_fields(field, value):
+    values = {"s0": 1e5, "p0": 50.0, "horizon": 20}
+    values[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+        ExecutionMandate(**values)
+
+
+def test_check_seed_range():
+    assert check_seed(0) == 0
+    assert check_seed(2 ** 64 - 1) == 2 ** 64 - 1
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="^base_seed: "):
+            check_seed(bad, "base_seed")

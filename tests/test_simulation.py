@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath,
-                      generate_noise_path, per_share_improvement, run_episode,
+                      generate_noise_path, per_share_improvement,
+                      run_convergence, run_episode, run_episode_batch,
                       run_monte_carlo, solve_coefficients,
                       summarize_convergence, substream_seed)
 
@@ -220,3 +221,100 @@ def test_rho_estimate_tightens_with_time():
             if np.isfinite(val):
                 rho_abs_err[t].append(abs(val - 0.5))
     assert np.mean(rho_abs_err[20]) < np.mean(rho_abs_err[3])
+
+
+# large gamma and rho make the informed tilt f_t * X_{t-1} outweigh the
+# uniform part, so interior informed orders go negative
+STEEP = MarketParams(5e-5, 40.0, 0.9, 0.125 ** 2, 0.01)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 20, 100])
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
+def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
+    mandate = ExecutionMandate(100000.0, 50.0, T)
+    paths = [generate_noise_path(substream_seed(17, i), T, params.sigma_eps_sq,
+                                 params.sigma_eta_sq) for i in range(25)]
+    eps = np.stack([p.eps for p in paths])
+    eta = np.stack([p.eta for p in paths])
+    for kind in ("naive", "informed"):
+        cost, orders, cum_cost = run_episode_batch(kind, params, mandate, eps, eta,
+                                                   clamp_nonneg_orders=clamp)
+        for i, path in enumerate(paths):
+            ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
+            ref_orders = np.array([r.shares_bought for r in ref.blotter[1:]])
+            ref_cum = np.array([r.accumulated_cost for r in ref.blotter[1:]])
+            assert cost[i].tobytes() == np.float64(ref.actual_cost).tobytes()
+            assert orders[i].tobytes() == ref_orders.tobytes()
+            assert cum_cost[i].tobytes() == ref_cum.tobytes()
+    if params is STEEP and T >= 3:
+        # the clamp is exercised: unclamped interior orders do go negative
+        interior = run_episode_batch("informed", params, mandate, eps, eta)[1][:, :-1]
+        assert (interior < 0.0).any()
+
+
+@pytest.mark.parametrize("T", [1, 20])
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
+def test_monte_carlo_equals_per_simulation_run_episode(T, clamp, params):
+    n_sims = 9
+    mandate = ExecutionMandate(100000.0, 50.0, T)
+    s = run_monte_carlo(n_sims, ("naive", "informed", "ar"), params, mandate,
+                        base_seed=11, clamp_nonneg_orders=clamp)
+    for kind in s.strategies:
+        refs = [run_episode(kind, params, mandate,
+                            generate_noise_path(substream_seed(11, i), T,
+                                                params.sigma_eps_sq,
+                                                params.sigma_eta_sq),
+                            clamp_nonneg_orders=clamp)
+                for i in range(n_sims)]
+        ref_cost = np.array([r.actual_cost for r in refs])
+        ref_orders = np.array([[row.shares_bought for row in r.blotter[1:]]
+                               for r in refs])
+        ref_cum = np.array([[row.accumulated_cost for row in r.blotter[1:]]
+                            for r in refs])
+        st = s.stats[kind]
+        assert st.per_sim_actual_cost.tobytes() == ref_cost.tobytes()
+        assert st.mean_order_size.tobytes() == np.mean(ref_orders, axis=0).tobytes()
+        assert (st.accumulated_cost_variance.tobytes()
+                == np.var(ref_cum, axis=0, ddof=1).tobytes())
+        assert st.noise_digests == [r.noise_digest for r in refs]
+
+
+def test_monte_carlo_rejects_unknown_strategy_before_drawing_noise():
+    with pytest.raises(ValueError, match="unknown strategy 'twap'"):
+        run_monte_carlo(0, ("naive", "twap"), BASELINE, MANDATE, 0)
+
+
+def test_batch_engine_rejects_ar_and_misshapen_noise():
+    eps = np.zeros((3, 20))
+    with pytest.raises(ValueError, match="strategy_kind"):
+        run_episode_batch("ar", BASELINE, MANDATE, eps, eps)
+    with pytest.raises(ValueError, match="shape"):
+        run_episode_batch("naive", BASELINE, MANDATE, eps[:, :19], eps[:, :19])
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_monte_carlo_rejects_out_of_range_base_seed(seed):
+    with pytest.raises(ValueError, match="base_seed"):
+        run_monte_carlo(2, ("naive",), BASELINE, MANDATE, seed)
+    with pytest.raises(ValueError, match="base_seed"):
+        run_convergence(2, BASELINE, MANDATE, seed)
+
+
+def test_monte_carlo_accepts_largest_seed():
+    s = run_monte_carlo(2, ("naive",), BASELINE, MANDATE, 2 ** 64 - 1)
+    assert s.base_seed == 2 ** 64 - 1
+
+
+def test_run_convergence_summarizes_the_paired_ar_episodes():
+    conv = run_convergence(6, BASELINE, MANDATE, 4)
+    ref = summarize_convergence(
+        run_episode("ar", BASELINE, MANDATE,
+                    generate_noise_path(substream_seed(4, i), 20,
+                                        BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq))
+        for i in range(6))
+    assert conv.n_episodes == 6
+    for name in conv.mean:
+        assert conv.mean[name].tobytes() == ref.mean[name].tobytes()
+        assert conv.sd[name].tobytes() == ref.sd[name].tobytes()

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from oracles import brute_force_best_execution
@@ -194,3 +196,11 @@ def test_informed_matches_brute_force_small_horizons():
             e2, f2 = sch.at(2)[4], sch.at(2)[5]
             assert k2 == pytest.approx(e2 * (s0 - b1), rel=1e-7, abs=1e-6)
             assert c21 == pytest.approx(f2, rel=1e-7, abs=1e-6)
+
+
+def test_solve_coefficients_rejects_nan_theta():
+    # MarketParams already refuses NaN; the solver's own guard must hold too
+    nan_theta = SimpleNamespace(theta=float("nan"), gamma=5.0, rho=0.5,
+                                sigma_eps_sq=0.0, sigma_eta_sq=0.001)
+    with pytest.raises(ValueError, match="theta"):
+        solve_coefficients(nan_theta, 20)
