@@ -2,11 +2,12 @@
 impact with AR(1) market information: simulation, valuation, online
 estimation and paired Monte Carlo comparison."""
 
-from .estimation import (COND_LIMIT, RHO_CLAMP, EstimationError,
+from .estimation import (COND_LIMIT, RHO_CLAMP, EstimateArrays, EstimationError,
                          ObservationHistory, ParameterEstimates, estimate_all,
-                         fit_impact, fit_rho, fit_variances)
+                         estimate_all_batch, fit_impact, fit_rho, fit_variances)
 from .market import (ExecutionMandate, MarketParams, MarketState, NoisePath,
-                     check_seed, generate_noise_path, info_step, price_step,
+                     check_seed, generate_noise_arrays, generate_noise_path,
+                     info_step, noise_digest, price_step,
                      stationary_info_component_std, substream_seed)
 from .simulation import (ConvergenceSummary, MonteCarloSummary, PeriodRecord,
                          RunResult, StrategyStats, per_share_improvement,

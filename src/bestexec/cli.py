@@ -156,11 +156,18 @@ def validate(spec: RunSpec) -> RunSpec:
     return spec
 
 
+class _FlagParser(argparse.ArgumentParser):
+    """An argument parser that raises SpecError instead of printing its usage
+    block and exiting."""
+
+    def error(self, message):
+        raise SpecError(f"argv: {message}")
+
+
 def _add_flags(parser: argparse.ArgumentParser) -> None:
-    for key in _FLOAT_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
-    for key in _INT_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=int)
+    # numbers arrive as strings and go through _coerce, as in config files
+    for key in _FLOAT_KEYS + _INT_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key)
     parser.add_argument("--strategy", dest="strategy", action="append",
                         choices=STRATEGIES)
     parser.add_argument("--out-dir", dest="out_dir")
@@ -170,15 +177,39 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
                             action="store_const", const=True)
 
 
+_NUMBER_FLAGS = {"--" + key.replace("_", "-") for key in _FLOAT_KEYS + _INT_KEYS}
+
+
+def _attach_number_values(argv: list[str]) -> list[str]:
+    """Rewrite `--theta VALUE` as `--theta=VALUE`, so that argparse does not
+    read a value such as -1e-5 (not a negative number to its matcher) as a
+    flag."""
+    out = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg in _NUMBER_FLAGS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def parse_config(argv: list[str],
                  default_strategies: tuple[str, ...] | None = None) -> RunSpec:
     """Build a validated RunSpec from flag-style argv (no subcommand).
 
     Precedence: flags override config-file values override baseline defaults.
     """
-    parser = argparse.ArgumentParser(add_help=False)
+    parser = _FlagParser(add_help=False, exit_on_error=False)
     _add_flags(parser)
-    ns, extra = parser.parse_known_args(argv)
+    try:
+        ns, extra = parser.parse_known_args(_attach_number_values(argv))
+    except argparse.ArgumentError as exc:
+        name = (exc.argument_name or "argv").lstrip("-").replace("-", "_")
+        raise SpecError(f"{name}: {exc.message}") from exc
     if extra:
         raise SpecError(f"argv: unknown arguments {' '.join(extra)!r}")
     values = {}
@@ -189,7 +220,10 @@ def parse_config(argv: list[str],
         if "strategy" in file_values:
             file_values["strategies"] = file_values.pop("strategy")
         values.update(file_values)
-    for key in _FLOAT_KEYS + _INT_KEYS + _BOOL_KEYS + ("out_dir",):
+    for key in _FLOAT_KEYS + _INT_KEYS:
+        if getattr(ns, key) is not None:
+            values[key] = _coerce(key, getattr(ns, key))
+    for key in _BOOL_KEYS + ("out_dir",):
         flag_val = getattr(ns, key)
         if flag_val is not None:
             values[key] = flag_val

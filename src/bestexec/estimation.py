@@ -16,6 +16,13 @@ falls back to the uniform split. Failed fits never raise out of
 estimate_all: they are encoded in the validity flags, and prior values (when
 supplied) are carried forward untouched.
 
+estimate_all_batch runs the same refit for many equal-length histories at
+once (one row per simulation) and equals estimate_all row by row, bit for
+bit: every sum is np.vecdot over row views, which rounds exactly as the 1-D
+`a @ b` of the scalar path (np.einsum and (a*b).sum(1) do not), every other
+step is the same elementwise IEEE operation in the same order, and the
+prior is carried forward through np.where masks.
+
 Because the order adjustment factor divides by theta_hat, a tiny positive
 theta_hat is as unusable as a nonpositive one (the implied order explodes).
 estimate_all therefore also requires theta_hat to clear THETA_TSTAT_MIN
@@ -42,6 +49,8 @@ __all__ = [
     "fit_rho",
     "fit_variances",
     "estimate_all",
+    "EstimateArrays",
+    "estimate_all_batch",
 ]
 
 RHO_CLAMP = 0.999
@@ -254,6 +263,90 @@ def estimate_all(history: ObservationHistory,
             s2h_hat = _info_residual_var(series, rho_hat)
 
     return ParameterEstimates(
+        theta_hat=theta_hat, gamma_hat=gamma_hat, rho_hat=rho_hat,
+        sigma_eps_sq_hat=s2e_hat, sigma_eta_sq_hat=s2h_hat,
+        impact_valid=impact_valid, rho_valid=rho_valid, n_obs=n,
+    )
+
+
+@dataclass(frozen=True)
+class EstimateArrays:
+    """ParameterEstimates of many histories of equal length n_obs: each field
+    is an (n_sims,) array whose row i belongs to history i."""
+
+    theta_hat: np.ndarray
+    gamma_hat: np.ndarray
+    rho_hat: np.ndarray
+    sigma_eps_sq_hat: np.ndarray
+    sigma_eta_sq_hat: np.ndarray
+    impact_valid: np.ndarray
+    rho_valid: np.ndarray
+    n_obs: int
+
+    @classmethod
+    def invalid(cls, n_sims: int) -> "EstimateArrays":
+        nan = np.full(n_sims, np.nan)
+        no = np.zeros(n_sims, dtype=bool)
+        return cls(nan, nan, nan, nan, nan, no, no, 0)
+
+
+def estimate_all_batch(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarray,
+                       prior: EstimateArrays | None = None) -> EstimateArrays:
+    """estimate_all for n_sims histories at once.
+
+    delta_p and orders are (n_sims, n) arrays; info_series is (n_sims, n + 1)
+    with the pre-trade information value in column 0. Row i of the result
+    equals estimate_all(history_i, prior_i) bit for bit, where prior None
+    stands for no prior in every row.
+    """
+    n_sims, n = delta_p.shape
+    if prior is None:
+        prior = EstimateArrays.invalid(n_sims)
+    b = orders
+    x = info_series[:, 1:]
+    lag = info_series[:, :-1]
+    no = np.zeros(n_sims, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # impact fit: _solve_impact with _cond_2x2, failures masked out
+        sbb = np.vecdot(b, b)
+        sxb = np.vecdot(x, b)
+        sxx = np.vecdot(x, x)
+        det = sbb * sxx - sxb * sxb
+        tr = sbb + sxx
+        disc_sq = tr * tr - 4.0 * det
+        disc = np.sqrt(np.where(0.0 > disc_sq, 0.0, disc_sq))
+        lo = (tr - disc) / 2.0
+        hi = (tr + disc) / 2.0
+        impact_fitted = (no if n < 2 else
+                         ~((det <= 0.0) | (lo <= 0.0) | (hi / lo > COND_LIMIT)))
+        spb = np.vecdot(delta_p, b)
+        spx = np.vecdot(delta_p, x)
+        theta_hat = np.where(impact_fitted, (sxx * spb - sxb * spx) / det, prior.theta_hat)
+        gamma_hat = np.where(impact_fitted, (sbb * spx - sxb * spb) / det, prior.gamma_hat)
+
+        # rho fit: _rho_raw, clamped as in estimate_all
+        den = np.vecdot(lag, lag)
+        rho_fitted = ~(den == 0.0)
+        raw = np.vecdot(lag, x) / den
+        floored = np.where(-RHO_CLAMP > raw, -RHO_CLAMP, raw)
+        clamped = np.where(RHO_CLAMP < floored, RHO_CLAMP, floored)
+        rho_hat = np.where(rho_fitted, clamped, prior.rho_hat)
+        rho_valid = rho_fitted & (clamped == raw)
+
+        s2e_hat, s2h_hat, impact_valid = prior.sigma_eps_sq_hat, prior.sigma_eta_sq_hat, no
+        if n >= 2:
+            r = delta_p - theta_hat[:, None] * b - gamma_hat[:, None] * x
+            s2e = np.vecdot(r, r) / (n - 1)
+            s2e_hat = np.where(impact_fitted, s2e, s2e_hat)
+            if n >= 3:
+                var_theta = s2e * (n - 1) / (n - 2) * sxx / det
+                impact_valid = (impact_fitted & (theta_hat > 0.0)
+                                & ((var_theta <= 0.0)
+                                   | (theta_hat >= THETA_TSTAT_MIN * np.sqrt(var_theta))))
+            r = x - rho_hat[:, None] * lag
+            s2h_hat = np.where(rho_fitted, np.vecdot(r, r) / (n - 1), s2h_hat)
+
+    return EstimateArrays(
         theta_hat=theta_hat, gamma_hat=gamma_hat, rho_hat=rho_hat,
         sigma_eps_sq_hat=s2e_hat, sigma_eta_sq_hat=s2h_hat,
         impact_valid=impact_valid, rho_valid=rho_valid, n_obs=n,

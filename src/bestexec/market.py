@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
     "check_seed",
     "substream_seed",
     "generate_noise_path",
+    "generate_noise_arrays",
+    "noise_digest",
     "info_step",
     "price_step",
     "stationary_info_component_std",
@@ -83,6 +86,8 @@ class ExecutionMandate:
 
     def __post_init__(self):
         _require_finite(self, ("s0", "p0", "horizon"))
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
+            raise ValueError(f"horizon: must be an integer (got {self.horizon!r})")
         if self.s0 <= 0.0:
             raise ValueError(f"s0: must be > 0 (got {self.s0})")
         if self.p0 <= 0.0:
@@ -116,10 +121,15 @@ class NoisePath:
 
     def digest(self) -> str:
         """SHA-256 of the raw shock bytes; equal digests mean identical paths."""
-        h = hashlib.sha256()
-        h.update(self.eps.tobytes())
-        h.update(self.eta.tobytes())
-        return h.hexdigest()
+        return noise_digest(self.eps, self.eta)
+
+
+def noise_digest(eps: np.ndarray, eta: np.ndarray) -> str:
+    """SHA-256 over the bytes of eps, then eta: NoisePath.digest of that path."""
+    h = hashlib.sha256()
+    h.update(eps.tobytes())
+    h.update(eta.tobytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -157,21 +167,47 @@ def substream_seed(seed: int, index: int, tag: str = "episode") -> int:
 
 def generate_noise_path(seed: int, horizon: int,
                         sigma_eps_sq: float, sigma_eta_sq: float) -> NoisePath:
-    """Draw T i.i.d. Gaussian shock pairs, deterministically from the seed.
+    """Draw T i.i.d. Gaussian shock pairs, deterministically from the seed:
+    the one-seed case of generate_noise_arrays."""
+    eps, eta = generate_noise_arrays([seed], horizon, sigma_eps_sq, sigma_eta_sq)
+    return NoisePath(eps=eps[0], eta=eta[0], seed=int(seed))
+
+
+def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
+                          sigma_eta_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Noise paths for a sequence of seeds as (len(seeds), T) arrays eps and
+    eta; row i is the path of seeds[i].
 
     Algorithm: a Philox counter-based bit generator keyed with
     SHA-256("noise", seed) drives numpy's standard-normal transform; eps is
-    drawn first, then eta. Zero variances yield exactly zero sequences.
+    drawn first, then eta. One generator serves every seed: it is built for
+    the first (construction costs several paths' worth of drawing) and
+    re-keyed for the others by assigning its state (new key, counter and
+    buffer cleared), which equals constructing a fresh Philox with that key.
+    Zero variances yield exactly zero sequences.
     """
     if horizon < 1:
         raise ValueError(f"horizon: must be >= 1 (got {horizon})")
     if sigma_eps_sq < 0.0 or sigma_eta_sq < 0.0:
         raise ValueError("variances must be >= 0")
-    key = hashlib.sha256(b"noise" + int(seed).to_bytes(8, "little", signed=False)).digest()
-    rng = np.random.Generator(np.random.Philox(key=int.from_bytes(key[:16], "little")))
-    eps = rng.standard_normal(horizon) * math.sqrt(sigma_eps_sq)
-    eta = rng.standard_normal(horizon) * math.sqrt(sigma_eta_sq)
-    return NoisePath(eps=eps, eta=eta, seed=int(seed))
+    seeds = list(seeds)
+    z = np.empty((len(seeds), 2 * horizon))
+    bitgen = None
+    for row, seed in zip(z, seeds):
+        seed_bytes = int(seed).to_bytes(8, "little", signed=False)
+        key = hashlib.sha256(b"noise" + seed_bytes).digest()[:16]
+        if bitgen is None:
+            bitgen = np.random.Philox(key=int.from_bytes(key, "little"))
+            rng = np.random.Generator(bitgen)
+        else:
+            bitgen.state = {"bit_generator": "Philox",
+                            "state": {"counter": np.zeros(4, np.uint64),
+                                      "key": np.frombuffer(key, "<u8").copy()},
+                            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                            "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=row)
+    return (z[:, :horizon] * math.sqrt(sigma_eps_sq),
+            z[:, horizon:] * math.sqrt(sigma_eta_sq))
 
 
 def info_step(x_prev: float, rho: float, eta_t: float) -> float:

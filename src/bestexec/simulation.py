@@ -11,11 +11,14 @@ strategy in the set, which removes the shared noise from the strategy
 comparison. Everything is deterministic given (n_sims, base_seed, params,
 mandate).
 
-Two engines run episodes. run_episode is the readable scalar reference and
-runs the online (ar) strategy. run_episode_batch advances many naive or
-informed episodes at once as (n_sims,) vectors; those rules are affine in
-(S_t, X_{t-1}), and the batch loop applies the same helpers in the same
-operation order, so its results equal run_episode's bit for bit.
+Two engines run episodes. run_episode is the readable scalar reference.
+run_episode_batch advances many episodes of one strategy at once as
+(n_sims,) vectors, and the Monte Carlo and convergence studies run on it.
+Each period it applies run_episode's elementwise operations in the same
+order; the online strategy refits with estimate_all_batch over row views of
+preallocated history buffers and takes its tilt from the scalar
+ar_adjustment_factor (numpy's array power rounds differently from Python's
+float **). So its results equal run_episode's bit for bit.
 
 Per-share improvement conventions: a RunResult compares an episode's actual
 cost against that strategy's own ex-ante expected cost, while the Monte Carlo
@@ -31,12 +34,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import ObservationHistory, ParameterEstimates, estimate_all
-from .market import (ExecutionMandate, MarketParams, MarketState, NoisePath,
-                     check_seed, generate_noise_path, info_step, price_step,
+from .estimation import (EstimateArrays, ObservationHistory, ParameterEstimates,
+                         estimate_all, estimate_all_batch)
+# generate_noise_path is unused here but stays importable under this name:
+# bench/tracer.py wraps bestexec.simulation.generate_noise_path
+from .market import (ExecutionMandate, MarketParams, MarketState,  # noqa: F401
+                     NoisePath, check_seed, generate_noise_arrays,
+                     generate_noise_path, info_step, noise_digest, price_step,
                      substream_seed)
-from .strategies import (STRATEGIES, CoefficientSchedule, decide_order,
-                         naive_order, solve_coefficients)
+from .strategies import (STRATEGIES, CoefficientSchedule, ar_adjustment_factor,
+                         decide_order, naive_order, solve_coefficients)
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
@@ -179,23 +186,32 @@ def run_episode_batch(strategy_kind: str, params: MarketParams,
                       mandate: ExecutionMandate, eps: np.ndarray, eta: np.ndarray,
                       clamp_nonneg_orders: bool = False
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one naive or informed episode per row of the (n_sims, T) shock
+    """Run one episode of the given strategy per row of the (n_sims, T) shock
     arrays eps and eta, all simulations advancing together.
 
     Returns (actual_cost, orders, accumulated_cost) with shapes (n_sims,),
     (n_sims, T) and (n_sims, T). Row i equals, bit for bit, the actual_cost,
     shares_bought and accumulated_cost of run_episode on the path
-    (eps[i], eta[i]): each period applies the same elementwise operations in
-    the same order. The online strategy has no batch form.
+    (eps[i], eta[i]).
     """
-    if strategy_kind not in ("naive", "informed"):
-        raise ValueError(f"strategy_kind: the batch engine runs naive or informed "
-                         f"(got {strategy_kind!r})")
+    cost, orders, cum_cost, _ = _run_batch(strategy_kind, params, mandate, eps, eta,
+                                           clamp_nonneg_orders)
+    return cost, orders, cum_cost
+
+
+def _run_batch(strategy_kind, params, mandate, eps, eta, clamp_nonneg_orders):
+    """The batch engine behind run_episode_batch. For the online strategy it
+    also returns the estimates after every period, {field: (n_sims, T) array}
+    over ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row i's
+    run_episode estimates_log; None for naive and informed."""
+    if strategy_kind not in STRATEGIES:
+        raise ValueError(f"strategy_kind: unknown strategy {strategy_kind!r}")
     T = mandate.horizon
     if eps.ndim != 2 or eps.shape != eta.shape or eps.shape[1] != T:
         raise ValueError(f"noise arrays must both have shape (n_sims, {T}) "
                          f"(got {eps.shape} and {eta.shape})")
     schedule = solve_coefficients(params, T) if strategy_kind == "informed" else None
+    is_ar = strategy_kind == "ar"
     n = eps.shape[0]
     eps_by_t = np.ascontiguousarray(eps.T)
     eta_by_t = np.ascontiguousarray(eta.T)
@@ -206,6 +222,15 @@ def run_episode_batch(strategy_kind: str, params: MarketParams,
     cost = np.zeros(n)
     orders = np.empty((n, T))
     cum_cost = np.empty((n, T))
+    estimates: EstimateArrays | None = None
+    estimates_log = None
+    if is_ar:
+        # the refit's history: orders is its B column, info holds (x0, X_1..X_T)
+        delta_p = np.empty((n, T))
+        info = np.zeros((n, T + 1))
+        estimates_log = {name: np.empty((n, T)) for name in ESTIMATE_FIELDS}
+        estimates_log["impact_valid"] = np.empty((n, T), dtype=bool)
+        estimates_log["rho_valid"] = np.empty((n, T), dtype=bool)
     for t in range(1, T + 1):
         if t == T:
             order = s
@@ -213,16 +238,43 @@ def run_episode_batch(strategy_kind: str, params: MarketParams,
             order = naive_order(s, t, T)
             if strategy_kind == "informed":
                 order = order + schedule.f[t - 1] * x
+            elif estimates is not None:
+                order = _ar_orders(order, x, estimates, t, T)
             if clamp_nonneg_orders:
                 # np.where, not np.maximum: a -0.0 order must pass through as is
                 order = np.where(order < 0.0, 0.0, order)
-        x = info_step(x, params.rho, eta_by_t[t - 1])
-        price = price_step(price, order, x, params.theta, params.gamma, eps_by_t[t - 1])
-        cost = cost + price * order
+        x_new = info_step(x, params.rho, eta_by_t[t - 1])
+        price_new = price_step(price, order, x_new, params.theta, params.gamma,
+                               eps_by_t[t - 1])
+        cost = cost + price_new * order
         s = s - order
         orders[:, t - 1] = order
         cum_cost[:, t - 1] = cost
-    return cost, orders, cum_cost
+        if is_ar:
+            delta_p[:, t - 1] = price_new - price
+            info[:, t] = x_new
+            estimates = estimate_all_batch(delta_p[:, :t], orders[:, :t], info[:, :t + 1],
+                                           prior=estimates)
+            for name, log in estimates_log.items():
+                log[:, t - 1] = getattr(estimates, name)
+        price, x = price_new, x_new
+    return cost, orders, cum_cost, estimates_log
+
+
+def _ar_orders(uniform: np.ndarray, x_prev: np.ndarray, est: EstimateArrays,
+               t: int, T: int) -> np.ndarray:
+    """decide_order's online rule for an interior period: uniform + f_hat_t *
+    X_{t-1} where the estimates are usable, the uniform split elsewhere."""
+    usable = np.flatnonzero(est.impact_valid & est.rho_valid & (est.theta_hat > 0.0))
+    if usable.size == 0:
+        return uniform
+    f_hat = np.array([ar_adjustment_factor(theta_hat, gamma_hat, rho_hat, t, T)
+                      for theta_hat, gamma_hat, rho_hat in zip(
+                          est.theta_hat[usable].tolist(), est.gamma_hat[usable].tolist(),
+                          est.rho_hat[usable].tolist())])
+    order = uniform.copy()
+    order[usable] = uniform[usable] + f_hat * x_prev[usable]
+    return order
 
 
 def per_share_improvement(expected_cost: float, actual_cost: float, s0: float) -> float:
@@ -263,16 +315,15 @@ class MonteCarloSummary:
     stats: dict[str, StrategyStats]
 
 
-def _noise_paths(n_sims: int, params: MarketParams, horizon: int,
-                 base_seed: int) -> list[NoisePath]:
-    """The common random numbers: simulation i's path is keyed by
-    substream_seed(base_seed, i)."""
+def _noise_arrays(n_sims: int, params: MarketParams, horizon: int,
+                  base_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The common random numbers as (n_sims, T) arrays eps and eta: row i is
+    the path keyed by substream_seed(base_seed, i)."""
     if n_sims < 1:
         raise ValueError(f"n_sims: must be >= 1 (got {n_sims})")
     base_seed = check_seed(base_seed, "base_seed")
-    return [generate_noise_path(substream_seed(base_seed, i), horizon,
-                                params.sigma_eps_sq, params.sigma_eta_sq)
-            for i in range(n_sims)]
+    return generate_noise_arrays((substream_seed(base_seed, i) for i in range(n_sims)),
+                                 horizon, params.sigma_eps_sq, params.sigma_eta_sq)
 
 
 def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
@@ -281,22 +332,19 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
     """Run n_sims paired episodes of every strategy in strategy_set.
 
     Simulation i draws its noise path from substream_seed(base_seed, i) and
-    every strategy consumes that same path, so comparisons are under common
-    random numbers. naive and informed run on the batch engine, ar on
-    run_episode per simulation. Results are reduced in simulation-index order
-    and are bit-identical for a fixed (n_sims, base_seed, params, mandate).
-    base_seed must lie in [0, 2**64).
+    every strategy consumes that same path on the batch engine, so
+    comparisons are under common random numbers. Results are reduced in
+    simulation-index order and are bit-identical for a fixed (n_sims,
+    base_seed, params, mandate). base_seed must lie in [0, 2**64).
     """
     strategies = tuple(dict.fromkeys(strategy_set))
     for strat in strategies:
         if strat not in STRATEGIES:
             raise ValueError(f"strategy_set: unknown strategy {strat!r}")
-    paths = _noise_paths(n_sims, params, mandate.horizon, base_seed)
     T = mandate.horizon
+    eps, eta = _noise_arrays(n_sims, params, T, base_seed)
     benchmark = naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
-    digests = [path.digest() for path in paths]
-    eps = np.stack([path.eps for path in paths])
-    eta = np.stack([path.eta for path in paths])
+    digests = [noise_digest(eps_i, eta_i) for eps_i, eta_i in zip(eps, eta)]
 
     # expected accumulated cost of the unperturbed uniform split, per period
     per = mandate.s0 / T
@@ -305,13 +353,8 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
 
     stats = {}
     for strat in strategies:
-        if strat == "ar":
-            actual, orders, cum_cost = _run_ar(params, mandate, paths,
-                                               clamp_nonneg_orders)
-        else:
-            actual, orders, cum_cost = run_episode_batch(
-                strat, params, mandate, eps, eta,
-                clamp_nonneg_orders=clamp_nonneg_orders)
+        actual, orders, cum_cost = run_episode_batch(
+            strat, params, mandate, eps, eta, clamp_nonneg_orders=clamp_nonneg_orders)
         imp = (benchmark - actual) / mandate.s0
         periodwise = np.mean((bench_cum - cum_cost) / mandate.s0, axis=1)
         stats[strat] = StrategyStats(
@@ -330,23 +373,6 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
                              benchmark_expected_cost=benchmark, stats=stats)
 
 
-def _run_ar(params: MarketParams, mandate: ExecutionMandate, paths: list[NoisePath],
-            clamp_nonneg_orders: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Online-strategy run_episode per path, unpacked into run_episode_batch's
-    (actual_cost, orders, accumulated_cost) arrays."""
-    T = mandate.horizon
-    actual = np.empty(len(paths))
-    orders = np.empty((len(paths), T))
-    cum_cost = np.empty((len(paths), T))
-    for i, path in enumerate(paths):
-        res = run_episode("ar", params, mandate, path,
-                          clamp_nonneg_orders=clamp_nonneg_orders)
-        actual[i] = res.actual_cost
-        orders[i] = [row.shares_bought for row in res.blotter[1:]]
-        cum_cost[i] = [row.accumulated_cost for row in res.blotter[1:]]
-    return actual, orders, cum_cost
-
-
 @dataclass
 class ConvergenceSummary:
     """Per-period cross-simulation mean and spread of the five estimates."""
@@ -360,14 +386,13 @@ class ConvergenceSummary:
 def run_convergence(n_sims: int, params: MarketParams, mandate: ExecutionMandate,
                     base_seed: int, clamp_nonneg_orders: bool = False
                     ) -> ConvergenceSummary:
-    """Run n_sims online-strategy episodes, simulation i on the noise path of
-    substream_seed(base_seed, i) as in run_monte_carlo, and summarize their
-    estimate trajectories."""
-    paths = _noise_paths(n_sims, params, mandate.horizon, base_seed)
-    return summarize_convergence(
-        run_episode("ar", params, mandate, path,
-                    clamp_nonneg_orders=clamp_nonneg_orders)
-        for path in paths)
+    """Run n_sims online-strategy episodes on the batch engine, simulation i
+    on the noise path of substream_seed(base_seed, i) as in run_monte_carlo,
+    and summarize their estimate trajectories. Equals summarize_convergence
+    over the same episodes from run_episode, bit for bit."""
+    eps, eta = _noise_arrays(n_sims, params, mandate.horizon, base_seed)
+    return _reduce_estimates(_run_batch("ar", params, mandate, eps, eta,
+                                        clamp_nonneg_orders)[3])
 
 
 def summarize_convergence(episodes) -> ConvergenceSummary:
@@ -384,15 +409,22 @@ def summarize_convergence(episodes) -> ConvergenceSummary:
         if ep.estimates_log is None:
             raise ValueError("episodes must come from the 'ar' strategy "
                              "(estimates_log missing)")
-    T = len(episodes[0].estimates_log)
+    return _reduce_estimates({
+        name: np.array([[getattr(est, name) for est in ep.estimates_log]
+                        for ep in episodes])
+        for name in ESTIMATE_FIELDS})
+
+
+def _reduce_estimates(values: dict[str, np.ndarray]) -> ConvergenceSummary:
+    """NaN-skipping per-period mean and population spread of the
+    (n_episodes, T) estimate arrays values[name], name in ESTIMATE_FIELDS."""
+    n_episodes, T = values[ESTIMATE_FIELDS[0]].shape
     mean = {}
     sd = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for name in ESTIMATE_FIELDS:
-            values = np.array([[getattr(est, name) for est in ep.estimates_log]
-                               for ep in episodes])
-            mean[name] = np.nanmean(values, axis=0)
-            sd[name] = np.nanstd(values, axis=0)
+            mean[name] = np.nanmean(values[name], axis=0)
+            sd[name] = np.nanstd(values[name], axis=0)
     return ConvergenceSummary(periods=np.arange(1, T + 1), mean=mean, sd=sd,
-                              n_episodes=len(episodes))
+                              n_episodes=n_episodes)

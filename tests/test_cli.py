@@ -224,3 +224,32 @@ def test_non_finite_value_exits_2_naming_the_field(tmp_path, capsys, key, value)
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--theta", "abc"], "error: theta: unparsable value 'abc'\n"),
+    (["--theta=abc"], "error: theta: unparsable value 'abc'\n"),
+    (["--horizon", "2.5"], "error: horizon: unparsable value '2.5'\n"),
+    (["--theta"], "error: theta: expected one argument\n"),
+    (["--strategy", "twap"], "error: strategy: invalid choice: "),
+])
+def test_bad_flag_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    rc = main(["montecarlo"] + argv + ["--out-dir", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [["--theta", "-1e-5"], ["--theta=-1e-5"]])
+def test_negative_exponent_value_reaches_the_theta_check(tmp_path, capsys, flag):
+    rc = main(["montecarlo"] + flag + ["--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: theta: must be > 0 for the informed/ar strategies "
+                   "(got -1e-05)\n")
+    # the naive rule needs no positive theta: the value parses and is used
+    spec = parse_config(["--strategy", "naive"] + flag)
+    assert spec.theta == -1e-5
+    assert parse_config(["--gamma", "-2.5e1"]).gamma == -25.0

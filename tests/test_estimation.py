@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bestexec import (EstimationError, ObservationHistory, ParameterEstimates,
-                      estimate_all, fit_impact, fit_rho, fit_variances,
-                      info_step, price_step)
+                      estimate_all, estimate_all_batch, fit_impact, fit_rho,
+                      fit_variances, info_step, price_step)
 
 
 def _history(rows, x0=0.0):
@@ -246,3 +246,57 @@ def test_estimates_converge_with_sample_size():
             err_long[name].append(abs(getattr(est_long, name) - true_val))
     for name in truth:
         assert np.mean(err_long[name]) < np.mean(err_short[name]), name
+
+
+ESTIMATE_ATTRS = ("theta_hat", "gamma_hat", "rho_hat", "sigma_eps_sq_hat",
+                  "sigma_eta_sq_hat", "impact_valid", "rho_valid")
+
+
+def _batch_test_rows(n_obs):
+    """Histories (dp, B, X) that between them take every branch of the refit:
+    well posed, all-zero information (both fits singular), constant orders,
+    an explosive information series (rho clamped), a noiseless exact fit
+    (zero residual variance), a negative theta, and plain noise."""
+    rng = np.random.default_rng(43)
+    k = np.arange(1, n_obs + 1, dtype=float)
+    b_var = 5000.0 + 700.0 * k
+    x_ar = np.cumsum(rng.normal(0.0, 0.03, n_obs))
+    rows = [
+        (5e-5 * b_var + 5.0 * x_ar + rng.normal(0.0, 0.1, n_obs), b_var, x_ar),
+        (5e-5 * b_var + rng.normal(0.0, 0.1, n_obs), b_var, np.zeros(n_obs)),
+        (rng.normal(0.3, 0.1, n_obs), np.full(n_obs, 5000.0), x_ar),
+        (5e-5 * b_var + 5.0 * 1.5 ** k, b_var, 1.5 ** k),
+        (5e-5 * b_var + 5.0 * x_ar, b_var, x_ar),
+        (-5e-5 * b_var + 5.0 * x_ar + rng.normal(0.0, 0.01, n_obs), b_var, x_ar),
+        (rng.normal(0.0, 1.0, n_obs), rng.normal(0.0, 1e3, n_obs),
+         rng.normal(0.0, 1.0, n_obs)),
+    ]
+    return rows
+
+
+def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
+    n_obs = 12
+    rows = _batch_test_rows(n_obs)
+    dp = np.array([r[0] for r in rows])
+    b = np.array([r[1] for r in rows])
+    info = np.zeros((len(rows), n_obs + 1))
+    info[:, 1:] = [r[2] for r in rows]
+    histories = [ObservationHistory() for _ in rows]
+    scalar = [None] * len(rows)
+    batch = None
+    for n in range(1, n_obs + 1):
+        batch = estimate_all_batch(dp[:, :n], b[:, :n], info[:, :n + 1], prior=batch)
+        assert batch.n_obs == n
+        for i, h in enumerate(histories):
+            h.append(dp[i, n - 1], b[i, n - 1], info[i, n])
+            scalar[i] = estimate_all(h, prior=scalar[i])
+        for name in ESTIMATE_ATTRS:
+            ref = np.array([getattr(est, name) for est in scalar])
+            assert getattr(batch, name).tobytes() == ref.tobytes(), (n, name)
+    # every branch was taken at the final length
+    assert batch.impact_valid.any() and not batch.impact_valid.all()
+    assert batch.rho_valid.any() and not batch.rho_valid.all()
+    assert np.isnan(batch.theta_hat[1]) and np.isnan(batch.rho_hat[1])
+    assert batch.rho_hat[3] == 0.999
+    assert batch.sigma_eps_sq_hat[4] <= 1e-20
+    assert batch.theta_hat[5] < 0.0

@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath, check_seed,
-                      generate_noise_path, info_step, price_step,
-                      stationary_info_component_std, substream_seed)
+                      generate_noise_arrays, generate_noise_path, info_step,
+                      noise_digest, price_step, stationary_info_component_std,
+                      substream_seed)
 
 
 def test_zero_variance_yields_zero_shocks():
@@ -143,3 +145,34 @@ def test_check_seed_range():
     for bad in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="^base_seed: "):
             check_seed(bad, "base_seed")
+
+
+def _fresh_philox_path(seed, horizon, sigma_eps_sq, sigma_eta_sq):
+    """The documented stream, one freshly keyed Philox generator per seed."""
+    key = hashlib.sha256(b"noise" + seed.to_bytes(8, "little")).digest()
+    rng = np.random.Generator(np.random.Philox(key=int.from_bytes(key[:16], "little")))
+    return (rng.standard_normal(horizon) * math.sqrt(sigma_eps_sq),
+            rng.standard_normal(horizon) * math.sqrt(sigma_eta_sq))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 20, 101])
+def test_noise_arrays_rows_equal_freshly_keyed_generators(horizon):
+    seeds = [substream_seed(5, i) for i in range(12)] + [0, 2 ** 64 - 1, 7, 7]
+    eps, eta = generate_noise_arrays(seeds, horizon, 0.125 ** 2, 0.001)
+    assert eps.shape == eta.shape == (len(seeds), horizon)
+    for i, seed in enumerate(seeds):
+        ref_eps, ref_eta = _fresh_philox_path(seed, horizon, 0.125 ** 2, 0.001)
+        assert eps[i].tobytes() == ref_eps.tobytes()
+        assert eta[i].tobytes() == ref_eta.tobytes()
+        path = generate_noise_path(seed, horizon, 0.125 ** 2, 0.001)
+        assert noise_digest(eps[i], eta[i]) == path.digest()
+
+
+@pytest.mark.parametrize("horizon", [2.5, True, False, 20.0])
+def test_mandate_rejects_non_integer_horizon(horizon):
+    with pytest.raises(ValueError, match=r"^horizon: must be an integer \(got "):
+        ExecutionMandate(1e5, 50.0, horizon)
+
+
+def test_mandate_accepts_numpy_integer_horizon():
+    assert ExecutionMandate(1e5, 50.0, np.int64(20)).horizon == 20

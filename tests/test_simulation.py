@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath,
-                      generate_noise_path, per_share_improvement,
+                      generate_noise_path, informed_expected_cost,
+                      naive_expected_cost, per_share_improvement,
                       run_convergence, run_episode, run_episode_batch,
                       run_monte_carlo, solve_coefficients,
                       summarize_convergence, substream_seed)
+from bestexec.simulation import ESTIMATE_FIELDS, _run_batch
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 MANDATE = ExecutionMandate(100000.0, 50.0, 20)
@@ -237,9 +241,10 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
                                  params.sigma_eta_sq) for i in range(25)]
     eps = np.stack([p.eps for p in paths])
     eta = np.stack([p.eta for p in paths])
-    for kind in ("naive", "informed"):
+    for kind in ("naive", "informed", "ar"):
         cost, orders, cum_cost = run_episode_batch(kind, params, mandate, eps, eta,
                                                    clamp_nonneg_orders=clamp)
+        log = _run_batch(kind, params, mandate, eps, eta, clamp)[3]
         for i, path in enumerate(paths):
             ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
             ref_orders = np.array([r.shares_bought for r in ref.blotter[1:]])
@@ -247,6 +252,16 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
             assert cost[i].tobytes() == np.float64(ref.actual_cost).tobytes()
             assert orders[i].tobytes() == ref_orders.tobytes()
             assert cum_cost[i].tobytes() == ref_cum.tobytes()
+            if kind == "ar":
+                for name in ESTIMATE_FIELDS + ("impact_valid", "rho_valid"):
+                    ref_log = np.array([getattr(est, name) for est in ref.estimates_log])
+                    assert log[name][i].tobytes() == ref_log.tobytes(), name
+            else:
+                assert log is None
+    if T == 100:
+        # the online rule did leave the uniform split
+        assert log["impact_valid"].any() and log["rho_valid"].any()
+        assert (orders[:, :-1] != 100000.0 / T).any()
     if params is STEEP and T >= 3:
         # the clamp is exercised: unclamped interior orders do go negative
         interior = run_episode_batch("informed", params, mandate, eps, eta)[1][:, :-1]
@@ -281,15 +296,110 @@ def test_monte_carlo_equals_per_simulation_run_episode(T, clamp, params):
         assert st.noise_digests == [r.noise_digest for r in refs]
 
 
+def _reference_arrays(kind, params, mandate, base_seed, n_sims, clamp):
+    """Per-simulation run_episode results, stacked as the batch engine's
+    (actual_cost, orders, accumulated_cost) plus the episodes."""
+    refs = [run_episode(kind, params, mandate,
+                        generate_noise_path(substream_seed(base_seed, i), mandate.horizon,
+                                            params.sigma_eps_sq, params.sigma_eta_sq),
+                        clamp_nonneg_orders=clamp)
+            for i in range(n_sims)]
+    cost = np.array([r.actual_cost for r in refs])
+    orders = np.array([[row.shares_bought for row in r.blotter[1:]] for r in refs])
+    cum = np.array([[row.accumulated_cost for row in r.blotter[1:]] for r in refs])
+    return cost, orders, cum, refs
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 20, 100])
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
+def test_run_convergence_equals_summarized_run_episode(T, clamp, params):
+    mandate = ExecutionMandate(100000.0, 50.0, T)
+    refs = _reference_arrays("ar", params, mandate, 5, 8, clamp)[3]
+    ref = summarize_convergence(refs)
+    conv = run_convergence(8, params, mandate, 5, clamp_nonneg_orders=clamp)
+    assert conv.n_episodes == ref.n_episodes == 8
+    assert conv.periods.tobytes() == ref.periods.tobytes()
+    for name in ESTIMATE_FIELDS:
+        assert conv.mean[name].tobytes() == ref.mean[name].tobytes(), name
+        assert conv.sd[name].tobytes() == ref.sd[name].tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(1e-7, 1e-3), gamma=st.floats(-50.0, 50.0),
+       rho=st.floats(-0.99, 0.99),
+       sigma_eps_sq=st.sampled_from([0.0, 1e-4, 0.125 ** 2, 1.0]),
+       sigma_eta_sq=st.sampled_from([0.0, 1e-4, 0.001, 0.1]),
+       T=st.integers(1, 30), seed=st.integers(0, 2 ** 64 - 1), clamp=st.booleans())
+def test_batch_engine_equals_scalar_engine_property(theta, gamma, rho, sigma_eps_sq,
+                                                    sigma_eta_sq, T, seed, clamp):
+    params = MarketParams(theta, gamma, rho, sigma_eps_sq, sigma_eta_sq)
+    mandate = ExecutionMandate(100000.0, 50.0, T)
+    n_sims = 3
+    s = run_monte_carlo(n_sims, ("naive", "informed", "ar"), params, mandate, seed,
+                        clamp_nonneg_orders=clamp)
+    for kind in s.strategies:
+        ref_cost, ref_orders, ref_cum, refs = _reference_arrays(kind, params, mandate,
+                                                                seed, n_sims, clamp)
+        got = s.stats[kind]
+        assert got.per_sim_actual_cost.tobytes() == ref_cost.tobytes(), kind
+        assert got.mean_order_size.tobytes() == np.mean(ref_orders, axis=0).tobytes(), kind
+        assert (got.accumulated_cost_variance.tobytes()
+                == np.var(ref_cum, axis=0, ddof=1).tobytes()), kind
+        assert got.noise_digests == [r.noise_digest for r in refs]
+    ref = summarize_convergence(refs)  # refs of the last strategy, ar
+    conv = run_convergence(n_sims, params, mandate, seed, clamp_nonneg_orders=clamp)
+    for name in ESTIMATE_FIELDS:
+        assert conv.mean[name].tobytes() == ref.mean[name].tobytes(), name
+        assert conv.sd[name].tobytes() == ref.sd[name].tobytes(), name
+
+
+def test_ar_value_toggle_uses_the_schedule_of_valid_final_estimates():
+    # a baseline path whose final estimates are usable
+    for i in range(50):
+        path = generate_noise_path(substream_seed(3, i), 20, BASELINE.sigma_eps_sq,
+                                   BASELINE.sigma_eta_sq)
+        res = run_episode("ar", BASELINE, MANDATE, path,
+                          ar_expected_cost_from_estimates=True)
+        est = res.estimates_log[-1]
+        if est.impact_valid and est.rho_valid and est.theta_hat > 0.0:
+            break
+    else:
+        pytest.fail("no path with usable final estimates")
+    est_params = MarketParams(est.theta_hat, est.gamma_hat, est.rho_hat,
+                              est.sigma_eps_sq_hat, est.sigma_eta_sq_hat)
+    expected = informed_expected_cost(1e5, 50.0, 0.0, 1,
+                                      solve_coefficients(est_params, 20))
+    assert res.expected_cost == expected
+    assert res.expected_cost != naive_expected_cost(1e5, 50.0, 1, 20, BASELINE.theta)
+    assert res.improvement_per_share == (expected - res.actual_cost) / 1e5
+    # without the toggle the same episode reports the uniform-split value
+    plain = run_episode("ar", BASELINE, MANDATE, path)
+    assert plain.expected_cost == naive_expected_cost(1e5, 50.0, 1, 20, BASELINE.theta)
+    assert plain.actual_cost == res.actual_cost
+
+
+def test_ar_value_toggle_falls_back_to_uniform_split_when_never_valid():
+    # two periods give at most two observations: the impact fit is never valid
+    mandate = ExecutionMandate(100000.0, 50.0, 2)
+    for i in range(10):
+        path = generate_noise_path(substream_seed(3, i), 2, BASELINE.sigma_eps_sq,
+                                   BASELINE.sigma_eta_sq)
+        res = run_episode("ar", BASELINE, mandate, path,
+                          ar_expected_cost_from_estimates=True)
+        assert not any(est.impact_valid for est in res.estimates_log)
+        assert res.expected_cost == naive_expected_cost(1e5, 50.0, 1, 2, BASELINE.theta)
+
+
 def test_monte_carlo_rejects_unknown_strategy_before_drawing_noise():
     with pytest.raises(ValueError, match="unknown strategy 'twap'"):
         run_monte_carlo(0, ("naive", "twap"), BASELINE, MANDATE, 0)
 
 
-def test_batch_engine_rejects_ar_and_misshapen_noise():
+def test_batch_engine_rejects_unknown_strategy_and_misshapen_noise():
     eps = np.zeros((3, 20))
-    with pytest.raises(ValueError, match="strategy_kind"):
-        run_episode_batch("ar", BASELINE, MANDATE, eps, eps)
+    with pytest.raises(ValueError, match="strategy_kind: unknown strategy 'twap'"):
+        run_episode_batch("twap", BASELINE, MANDATE, eps, eps)
     with pytest.raises(ValueError, match="shape"):
         run_episode_batch("naive", BASELINE, MANDATE, eps[:, :19], eps[:, :19])
 
