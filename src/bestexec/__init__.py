@@ -2,9 +2,8 @@
 impact with AR(1) market information: simulation, valuation, online
 estimation and paired Monte Carlo comparison."""
 
-from .estimation import (COND_LIMIT, RHO_CLAMP, EstimateArrays, EstimationError,
-                         ObservationHistory, ParameterEstimates, estimate_all,
-                         estimate_all_batch, fit_impact, fit_rho, fit_variances)
+from .estimation import (COND_LIMIT, RHO_CLAMP, EstimateArrays, ParameterEstimates,
+                         estimate_all, estimate_all_batch)
 from .market import (ExecutionMandate, MarketParams, MarketState, NoisePath,
                      check_seed, generate_noise_arrays, generate_noise_path,
                      info_step, noise_digest, price_step,
@@ -16,7 +15,6 @@ from .simulation import (ConvergenceSummary, MonteCarloSummary, PeriodRecord,
 from .strategies import (STRATEGIES, CoefficientSchedule, OrderDecision,
                          ar_adjustment_factor, decide_order, informed_order,
                          naive_order, solve_coefficients)
-from .valuation import (CostForecast, cost_sensitivity, informed_expected_cost,
-                        naive_expected_cost)
+from .valuation import cost_sensitivity, informed_expected_cost, naive_expected_cost
 
 __version__ = "0.1.0"

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .market import (ExecutionMandate, MarketParams, check_seed, generate_noise_path,
                      substream_seed)
@@ -250,6 +253,14 @@ def _g17(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _require_finite_outputs(named_values) -> None:
+    """Raise SpecError naming the first of the (name, numbers) pairs that
+    holds a NaN or an infinity: the spec's numbers overflowed."""
+    for name, values in named_values:
+        if not all(map(math.isfinite, values)):
+            raise SpecError(f"overflow: {name} is not finite")
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
@@ -267,9 +278,19 @@ def cmd_simulate(spec: RunSpec) -> int:
     mandate = spec.mandate()
     path = generate_noise_path(substream_seed(spec.seed, 0), spec.horizon,
                                spec.sigma_eps_sq, spec.sigma_eta_sq)
-    result = run_episode(strategy, params, mandate, path,
-                         clamp_nonneg_orders=spec.clamp_nonneg_orders,
-                         ar_expected_cost_from_estimates=spec.ar_value_toggle)
+    with np.errstate(all="ignore"):  # overflow is reported below, by name
+        result = run_episode(strategy, params, mandate, path,
+                             clamp_nonneg_orders=spec.clamp_nonneg_orders,
+                             ar_expected_cost_from_estimates=spec.ar_value_toggle)
+    rows = [(row.price, row.shares_bought, row.shares_remaining, row.market_information,
+             row.accumulated_cost) for row in result.blotter]
+    _require_finite_outputs([
+        ("total cost", [result.actual_cost]),
+        ("expected cost", [result.expected_cost]),
+        ("improvement per share", [result.improvement_per_share]),
+        *zip(("price", "shares bought", "shares remaining", "market information",
+              "accumulated cost"), zip(*rows)),
+    ])
     lines = [BLOTTER_HEADER]
     for row in result.blotter:
         lines.append(",".join([
@@ -291,9 +312,20 @@ def cmd_simulate(spec: RunSpec) -> int:
 def cmd_montecarlo(spec: RunSpec) -> int:
     """Run the paired study and write, under out_dir: summary.txt (key = value),
     order_size_mean.csv, accumulated_cost_variance.csv and total_costs.csv."""
-    summary = run_monte_carlo(spec.n_sims, spec.strategies, spec.market_params(),
-                              spec.mandate(), spec.seed,
-                              clamp_nonneg_orders=spec.clamp_nonneg_orders)
+    with np.errstate(all="ignore"):  # overflow is reported below, by name
+        summary = run_monte_carlo(spec.n_sims, spec.strategies, spec.market_params(),
+                                  spec.mandate(), spec.seed,
+                                  clamp_nonneg_orders=spec.clamp_nonneg_orders)
+    checks = [("benchmark expected cost", [summary.benchmark_expected_cost])]
+    for strat in summary.strategies:
+        st = summary.stats[strat]
+        checks += [(f"{strat} total cost", st.per_sim_actual_cost),
+                   (f"{strat} mean improvement", [st.mean_improvement]),
+                   (f"{strat} sd improvement", [st.sd_improvement]),
+                   (f"{strat} periodwise mean improvement", [st.mean_improvement_periodwise]),
+                   (f"{strat} mean order size", st.mean_order_size),
+                   (f"{strat} accumulated cost variance", st.accumulated_cost_variance)]
+    _require_finite_outputs(checks)
     out = Path(spec.out_dir)
 
     lines = [

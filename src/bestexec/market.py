@@ -42,9 +42,12 @@ __all__ = [
 
 
 def _require_finite(obj, names: tuple[str, ...]) -> None:
-    """Reject NaN and infinite fields, naming the first offending one."""
+    """Reject fields that are not real numbers (a str or a bool, say) or are
+    NaN or infinite, naming the first offending one."""
     for name in names:
         value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name}: must be a real number (got {value!r})")
         if not math.isfinite(value):
             raise ValueError(f"{name}: must be finite (got {value})")
 
@@ -85,7 +88,9 @@ class ExecutionMandate:
     horizon: int
 
     def __post_init__(self):
-        _require_finite(self, ("s0", "p0", "horizon"))
+        _require_finite(self, ("s0", "p0"))
+        if not isinstance(self.horizon, bool):  # a bool horizon fails the integer check
+            _require_finite(self, ("horizon",))
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
             raise ValueError(f"horizon: must be an integer (got {self.horizon!r})")
         if self.s0 <= 0.0:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (EstimateArrays, ObservationHistory, ParameterEstimates,
-                         estimate_all, estimate_all_batch)
+from .estimation import (EstimateArrays, ParameterEstimates, estimate_all,
+                         estimate_all_batch)
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, MarketState,  # noqa: F401
@@ -120,9 +120,14 @@ def run_episode(strategy_kind: str, params: MarketParams,
         schedule = solve_coefficients(params, T)
 
     is_ar = strategy_kind == "ar"
-    history = ObservationHistory(x0=0.0) if is_ar else None
     estimates: ParameterEstimates | None = None
-    estimates_log: list[ParameterEstimates] | None = [] if is_ar else None
+    estimates_log: list[ParameterEstimates] | None = None
+    if is_ar:
+        # the refit's history: price changes, orders and (x0, X_1..X_T)
+        delta_p = np.empty(T)
+        orders = np.empty(T)
+        info = np.zeros(T + 1)
+        estimates_log = []
 
     price = mandate.p0
     x = 0.0
@@ -144,8 +149,10 @@ def run_episode(strategy_kind: str, params: MarketParams,
         s_new = s - order
         blotter.append(PeriodRecord(t, price_new, order, s_new, x_new, cost))
         if is_ar:
-            history.append(price_new - price, order, x_new)
-            estimates = estimate_all(history, prior=estimates)
+            delta_p[t - 1] = price_new - price
+            orders[t - 1] = order
+            info[t] = x_new
+            estimates = estimate_all(delta_p[:t], orders[:t], info[:t + 1], prior=estimates)
             estimates_log.append(estimates)
         price, x, s = price_new, x_new, s_new
 
@@ -185,25 +192,19 @@ def _expected_cost_for(strategy_kind, params, truth, mandate, schedule,
 def run_episode_batch(strategy_kind: str, params: MarketParams,
                       mandate: ExecutionMandate, eps: np.ndarray, eta: np.ndarray,
                       clamp_nonneg_orders: bool = False
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 dict[str, np.ndarray] | None]:
     """Run one episode of the given strategy per row of the (n_sims, T) shock
     arrays eps and eta, all simulations advancing together.
 
-    Returns (actual_cost, orders, accumulated_cost) with shapes (n_sims,),
-    (n_sims, T) and (n_sims, T). Row i equals, bit for bit, the actual_cost,
-    shares_bought and accumulated_cost of run_episode on the path
-    (eps[i], eta[i]).
+    Returns (actual_cost, orders, accumulated_cost, estimates) with shapes
+    (n_sims,), (n_sims, T) and (n_sims, T). Row i equals, bit for bit, the
+    actual_cost, shares_bought and accumulated_cost of run_episode on the
+    path (eps[i], eta[i]). For the online strategy, estimates holds the
+    estimates after every period, {field: (n_sims, T) array} over
+    ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row i's
+    run_episode estimates_log; it is None for naive and informed.
     """
-    cost, orders, cum_cost, _ = _run_batch(strategy_kind, params, mandate, eps, eta,
-                                           clamp_nonneg_orders)
-    return cost, orders, cum_cost
-
-
-def _run_batch(strategy_kind, params, mandate, eps, eta, clamp_nonneg_orders):
-    """The batch engine behind run_episode_batch. For the online strategy it
-    also returns the estimates after every period, {field: (n_sims, T) array}
-    over ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row i's
-    run_episode estimates_log; None for naive and informed."""
     if strategy_kind not in STRATEGIES:
         raise ValueError(f"strategy_kind: unknown strategy {strategy_kind!r}")
     T = mandate.horizon
@@ -353,7 +354,7 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
 
     stats = {}
     for strat in strategies:
-        actual, orders, cum_cost = run_episode_batch(
+        actual, orders, cum_cost, _ = run_episode_batch(
             strat, params, mandate, eps, eta, clamp_nonneg_orders=clamp_nonneg_orders)
         imp = (benchmark - actual) / mandate.s0
         periodwise = np.mean((bench_cum - cum_cost) / mandate.s0, axis=1)
@@ -391,8 +392,8 @@ def run_convergence(n_sims: int, params: MarketParams, mandate: ExecutionMandate
     and summarize their estimate trajectories. Equals summarize_convergence
     over the same episodes from run_episode, bit for bit."""
     eps, eta = _noise_arrays(n_sims, params, mandate.horizon, base_seed)
-    return _reduce_estimates(_run_batch("ar", params, mandate, eps, eta,
-                                        clamp_nonneg_orders)[3])
+    return _reduce_estimates(run_episode_batch("ar", params, mandate, eps, eta,
+                                               clamp_nonneg_orders)[3])
 
 
 def summarize_convergence(episodes) -> ConvergenceSummary:

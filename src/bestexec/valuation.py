@@ -19,25 +19,13 @@ when gamma, rho and sigma_eta_sq are all nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .strategies import CoefficientSchedule
 
 __all__ = [
-    "CostForecast",
     "naive_expected_cost",
     "informed_expected_cost",
     "cost_sensitivity",
 ]
-
-
-@dataclass(frozen=True)
-class CostForecast:
-    """An expected total acquisition cost and the state it was evaluated at."""
-
-    expected_cost: float
-    model_tag: str  # naive | informed
-    evaluated_at: tuple[int, float, float, float]  # (t, shares, price, info)
 
 
 def naive_expected_cost(shares_remaining: float, price: float, t: int,

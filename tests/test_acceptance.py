@@ -15,7 +15,6 @@ from bestexec import (ExecutionMandate, MarketParams, NoisePath,
                       run_monte_carlo, solve_coefficients,
                       stationary_info_component_std)
 from bestexec.cli import main
-from bestexec.estimation import ObservationHistory
 from bestexec.market import info_step, price_step
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
@@ -96,14 +95,16 @@ def test_criterion_05_dp_oracle_equivalence():
 def test_criterion_06_estimator_recovery():
     # exact recovery on a noiseless dyadic path (all arithmetic exact)
     theta, gamma, rho = 2.0 ** -14, 4.0, 0.5
-    h = ObservationHistory(x0=1.0)
-    p, x = 50.0, 1.0
-    for b in (8192.0, 4096.0, 16384.0, 2048.0, 32768.0):
-        x = info_step(x, rho, 0.0)
-        p_new = price_step(p, b, x, theta, gamma, 0.0)
-        h.append(p_new - p, b, x)
+    orders = np.array([8192.0, 4096.0, 16384.0, 2048.0, 32768.0])
+    dp = np.empty(5)
+    info = np.empty(6)
+    p, info[0] = 50.0, 1.0
+    for k, b in enumerate(orders):
+        info[k + 1] = info_step(info[k], rho, 0.0)
+        p_new = price_step(p, b, info[k + 1], theta, gamma, 0.0)
+        dp[k] = p_new - p
         p = p_new
-    est = estimate_all(h)
+    est = estimate_all(dp, orders, info)
     exact = (abs(est.theta_hat - theta) / theta <= 1e-9
              and abs(est.gamma_hat - gamma) / gamma <= 1e-9
              and abs(est.rho_hat - rho) / rho <= 1e-9
@@ -111,16 +112,17 @@ def test_criterion_06_estimator_recovery():
 
     # variance consistency on a long baseline path
     rng = np.random.default_rng(103)
-    h2 = ObservationHistory(x0=0.0)
-    p, x = 50.0, 0.0
+    dp = np.empty(10 ** 4)
+    info = np.zeros(10 ** 4 + 1)
+    p = 50.0
     eps = rng.normal(0.0, 0.125, 10 ** 4)
     eta = rng.normal(0.0, math.sqrt(0.001), 10 ** 4)
     for k in range(10 ** 4):
-        x = info_step(x, 0.5, eta[k])
-        p_new = price_step(p, 5000.0, x, 5e-5, 5.0, eps[k])
-        h2.append(p_new - p, 5000.0, x)
+        info[k + 1] = info_step(info[k], 0.5, eta[k])
+        p_new = price_step(p, 5000.0, info[k + 1], 5e-5, 5.0, eps[k])
+        dp[k] = p_new - p
         p = p_new
-    est2 = estimate_all(h2)
+    est2 = estimate_all(dp, np.full(10 ** 4, 5000.0), info)
     consistent = (abs(est2.sigma_eps_sq_hat - 0.015625) / 0.015625 < 0.10
                   and abs(est2.sigma_eta_sq_hat - 0.001) / 0.001 < 0.10)
     _report(6, "estimator recovery", exact and consistent,

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestexec.cli import (BLOTTER_HEADER, CONVERGENCE_HEADER, RunSpec,
                           SpecError, main, parse_config, render_config)
@@ -253,3 +261,78 @@ def test_negative_exponent_value_reaches_the_theta_check(tmp_path, capsys, flag)
     spec = parse_config(["--strategy", "naive"] + flag)
     assert spec.theta == -1e-5
     assert parse_config(["--gamma", "-2.5e1"]).gamma == -25.0
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr, warnings raised) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), caught
+
+
+# a NaN or an infinity as the CLI and json render them ("informed" does not match)
+_NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["montecarlo", "--n-sims", "2", "--s0", "1e308", "--horizon", "3"],
+     "benchmark expected cost"),
+    (["montecarlo", "--n-sims", "3", "--sigma-eps-sq", "1e308"], "naive sd improvement"),
+    (["montecarlo", "--n-sims", "3", "--theta", "1e300"], "benchmark expected cost"),
+    (["simulate", "--p0", "1e308", "--s0", "1e308"], "total cost"),
+])
+def test_overflow_exits_2_before_writing(tmp_path, argv, name):
+    rc, out, err, caught = _run_cli(argv + ["--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert err == f"error: overflow: {name} is not finite\n"
+    assert out == "" and not caught
+    assert not any(tmp_path.iterdir())
+
+
+_NUMBERS = st.one_of(st.sampled_from(["0", "1", "-1", "0.5", "-0.5", "5e-5", "1e-320"]),
+                     st.sampled_from(["1e300", "-1e300", "1e308", "1e154"]),
+                     st.sampled_from(["nan", "inf", "-inf", "abc", ""]))
+_SMALL_INTS = st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "nan", "abc", ""])
+_SEEDS = st.sampled_from(["0", "7", str(2 ** 64 - 1), str(2 ** 64), "-1", "abc"])
+_FLAG_VALUES = {
+    **{flag: _NUMBERS for flag in ("--theta", "--gamma", "--rho", "--sigma-eps-sq",
+                                   "--sigma-eta-sq", "--s0", "--p0")},
+    "--horizon": _SMALL_INTS,
+    "--n-sims": _SMALL_INTS,
+    "--seed": _SEEDS,
+}
+
+
+@st.composite
+def _argvs(draw):
+    argv = [draw(st.sampled_from(["simulate", "montecarlo", "convergence"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=5)):
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    for name in draw(st.lists(st.sampled_from(["naive", "informed", "ar", "twap"]),
+                              max_size=3)):
+        argv += ["--strategy", name]
+    for flag in ("--clamp-nonneg-orders", "--ar-value-toggle"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_cli_fuzz_exits_0_or_2_with_finite_files(argv):
+    # the default horizon and n_sims are cut down to keep each call small
+    argv = argv[:1] + ["--horizon", "4", "--n-sims", "3"] + argv[1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, out, err, caught = _run_cli(argv + ["--out-dir", tmp])
+        if rc == 2:
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+            assert not caught, [str(w.message) for w in caught]
+            assert not any(Path(tmp).iterdir())
+        else:
+            assert rc == 0, (rc, err)
+            if argv[0] != "convergence":
+                for path in Path(tmp).iterdir():
+                    assert not _NON_FINITE.search(path.read_text()), path.name

@@ -3,57 +3,70 @@ import math
 import numpy as np
 import pytest
 
-from bestexec import (EstimationError, ObservationHistory, ParameterEstimates,
-                      estimate_all, estimate_all_batch, fit_impact, fit_rho,
-                      fit_variances, info_step, price_step)
+from bestexec import (ParameterEstimates, estimate_all, estimate_all_batch, info_step,
+                      price_step)
 
 
-def _history(rows, x0=0.0):
-    h = ObservationHistory(x0=x0)
-    for dp, b, x in rows:
-        h.append(dp, b, x)
-    return h
+def _arrays(rows, x0=0.0):
+    """(delta_p, orders, info_series) of the records (dP_k, B_k, X_k), with the
+    information series starting at x0."""
+    rows = list(rows)
+    dp = np.array([r[0] for r in rows], dtype=float)
+    b = np.array([r[1] for r in rows], dtype=float)
+    info = np.array([x0] + [r[2] for r in rows], dtype=float)
+    return dp, b, info
+
+
+def _fit(rows, x0=0.0, prior=None):
+    return estimate_all(*_arrays(rows, x0), prior=prior)
+
+
+def _fit_rho(info_series):
+    """The refit of an information series alone: zero orders and price changes
+    make the impact design singular, so only the rho fit runs."""
+    n = len(info_series) - 1
+    return estimate_all(np.zeros(n), np.zeros(n), np.asarray(info_series, dtype=float))
 
 
 def test_fit_impact_hand_system():
-    h = _history([(0.25, 5000.0, 0.0), (0.35, 5000.0, 0.02)])
-    theta_hat, gamma_hat = fit_impact(h)
-    assert theta_hat == pytest.approx(5e-5, rel=1e-12)
-    assert gamma_hat == pytest.approx(5.0, rel=1e-12)
+    est = _fit([(0.25, 5000.0, 0.0), (0.35, 5000.0, 0.02)])
+    assert est.theta_hat == pytest.approx(5e-5, rel=1e-12)
+    assert est.gamma_hat == pytest.approx(5.0, rel=1e-12)
 
 
 def test_fit_impact_all_zero_information_is_singular():
-    h = _history([(0.25, 5000.0, 0.0), (0.26, 6000.0, 0.0), (0.27, 7000.0, 0.0)])
-    with pytest.raises(EstimationError):
-        fit_impact(h)
+    est = _fit([(0.25, 5000.0, 0.0), (0.26, 6000.0, 0.0), (0.27, 7000.0, 0.0)])
+    assert math.isnan(est.theta_hat) and math.isnan(est.gamma_hat)
+    assert math.isnan(est.sigma_eps_sq_hat)
+    assert not est.impact_valid
 
 
 def test_fit_impact_needs_two_observations():
-    with pytest.raises(EstimationError):
-        fit_impact(_history([(0.25, 5000.0, 0.01)]))
+    est = _fit([(0.25, 5000.0, 0.01)])
+    assert math.isnan(est.theta_hat) and math.isnan(est.gamma_hat)
+    assert not est.impact_valid
 
 
 def _noiseless_history(theta, gamma, rho, orders, x0=1.0):
-    """Exact-dynamics history with zero shocks and a nonzero information start."""
-    h = ObservationHistory(x0=x0)
+    """Exact-dynamics history (delta_p, orders, info_series) with zero shocks
+    and a nonzero information start."""
+    rows = []
     p, x = 50.0, x0
     for b in orders:
         x_new = info_step(x, rho, 0.0)
         p_new = price_step(p, b, x_new, theta, gamma, 0.0)
-        h.append(p_new - p, b, x_new)
+        rows.append((p_new - p, b, x_new))
         p, x = p_new, x_new
-    return h
+    return _arrays(rows, x0)
 
 
 def test_noiseless_path_recovers_parameters():
     theta, gamma, rho = 5e-5, 5.0, 0.5
     orders = [5000.0 + 700.0 * k for k in range(10)]
-    h = _noiseless_history(theta, gamma, rho, orders)
-    theta_hat, gamma_hat = fit_impact(h)
-    assert theta_hat == pytest.approx(theta, rel=1e-9)
-    assert gamma_hat == pytest.approx(gamma, rel=1e-9)
-    assert fit_rho(h.info_series()) == pytest.approx(rho, rel=1e-9)
-    est = estimate_all(h)
+    est = estimate_all(*_noiseless_history(theta, gamma, rho, orders))
+    assert est.theta_hat == pytest.approx(theta, rel=1e-9)
+    assert est.gamma_hat == pytest.approx(gamma, rel=1e-9)
+    assert est.rho_hat == pytest.approx(rho, rel=1e-9)
     assert est.impact_valid and est.rho_valid
     assert est.sigma_eps_sq_hat <= 1e-18
     assert est.sigma_eta_sq_hat <= 1e-18
@@ -64,8 +77,7 @@ def test_noiseless_dyadic_path_recovery_is_exact():
     # so the estimates equal the generating constants bit for bit
     theta, gamma, rho = 2.0 ** -14, 4.0, 0.5
     orders = [8192.0, 4096.0, 16384.0, 2048.0, 32768.0]
-    h = _noiseless_history(theta, gamma, rho, orders, x0=1.0)
-    est = estimate_all(h)
+    est = estimate_all(*_noiseless_history(theta, gamma, rho, orders, x0=1.0))
     assert est.theta_hat == theta
     assert est.gamma_hat == gamma
     assert est.rho_hat == rho
@@ -75,49 +87,80 @@ def test_noiseless_dyadic_path_recovery_is_exact():
 
 
 def test_fit_rho_hand_series():
-    assert fit_rho([1.0, 0.5, 0.25]) == pytest.approx(0.5, rel=1e-12)
+    est = _fit_rho([1.0, 0.5, 0.25])
+    assert est.rho_hat == pytest.approx(0.5, rel=1e-12)
+    assert est.rho_valid
 
 
 def test_fit_rho_zero_series_is_singular():
-    with pytest.raises(EstimationError):
-        fit_rho([0.0, 0.0, 0.0])
+    est = _fit_rho([0.0, 0.0, 0.0])
+    assert math.isnan(est.rho_hat) and math.isnan(est.sigma_eta_sq_hat)
+    assert not est.rho_valid
 
 
 def test_fit_rho_noiseless_ar1():
     xs = [1.0]
     for _ in range(10):
         xs.append(info_step(xs[-1], 0.9, 0.0))
-    assert fit_rho(xs) == pytest.approx(0.9, rel=1e-12)
+    assert _fit_rho(xs).rho_hat == pytest.approx(0.9, rel=1e-12)
 
 
 def test_fit_rho_depends_on_series_order():
-    forward = fit_rho([1.0, 0.5, 0.25])
-    reversed_fit = fit_rho([0.25, 0.5, 1.0])
-    assert forward != reversed_fit
-    assert reversed_fit == 0.999  # raw 2.0, clamped
+    forward = _fit_rho([1.0, 0.5, 0.25])
+    reversed_fit = _fit_rho([0.25, 0.5, 1.0])
+    assert forward.rho_hat != reversed_fit.rho_hat
+    assert reversed_fit.rho_hat == 0.999  # raw 2.0, clamped
+    assert not reversed_fit.rho_valid
 
 
 def test_estimate_all_flags_clamped_rho_invalid():
-    h = _history([(0.0, 5000.0, 0.5), (0.0, 6000.0, 1.0)], x0=0.25)
-    est = estimate_all(h)
+    est = _fit([(0.0, 5000.0, 0.5), (0.0, 6000.0, 1.0)], x0=0.25)
     assert est.rho_hat == 0.999
     assert not est.rho_valid
 
 
 def test_fit_variances_hand_residuals():
-    # estimates of zero leave the raw observations as residuals
-    est = ParameterEstimates(0.0, 0.0, 0.0, float("nan"), float("nan"),
-                             True, True, 2)
-    h = _history([(0.1, 5000.0, 0.0), (-0.1, 5000.0, 0.0)])
-    s2e, s2h = fit_variances(h, est)
-    assert s2e == pytest.approx(0.02, rel=1e-12)
-    assert s2h == 0.0
+    # B = (1, 0, 1), X = (0, 1, 1) and x0 = 1 give theta_hat = 1, gamma_hat = 2
+    # with price residuals (0.5, 0.5, -0.5), and rho_hat = 0.5 with information
+    # residuals (-0.5, 1, 0.5); every step is exact in binary
+    rows = [(1.5, 1.0, 0.0), (2.5, 0.0, 1.0), (2.5, 1.0, 1.0)]
+    est = _fit(rows, x0=1.0)
+    assert (est.theta_hat, est.gamma_hat, est.rho_hat) == (1.0, 2.0, 0.5)
+    assert est.sigma_eps_sq_hat == 0.375
+    assert est.sigma_eta_sq_hat == 0.75
+    # each variance is SSE / (n - 1) at the returned estimates
+    dp, b, info = _arrays(rows, x0=1.0)
+    r = dp - est.theta_hat * b - est.gamma_hat * info[1:]
+    assert est.sigma_eps_sq_hat == float(r @ r) / 2
+    r = info[1:] - est.rho_hat * info[:-1]
+    assert est.sigma_eta_sq_hat == float(r @ r) / 2
 
 
 def test_fit_variances_needs_two_observations():
-    est = ParameterEstimates(0.0, 0.0, 0.0, 0.0, 0.0, True, True, 1)
-    with pytest.raises(EstimationError):
-        fit_variances(_history([(0.1, 5000.0, 0.0)]), est)
+    # one observation: rho is fitted but neither variance is
+    est = _fit([(0.1, 5000.0, 0.5)], x0=1.0)
+    assert est.rho_hat == 0.5
+    assert math.isnan(est.sigma_eps_sq_hat) and math.isnan(est.sigma_eta_sq_hat)
+    prior = ParameterEstimates(0.0, 0.0, 0.0, 0.25, 0.125, True, True, 0)
+    est = _fit([(0.1, 5000.0, 0.5)], x0=1.0, prior=prior)
+    assert (est.sigma_eps_sq_hat, est.sigma_eta_sq_hat) == (0.25, 0.125)
+
+
+def _simulated_history(n, theta, gamma, rho, eps, eta, order_of):
+    """(delta_p, orders, info_series) of n periods of the true dynamics,
+    starting at p = 50 and x0 = 0, with order order_of(k) in period k + 1."""
+    dp = np.empty(n)
+    b = np.empty(n)
+    info = np.zeros(n + 1)
+    p, x = 50.0, 0.0
+    for k in range(n):
+        b[k] = order_of(k)
+        x_new = info_step(x, rho, eta[k])
+        p_new = price_step(p, b[k], x_new, theta, gamma, eps[k])
+        dp[k] = p_new - p
+        info[k + 1] = x_new
+        p, x = p_new, x_new
+    return dp, b, info
 
 
 def test_long_path_variance_consistency():
@@ -126,15 +169,8 @@ def test_long_path_variance_consistency():
     rng = np.random.default_rng(17)
     eps = rng.normal(0.0, math.sqrt(s2e), 10 ** 4)
     eta = rng.normal(0.0, math.sqrt(s2h), 10 ** 4)
-    h = ObservationHistory(x0=0.0)
-    p, x = 50.0, 0.0
-    for k in range(10 ** 4):
-        b = 5000.0
-        x_new = info_step(x, rho, eta[k])
-        p_new = price_step(p, b, x_new, theta, gamma, eps[k])
-        h.append(p_new - p, b, x_new)
-        p, x = p_new, x_new
-    est = estimate_all(h)
+    est = estimate_all(*_simulated_history(10 ** 4, theta, gamma, rho, eps, eta,
+                                           lambda k: 5000.0))
     assert est.impact_valid and est.rho_valid
     assert abs(est.sigma_eps_sq_hat - s2e) / s2e < 0.10
     assert abs(est.sigma_eta_sq_hat - s2h) / s2h < 0.10
@@ -147,35 +183,33 @@ def test_residual_orthogonality_after_fit():
         b = rng.uniform(1e3, 1e4, n)
         x = rng.normal(0.0, 0.2, n)
         dp = rng.normal(0.0, 0.5, n)
-        h = _history(list(zip(dp, b, x)))
-        try:
-            theta_hat, gamma_hat = fit_impact(h)
-        except EstimationError:
+        est = _fit(zip(dp, b, x))
+        if math.isnan(est.theta_hat):
             continue
-        r = dp - theta_hat * b - gamma_hat * x
+        r = dp - est.theta_hat * b - est.gamma_hat * x
         norm_dp = np.linalg.norm(dp)
         assert abs(r @ b) <= 1e-9 * norm_dp * np.linalg.norm(b)
         assert abs(r @ x) <= 1e-9 * norm_dp * np.linalg.norm(x)
 
 
 def test_estimate_all_empty_history():
-    est = estimate_all(ObservationHistory())
+    est = estimate_all(np.empty(0), np.empty(0), np.zeros(1))
     assert not est.impact_valid and not est.rho_valid
     assert est.n_obs == 0
     assert math.isnan(est.theta_hat) and math.isnan(est.rho_hat)
 
 
 def test_estimate_all_single_observation_is_underdetermined():
-    est = estimate_all(_history([(0.3, 5000.0, 0.05)]))
+    est = _fit([(0.3, 5000.0, 0.05)])
     assert not est.impact_valid
     assert est.n_obs == 1
 
 
 def test_estimate_all_carries_prior_values_on_failure():
     good = _noiseless_history(5e-5, 5.0, 0.5, [5000.0 + 700.0 * k for k in range(8)])
-    prior = estimate_all(good)
+    prior = estimate_all(*good)
     assert prior.impact_valid
-    est = estimate_all(ObservationHistory(), prior=prior)
+    est = estimate_all(np.empty(0), np.empty(0), np.zeros(1), prior=prior)
     assert est.theta_hat == prior.theta_hat
     assert est.gamma_hat == prior.gamma_hat
     assert est.rho_hat == prior.rho_hat
@@ -188,30 +222,28 @@ def test_insignificant_theta_is_flagged_unusable():
     rng = np.random.default_rng(29)
     x = rng.normal(0.0, 0.2, 6)
     dp = 5.0 * x + rng.normal(0.0, 0.05, 6)
-    h = _history(list(zip(dp, np.full(6, 5000.0), x)))
-    est = estimate_all(h)
+    est = _fit(zip(dp, np.full(6, 5000.0), x))
     assert not est.impact_valid
 
 
 def test_two_point_interpolation_is_not_usable():
     # two observations fit two parameters exactly; zero residuals say nothing
-    h = _history([(0.25, 5000.0, 0.0), (0.35, 5000.0, 0.02)])
-    est = estimate_all(h)
+    est = _fit([(0.25, 5000.0, 0.0), (0.35, 5000.0, 0.02)])
     assert est.theta_hat == pytest.approx(5e-5, rel=1e-12)
     assert not est.impact_valid
 
 
 def test_streaming_consistency_full_refit():
-    # appending one record at a time and refitting must match a one-shot fit
+    # refitting on growing prefix views of preallocated buffers, as run_episode
+    # does, must match a one-shot fit on freshly built arrays
     rng = np.random.default_rng(31)
     rows = [(float(rng.normal(0.3, 0.1)), float(rng.uniform(4e3, 6e3)),
              float(rng.normal(0.0, 0.2))) for _ in range(15)]
-    h_incr = ObservationHistory()
-    for row in rows:
-        h_incr.append(*row)
-        estimate_all(h_incr)
-    final_incr = estimate_all(h_incr)
-    final_full = estimate_all(_history(rows))
+    dp, b, info = np.empty(15), np.empty(15), np.zeros(16)
+    for t, row in enumerate(rows, start=1):
+        dp[t - 1], b[t - 1], info[t] = row
+        final_incr = estimate_all(dp[:t], b[:t], info[:t + 1])
+    final_full = _fit(rows)
     for name in ("theta_hat", "gamma_hat", "rho_hat",
                  "sigma_eps_sq_hat", "sigma_eta_sq_hat"):
         assert getattr(final_incr, name) == getattr(final_full, name)
@@ -230,17 +262,10 @@ def test_estimates_converge_with_sample_size():
     for _ in range(n_seeds):
         eps = rng.normal(0.0, math.sqrt(s2e), t_long)
         eta = rng.normal(0.0, math.sqrt(s2h), t_long)
-        h = ObservationHistory(x0=0.0)
-        p, x = 50.0, 0.0
-        for k in range(t_long):
-            b = 5000.0 if k % 2 == 0 else 6000.0
-            x_new = info_step(x, rho, eta[k])
-            p_new = price_step(p, b, x_new, theta, gamma, eps[k])
-            h.append(p_new - p, b, x_new)
-            p, x = p_new, x_new
-            if k + 1 == t_short:
-                est_short = estimate_all(h)
-        est_long = estimate_all(h)
+        dp, b, info = _simulated_history(t_long, theta, gamma, rho, eps, eta,
+                                         lambda k: 5000.0 if k % 2 == 0 else 6000.0)
+        est_short = estimate_all(dp[:t_short], b[:t_short], info[:t_short + 1])
+        est_long = estimate_all(dp, b, info)
         for name, true_val in truth.items():
             err_short[name].append(abs(getattr(est_short, name) - true_val))
             err_long[name].append(abs(getattr(est_long, name) - true_val))
@@ -256,7 +281,8 @@ def _batch_test_rows(n_obs):
     """Histories (dp, B, X) that between them take every branch of the refit:
     well posed, all-zero information (both fits singular), constant orders,
     an explosive information series (rho clamped), a noiseless exact fit
-    (zero residual variance), a negative theta, and plain noise."""
+    (zero residual variance), a negative theta, plain noise, and sums that
+    overflow (a NaN design, which is fitted)."""
     rng = np.random.default_rng(43)
     k = np.arange(1, n_obs + 1, dtype=float)
     b_var = 5000.0 + 700.0 * k
@@ -270,6 +296,7 @@ def _batch_test_rows(n_obs):
         (-5e-5 * b_var + 5.0 * x_ar + rng.normal(0.0, 0.01, n_obs), b_var, x_ar),
         (rng.normal(0.0, 1.0, n_obs), rng.normal(0.0, 1e3, n_obs),
          rng.normal(0.0, 1.0, n_obs)),
+        (rng.normal(0.0, 1e300, n_obs), 1e300 * b_var, 1e300 * x_ar),
     ]
     return rows
 
@@ -281,15 +308,14 @@ def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
     b = np.array([r[1] for r in rows])
     info = np.zeros((len(rows), n_obs + 1))
     info[:, 1:] = [r[2] for r in rows]
-    histories = [ObservationHistory() for _ in rows]
     scalar = [None] * len(rows)
     batch = None
     for n in range(1, n_obs + 1):
         batch = estimate_all_batch(dp[:, :n], b[:, :n], info[:, :n + 1], prior=batch)
         assert batch.n_obs == n
-        for i, h in enumerate(histories):
-            h.append(dp[i, n - 1], b[i, n - 1], info[i, n])
-            scalar[i] = estimate_all(h, prior=scalar[i])
+        for i in range(len(rows)):
+            scalar[i] = estimate_all(dp[i, :n].copy(), b[i, :n].copy(),
+                                     info[i, :n + 1].copy(), prior=scalar[i])
         for name in ESTIMATE_ATTRS:
             ref = np.array([getattr(est, name) for est in scalar])
             assert getattr(batch, name).tobytes() == ref.tobytes(), (n, name)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,3 +177,23 @@ def test_mandate_rejects_non_integer_horizon(horizon):
 
 def test_mandate_accepts_numpy_integer_horizon():
     assert ExecutionMandate(1e5, 50.0, np.int64(20)).horizon == 20
+
+
+MANDATE_FIELDS = ("s0", "p0", "horizon")
+
+
+@pytest.mark.parametrize("value", ["5e-5", None, True, False, [1.0]])
+@pytest.mark.parametrize("field", PARAM_FIELDS + MANDATE_FIELDS)
+def test_value_types_reject_non_real_fields(field, value):
+    if field in PARAM_FIELDS:
+        cls = MarketParams
+        values = dict(zip(PARAM_FIELDS, (5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)))
+    else:
+        cls = ExecutionMandate
+        values = {"s0": 1e5, "p0": 50.0, "horizon": 20}
+    values[field] = value
+    # a bool horizon is named by the integer check; every other case by the real check
+    kind = "an integer" if field == "horizon" and isinstance(value, bool) else "a real number"
+    message = rf"^{field}: must be {kind} \(got {re.escape(repr(value))}\)$"
+    with pytest.raises(ValueError, match=message):
+        cls(**values)

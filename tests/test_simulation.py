@@ -9,7 +9,7 @@ from bestexec import (ExecutionMandate, MarketParams, NoisePath,
                       run_convergence, run_episode, run_episode_batch,
                       run_monte_carlo, solve_coefficients,
                       summarize_convergence, substream_seed)
-from bestexec.simulation import ESTIMATE_FIELDS, _run_batch
+from bestexec.simulation import ESTIMATE_FIELDS
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 MANDATE = ExecutionMandate(100000.0, 50.0, 20)
@@ -242,9 +242,8 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
     eps = np.stack([p.eps for p in paths])
     eta = np.stack([p.eta for p in paths])
     for kind in ("naive", "informed", "ar"):
-        cost, orders, cum_cost = run_episode_batch(kind, params, mandate, eps, eta,
-                                                   clamp_nonneg_orders=clamp)
-        log = _run_batch(kind, params, mandate, eps, eta, clamp)[3]
+        cost, orders, cum_cost, log = run_episode_batch(kind, params, mandate, eps, eta,
+                                                        clamp_nonneg_orders=clamp)
         for i, path in enumerate(paths):
             ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
             ref_orders = np.array([r.shares_bought for r in ref.blotter[1:]])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from oracles import brute_force_best_execution
 
-from bestexec import (CostForecast, MarketParams, cost_sensitivity,
-                      informed_expected_cost, naive_expected_cost,
-                      solve_coefficients)
+from bestexec import (MarketParams, cost_sensitivity, informed_expected_cost,
+                      naive_expected_cost, solve_coefficients)
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 
@@ -102,10 +101,3 @@ def test_terminal_value_is_forced_block_cost():
     s, p, x = 3726.61, 55.0, 0.4
     expected = s * p + BASELINE.theta * s * s + BASELINE.gamma * BASELINE.rho * x * s
     assert informed_expected_cost(s, p, x, 20, sch) == pytest.approx(expected, rel=1e-12)
-
-
-def test_cost_forecast_invariant():
-    v = naive_expected_cost(1e5, 50.0, 1, 20, 5e-5)
-    fc = CostForecast(expected_cost=v, model_tag="naive",
-                      evaluated_at=(1, 1e5, 50.0, 0.0))
-    assert fc.expected_cost >= 1e5 * 50.0  # impact only adds cost when gamma = 0
