@@ -21,6 +21,7 @@ fixed spec produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -167,7 +168,11 @@ class _FlagParser(argparse.ArgumentParser):
         raise SpecError(f"argv: {message}")
 
 
-def _add_flags(parser: argparse.ArgumentParser) -> None:
+@functools.cache
+def _flag_parser() -> _FlagParser:
+    """The flag parser, built once per process: building it costs several
+    parses, and parse_known_args keeps no state on it between calls."""
+    parser = _FlagParser(add_help=False, exit_on_error=False)
     # numbers arrive as strings and go through _coerce, as in config files
     for key in _FLOAT_KEYS + _INT_KEYS:
         parser.add_argument("--" + key.replace("_", "-"), dest=key)
@@ -178,6 +183,7 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
     for key in _BOOL_KEYS:
         parser.add_argument("--" + key.replace("_", "-"), dest=key,
                             action="store_const", const=True)
+    return parser
 
 
 _NUMBER_FLAGS = {"--" + key.replace("_", "-") for key in _FLOAT_KEYS + _INT_KEYS}
@@ -206,10 +212,8 @@ def parse_config(argv: list[str],
 
     Precedence: flags override config-file values override baseline defaults.
     """
-    parser = _FlagParser(add_help=False, exit_on_error=False)
-    _add_flags(parser)
     try:
-        ns, extra = parser.parse_known_args(_attach_number_values(argv))
+        ns, extra = _flag_parser().parse_known_args(_attach_number_values(argv))
     except argparse.ArgumentError as exc:
         name = (exc.argument_name or "argv").lstrip("-").replace("-", "_")
         raise SpecError(f"{name}: {exc.message}") from exc
@@ -236,7 +240,15 @@ def parse_config(argv: list[str],
 
 
 def render_config(spec: RunSpec) -> str:
-    """Config-file text that parses back to exactly this spec."""
+    """Config-file text that parses back to exactly this spec.
+
+    Raises SpecError naming out_dir if the file grammar cannot carry its
+    value: one holding a '#' or a line break, or with whitespace at either
+    end, would read back as another value or fail to parse."""
+    out_dir = spec.out_dir
+    if ("#" in out_dir or out_dir != out_dir.strip()
+            or len(f"x{out_dir}x".splitlines()) != 1):
+        raise SpecError(f"out_dir: cannot be written to a config file (got {out_dir!r})")
     lines = []
     for key in _FLOAT_KEYS:
         lines.append(f"{key} = {format(getattr(spec, key), '.17g')}")
@@ -368,11 +380,20 @@ def cmd_montecarlo(spec: RunSpec) -> int:
 
 def cmd_convergence(spec: RunSpec) -> int:
     """Run n_sims online-strategy episodes and write <out_dir>/convergence.csv
-    with per-period mean and spread of the five estimates."""
+    with per-period mean and spread of the five estimates. A NaN cell marks
+    a period where no simulation has fitted that estimate yet; any other
+    non-finite cell is an overflow and exits 2 before the file is written."""
     if "ar" not in spec.strategies:
         raise SpecError("strategy: convergence requires the 'ar' strategy")
-    conv = run_convergence(spec.n_sims, spec.market_params(), spec.mandate(), spec.seed,
-                           clamp_nonneg_orders=spec.clamp_nonneg_orders)
+    with np.errstate(all="ignore"):  # overflow is reported below, by name
+        conv = run_convergence(spec.n_sims, spec.market_params(), spec.mandate(),
+                               spec.seed, clamp_nonneg_orders=spec.clamp_nonneg_orders)
+    for name in ESTIMATE_FIELDS:
+        fitted = conv.n_values[name] > 0
+        for stat in ("mean", "sd"):
+            cells = getattr(conv, stat)[name]
+            if np.isinf(cells).any() or np.isnan(cells[fitted]).any():
+                raise SpecError(f"overflow: {name} {stat} is not finite")
     rows = [CONVERGENCE_HEADER]
     for idx, t in enumerate(conv.periods):
         cells = [str(int(t))]

@@ -381,6 +381,7 @@ class ConvergenceSummary:
     periods: np.ndarray                      # 1..T
     mean: dict[str, np.ndarray]              # field -> (T,)
     sd: dict[str, np.ndarray]                # field -> (T,)
+    n_values: dict[str, np.ndarray]          # field -> (T,) episodes with a non-NaN value
     n_episodes: int
 
 
@@ -400,8 +401,9 @@ def summarize_convergence(episodes) -> ConvergenceSummary:
     """Aggregate the estimate trajectories of online-strategy episodes.
 
     Periods where a value was never fitted are NaN and are skipped by the
-    mean/spread; the spread uses the population convention so a single
-    episode yields an identically zero spread series.
+    mean/spread, and n_values counts the episodes that do hold a value; the
+    spread uses the population convention so a single episode yields an
+    identically zero spread series.
     """
     episodes = list(episodes)
     if not episodes:
@@ -427,5 +429,7 @@ def _reduce_estimates(values: dict[str, np.ndarray]) -> ConvergenceSummary:
         for name in ESTIMATE_FIELDS:
             mean[name] = np.nanmean(values[name], axis=0)
             sd[name] = np.nanstd(values[name], axis=0)
+    n_values = {name: np.count_nonzero(~np.isnan(values[name]), axis=0)
+                for name in ESTIMATE_FIELDS}
     return ConvergenceSummary(periods=np.arange(1, T + 1), mean=mean, sd=sd,
-                              n_episodes=n_episodes)
+                              n_values=n_values, n_episodes=n_episodes)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bestexec import cli
 from bestexec.cli import (BLOTTER_HEADER, CONVERGENCE_HEADER, RunSpec,
                           SpecError, main, parse_config, render_config)
+from bestexec.strategies import STRATEGIES
 
 
 def test_defaults_are_the_baseline_calibration():
@@ -72,6 +74,53 @@ def test_config_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(render_config(spec))
     assert parse_config(["--config", str(cfg)]) == spec
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+_NONNEG = st.one_of(st.just(-0.0), st.floats(0.0, allow_infinity=False))
+_POSITIVE = st.floats(0.0, allow_infinity=False, exclude_min=True)
+
+
+@st.composite
+def _specs(draw):
+    """Valid RunSpecs over the whole range of every field."""
+    strategies = tuple(draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=4)))
+    needs_theta = "informed" in strategies or "ar" in strategies
+    return RunSpec(
+        theta=draw(_POSITIVE if needs_theta else _FINITE), gamma=draw(_FINITE),
+        rho=draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+        sigma_eps_sq=draw(_NONNEG), sigma_eta_sq=draw(_NONNEG),
+        s0=draw(_POSITIVE), p0=draw(_POSITIVE), horizon=draw(st.integers(1, 10 ** 6)),
+        strategies=strategies, n_sims=draw(st.integers(1, 10 ** 9)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        out_dir=draw(st.one_of(st.text(), st.sampled_from(
+            ["results", "a#b", " lead", "trail ", "x\ny", "x\ry", "x\u2028y", ""]))),
+        clamp_nonneg_orders=draw(st.booleans()), ar_value_toggle=draw(st.booleans()))
+
+
+def _parse_config_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        return parse_config(["--config", str(cfg)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs())
+def test_render_config_round_trips_or_names_out_dir(spec):
+    try:
+        text = render_config(spec)
+    except SpecError as exc:
+        assert str(exc).startswith("out_dir: ")
+        # the refusal is needed: a plain out_dir line reads back otherwise
+        try:
+            assert _parse_config_text(f"out_dir = {spec.out_dir}\n").out_dir != spec.out_dir
+        except SpecError:
+            pass
+    else:
+        parsed = _parse_config_text(text)
+        assert parsed == spec
+        assert repr(parsed) == repr(spec)  # and -0.0 stays -0.0
 
 
 def test_simulate_blotter_file(tmp_path, capsys):
@@ -273,8 +322,39 @@ def _run_cli(argv):
     return rc, out.getvalue(), err.getvalue(), caught
 
 
+def test_cached_flag_parser_keeps_no_state_between_calls(tmp_path):
+    small = ["--horizon", "4", "--n-sims", "3"]
+    calls = [
+        ["simulate", "--strategy", "ar"],
+        ["simulate"],  # the default, naive
+        ["montecarlo", "--strategy", "naive", "--strategy", "ar"],
+        ["montecarlo"],  # all three: the repeated flag's list must not carry over
+        ["montecarlo", "--theta"],
+        ["simulate", "--strategy", "twap"],
+        ["simulate", "--strategy", "informed"],
+    ]
+
+    def run(argv, out_dir):
+        argv = argv[:1] + small + argv[1:] + ["--out-dir", str(out_dir)]
+        rc, out, err, caught = _run_cli(argv)
+        files = {p.name: p.read_bytes() for p in out_dir.glob("*")}
+        return rc, out, err, [str(w.message) for w in caught], files
+
+    hits = cli._flag_parser.cache_info().hits
+    in_sequence = [run(argv, tmp_path / f"seq{i}") for i, argv in enumerate(calls)]
+    assert cli._flag_parser.cache_info().hits >= hits + len(calls) - 1
+    for i, argv in enumerate(calls):
+        cli._flag_parser.cache_clear()  # the call on its own builds a fresh parser
+        assert in_sequence[i] == run(argv, tmp_path / f"own{i}"), argv
+    assert [result[0] for result in in_sequence] == [0, 0, 0, 0, 2, 2, 0]
+    assert in_sequence[3][4]["total_costs.csv"].startswith(b"sim,naive,informed,ar\n")
+    naive = run(["simulate", "--strategy", "naive"], tmp_path / "naive")
+    assert in_sequence[1][4]["blotter.csv"] == naive[4]["blotter.csv"]
+
+
 # a NaN or an infinity as the CLI and json render them ("informed" does not match)
 _NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+_INFINITE = re.compile(r"\b(?:inf|infinity)\b", re.IGNORECASE)
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -283,6 +363,8 @@ _NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
     (["montecarlo", "--n-sims", "3", "--sigma-eps-sq", "1e308"], "naive sd improvement"),
     (["montecarlo", "--n-sims", "3", "--theta", "1e300"], "benchmark expected cost"),
     (["simulate", "--p0", "1e308", "--s0", "1e308"], "total cost"),
+    (["convergence", "--sigma-eps-sq", "1e308", "--n-sims", "3"], "gamma_hat sd"),
+    (["convergence", "--theta", "1e300", "--n-sims", "3"], "theta_hat mean"),
 ])
 def test_overflow_exits_2_before_writing(tmp_path, argv, name):
     rc, out, err, caught = _run_cli(argv + ["--out-dir", str(tmp_path)])
@@ -290,6 +372,17 @@ def test_overflow_exits_2_before_writing(tmp_path, argv, name):
     assert err == f"error: overflow: {name} is not finite\n"
     assert out == "" and not caught
     assert not any(tmp_path.iterdir())
+
+
+def test_convergence_never_fitted_cells_stay_nan_with_exit_0(tmp_path):
+    # no information noise: no simulation ever fits, so every cell is NaN
+    rc, out, err, caught = _run_cli(["convergence", "--sigma-eta-sq", "0", "--horizon", "4",
+                                     "--n-sims", "3", "--out-dir", str(tmp_path)])
+    assert (rc, err, caught) == (0, "", [])
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        assert row.split(",")[1:] == ["nan"] * 10
 
 
 _NUMBERS = st.one_of(st.sampled_from(["0", "1", "-1", "0.5", "-0.5", "5e-5", "1e-320"]),
@@ -327,12 +420,13 @@ def test_cli_fuzz_exits_0_or_2_with_finite_files(argv):
     argv = argv[:1] + ["--horizon", "4", "--n-sims", "3"] + argv[1:]
     with tempfile.TemporaryDirectory() as tmp:
         rc, out, err, caught = _run_cli(argv + ["--out-dir", tmp])
+        assert not caught, [str(w.message) for w in caught]
         if rc == 2:
             assert err.count("\n") == 1 and err.startswith("error: "), err
-            assert not caught, [str(w.message) for w in caught]
             assert not any(Path(tmp).iterdir())
         else:
             assert rc == 0, (rc, err)
-            if argv[0] != "convergence":
-                for path in Path(tmp).iterdir():
-                    assert not _NON_FINITE.search(path.read_text()), path.name
+            for path in Path(tmp).iterdir():
+                # NaN cells of convergence.csv mark never-fitted periods
+                pattern = _INFINITE if argv[0] == "convergence" else _NON_FINITE
+                assert not pattern.search(path.read_text()), path.name

@@ -1,15 +1,19 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath,
-                      generate_noise_path, informed_expected_cost,
+                      generate_noise_arrays, generate_noise_path, informed_expected_cost,
                       naive_expected_cost, per_share_improvement,
                       run_convergence, run_episode, run_episode_batch,
                       run_monte_carlo, solve_coefficients,
                       summarize_convergence, substream_seed)
 from bestexec.simulation import ESTIMATE_FIELDS
+from bestexec.strategies import STRATEGIES
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 MANDATE = ExecutionMandate(100000.0, 50.0, 20)
@@ -427,3 +431,69 @@ def test_run_convergence_summarizes_the_paired_ar_episodes():
     for name in conv.mean:
         assert conv.mean[name].tobytes() == ref.mean[name].tobytes()
         assert conv.sd[name].tobytes() == ref.sd[name].tobytes()
+
+
+@st.composite
+def _scenarios(draw):
+    """(params, mandate, seed, clamp) over a wide range of calibrations."""
+    params = MarketParams(draw(st.floats(1e-7, 1e-3)), draw(st.floats(-50.0, 50.0)),
+                          draw(st.floats(-0.99, 0.99)),
+                          draw(st.sampled_from([0.0, 1e-4, 0.125 ** 2, 1.0])),
+                          draw(st.sampled_from([0.0, 1e-4, 0.001, 0.1])))
+    mandate = ExecutionMandate(draw(st.floats(1.0, 1e7)), draw(st.floats(1.0, 1e3)),
+                               draw(st.integers(1, 30)))
+    return params, mandate, draw(st.integers(0, 2 ** 64 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_scenarios())
+def test_shares_are_conserved_property(scenario):
+    params, mandate, seed, clamp = scenario
+    eps, eta = generate_noise_arrays([substream_seed(seed, i) for i in range(4)],
+                                     mandate.horizon, params.sigma_eps_sq, params.sigma_eta_sq)
+    for kind in STRATEGIES:
+        orders = run_episode_batch(kind, params, mandate, eps, eta,
+                                   clamp_nonneg_orders=clamp)[1]
+        for row in orders.tolist():
+            # relative to the shares traded, which is s0 unless an order is
+            # negative; the running position rounds at the scale of the trades
+            traded = math.fsum(map(abs, row))
+            assert abs(math.fsum(row) - mandate.s0) <= 1e-9 * traded, kind
+            if clamp:
+                assert min(row[:-1], default=0.0) >= 0.0, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=_scenarios())
+def test_informed_value_at_zero_information_is_at_most_uniform_split_property(scenario):
+    params, mandate, _, _ = scenario
+    T = mandate.horizon
+    informed = informed_expected_cost(mandate.s0, mandate.p0, 0.0, 1,
+                                      solve_coefficients(params, T))
+    uniform = naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
+    # the two closed forms round differently: allow a few ulps
+    assert informed <= uniform * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_scenarios())
+def test_zero_noise_gives_every_strategy_the_same_orders_property(scenario):
+    params, mandate, _, clamp = scenario
+    params = replace(params, sigma_eps_sq=0.0, sigma_eta_sq=0.0)
+    zeros = np.zeros((2, mandate.horizon))
+    orders = {kind: run_episode_batch(kind, params, mandate, zeros, zeros,
+                                      clamp_nonneg_orders=clamp)[1]
+              for kind in STRATEGIES}
+    for kind in STRATEGIES:
+        assert orders[kind].tobytes() == orders["naive"].tobytes(), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_scenarios())
+def test_monte_carlo_noise_digests_are_common_across_strategies_property(scenario):
+    params, mandate, seed, clamp = scenario
+    s = run_monte_carlo(3, STRATEGIES, params, mandate, seed, clamp_nonneg_orders=clamp)
+    paths = [generate_noise_path(substream_seed(seed, i), mandate.horizon,
+                                 params.sigma_eps_sq, params.sigma_eta_sq) for i in range(3)]
+    for kind in STRATEGIES:
+        assert s.stats[kind].noise_digests == [path.digest() for path in paths], kind
