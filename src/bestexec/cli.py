@@ -328,15 +328,22 @@ def cmd_montecarlo(spec: RunSpec) -> int:
         summary = run_monte_carlo(spec.n_sims, spec.strategies, spec.market_params(),
                                   spec.mandate(), spec.seed,
                                   clamp_nonneg_orders=spec.clamp_nonneg_orders)
+    # cells are formatted from Python floats: .tolist() once per column is
+    # cheaper than a numpy scalar per cell, and renders the same digits
+    columns = {(strat, attr): getattr(summary.stats[strat], attr).tolist()
+               for strat in summary.strategies
+               for attr in ("per_sim_actual_cost", "mean_order_size",
+                            "accumulated_cost_variance")}
     checks = [("benchmark expected cost", [summary.benchmark_expected_cost])]
     for strat in summary.strategies:
         st = summary.stats[strat]
-        checks += [(f"{strat} total cost", st.per_sim_actual_cost),
+        checks += [(f"{strat} total cost", columns[strat, "per_sim_actual_cost"]),
                    (f"{strat} mean improvement", [st.mean_improvement]),
                    (f"{strat} sd improvement", [st.sd_improvement]),
                    (f"{strat} periodwise mean improvement", [st.mean_improvement_periodwise]),
-                   (f"{strat} mean order size", st.mean_order_size),
-                   (f"{strat} accumulated cost variance", st.accumulated_cost_variance)]
+                   (f"{strat} mean order size", columns[strat, "mean_order_size"]),
+                   (f"{strat} accumulated cost variance",
+                    columns[strat, "accumulated_cost_variance"])]
     _require_finite_outputs(checks)
     out = Path(spec.out_dir)
 
@@ -354,22 +361,16 @@ def cmd_montecarlo(spec: RunSpec) -> int:
                      f"{_g17(st.mean_improvement_periodwise)}")
     _write(out / "summary.txt", "\n".join(lines) + "\n")
 
-    header = "period," + ",".join(summary.strategies)
-    for fname, attr in (("order_size_mean.csv", "mean_order_size"),
-                        ("accumulated_cost_variance.csv", "accumulated_cost_variance")):
-        rows = [header]
-        for t in range(1, spec.horizon + 1):
-            cells = [str(t)] + [_g17(getattr(summary.stats[s], attr)[t - 1])
-                                for s in summary.strategies]
-            rows.append(",".join(cells))
+    # (file, column, index label, first index): periods count from 1, sims from 0
+    for fname, attr, label, first in (
+            ("order_size_mean.csv", "mean_order_size", "period", 1),
+            ("accumulated_cost_variance.csv", "accumulated_cost_variance", "period", 1),
+            ("total_costs.csv", "per_sim_actual_cost", "sim", 0)):
+        rows = [label + "," + ",".join(summary.strategies)]
+        for index, cells in enumerate(zip(*(columns[s, attr] for s in summary.strategies)),
+                                      start=first):
+            rows.append(",".join([str(index), *map(_g17, cells)]))
         _write(out / fname, "\n".join(rows) + "\n")
-
-    rows = ["sim," + ",".join(summary.strategies)]
-    for i in range(summary.n_sims):
-        cells = [str(i)] + [_g17(summary.stats[s].per_sim_actual_cost[i])
-                            for s in summary.strategies]
-        rows.append(",".join(cells))
-    _write(out / "total_costs.csv", "\n".join(rows) + "\n")
 
     for strat in summary.strategies:
         st = summary.stats[strat]
@@ -394,13 +395,11 @@ def cmd_convergence(spec: RunSpec) -> int:
             cells = getattr(conv, stat)[name]
             if np.isinf(cells).any() or np.isnan(cells[fitted]).any():
                 raise SpecError(f"overflow: {name} {stat} is not finite")
+    columns = [stat[name].tolist() for name in ESTIMATE_FIELDS
+               for stat in (conv.mean, conv.sd)]
     rows = [CONVERGENCE_HEADER]
-    for idx, t in enumerate(conv.periods):
-        cells = [str(int(t))]
-        for name in ESTIMATE_FIELDS:
-            cells.append(_g17(conv.mean[name][idx]))
-            cells.append(_g17(conv.sd[name][idx]))
-        rows.append(",".join(cells))
+    for t, cells in zip(conv.periods.tolist(), zip(*columns)):
+        rows.append(",".join([str(t), *map(_g17, cells)]))
     _write(Path(spec.out_dir) / "convergence.csv", "\n".join(rows) + "\n")
     print(f"wrote convergence.csv for {conv.n_episodes} episodes")
     return 0

@@ -9,8 +9,9 @@ Price and information evolve as
 with eps_t ~ N(0, sigma_eps_sq) and eta_t ~ N(0, sigma_eta_sq) independent.
 Setting gamma = 0 recovers the information-free impact law.
 
-All functions here are pure and all value types are immutable, so they are
-safe to share between concurrent workers. Noise generation is counter-based
+All value types are immutable and every function may be called from
+concurrent threads: noise generation keeps one generator per thread and
+re-keys it for every path. Noise generation is counter-based
 (Philox keyed through SHA-256), so a seed reproduces the identical path
 bit-for-bit on any platform, and substreams derived from (seed, index) are
 independent.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,11 +187,9 @@ def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
 
     Algorithm: a Philox counter-based bit generator keyed with
     SHA-256("noise", seed) drives numpy's standard-normal transform; eps is
-    drawn first, then eta. One generator serves every seed: it is built for
-    the first (construction costs several paths' worth of drawing) and
-    re-keyed for the others by assigning its state (new key, counter and
-    buffer cleared), which equals constructing a fresh Philox with that key.
-    Zero variances yield exactly zero sequences.
+    drawn first, then eta. Zero variances yield exactly zero sequences.
+    Each thread keeps one generator (_keyed_generator) and re-keys it for
+    every seed, so threads may draw at once.
     """
     if horizon < 1:
         raise ValueError(f"horizon: must be >= 1 (got {horizon})")
@@ -197,22 +197,34 @@ def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
         raise ValueError("variances must be >= 0")
     seeds = list(seeds)
     z = np.empty((len(seeds), 2 * horizon))
-    bitgen = None
     for row, seed in zip(z, seeds):
         seed_bytes = int(seed).to_bytes(8, "little", signed=False)
-        key = hashlib.sha256(b"noise" + seed_bytes).digest()[:16]
-        if bitgen is None:
-            bitgen = np.random.Philox(key=int.from_bytes(key, "little"))
-            rng = np.random.Generator(bitgen)
-        else:
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": np.zeros(4, np.uint64),
-                                      "key": np.frombuffer(key, "<u8").copy()},
-                            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
-        rng.standard_normal(out=row)
+        _keyed_generator(hashlib.sha256(b"noise" + seed_bytes).digest()[:16]
+                         ).standard_normal(out=row)
     return (z[:, :horizon] * math.sqrt(sigma_eps_sq),
             z[:, horizon:] * math.sqrt(sigma_eta_sq))
+
+
+_thread_state = threading.local()
+_ZERO_WORDS = np.zeros(4, np.uint64)
+_ZERO_WORDS.flags.writeable = False
+
+
+def _keyed_generator(key: bytes) -> np.random.Generator:
+    """This thread's noise generator, re-keyed with the 16-byte key.
+
+    Assigning the state (the new key, counter and buffer cleared) equals
+    constructing a fresh Philox(key=...), at a fraction of the cost: the
+    constructor also builds an OS-entropy SeedSequence that a keyed Philox
+    never uses. The state setter copies the words it is given."""
+    rng = getattr(_thread_state, "rng", None)
+    if rng is None:
+        rng = _thread_state.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": np.frombuffer(key, "<u8")},
+        "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def info_step(x_prev: float, rho: float, eta_t: float) -> float:

@@ -14,11 +14,20 @@ mandate).
 Two engines run episodes. run_episode is the readable scalar reference.
 run_episode_batch advances many episodes of one strategy at once as
 (n_sims,) vectors, and the Monte Carlo and convergence studies run on it.
-Each period it applies run_episode's elementwise operations in the same
-order; the online strategy refits with estimate_all_batch over row views of
-preallocated history buffers and takes its tilt from the scalar
-ar_adjustment_factor (numpy's array power rounds differently from Python's
-float **). So its results equal run_episode's bit for bit.
+No order moves the information process, so a study computes the information
+path X_0..X_T (with info_step) and lays out its shocks by period once, and
+every strategy reads them. For the naive and informed rules the period loop
+then only decides orders and remaining shares, with run_episode's elementwise
+operations in its order, and the prices follow after the loop from one
+sequential np.add.accumulate along the period axis. Every rule's accumulated
+costs follow from another. Such an accumulate is a left fold and rounds
+exactly as the loop's running sums; np.sum and np.mean along a contiguous
+axis sum pairwise and would not. The online strategy keeps stepping its
+price in the loop, as its refit needs the price changes: it refits with
+estimate_all_batch over row views of preallocated history buffers and takes
+its tilt from the scalar ar_adjustment_factor (numpy's array power rounds
+differently from Python's float **). So the batch engine's results equal
+run_episode's bit for bit.
 
 Per-share improvement conventions: a RunResult compares an episode's actual
 cost against that strategy's own ex-ante expected cost, while the Monte Carlo
@@ -198,12 +207,12 @@ def run_episode_batch(strategy_kind: str, params: MarketParams,
     arrays eps and eta, all simulations advancing together.
 
     Returns (actual_cost, orders, accumulated_cost, estimates) with shapes
-    (n_sims,), (n_sims, T) and (n_sims, T). Row i equals, bit for bit, the
-    actual_cost, shares_bought and accumulated_cost of run_episode on the
-    path (eps[i], eta[i]). For the online strategy, estimates holds the
-    estimates after every period, {field: (n_sims, T) array} over
-    ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row i's
-    run_episode estimates_log; it is None for naive and informed.
+    (n_sims,), (n_sims, T) and (n_sims, T), the last two C-contiguous. Row i
+    equals, bit for bit, the actual_cost, shares_bought and accumulated_cost
+    of run_episode on the path (eps[i], eta[i]). For the online strategy,
+    estimates holds the estimates after every period, {field: (n_sims, T)
+    array} over ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row
+    i's run_episode estimates_log; it is None for naive and informed.
     """
     if strategy_kind not in STRATEGIES:
         raise ValueError(f"strategy_kind: unknown strategy {strategy_kind!r}")
@@ -211,55 +220,106 @@ def run_episode_batch(strategy_kind: str, params: MarketParams,
     if eps.ndim != 2 or eps.shape != eta.shape or eps.shape[1] != T:
         raise ValueError(f"noise arrays must both have shape (n_sims, {T}) "
                          f"(got {eps.shape} and {eta.shape})")
+    return _run_batch(strategy_kind, params, mandate, _shared_path(params, eps, eta),
+                      clamp_nonneg_orders)
+
+
+@dataclass(frozen=True)
+class _SharedPath:
+    """A study's common random numbers laid out by period, for every strategy:
+    the price shocks eps (T, n_sims), the information path info (T+1, n_sims)
+    with X_0 = 0 in row 0, and gamma_info = gamma * X_1..X_T. No order moves
+    the information, so one path serves every strategy of a study."""
+
+    eps: np.ndarray
+    info: np.ndarray
+    gamma_info: np.ndarray
+
+
+def _shared_path(params: MarketParams, eps: np.ndarray, eta: np.ndarray) -> _SharedPath:
+    """The _SharedPath of the (n_sims, T) shock arrays eps and eta."""
+    n, T = eta.shape
+    info = np.zeros((T + 1, n))
+    x = info[0]
+    for t, eta_t in enumerate(np.ascontiguousarray(eta.T), start=1):
+        info[t] = x = info_step(x, params.rho, eta_t)
+    return _SharedPath(np.ascontiguousarray(eps.T), info, params.gamma * info[1:])
+
+
+def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionMandate,
+               path: _SharedPath, clamp_nonneg_orders: bool):
+    """run_episode_batch on a shared path. The period loop decides orders
+    (the online strategy also steps its price and refits); the prices of the
+    other rules and every rule's accumulated costs follow after it, by
+    sequential sums over periods."""
+    T = mandate.horizon
+    n = path.eps.shape[1]
     schedule = solve_coefficients(params, T) if strategy_kind == "informed" else None
     is_ar = strategy_kind == "ar"
-    n = eps.shape[0]
-    eps_by_t = np.ascontiguousarray(eps.T)
-    eta_by_t = np.ascontiguousarray(eta.T)
-
-    price = np.full(n, float(mandate.p0))
-    x = np.zeros(n)
     s = np.full(n, float(mandate.s0))
-    cost = np.zeros(n)
     orders = np.empty((n, T))
-    cum_cost = np.empty((n, T))
     estimates: EstimateArrays | None = None
     estimates_log = None
     if is_ar:
+        price = np.full(n, float(mandate.p0))
+        prices = np.empty((T, n))
         # the refit's history: orders is its B column, info holds (x0, X_1..X_T)
         delta_p = np.empty((n, T))
-        info = np.zeros((n, T + 1))
+        info = np.ascontiguousarray(path.info.T)
         estimates_log = {name: np.empty((n, T)) for name in ESTIMATE_FIELDS}
         estimates_log["impact_valid"] = np.empty((n, T), dtype=bool)
         estimates_log["rho_valid"] = np.empty((n, T), dtype=bool)
+    if strategy_kind == "informed":
+        tilt = schedule.f[:, None] * path.info[:-1]  # f_t * X_{t-1} by period
     for t in range(1, T + 1):
         if t == T:
             order = s
         else:
             order = naive_order(s, t, T)
             if strategy_kind == "informed":
-                order = order + schedule.f[t - 1] * x
+                order = order + tilt[t - 1]
             elif estimates is not None:
-                order = _ar_orders(order, x, estimates, t, T)
+                order = _ar_orders(order, path.info[t - 1], estimates, t, T)
             if clamp_nonneg_orders:
                 # np.where, not np.maximum: a -0.0 order must pass through as is
                 order = np.where(order < 0.0, 0.0, order)
-        x_new = info_step(x, params.rho, eta_by_t[t - 1])
-        price_new = price_step(price, order, x_new, params.theta, params.gamma,
-                               eps_by_t[t - 1])
-        cost = cost + price_new * order
         s = s - order
         orders[:, t - 1] = order
-        cum_cost[:, t - 1] = cost
         if is_ar:
+            # price_step's left fold, gamma * X_t read from the shared path
+            price_new = (price + params.theta * order
+                         + path.gamma_info[t - 1] + path.eps[t - 1])
+            prices[t - 1] = price_new
             delta_p[:, t - 1] = price_new - price
-            info[:, t] = x_new
             estimates = estimate_all_batch(delta_p[:, :t], orders[:, :t], info[:, :t + 1],
                                            prior=estimates)
             for name, log in estimates_log.items():
                 log[:, t - 1] = getattr(estimates, name)
-        price, x = price_new, x_new
-    return cost, orders, cum_cost, estimates_log
+            price = price_new
+    if not is_ar:
+        prices = _accumulate_prices(mandate.p0, params.theta * orders.T, path)
+    # accumulated costs C_t = C_{t-1} + P_t * B_t from C_0 = 0.0: the zero row
+    # makes a first term of -0.0 give +0.0, as the loop's 0.0 + (-0.0) does
+    cost = np.empty((T + 1, n))
+    cost[0] = 0.0
+    np.multiply(prices, orders.T, out=cost[1:])
+    np.add.accumulate(cost, axis=0, out=cost)
+    return cost[T].copy(), orders, np.ascontiguousarray(cost[1:].T), estimates_log
+
+
+def _accumulate_prices(p0: float, theta_orders: np.ndarray, path: _SharedPath) -> np.ndarray:
+    """Prices P_1..P_T as a (T, n_sims) view, from the (T, n_sims) impacts
+    theta * B_t. One sequential sum runs down the interleaved rows
+    [p0; theta*B_1; gamma*X_1; eps_1; theta*B_2; ...], so its row 3t is
+    price_step's left fold ((P_{t-1} + theta*B_t) + gamma*X_t) + eps_t."""
+    T, n = theta_orders.shape
+    terms = np.empty((3 * T + 1, n))
+    terms[0] = p0
+    terms[1::3] = theta_orders
+    terms[2::3] = path.gamma_info
+    terms[3::3] = path.eps
+    np.add.accumulate(terms, axis=0, out=terms)
+    return terms[3::3]
 
 
 def _ar_orders(uniform: np.ndarray, x_prev: np.ndarray, est: EstimateArrays,
@@ -344,6 +404,7 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
             raise ValueError(f"strategy_set: unknown strategy {strat!r}")
     T = mandate.horizon
     eps, eta = _noise_arrays(n_sims, params, T, base_seed)
+    path = _shared_path(params, eps, eta)
     benchmark = naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
     digests = [noise_digest(eps_i, eta_i) for eps_i, eta_i in zip(eps, eta)]
 
@@ -354,8 +415,8 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
 
     stats = {}
     for strat in strategies:
-        actual, orders, cum_cost, _ = run_episode_batch(
-            strat, params, mandate, eps, eta, clamp_nonneg_orders=clamp_nonneg_orders)
+        actual, orders, cum_cost, _ = _run_batch(strat, params, mandate, path,
+                                                 clamp_nonneg_orders)
         imp = (benchmark - actual) / mandate.s0
         periodwise = np.mean((bench_cum - cum_cost) / mandate.s0, axis=1)
         stats[strat] = StrategyStats(

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -197,3 +199,38 @@ def test_value_types_reject_non_real_fields(field, value):
     message = rf"^{field}: must be {kind} \(got {re.escape(repr(value))}\)$"
     with pytest.raises(ValueError, match=message):
         cls(**values)
+
+
+def test_threads_drawing_at_once_get_the_serial_rows():
+    # the threads (more than this machine's cores) walk the batches in
+    # different orders, so a generator shared between them, re-keyed by one
+    # while another draws, would mix their streams
+    batches = [[substream_seed(b, i) for i in range(4)] for b in range(100)]
+    serial = [generate_noise_arrays(seeds, 6, 0.125 ** 2, 0.001) for seeds in batches]
+    walks = [list(range(len(batches))), list(reversed(range(len(batches)))),
+             list(range(1, len(batches), 2)) + list(range(0, len(batches), 2)),
+             list(range(50, len(batches))) + list(range(50))]
+    barrier = threading.Barrier(len(walks), timeout=60)
+    drawn = {}
+
+    def draw(k):
+        barrier.wait()
+        drawn[k] = {b: generate_noise_arrays(batches[b], 6, 0.125 ** 2, 0.001)
+                    for b in walks[k]}
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(walks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(drawn) == list(range(len(walks)))
+    for k, rows in drawn.items():
+        for b, (eps, eta) in rows.items():
+            assert eps.tobytes() == serial[b][0].tobytes(), (k, b)
+            assert eta.tobytes() == serial[b][1].tobytes(), (k, b)

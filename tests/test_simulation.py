@@ -271,6 +271,30 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
         assert (interior < 0.0).any()
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
+    # s0 = 5e-324 makes the interior orders 0.0 and the first shock makes
+    # P_1 negative, so the first cost term P_1 * B_1 is -0.0; the scalar loop
+    # adds it to 0.0 and records +0.0, where a plain running sum would start
+    # from -0.0
+    mandate = ExecutionMandate(5e-324, 1e-300, 3)
+    path = NoisePath(eps=np.array([-1.0, 0.25, -0.5]),
+                     eta=np.array([0.01, -0.02, 0.03]), seed=0)
+    for kind in ("naive", "informed", "ar"):
+        with np.errstate(over="ignore"):  # the improvement per share overflows
+            ref = run_episode(kind, BASELINE, mandate, path, clamp_nonneg_orders=clamp)
+        assert ref.blotter[1].shares_bought == 0.0 and ref.blotter[1].price < 0.0
+        cost, orders, cum_cost, _ = run_episode_batch(
+            kind, BASELINE, mandate, path.eps[None, :], path.eta[None, :],
+            clamp_nonneg_orders=clamp)
+        ref_orders = np.array([r.shares_bought for r in ref.blotter[1:]])
+        ref_cum = np.array([r.accumulated_cost for r in ref.blotter[1:]])
+        assert math.copysign(1.0, ref_cum[0]) == 1.0, kind
+        assert cost.tobytes() == np.float64(ref.actual_cost).tobytes(), kind
+        assert orders[0].tobytes() == ref_orders.tobytes(), kind
+        assert cum_cost[0].tobytes() == ref_cum.tobytes(), kind
+
+
 @pytest.mark.parametrize("T", [1, 20])
 @pytest.mark.parametrize("clamp", [False, True])
 @pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
