@@ -31,7 +31,6 @@ __all__ = [
     "MarketParams",
     "ExecutionMandate",
     "NoisePath",
-    "MarketState",
     "check_seed",
     "substream_seed",
     "generate_noise_path",
@@ -137,17 +136,6 @@ def noise_digest(eps: np.ndarray, eta: np.ndarray) -> str:
     h.update(eps.tobytes())
     h.update(eta.tobytes())
     return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """Snapshot at the start of period t: last price, last observed
-    information value, and shares still to buy."""
-
-    t: int
-    price: float
-    info: float
-    shares_remaining: float
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

@@ -11,23 +11,22 @@ strategy in the set, which removes the shared noise from the strategy
 comparison. Everything is deterministic given (n_sims, base_seed, params,
 mandate).
 
-Two engines run episodes. run_episode is the readable scalar reference.
-run_episode_batch advances many episodes of one strategy at once as
-(n_sims,) vectors, and the Monte Carlo and convergence studies run on it.
-No order moves the information process, so a study computes the information
-path X_0..X_T (with info_step) and lays out its shocks by period once, and
-every strategy reads them. For the naive and informed rules the period loop
-then only decides orders and remaining shares, with run_episode's elementwise
-operations in its order, and the prices follow after the loop from one
-sequential np.add.accumulate along the period axis. Every rule's accumulated
-costs follow from another. Such an accumulate is a left fold and rounds
-exactly as the loop's running sums; np.sum and np.mean along a contiguous
-axis sum pairwise and would not. The online strategy keeps stepping its
-price in the loop, as its refit needs the price changes: it refits with
-estimate_all_batch over row views of preallocated history buffers and takes
-its tilt from the scalar ar_adjustment_factor (numpy's array power rounds
-differently from Python's float **). So the batch engine's results equal
-run_episode's bit for bit.
+Two engines run episodes, and both decide every order with
+strategies.order_rule: run_episode, the readable scalar reference, on floats
+(through decide_order), and run_episode_batch, which advances many episodes
+of one strategy at once, on (n_sims,) vectors. The Monte Carlo and
+convergence studies run on the batch engine. No order moves the information
+process, so a study computes the information path X_0..X_T (with info_step)
+and lays out its shocks by period once, and every strategy reads them. For
+the naive and informed rules the period loop then only decides orders and
+remaining shares, and the prices follow after the loop from one sequential
+np.add.accumulate along the period axis. Every rule's accumulated costs
+follow from another. Such an accumulate is a left fold and rounds exactly as
+the loop's running sums; np.sum and np.mean along a contiguous axis sum
+pairwise and would not. The online strategy keeps stepping its price in the
+loop, as its refit needs the price changes: it refits with
+estimate_all_batch over row views of preallocated history buffers. So the
+batch engine's results equal run_episode's bit for bit.
 
 Per-share improvement conventions: a RunResult compares an episode's actual
 cost against that strategy's own ex-ante expected cost, while the Monte Carlo
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +46,13 @@ from .estimation import (EstimateArrays, ParameterEstimates, estimate_all,
                          estimate_all_batch)
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
-from .market import (ExecutionMandate, MarketParams, MarketState,  # noqa: F401
-                     NoisePath, check_seed, generate_noise_arrays,
-                     generate_noise_path, info_step, noise_digest, price_step,
-                     substream_seed)
-from .strategies import (STRATEGIES, CoefficientSchedule, ar_adjustment_factor,
-                         decide_order, naive_order, solve_coefficients)
+from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
+                     check_seed, generate_noise_arrays, generate_noise_path,
+                     info_step, price_step, substream_seed)
+# run_episode calls decide_order by this name: bench/tracer.py wraps
+# bestexec.simulation.decide_order and reads the tags of its results
+from .strategies import (STRATEGIES, decide_order, order_rule, solve_coefficients,
+                         usable)
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
@@ -104,7 +104,6 @@ class RunResult:
 def run_episode(strategy_kind: str, params: MarketParams,
                 mandate: ExecutionMandate, noise_path: NoisePath,
                 true_params: MarketParams | None = None,
-                schedule: CoefficientSchedule | None = None,
                 clamp_nonneg_orders: bool = False,
                 ar_expected_cost_from_estimates: bool = False) -> RunResult:
     """Run one episode of the given strategy.
@@ -125,8 +124,10 @@ def run_episode(strategy_kind: str, params: MarketParams,
     if noise_path.horizon != T:
         raise ValueError(f"noise path length {noise_path.horizon} != horizon {T}")
     truth = true_params if true_params is not None else params
-    if strategy_kind == "informed" and schedule is None:
+    schedule = f = None
+    if strategy_kind == "informed":
         schedule = solve_coefficients(params, T)
+        f = schedule.f.tolist()
 
     is_ar = strategy_kind == "ar"
     estimates: ParameterEstimates | None = None
@@ -145,12 +146,9 @@ def run_episode(strategy_kind: str, params: MarketParams,
     blotter = [PeriodRecord(0, price, 0.0, s, 0.0, 0.0)]
 
     for t in range(1, T + 1):
-        state = MarketState(t=t, price=price, info=x, shares_remaining=s)
-        decision = decide_order(strategy_kind, state, T,
-                                schedule=schedule, estimates=estimates)
-        order = decision.order
-        if clamp_nonneg_orders and t < T and order < 0.0:
-            order = 0.0
+        tilt = f[t - 1] * x if f is not None else None
+        order = decide_order(strategy_kind, s, x, t, T, tilt, estimates,
+                             clamp_nonneg_orders).order
         x_new = info_step(x, truth.rho, noise_path.eta[t - 1])
         price_new = price_step(price, order, x_new, truth.theta, truth.gamma,
                                noise_path.eps[t - 1])
@@ -186,10 +184,8 @@ def _expected_cost_for(strategy_kind, params, truth, mandate, schedule,
         return informed_expected_cost(mandate.s0, mandate.p0, 0.0, 1, schedule)
     if strategy_kind == "ar" and final_estimates is not None:
         est = final_estimates
-        usable = (est.impact_valid and est.rho_valid and est.theta_hat > 0.0
-                  and math.isfinite(est.sigma_eps_sq_hat)
-                  and math.isfinite(est.sigma_eta_sq_hat))
-        if usable:
+        if (usable(est) and math.isfinite(est.sigma_eps_sq_hat)
+                and math.isfinite(est.sigma_eta_sq_hat)):
             est_params = MarketParams(est.theta_hat, est.gamma_hat, est.rho_hat,
                                       est.sigma_eps_sq_hat, est.sigma_eta_sq_hat)
             est_schedule = solve_coefficients(est_params, T)
@@ -269,20 +265,11 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
         estimates_log = {name: np.empty((n, T)) for name in ESTIMATE_FIELDS}
         estimates_log["impact_valid"] = np.empty((n, T), dtype=bool)
         estimates_log["rho_valid"] = np.empty((n, T), dtype=bool)
-    if strategy_kind == "informed":
-        tilt = schedule.f[:, None] * path.info[:-1]  # f_t * X_{t-1} by period
+    # the informed tilt f_t * X_{t-1} of every period, in one product
+    tilts = schedule.f[:, None] * path.info[:-1] if schedule is not None else [None] * T
     for t in range(1, T + 1):
-        if t == T:
-            order = s
-        else:
-            order = naive_order(s, t, T)
-            if strategy_kind == "informed":
-                order = order + tilt[t - 1]
-            elif estimates is not None:
-                order = _ar_orders(order, path.info[t - 1], estimates, t, T)
-            if clamp_nonneg_orders:
-                # np.where, not np.maximum: a -0.0 order must pass through as is
-                order = np.where(order < 0.0, 0.0, order)
+        order = order_rule(strategy_kind, s, path.info[t - 1], t, T, tilts[t - 1],
+                           estimates, clamp_nonneg_orders)[0]
         s = s - order
         orders[:, t - 1] = order
         if is_ar:
@@ -322,22 +309,6 @@ def _accumulate_prices(p0: float, theta_orders: np.ndarray, path: _SharedPath) -
     return terms[3::3]
 
 
-def _ar_orders(uniform: np.ndarray, x_prev: np.ndarray, est: EstimateArrays,
-               t: int, T: int) -> np.ndarray:
-    """decide_order's online rule for an interior period: uniform + f_hat_t *
-    X_{t-1} where the estimates are usable, the uniform split elsewhere."""
-    usable = np.flatnonzero(est.impact_valid & est.rho_valid & (est.theta_hat > 0.0))
-    if usable.size == 0:
-        return uniform
-    f_hat = np.array([ar_adjustment_factor(theta_hat, gamma_hat, rho_hat, t, T)
-                      for theta_hat, gamma_hat, rho_hat in zip(
-                          est.theta_hat[usable].tolist(), est.gamma_hat[usable].tolist(),
-                          est.rho_hat[usable].tolist())])
-    order = uniform.copy()
-    order[usable] = uniform[usable] + f_hat * x_prev[usable]
-    return order
-
-
 def per_share_improvement(expected_cost: float, actual_cost: float, s0: float) -> float:
     """(expected - actual) / s0: positive when the run beat its benchmark."""
     if s0 <= 0.0:
@@ -362,7 +333,6 @@ class StrategyStats:
     accumulated_cost_variance: np.ndarray  # (T,)
     per_sim_actual_cost: np.ndarray      # (n_sims,)
     per_sim_improvement: np.ndarray      # (n_sims,)
-    noise_digests: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -406,7 +376,6 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
     eps, eta = _noise_arrays(n_sims, params, T, base_seed)
     path = _shared_path(params, eps, eta)
     benchmark = naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
-    digests = [noise_digest(eps_i, eta_i) for eps_i, eta_i in zip(eps, eta)]
 
     # expected accumulated cost of the unperturbed uniform split, per period
     per = mandate.s0 / T
@@ -428,7 +397,6 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
                                        if n_sims > 1 else np.zeros(T)),
             per_sim_actual_cost=actual,
             per_sim_improvement=imp,
-            noise_digests=list(digests),
         )
     return MonteCarloSummary(n_sims=n_sims, base_seed=int(base_seed),
                              strategies=strategies,

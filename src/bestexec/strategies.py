@@ -7,6 +7,10 @@ Auto-regressive  the informed shape driven by online least-squares estimates
                and a closed-form adjustment factor, falling back to the
                uniform split until the estimates are usable.
 
+order_rule is the one implementation of all three, for both engines: on
+floats for run_episode (decide_order wraps it) and on (n_sims,) arrays for
+the batch engine, with the same operations in the same order on each.
+
 The informed coefficients come from backward induction over the remaining
 horizon k = T - t + 1. Writing the optimal remaining cost, given last price p,
 last observed information x and s shares left, as
@@ -42,20 +46,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketParams, MarketState
+from .market import MarketParams
 
 __all__ = [
     "CoefficientSchedule",
     "OrderDecision",
     "naive_order",
     "solve_coefficients",
-    "informed_order",
     "ar_adjustment_factor",
+    "usable",
+    "order_rule",
     "decide_order",
     "STRATEGIES",
+    "TAGS",
 ]
 
 STRATEGIES = ("naive", "informed", "ar")
+# order_rule's tag codes index TAGS
+FINAL_PERIOD, NAIVE_FALLBACK, INFORMED, AUTOREGRESSIVE = range(4)
+TAGS = ("final_period", "naive_fallback", "informed", "autoregressive")
 
 
 @dataclass(frozen=True)
@@ -88,10 +97,10 @@ class CoefficientSchedule:
 
 @dataclass(frozen=True)
 class OrderDecision:
-    """An order size together with the rule that produced it."""
+    """An order size together with the name (in TAGS) of the rule that set it."""
 
     order: float
-    rationale_tag: str  # naive_fallback | informed | autoregressive | final_period
+    rationale_tag: str
 
 
 def naive_order(shares_remaining: float, t: int, horizon: int) -> float:
@@ -144,21 +153,6 @@ def solve_coefficients(params: MarketParams, horizon: int) -> CoefficientSchedul
     )
 
 
-def informed_order(shares_remaining: float, x_prev: float, t: int,
-                   schedule: CoefficientSchedule) -> OrderDecision:
-    """Optimal order under known dynamics: B_t = e_t*S_t + f_t*X_{t-1}.
-
-    At t = T the coefficients force the full remainder (e_T = 1, f_T = 0)
-    regardless of the information value.
-    """
-    f_t = schedule.at(t)[5]
-    if t == schedule.horizon:
-        return OrderDecision(order=shares_remaining, rationale_tag="final_period")
-    # e_t = 1/(T-t+1) exactly, so the uniform part is the naive split's division
-    uniform = naive_order(shares_remaining, t, schedule.horizon)
-    return OrderDecision(order=uniform + f_t * x_prev, rationale_tag="informed")
-
-
 def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
                          t: int, horizon: int) -> float:
     """Closed-form shares-per-information-unit tilt used by the online strategy:
@@ -185,39 +179,74 @@ def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
     return gamma_hat / (theta_hat * (horizon - t + 1)) * (m * s1 - s2)
 
 
-def decide_order(strategy_kind: str, state: MarketState, horizon: int,
-                 schedule: CoefficientSchedule | None = None,
-                 estimates=None) -> OrderDecision:
-    """Uniform strategy interface over the three order rules.
+def usable(estimates) -> bool | np.ndarray:
+    """Whether the online rule may tilt by these estimates: present, both fits
+    valid and theta_hat > 0. Elementwise (a bool array) on EstimateArrays."""
+    return (estimates is not None
+            and estimates.impact_valid & estimates.rho_valid & (estimates.theta_hat > 0.0))
 
-    naive     -> uniform split.
-    informed  -> schedule order (schedule required).
-    ar        -> e_t*S_t + f_hat_t*X_{t-1} from the current estimates, falling
-                 back to the uniform split whenever the estimates are missing,
-                 flagged invalid, or carry a nonpositive theta_hat.
 
-    The final period always returns the full remainder for every strategy.
+def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
+               estimates=None, clamp: bool = False):
+    """The order B_t of one strategy at period t and its tag code (see TAGS).
+
+    s (shares remaining) and x_prev (X_{t-1}) are floats, or (n_sims,) arrays
+    with estimates an EstimateArrays; row i of the arrays' result equals the
+    result on row i's floats, bit for bit.
+
+    final period  -> s, whatever the strategy.
+    naive         -> the uniform split naive_order(s, t, horizon).
+    informed      -> e_t * S_t + f_t * X_{t-1}: the uniform split (e_t is
+                     1/(T-t+1) exactly) + tilt, the schedule's f_t * X_{t-1}
+                     (the caller forms it, the batch engine for all periods
+                     in one product).
+    ar            -> uniform split + f_hat_t * x_prev, f_hat_t from the scalar
+                     ar_adjustment_factor, where the estimates are usable; the
+                     uniform split elsewhere. On arrays the tag is then one
+                     code per row.
+
+    With clamp, an interior order below zero becomes 0.0; a -0.0 order passes
+    through as is, as np.where(order < 0.0, 0.0, order) does.
     """
     if strategy_kind not in STRATEGIES:
         raise ValueError(f"strategy_kind: unknown strategy {strategy_kind!r}")
-    t, s = state.t, state.shares_remaining
     if t == horizon:
-        return OrderDecision(order=s, rationale_tag="final_period")
-
-    if strategy_kind == "naive":
-        return OrderDecision(order=naive_order(s, t, horizon), rationale_tag="naive_fallback")
-
+        return s, FINAL_PERIOD
+    order, tag = naive_order(s, t, horizon), NAIVE_FALLBACK
+    is_array = isinstance(order, np.ndarray)
     if strategy_kind == "informed":
-        if schedule is None:
-            raise ValueError("informed strategy requires a coefficient schedule")
-        return informed_order(s, state.info, t, schedule)
+        if tilt is None:
+            raise ValueError("tilt: the informed rule needs f_t * X_{t-1}")
+        order, tag = order + tilt, INFORMED
+    elif strategy_kind == "ar":
+        ok = usable(estimates)
+        if not is_array:
+            if ok:
+                f_hat = ar_adjustment_factor(estimates.theta_hat, estimates.gamma_hat,
+                                             estimates.rho_hat, t, horizon)
+                order, tag = order + f_hat * x_prev, AUTOREGRESSIVE
+        else:
+            rows = np.flatnonzero(ok)
+            if rows.size:
+                f_hat = np.array([ar_adjustment_factor(theta, gamma, rho, t, horizon)
+                                  for theta, gamma, rho in zip(
+                                      estimates.theta_hat[rows].tolist(),
+                                      estimates.gamma_hat[rows].tolist(),
+                                      estimates.rho_hat[rows].tolist())])
+                order[rows] = order[rows] + f_hat * x_prev[rows]
+                tag = np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK)
+    if clamp:
+        if is_array:
+            order = np.where(order < 0.0, 0.0, order)
+        elif order < 0.0:
+            order = 0.0
+    return order, tag
 
-    # auto-regressive
-    if (estimates is None or not estimates.impact_valid or not estimates.rho_valid
-            or not estimates.theta_hat > 0.0):
-        return OrderDecision(order=naive_order(s, t, horizon), rationale_tag="naive_fallback")
-    f_hat = ar_adjustment_factor(estimates.theta_hat, estimates.gamma_hat,
-                                 estimates.rho_hat, t, horizon)
-    uniform = s / (horizon - t + 1)
-    return OrderDecision(order=uniform + f_hat * state.info,
-                         rationale_tag="autoregressive")
+
+def decide_order(strategy_kind: str, s: float, x_prev: float, t: int, horizon: int,
+                 tilt: float | None = None, estimates=None,
+                 clamp: bool = False) -> OrderDecision:
+    """order_rule on floats, as an OrderDecision with a Python float order and
+    the tag's name."""
+    order, tag = order_rule(strategy_kind, s, x_prev, t, horizon, tilt, estimates, clamp)
+    return OrderDecision(order=float(order), rationale_tag=TAGS[tag])

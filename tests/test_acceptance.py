@@ -10,10 +10,9 @@ from oracles import brute_force_best_execution
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath,
                       cost_sensitivity, estimate_all, generate_noise_path,
-                      informed_expected_cost, informed_order,
-                      naive_expected_cost, per_share_improvement, run_episode,
-                      run_monte_carlo, solve_coefficients,
-                      stationary_info_component_std)
+                      informed_expected_cost, naive_expected_cost, order_rule,
+                      per_share_improvement, run_episode, run_monte_carlo,
+                      solve_coefficients, stationary_info_component_std)
 from bestexec.cli import main
 from bestexec.market import info_step, price_step
 
@@ -81,7 +80,7 @@ def test_criterion_05_dp_oracle_equivalence():
             params.theta, params.gamma, params.rho, params.sigma_eta_sq,
             p0, x0, s0, T)
         sch = solve_coefficients(params, T)
-        b1 = informed_order(s0, x0, 1, sch).order
+        b1 = order_rule("informed", s0, x0, 1, T, sch.f[0] * x0)[0]
         v = informed_expected_cost(s0, p0, x0, 1, sch)
         worst = max(worst,
                     abs(b1 - b1_star) / max(abs(b1_star), 1.0),

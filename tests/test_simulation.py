@@ -134,13 +134,6 @@ def test_strategy_beliefs_can_differ_from_market_truth():
     assert implied_theta == pytest.approx(BASELINE.theta, rel=1e-9)
 
 
-def test_monte_carlo_paired_noise_digests():
-    s = run_monte_carlo(5, ("naive", "informed", "ar"), BASELINE, MANDATE, 0)
-    for i in range(5):
-        digests = {s.stats[k].noise_digests[i] for k in s.strategies}
-        assert len(digests) == 1
-
-
 def test_monte_carlo_single_simulation_matches_episode():
     s = run_monte_carlo(1, ("naive",), BASELINE, MANDATE, base_seed=42)
     path = generate_noise_path(substream_seed(42, 0), 20,
@@ -320,7 +313,6 @@ def test_monte_carlo_equals_per_simulation_run_episode(T, clamp, params):
         assert st.mean_order_size.tobytes() == np.mean(ref_orders, axis=0).tobytes()
         assert (st.accumulated_cost_variance.tobytes()
                 == np.var(ref_cum, axis=0, ddof=1).tobytes())
-        assert st.noise_digests == [r.noise_digest for r in refs]
 
 
 def _reference_arrays(kind, params, mandate, base_seed, n_sims, clamp):
@@ -373,7 +365,6 @@ def test_batch_engine_equals_scalar_engine_property(theta, gamma, rho, sigma_eps
         assert got.mean_order_size.tobytes() == np.mean(ref_orders, axis=0).tobytes(), kind
         assert (got.accumulated_cost_variance.tobytes()
                 == np.var(ref_cum, axis=0, ddof=1).tobytes()), kind
-        assert got.noise_digests == [r.noise_digest for r in refs]
     ref = summarize_convergence(refs)  # refs of the last strategy, ar
     conv = run_convergence(n_sims, params, mandate, seed, clamp_nonneg_orders=clamp)
     for name in ESTIMATE_FIELDS:
@@ -510,14 +501,3 @@ def test_zero_noise_gives_every_strategy_the_same_orders_property(scenario):
               for kind in STRATEGIES}
     for kind in STRATEGIES:
         assert orders[kind].tobytes() == orders["naive"].tobytes(), kind
-
-
-@settings(max_examples=60, deadline=None)
-@given(scenario=_scenarios())
-def test_monte_carlo_noise_digests_are_common_across_strategies_property(scenario):
-    params, mandate, seed, clamp = scenario
-    s = run_monte_carlo(3, STRATEGIES, params, mandate, seed, clamp_nonneg_orders=clamp)
-    paths = [generate_noise_path(substream_seed(seed, i), mandate.horizon,
-                                 params.sigma_eps_sq, params.sigma_eta_sq) for i in range(3)]
-    for kind in STRATEGIES:
-        assert s.stats[kind].noise_digests == [path.digest() for path in paths], kind

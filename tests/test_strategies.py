@@ -2,13 +2,23 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_best_execution
 
-from bestexec import (MarketParams, MarketState, ParameterEstimates,
-                      ar_adjustment_factor, decide_order, informed_order,
-                      naive_order, solve_coefficients)
+from bestexec import (TAGS, EstimateArrays, MarketParams, ParameterEstimates,
+                      ar_adjustment_factor, decide_order, naive_order, order_rule,
+                      solve_coefficients)
+from bestexec.strategies import STRATEGIES
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
+
+
+def _informed(s, x, t, sch):
+    """The informed order and tag name, the tilt f_t * X_{t-1} formed as
+    run_episode forms it."""
+    order, tag = order_rule("informed", s, x, t, sch.horizon, sch.f[t - 1] * x)
+    return order, TAGS[tag]
 
 
 def test_naive_order_values():
@@ -54,7 +64,7 @@ def test_schedule_reduces_to_naive_without_information_channel():
         for _ in range(20):
             s, x = rng.uniform(1e3, 1e5), rng.uniform(-1, 1)
             t = int(rng.integers(1, 13))
-            assert informed_order(s, x, t, sch).order == pytest.approx(
+            assert _informed(s, x, t, sch)[0] == pytest.approx(
                 naive_order(s, t, 12), rel=1e-12)
 
 
@@ -65,16 +75,16 @@ def test_solve_coefficients_requires_positive_theta():
 
 def test_informed_order_zero_information_is_naive():
     sch = solve_coefficients(BASELINE, 20)
-    dec = informed_order(90000.0, 0.0, 3, sch)
-    assert dec.order == pytest.approx(naive_order(90000.0, 3, 20), rel=1e-12)
-    assert dec.rationale_tag == "informed"
+    order, tag = _informed(90000.0, 0.0, 3, sch)
+    assert order == pytest.approx(naive_order(90000.0, 3, 20), rel=1e-12)
+    assert tag == "informed"
 
 
 def test_informed_order_terminal_ignores_information():
     sch = solve_coefficients(BASELINE, 20)
-    dec = informed_order(3726.61, 5.0, 20, sch)
-    assert dec.order == 3726.61
-    assert dec.rationale_tag == "final_period"
+    order, tag = _informed(3726.61, 5.0, 20, sch)
+    assert order == 3726.61
+    assert tag == "final_period"
 
 
 def test_informed_order_is_affine_in_information_with_slope_f():
@@ -85,8 +95,8 @@ def test_informed_order_is_affine_in_information_with_slope_f():
         s = rng.uniform(1e3, 1e5)
         x1, x2 = rng.uniform(-1, 1, 2)
         f_t = sch.at(t)[5]
-        d1 = informed_order(s, x1, t, sch).order
-        d2 = informed_order(s, x2, t, sch).order
+        d1 = _informed(s, x1, t, sch)[0]
+        d2 = _informed(s, x2, t, sch)[0]
         assert d2 - d1 == pytest.approx(f_t * (x2 - x1), rel=1e-9, abs=1e-9)
 
 
@@ -94,7 +104,7 @@ def test_positive_information_tilts_order_above_naive():
     sch = solve_coefficients(BASELINE, 20)
     for t in range(1, 20):
         assert sch.at(t)[5] > 0  # f_t > 0 at the baseline calibration
-        assert informed_order(95000.0, 0.1, t, sch).order > naive_order(95000.0, t, 20)
+        assert _informed(95000.0, 0.1, t, sch)[0] > naive_order(95000.0, t, 20)
 
 
 def test_ar_adjustment_factor_edge_cases():
@@ -131,50 +141,58 @@ def _estimates(theta=5e-5, gamma=5.0, rho=0.5, impact_valid=True, rho_valid=True
 
 
 def test_decide_order_naive_and_fallback_tags():
-    state = MarketState(t=1, price=50.0, info=0.0, shares_remaining=100000.0)
-    dec = decide_order("naive", state, 20)
-    assert dec.order == 5000
-    assert dec.rationale_tag == "naive_fallback"
+    order, tag = order_rule("naive", 100000.0, 0.0, 1, 20)
+    assert order == 5000
+    assert TAGS[tag] == "naive_fallback"
     # auto-regressive with no history yet falls back to the uniform split
-    dec = decide_order("ar", state, 20, estimates=None)
-    assert dec.order == 5000
-    assert dec.rationale_tag == "naive_fallback"
+    order, tag = order_rule("ar", 100000.0, 0.0, 1, 20, estimates=None)
+    assert order == 5000
+    assert TAGS[tag] == "naive_fallback"
 
 
 def test_decide_order_ar_uses_estimates_when_valid():
-    state = MarketState(t=5, price=50.0, info=0.2, shares_remaining=80000.0)
     est = _estimates()
-    dec = decide_order("ar", state, 20, estimates=est)
+    order, tag = order_rule("ar", 80000.0, 0.2, 5, 20, estimates=est)
     f_hat = ar_adjustment_factor(est.theta_hat, est.gamma_hat, est.rho_hat, 5, 20)
-    assert dec.rationale_tag == "autoregressive"
-    assert dec.order == pytest.approx(80000.0 / 16 + f_hat * 0.2, rel=1e-12)
+    assert TAGS[tag] == "autoregressive"
+    assert order == pytest.approx(80000.0 / 16 + f_hat * 0.2, rel=1e-12)
 
 
 def test_decide_order_ar_fallback_on_invalid_estimates():
-    state = MarketState(t=5, price=50.0, info=0.2, shares_remaining=80000.0)
     for est in (_estimates(impact_valid=False), _estimates(rho_valid=False),
                 _estimates(theta=-1e-5)):
-        dec = decide_order("ar", state, 20, estimates=est)
-        assert dec.rationale_tag == "naive_fallback"
-        assert dec.order == 5000
+        order, tag = order_rule("ar", 80000.0, 0.2, 5, 20, estimates=est)
+        assert TAGS[tag] == "naive_fallback"
+        assert order == 5000
 
 
 def test_decide_order_terminal_returns_remainder_for_all_strategies():
     sch = solve_coefficients(BASELINE, 20)
-    state = MarketState(t=20, price=55.0, info=0.4, shares_remaining=3726.6147)
-    for kind, kwargs in (("naive", {}), ("informed", {"schedule": sch}),
+    for kind, kwargs in (("naive", {}), ("informed", {"tilt": sch.f[19] * 0.4}),
                          ("ar", {"estimates": _estimates()})):
-        dec = decide_order(kind, state, 20, **kwargs)
-        assert dec.order == 3726.6147
-        assert dec.rationale_tag == "final_period"
+        order, tag = order_rule(kind, 3726.6147, 0.4, 20, 20, **kwargs)
+        assert order == 3726.6147
+        assert TAGS[tag] == "final_period"
 
 
 def test_decide_order_contract_violations():
-    state = MarketState(t=1, price=50.0, info=0.0, shares_remaining=100000.0)
-    with pytest.raises(ValueError):
-        decide_order("informed", state, 20)
-    with pytest.raises(ValueError):
-        decide_order("twap", state, 20)
+    with pytest.raises(ValueError, match="tilt"):
+        order_rule("informed", 100000.0, 0.0, 1, 20)
+    with pytest.raises(ValueError, match="unknown strategy 'twap'"):
+        order_rule("twap", 100000.0, 0.0, 1, 20)
+
+
+def test_decide_order_returns_a_python_float_and_the_tag_name():
+    sch = solve_coefficients(BASELINE, 20)
+    x = np.float64(0.2)  # run_episode's X_t are numpy scalars
+    for kind, tilt, estimates, tag in (
+            ("naive", None, None, "naive_fallback"),
+            ("informed", sch.f[4] * x, None, "informed"),
+            ("ar", None, _estimates(), "autoregressive")):
+        dec = decide_order(kind, np.float64(80000.0), x, 5, 20, tilt, estimates)
+        assert type(dec.order) is float, kind
+        assert dec.rationale_tag == tag
+        assert dec.order == order_rule(kind, 80000.0, x, 5, 20, tilt, estimates)[0]
 
 
 def test_informed_matches_brute_force_small_horizons():
@@ -189,7 +207,7 @@ def test_informed_matches_brute_force_small_horizons():
             params.theta, params.gamma, params.rho, params.sigma_eta_sq,
             p0, x0, s0, T)
         sch = solve_coefficients(params, T)
-        got = informed_order(s0, x0, 1, sch).order
+        got = _informed(s0, x0, 1, sch)[0]
         assert got == pytest.approx(b1, rel=1e-8)
         if T >= 3:
             # unrolled period-2 rule: B_2 = e_2 (s0 - B_1) + f_2 X_1
@@ -204,3 +222,61 @@ def test_solve_coefficients_rejects_nan_theta():
                                 sigma_eps_sq=0.0, sigma_eta_sq=0.001)
     with pytest.raises(ValueError, match="theta"):
         solve_coefficients(nan_theta, 20)
+
+
+_SHARES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.5e-323]))
+_VALID = st.sampled_from([True, True, True, False])
+_ESTIMATE_ROWS = st.tuples(
+    st.one_of(st.floats(1e-7, 1e-3),
+              st.sampled_from([0.0, -0.0, -1e-5, float("nan")])),  # theta_hat
+    st.floats(-50.0, 50.0),                                          # gamma_hat
+    st.one_of(st.floats(-0.99, 0.99), st.just(float("nan"))),        # rho_hat
+    _VALID, _VALID)                                                  # impact, rho valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(STRATEGIES), T=st.integers(1, 30), data=st.data(),
+       clamp=st.booleans(),
+       rows=st.lists(st.tuples(_SHARES, st.floats(-10.0, 10.0), st.floats(-1e3, 1e3),
+                               _ESTIMATE_ROWS), min_size=1, max_size=8))
+def test_order_rule_on_arrays_equals_the_rule_on_each_row_property(kind, T, data, clamp,
+                                                                   rows):
+    t = data.draw(st.integers(1, T), label="t")
+    s, x_prev, tilt, est = (list(col) for col in zip(*rows))
+    # a valid rho fit has |rho_hat| < 1
+    est = [(th, g, r if not r_ok or abs(r) < 1.0 else 0.5, i_ok, r_ok)
+           for th, g, r, i_ok, r_ok in est]
+    scalar_est = [ParameterEstimates(th, g, r, 0.01, 0.001, i_ok, r_ok, t)
+                  for th, g, r, i_ok, r_ok in est]
+    theta, gamma, rho, impact_ok, rho_ok = (np.array(col) for col in zip(*est))
+    array_est = EstimateArrays(theta, gamma, rho, np.full(len(rows), 0.01),
+                               np.full(len(rows), 0.001), impact_ok, rho_ok, t)
+    by_row = [order_rule(kind, *row, t, T, tilt_i, est_i, clamp)
+              for *row, tilt_i, est_i in zip(s, x_prev, tilt, scalar_est)]
+    order, tag = order_rule(kind, np.array(s), np.array(x_prev), t, T, np.array(tilt),
+                            array_est, clamp)
+    assert order.tobytes() == np.array([o for o, _ in by_row]).tobytes()
+    assert (np.broadcast_to(tag, order.shape).tobytes()
+            == np.array([c for _, c in by_row]).tobytes())
+
+
+def test_ar_rule_on_many_random_rows_equals_the_scalar_rule():
+    # numpy's array power rounds differently from Python's float ** in a few
+    # percent of cases, so the array rule must take f_hat from the scalar form
+    rng = np.random.default_rng(8)
+    n = 400
+    for T in (3, 20, 100):
+        for t in range(1, T + 1):
+            est = EstimateArrays(10 ** rng.uniform(-7, -3, n), rng.uniform(-50, 50, n),
+                                 rng.uniform(-0.99, 0.99, n), np.full(n, 0.01),
+                                 np.full(n, 0.001), rng.random(n) < 0.9,
+                                 rng.random(n) < 0.9, t)
+            s, x_prev = rng.uniform(-1e5, 1e6, n), rng.uniform(-10, 10, n)
+            order, tag = order_rule("ar", s, x_prev, t, T, estimates=est)
+            by_row = [order_rule("ar", s[i], x_prev[i], t, T, estimates=ParameterEstimates(
+                          est.theta_hat[i], est.gamma_hat[i], est.rho_hat[i], 0.01, 0.001,
+                          est.impact_valid[i], est.rho_valid[i], t)) for i in range(n)]
+            assert order.tobytes() == np.array([o for o, _ in by_row]).tobytes(), (T, t)
+            assert (np.broadcast_to(tag, (n,)).tobytes()
+                    == np.array([c for _, c in by_row]).tobytes()), (T, t)
