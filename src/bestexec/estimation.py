@@ -22,13 +22,17 @@ The impact fit is therefore flagged valid only when theta_hat clears
 THETA_TSTAT_MIN standard errors; the gate loosens automatically as the
 sample grows.
 
-estimate_all refits one history given as 1-D arrays and is the reference.
-estimate_all_batch refits many equal-length histories at once (one row per
-simulation) and equals it row by row, bit for bit: its sums are np.vecdot
-over row views, which round as the scalar 1-D `a @ b` does (np.einsum and
-(a*b).sum(1) do not), every other step is the same IEEE operation in the
-same order, and the prior is carried forward through np.where masks. Both
-refit the whole history each period: running sums would round differently.
+estimate_all refits one history given as 1-D arrays and is the reference;
+it refits the whole history each period. The batch refit serves many
+equal-length histories at once (one row per simulation) in two phases and
+equals it row by row, bit for bit. The information half reads no order, so
+fit_information fits it for every period of a study at once. The impact
+half, estimate_all_batch, runs each period after the orders are known. Their
+sums are np.vecdot over row views, one call per prefix length, which round
+as the scalar 1-D `a @ b` does (np.einsum, (a*b).sum(1) and running sums do
+not). Every other step is the same IEEE operation in the same order, and the
+prior is carried forward through np.where masks or, along the period axis,
+by index.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ __all__ = [
     "THETA_TSTAT_MIN",
     "estimate_all",
     "EstimateArrays",
+    "InformationFit",
+    "fit_information",
     "estimate_all_batch",
 ]
 
@@ -172,52 +178,118 @@ class EstimateArrays:
         return cls(nan, nan, nan, nan, nan, no, no, 0)
 
 
-def estimate_all_batch(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarray,
-                       prior: EstimateArrays | None = None) -> EstimateArrays:
-    """estimate_all for n_sims histories at once.
+@dataclass(frozen=True)
+class InformationFit:
+    """The information half of the refit of n_sims information paths after
+    every period: each field is a C-contiguous (n_sims, T) array whose
+    column n-1 holds estimate_all's values for the first n periods, without
+    a prior. sum_xx is the impact fit's sum of X_k^2."""
 
-    delta_p and orders are (n_sims, n) arrays; info_series is (n_sims, n + 1)
-    with the pre-trade information value in column 0. Row i of the result
-    equals estimate_all(delta_p[i], orders[i], info_series[i], prior_i) bit
-    for bit, where prior None stands for no prior in every row.
+    rho_hat: np.ndarray
+    rho_valid: np.ndarray
+    sigma_eta_sq_hat: np.ndarray
+    sum_xx: np.ndarray
+
+
+def fit_information(info_series: np.ndarray) -> InformationFit:
+    """The rho fit, its residual variance and sum X^2 of every prefix of the
+    (n_sims, T + 1) information paths info_series (pre-trade value in column
+    0), as estimate_all computes them period after period from no prior:
+    equal to them bit for bit. Each prefix's sums are np.vecdot over row
+    views, the dot products of estimate_all; the divisions, clamps and
+    carried-forward values then run over all periods at once."""
+    n_sims, T = info_series.shape[0], info_series.shape[1] - 1
+    lag = info_series[:, :-1]
+    x = info_series[:, 1:]
+    # lag and X as one (2, n_sims, T) view, for sum lag^2 and sum lag*X in one call
+    lag_x = np.lib.stride_tricks.sliding_window_view(info_series, T, axis=1).transpose(1, 0, 2)
+    sums = np.empty((3, n_sims, T))
+    periods = np.arange(T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(1, T + 1):
+            np.vecdot(lag[:, :n], lag_x[:, :, :n], out=sums[:2, :, n - 1])
+            np.vecdot(x[:, :n], x[:, :n], out=sums[2, :, n - 1])
+        den, num, sum_xx = sums
+        fitted = ~(den == 0.0)
+        raw = num / den
+        floored = np.where(-RHO_CLAMP > raw, -RHO_CLAMP, raw)
+        clamped = np.where(RHO_CLAMP < floored, RHO_CLAMP, floored)
+        rho_valid = fitted & (clamped == raw)
+        rho_hat = _carry_forward(fitted, clamped)
+        # residual sums of squares, each prefix with its own period's rho_hat.
+        # The residuals of prefix n fill the first n_sims * n values of one
+        # buffer: rows laid out as in a fresh (n_sims, n) array keep their
+        # 16-byte alignment, by which OpenBLAS's SSE2 dot kernel rounds
+        ssr = np.zeros((n_sims, T))
+        buffer = np.empty(n_sims * T)
+        for n in range(2, T + 1):
+            r = buffer[:n_sims * n].reshape(n_sims, n)
+            np.multiply(rho_hat[:, n - 1:n], lag[:, :n], out=r)
+            np.subtract(x[:, :n], r, out=r)
+            np.vecdot(r, r, out=ssr[:, n - 1])
+        s2h_hat = _carry_forward(fitted & (periods >= 1), ssr / periods)
+    return InformationFit(rho_hat=rho_hat, rho_valid=rho_valid,
+                          sigma_eta_sq_hat=s2h_hat, sum_xx=sum_xx)
+
+
+def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values where fitted, else the last fitted value before it in the row,
+    NaN before the first: the prior carried forward along axis 1."""
+    last = np.where(fitted, np.arange(values.shape[1]), -1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    carried = np.take_along_axis(values, np.maximum(last, 0), axis=1)
+    carried[last < 0] = np.nan
+    return carried
+
+
+def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
+                       information: InformationFit, n: int,
+                       prior: EstimateArrays | None = None) -> EstimateArrays:
+    """estimate_all for n_sims histories of their first n periods at once.
+
+    history is a (2, n_sims, T) array of the orders (history[0]) and price
+    changes (history[1]), info_series the (n_sims, T + 1) information paths
+    and information their fit_information; columns past n are not read. Only
+    the impact fit is computed here; the information fit is read from column
+    n - 1 of information. Row i of the result equals estimate_all(history[1,
+    i, :n], history[0, i, :n], info_series[i, :n + 1], prior_i) bit for bit,
+    where prior None stands for no prior in every row, provided the priors
+    were this function's results for the first n - 1 periods.
     """
-    n_sims, n = delta_p.shape
+    n_sims = history.shape[1]
     if prior is None:
         prior = EstimateArrays.invalid(n_sims)
-    b = orders
-    x = info_series[:, 1:]
-    lag = info_series[:, :-1]
-    no = np.zeros(n_sims, dtype=bool)
+    h = history[:, :, :n]
+    b = h[0]
+    delta_p = h[1]
+    x = info_series[:, 1:n + 1]
+    sxx = information.sum_xx[:, n - 1]
+    no = np.zeros(n_sims, dtype=bool) if n < 3 else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # impact fit as in estimate_all, _cond_2x2 inlined, failures masked out
-        sbb = np.vecdot(b, b)
+        sbb, spb = np.vecdot(h, b)
         sxb = np.vecdot(x, b)
-        sxx = np.vecdot(x, x)
+        spx = np.vecdot(delta_p, x)
         det = sbb * sxx - sxb * sxb
         tr = sbb + sxx
         disc_sq = tr * tr - 4.0 * det
-        disc = np.sqrt(np.where(0.0 > disc_sq, 0.0, disc_sq))
+        # np.maximum may give +0.0 where max(-0.0, 0.0) gives -0.0; tr is a
+        # sum of two np.vecdot results, never -0.0, so lo and hi are the same
+        disc = np.sqrt(np.maximum(disc_sq, 0.0))
         lo = (tr - disc) / 2.0
         hi = (tr + disc) / 2.0
+        # fmin skips a NaN: (det <= 0) | (lo <= 0) in one comparison
         impact_fitted = (no if n < 2 else
-                         ~((det <= 0.0) | (lo <= 0.0) | (hi / lo > COND_LIMIT)))
-        spb = np.vecdot(delta_p, b)
-        spx = np.vecdot(delta_p, x)
+                         ~((np.fmin(det, lo) <= 0.0) | (hi / lo > COND_LIMIT)))
         theta_hat = np.where(impact_fitted, (sxx * spb - sxb * spx) / det, prior.theta_hat)
         gamma_hat = np.where(impact_fitted, (sbb * spx - sxb * spb) / det, prior.gamma_hat)
 
-        # rho fit, clamped as in estimate_all
-        den = np.vecdot(lag, lag)
-        rho_fitted = ~(den == 0.0)
-        raw = np.vecdot(lag, x) / den
-        floored = np.where(-RHO_CLAMP > raw, -RHO_CLAMP, raw)
-        clamped = np.where(RHO_CLAMP < floored, RHO_CLAMP, floored)
-        rho_hat = np.where(rho_fitted, clamped, prior.rho_hat)
-        rho_valid = rho_fitted & (clamped == raw)
-
-        s2e_hat, s2h_hat, impact_valid = prior.sigma_eps_sq_hat, prior.sigma_eta_sq_hat, no
+        s2e_hat, impact_valid = prior.sigma_eps_sq_hat, no
         if n >= 2:
-            r = delta_p - theta_hat[:, None] * b - gamma_hat[:, None] * x
+            # (delta_p - theta_hat * b) - gamma_hat * x, in place where it can be
+            r = theta_hat[:, None] * b
+            np.subtract(delta_p, r, out=r)
+            r -= gamma_hat[:, None] * x
             s2e = np.vecdot(r, r) / (n - 1)
             s2e_hat = np.where(impact_fitted, s2e, s2e_hat)
             if n >= 3:
@@ -225,11 +297,11 @@ def estimate_all_batch(delta_p: np.ndarray, orders: np.ndarray, info_series: np.
                 impact_valid = (impact_fitted & (theta_hat > 0.0)
                                 & ((var_theta <= 0.0)
                                    | (theta_hat >= THETA_TSTAT_MIN * np.sqrt(var_theta))))
-            r = x - rho_hat[:, None] * lag
-            s2h_hat = np.where(rho_fitted, np.vecdot(r, r) / (n - 1), s2h_hat)
 
     return EstimateArrays(
-        theta_hat=theta_hat, gamma_hat=gamma_hat, rho_hat=rho_hat,
-        sigma_eps_sq_hat=s2e_hat, sigma_eta_sq_hat=s2h_hat,
-        impact_valid=impact_valid, rho_valid=rho_valid, n_obs=n,
+        theta_hat=theta_hat, gamma_hat=gamma_hat,
+        rho_hat=information.rho_hat[:, n - 1],
+        sigma_eps_sq_hat=s2e_hat,
+        sigma_eta_sq_hat=information.sigma_eta_sq_hat[:, n - 1],
+        impact_valid=impact_valid, rho_valid=information.rho_valid[:, n - 1], n_obs=n,
     )

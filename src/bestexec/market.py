@@ -139,9 +139,11 @@ def noise_digest(eps: np.ndarray, eta: np.ndarray) -> str:
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
-    """Return `seed` as an int after checking that it fits the 8-byte unsigned
-    encoding substream_seed and generate_noise_path key on; the message names
-    the field `name`."""
+    """Return `seed` as an int after checking that it is an integer (not a
+    bool) that fits the 8-byte unsigned encoding substream_seed and
+    generate_noise_path key on; the message names the field `name`."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"{name}: must be an integer (got {seed!r})")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"{name}: must be in [0, 2**64) (got {seed})")
     return int(seed)

@@ -24,9 +24,12 @@ np.add.accumulate along the period axis. Every rule's accumulated costs
 follow from another. Such an accumulate is a left fold and rounds exactly as
 the loop's running sums; np.sum and np.mean along a contiguous axis sum
 pairwise and would not. The online strategy keeps stepping its price in the
-loop, as its refit needs the price changes: it refits with
-estimate_all_batch over row views of preallocated history buffers. So the
-batch engine's results equal run_episode's bit for bit.
+loop, as its refit needs the price changes. Before the loop it fits the
+information half of every period's refit (estimation.fit_information) and
+the rho part of every period's tilt (strategies.ar_rho_factor); in the loop
+it refits only the impact half, with estimate_all_batch over row views of
+preallocated history buffers. So the batch engine's results equal
+run_episode's bit for bit.
 
 Per-share improvement conventions: a RunResult compares an episode's actual
 cost against that strategy's own ex-ante expected cost, while the Monte Carlo
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import (EstimateArrays, ParameterEstimates, estimate_all,
-                         estimate_all_batch)
+                         estimate_all_batch, fit_information)
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
@@ -51,8 +54,8 @@ from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
                      info_step, price_step, substream_seed)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
-from .strategies import (STRATEGIES, decide_order, order_rule, solve_coefficients,
-                         usable)
+from .strategies import (STRATEGIES, ar_rho_factor, decide_order, order_rule,
+                         solve_coefficients, usable)
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
@@ -253,23 +256,39 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
     schedule = solve_coefficients(params, T) if strategy_kind == "informed" else None
     is_ar = strategy_kind == "ar"
     s = np.full(n, float(mandate.s0))
-    orders = np.empty((n, T))
     estimates: EstimateArrays | None = None
     estimates_log = None
+    rho_factors = [None] * T
     if is_ar:
         price = np.full(n, float(mandate.p0))
         prices = np.empty((T, n))
-        # the refit's history: orders is its B column, info holds (x0, X_1..X_T)
-        delta_p = np.empty((n, T))
+        # the refit's history: orders and price changes, and (x0, X_1..X_T);
+        # the price changes start 16-byte aligned, as an array of their own
+        # would (OpenBLAS's SSE2 dot kernel rounds by operand alignment)
+        history = np.empty((2, n * T + n * T % 2))[:, :n * T].reshape(2, n, T)
+        orders, delta_p = history
         info = np.ascontiguousarray(path.info.T)
-        estimates_log = {name: np.empty((n, T)) for name in ESTIMATE_FIELDS}
-        estimates_log["impact_valid"] = np.empty((n, T), dtype=bool)
-        estimates_log["rho_valid"] = np.empty((n, T), dtype=bool)
+        # no order moves the information, so its half of every period's
+        # refit, and the rho part of every period's tilt, come first
+        information = fit_information(info)
+        rho_factors = np.zeros((T, n))
+        # period t tilts by the estimates of period t - 1; ar_rho_factor
+        # needs |rho_hat| < 1, which every row the rule reads has
+        rho_prev = np.where(information.rho_valid, information.rho_hat, 0.0).T[:-1]
+        rho_factors[1:] = ar_rho_factor(rho_prev, np.arange(2, T + 1)[:, None], T)
+        estimates_log = {
+            "theta_hat": np.empty((n, T)), "gamma_hat": np.empty((n, T)),
+            "rho_hat": information.rho_hat, "sigma_eps_sq_hat": np.empty((n, T)),
+            "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
+            "impact_valid": np.empty((n, T), dtype=bool),
+            "rho_valid": information.rho_valid}
+    else:
+        orders = np.empty((n, T))
     # the informed tilt f_t * X_{t-1} of every period, in one product
     tilts = schedule.f[:, None] * path.info[:-1] if schedule is not None else [None] * T
     for t in range(1, T + 1):
         order = order_rule(strategy_kind, s, path.info[t - 1], t, T, tilts[t - 1],
-                           estimates, clamp_nonneg_orders)[0]
+                           estimates, clamp_nonneg_orders, rho_factors[t - 1])[0]
         s = s - order
         orders[:, t - 1] = order
         if is_ar:
@@ -278,10 +297,10 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
                          + path.gamma_info[t - 1] + path.eps[t - 1])
             prices[t - 1] = price_new
             delta_p[:, t - 1] = price_new - price
-            estimates = estimate_all_batch(delta_p[:, :t], orders[:, :t], info[:, :t + 1],
-                                           prior=estimates)
-            for name, log in estimates_log.items():
-                log[:, t - 1] = getattr(estimates, name)
+            estimates = estimate_all_batch(history, info, information, t, prior=estimates)
+            # the other fields are fit_information's arrays
+            for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat", "impact_valid"):
+                estimates_log[name][:, t - 1] = getattr(estimates, name)
             price = price_new
     if not is_ar:
         prices = _accumulate_prices(mandate.p0, params.theta * orders.T, path)

@@ -42,7 +42,9 @@ alternative convention and the benchmark values each one produces.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -53,6 +55,7 @@ __all__ = [
     "OrderDecision",
     "naive_order",
     "solve_coefficients",
+    "ar_rho_factor",
     "ar_adjustment_factor",
     "usable",
     "order_rule",
@@ -122,6 +125,8 @@ def solve_coefficients(params: MarketParams, horizon: int) -> CoefficientSchedul
     """
     if not params.theta > 0.0:
         raise ValueError(f"theta: must be > 0 for a convex Bellman step (got {params.theta})")
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise ValueError(f"horizon: must be an integer (got {horizon!r})")
     T = int(horizon)
     if T < 1:
         raise ValueError(f"horizon: must be >= 1 (got {horizon})")
@@ -153,30 +158,93 @@ def solve_coefficients(params: MarketParams, horizon: int) -> CoefficientSchedul
     )
 
 
-def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
-                         t: int, horizon: int) -> float:
+def ar_rho_factor(rho_hat, t, horizon):
+    """The part of ar_adjustment_factor that depends on rho_hat alone,
+
+        sum_{k=1}^{m} (m - k) * rho_hat^k = m*S1 - S2,  m = T - t,
+
+    with S1 = sum rho_hat^k and S2 = sum k rho_hat^k in closed form. It is
+    exactly 0.0 for m <= 1 (every weight vanishes) and for rho_hat = 0.0, and
+    nonzero otherwise (the polynomial has no root inside the unit circle).
+
+    rho_hat is a float, or an array with t an int or an integer array that
+    broadcasts against it (the batch engine takes every period at once). On
+    arrays the powers are still Python's float ** taken element by element:
+    np.power rounds differently in a few percent of cases.
+    """
+    m = horizon - t
+    if not isinstance(rho_hat, np.ndarray):
+        if not abs(rho_hat) < 1.0:
+            raise ValueError(f"rho_hat: |rho_hat| must be < 1 (got {rho_hat})")
+        if m <= 1 or rho_hat == 0.0:
+            return 0.0
+        r = rho_hat
+        s1 = r * (1.0 - r**m) / (1.0 - r)
+        s2 = r * (1.0 - (m + 1) * r**m + m * r**(m + 1)) / (1.0 - r) ** 2
+        return m * s1 - s2
+    bad = ~(np.abs(rho_hat) < 1.0)
+    if bad.any():
+        raise ValueError(f"rho_hat: |rho_hat| must be < 1 (got {rho_hat[bad][0]})")
+    m = np.broadcast_to(m, rho_hat.shape)
+    factor = np.zeros(rho_hat.shape)
+    nonzero = (m > 1) & (rho_hat != 0.0)
+    # float exponents: r ** m converts an int m to this same double
+    r, m = rho_hat[nonzero], m[nonzero].astype(float)
+    r_list = r.tolist()
+    r_m = _pow(r_list, m.tolist())
+    r_m1 = _pow(r_list, (m + 1.0).tolist())
+    s1 = r * (1.0 - r_m) / (1.0 - r)
+    s2 = r * (1.0 - (m + 1.0) * r_m + m * r_m1) / _pow((1.0 - r).tolist(), repeat(2.0))
+    factor[nonzero] = m * s1 - s2
+    return factor
+
+
+def _pow(bases: list, exponents) -> np.ndarray:
+    """The array of b ** e by Python's float **, element by element, over the
+    float list bases and an iterable of float exponents."""
+    return np.fromiter(map(pow, bases, exponents), float, count=len(bases))
+
+
+def ar_adjustment_factor(theta_hat, gamma_hat, rho_hat, t: int, horizon: int,
+                         rho_factor=None):
     """Closed-form shares-per-information-unit tilt used by the online strategy:
 
         f_hat_t = gamma_hat / (theta_hat * (T - t + 1)) * sum_{k=1}^{T-t} (T - t - k) * rho_hat^k
 
-    The sum is empty at t = T and its k = T-t term carries zero weight, so the
-    factor vanishes with two or fewer periods remaining; the recursive informed
-    f_t does not. The brute-force tests arbitrate in favor of the recursive
-    form for the informed strategy; this closed form is what the online
-    strategy applies to its estimates (see docs/value_function_conventions.md).
+    The sum (ar_rho_factor) is empty at t = T and its k = T-t term carries
+    zero weight, so the factor is exactly 0.0 with two or fewer periods
+    remaining; the recursive informed f_t does not vanish there. The
+    brute-force tests arbitrate in favor of the recursive form for the
+    informed strategy; this closed form is what the online strategy applies
+    to its estimates (see docs/value_function_conventions.md).
+
+    On floats, or elementwise on arrays of equal shape. rho_factor, when
+    given, is ar_rho_factor(rho_hat, t, horizon) computed beforehand, and
+    rho_hat is then not read.
     """
-    if theta_hat <= 0.0:
-        raise ValueError(f"theta_hat: must be > 0 (got {theta_hat})")
-    if not abs(rho_hat) < 1.0:
-        raise ValueError(f"rho_hat: |rho_hat| must be < 1 (got {rho_hat})")
-    m = horizon - t
-    if m <= 1 or rho_hat == 0.0:
-        return 0.0  # every weight (m - k) over k = 1..m vanishes for m <= 1
-    # sum_{k=1}^{m} (m-k) r^k = m*S1 - S2 with S1 = sum r^k, S2 = sum k r^k
-    r = rho_hat
-    s1 = r * (1.0 - r**m) / (1.0 - r)
-    s2 = r * (1.0 - (m + 1) * r**m + m * r**(m + 1)) / (1.0 - r) ** 2
-    return gamma_hat / (theta_hat * (horizon - t + 1)) * (m * s1 - s2)
+    is_array = isinstance(theta_hat, np.ndarray)
+    if not ((theta_hat > 0.0).all() if is_array else theta_hat > 0.0):
+        bad = theta_hat[~(theta_hat > 0.0)][0] if is_array else theta_hat
+        raise ValueError(f"theta_hat: must be > 0 (got {bad})")
+    if rho_factor is None:
+        rho_factor = ar_rho_factor(rho_hat, t, horizon)
+    if not is_array:
+        return _tilt_factor(theta_hat, gamma_hat, rho_factor, t, horizon)
+    # silent on overflow, as float arithmetic is
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tilt_factor(theta_hat, gamma_hat, rho_factor, t, horizon)
+
+
+def _tilt_factor(theta_hat, gamma_hat, rho_factor, t: int, horizon: int):
+    """ar_adjustment_factor from its rho part, unchecked. It is exactly 0.0
+    where rho_factor is: gamma_hat / (theta_hat * k) * 0.0 may be -0.0, or
+    NaN, which np.where drops on arrays."""
+    if not isinstance(rho_factor, np.ndarray):
+        if rho_factor == 0.0:
+            return 0.0
+        return gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor
+    return np.where(rho_factor == 0.0, 0.0,
+                    gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor)
 
 
 def usable(estimates) -> bool | np.ndarray:
@@ -187,7 +255,7 @@ def usable(estimates) -> bool | np.ndarray:
 
 
 def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
-               estimates=None, clamp: bool = False):
+               estimates=None, clamp: bool = False, rho_factor=None):
     """The order B_t of one strategy at period t and its tag code (see TAGS).
 
     s (shares remaining) and x_prev (X_{t-1}) are floats, or (n_sims,) arrays
@@ -200,10 +268,13 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
                      1/(T-t+1) exactly) + tilt, the schedule's f_t * X_{t-1}
                      (the caller forms it, the batch engine for all periods
                      in one product).
-    ar            -> uniform split + f_hat_t * x_prev, f_hat_t from the scalar
+    ar            -> uniform split + f_hat_t * x_prev, f_hat_t from
                      ar_adjustment_factor, where the estimates are usable; the
                      uniform split elsewhere. On arrays the tag is then one
-                     code per row.
+                     code per row. rho_factor, when given, is ar_rho_factor of
+                     estimates.rho_hat at this period, on the usable rows at
+                     least (the batch engine computes it for all periods
+                     before its loop).
 
     With clamp, an interior order below zero becomes 0.0; a -0.0 order passes
     through as is, as np.where(order < 0.0, 0.0, order) does.
@@ -223,18 +294,19 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
         if not is_array:
             if ok:
                 f_hat = ar_adjustment_factor(estimates.theta_hat, estimates.gamma_hat,
-                                             estimates.rho_hat, t, horizon)
+                                             estimates.rho_hat, t, horizon, rho_factor)
                 order, tag = order + f_hat * x_prev, AUTOREGRESSIVE
-        else:
-            rows = np.flatnonzero(ok)
-            if rows.size:
-                f_hat = np.array([ar_adjustment_factor(theta, gamma, rho, t, horizon)
-                                  for theta, gamma, rho in zip(
-                                      estimates.theta_hat[rows].tolist(),
-                                      estimates.gamma_hat[rows].tolist(),
-                                      estimates.rho_hat[rows].tolist())])
-                order[rows] = order[rows] + f_hat * x_prev[rows]
-                tag = np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK)
+        elif estimates is not None and ok.any():
+            # the tilt of every row, kept only in the usable ones: the others
+            # may hold NaN or a nonpositive theta_hat, so their values and
+            # floating-point warnings are dropped
+            if rho_factor is None:
+                rho_factor = ar_rho_factor(np.where(ok, estimates.rho_hat, 0.0), t, horizon)
+            with np.errstate(all="ignore"):
+                tilted = order + _tilt_factor(estimates.theta_hat, estimates.gamma_hat,
+                                              rho_factor, t, horizon) * x_prev
+            order = np.where(ok, tilted, order)
+            tag = np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK)
     if clamp:
         if is_array:
             order = np.where(order < 0.0, 0.0, order)

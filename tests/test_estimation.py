@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bestexec import (ParameterEstimates, estimate_all, estimate_all_batch, info_step,
-                      price_step)
+from bestexec import (ParameterEstimates, estimate_all, estimate_all_batch, fit_information,
+                      info_step, price_step)
 
 
 def _arrays(rows, x0=0.0):
@@ -308,10 +310,12 @@ def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
     b = np.array([r[1] for r in rows])
     info = np.zeros((len(rows), n_obs + 1))
     info[:, 1:] = [r[2] for r in rows]
+    history = np.stack([b, dp])
+    information = fit_information(info)
     scalar = [None] * len(rows)
     batch = None
     for n in range(1, n_obs + 1):
-        batch = estimate_all_batch(dp[:, :n], b[:, :n], info[:, :n + 1], prior=batch)
+        batch = estimate_all_batch(history, info, information, n, prior=batch)
         assert batch.n_obs == n
         # the overflow history overflows in the scalar dot products, as in simulate
         with np.errstate(over="ignore", invalid="ignore"):
@@ -328,3 +332,30 @@ def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
     assert batch.rho_hat[3] == 0.999
     assert batch.sigma_eps_sq_hat[4] <= 1e-20
     assert batch.theta_hat[5] < 0.0
+
+
+# information values: ordinary, signed zeros, subnormals, and values whose
+# squares (or their sums) overflow
+_INFO_VALUES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-160,
+                     1e154, -1e154, 1e200, 1e300, -1e300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_rows=st.integers(1, 3), T=st.integers(1, 40), zeros=st.integers(0, 41),
+       data=st.data())
+def test_fit_information_equals_estimate_all_property(n_rows, T, zeros, data):
+    info = np.array(data.draw(st.lists(
+        st.lists(_INFO_VALUES, min_size=T + 1, max_size=T + 1),
+        min_size=n_rows, max_size=n_rows), label="info"))
+    info[:, :zeros] = 0.0  # an all-zero prefix: the rho fit stays singular
+    fit = fit_information(info)
+    for i in range(n_rows):
+        est = None
+        for n in range(1, T + 1):
+            with np.errstate(all="ignore"):
+                est = estimate_all(np.zeros(n), np.zeros(n), info[i, :n + 1].copy(), prior=est)
+            for name in ("rho_hat", "rho_valid", "sigma_eta_sq_hat"):
+                assert (np.array(getattr(est, name)).tobytes()
+                        == getattr(fit, name)[i, n - 1].tobytes()), (i, n, name)

@@ -148,6 +148,11 @@ def test_check_seed_range():
     for bad in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="^base_seed: "):
             check_seed(bad, "base_seed")
+    # an integral numpy seed passes; a float or a bool does not become seed 1
+    assert check_seed(np.uint64(7)) == 7 and type(check_seed(np.uint64(7))) is int
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="^base_seed: must be an integer"):
+            check_seed(bad, "base_seed")
 
 
 def _fresh_philox_path(seed, horizon, sigma_eps_sq, sigma_eta_sq):

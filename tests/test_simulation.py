@@ -264,6 +264,17 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
         assert (interior < 0.0).any()
 
 
+@pytest.mark.parametrize("T", [1, 2, 20])
+def test_batch_estimates_are_c_contiguous_n_sims_by_t(T):
+    # run_convergence reduces them with nanmean and nanstd along axis 0, which
+    # round differently over a Fortran-ordered or transposed layout
+    eps, eta = generate_noise_arrays(range(5), T, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
+    log = run_episode_batch("ar", BASELINE, ExecutionMandate(100000.0, 50.0, T), eps, eta)[3]
+    assert tuple(log) == ESTIMATE_FIELDS + ("impact_valid", "rho_valid")
+    for name, values in log.items():
+        assert values.shape == (5, T) and values.flags.c_contiguous, name
+
+
 @pytest.mark.parametrize("clamp", [False, True])
 def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
     # s0 = 5e-324 makes the interior orders 0.0 and the first shock makes
@@ -422,7 +433,7 @@ def test_batch_engine_rejects_unknown_strategy_and_misshapen_noise():
         run_episode_batch("naive", BASELINE, MANDATE, eps[:, :19], eps[:, :19])
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
 def test_monte_carlo_rejects_out_of_range_base_seed(seed):
     with pytest.raises(ValueError, match="base_seed"):
         run_monte_carlo(2, ("naive",), BASELINE, MANDATE, seed)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from oracles import brute_force_best_execution
 
 from bestexec import (TAGS, EstimateArrays, MarketParams, ParameterEstimates,
-                      ar_adjustment_factor, decide_order, naive_order, order_rule,
-                      solve_coefficients)
+                      ar_adjustment_factor, ar_rho_factor, decide_order, naive_order,
+                      order_rule, solve_coefficients)
 from bestexec.strategies import STRATEGIES
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
@@ -73,6 +73,13 @@ def test_solve_coefficients_requires_positive_theta():
         solve_coefficients(MarketParams(0.0, 5.0, 0.5, 0.01, 0.001), 5)
 
 
+def test_solve_coefficients_rejects_a_horizon_that_is_not_an_integer():
+    assert solve_coefficients(BASELINE, np.int64(3)).horizon == 3
+    for bad in (2.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match=r"^horizon: must be an integer \(got "):
+            solve_coefficients(BASELINE, bad)
+
+
 def test_informed_order_zero_information_is_naive():
     sch = solve_coefficients(BASELINE, 20)
     order, tag = _informed(90000.0, 0.0, 3, sch)
@@ -116,6 +123,18 @@ def test_ar_adjustment_factor_edge_cases():
         ar_adjustment_factor(0.0, 5.0, 0.5, 1, 20)
     with pytest.raises(ValueError, match="rho_hat"):
         ar_adjustment_factor(5e-5, 5.0, 1.0, 1, 20)
+    # on arrays: the same zeros, row by row, and the same checks on any row
+    theta, gamma = np.full(3, 5e-5), np.full(3, 5.0)
+    got = ar_adjustment_factor(theta, gamma, np.array([0.5, 0.0, -0.5]), 1, 20)
+    assert got.tolist() == [ar_adjustment_factor(5e-5, 5.0, r, 1, 20) for r in (0.5, 0.0, -0.5)]
+    assert got[1] == 0.0 and not np.signbit(got[1])
+    assert ar_adjustment_factor(theta, gamma, np.full(3, 0.5), 19, 20).tolist() == [0.0] * 3
+    with pytest.raises(ValueError, match="theta_hat"):
+        ar_adjustment_factor(float("nan"), 5.0, 0.5, 1, 20)
+    with pytest.raises(ValueError, match="theta_hat"):
+        ar_adjustment_factor(np.array([5e-5, float("nan"), 5e-5]), gamma, np.full(3, 0.5), 1, 20)
+    with pytest.raises(ValueError, match="rho_hat"):
+        ar_adjustment_factor(theta, gamma, np.array([0.5, -1.0, 0.5]), 1, 20)
 
 
 def test_ar_adjustment_factor_matches_term_by_term_sum():
@@ -133,6 +152,26 @@ def test_ar_adjustment_factor_matches_term_by_term_sum():
         # cancellation in the closed form is amplified by the gamma/theta scale
         tol = 1e-12 * (abs(gamma) / theta + 1.0)
         assert got == pytest.approx(expected, rel=1e-10, abs=tol)
+
+
+def test_ar_rho_factor_of_every_period_equals_the_float_form():
+    # the batch engine takes the rho part of every period in one call, with t
+    # a column of periods; each element must equal the float form, and the
+    # tilt built from it ar_adjustment_factor's own, bit for bit
+    rng = np.random.default_rng(9)
+    T, n = 40, 30
+    rho = rng.uniform(-0.99, 0.99, (T, n))
+    rho[rng.random((T, n)) < 0.1] = 0.0
+    factor = ar_rho_factor(rho, np.arange(1, T + 1)[:, None], T)
+    assert factor.tobytes() == np.array([[ar_rho_factor(r, t, T) for r in row]
+                                         for t, row in enumerate(rho.tolist(), start=1)]
+                                        ).tobytes()
+    theta, gamma = 10 ** rng.uniform(-6, -3, n), rng.uniform(-10, 10, n)
+    for t in (1, T // 2, T - 2, T - 1, T):
+        got = ar_adjustment_factor(theta, gamma, rho[t - 1], t, T, rho_factor=factor[t - 1])
+        assert got.tobytes() == np.array([
+            ar_adjustment_factor(th, g, r, t, T)
+            for th, g, r in zip(theta.tolist(), gamma.tolist(), rho[t - 1].tolist())]).tobytes()
 
 
 def _estimates(theta=5e-5, gamma=5.0, rho=0.5, impact_valid=True, rho_valid=True):
