@@ -253,12 +253,17 @@ def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
     the impact fit is computed here; the information fit is read from column
     n - 1 of information. Row i of the result equals estimate_all(history[1,
     i, :n], history[0, i, :n], info_series[i, :n + 1], prior_i) bit for bit,
-    where prior None stands for no prior in every row, provided the priors
-    were this function's results for the first n - 1 periods.
+    where prior None stands for no prior in every row. The rho fields
+    carry forward no prior, so they equal estimate_all's only with prior
+    None or the refit of the same histories' first n - 1 periods; a prior of
+    any other length raises.
     """
     n_sims = history.shape[1]
     if prior is None:
         prior = EstimateArrays.invalid(n_sims)
+    elif prior.n_obs != n - 1:
+        raise ValueError(f"prior: must be the refit of the first {n - 1} periods "
+                         f"(got n_obs={prior.n_obs})")
     h = history[:, :, :n]
     b = h[0]
     delta_p = h[1]
@@ -273,23 +278,17 @@ def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
         det = sbb * sxx - sxb * sxb
         tr = sbb + sxx
         disc_sq = tr * tr - 4.0 * det
-        # np.maximum may give +0.0 where max(-0.0, 0.0) gives -0.0; tr is a
-        # sum of two np.vecdot results, never -0.0, so lo and hi are the same
-        disc = np.sqrt(np.maximum(disc_sq, 0.0))
+        disc = np.sqrt(np.where(0.0 > disc_sq, 0.0, disc_sq))
         lo = (tr - disc) / 2.0
         hi = (tr + disc) / 2.0
-        # fmin skips a NaN: (det <= 0) | (lo <= 0) in one comparison
         impact_fitted = (no if n < 2 else
-                         ~((np.fmin(det, lo) <= 0.0) | (hi / lo > COND_LIMIT)))
+                         ~((det <= 0.0) | (lo <= 0.0) | (hi / lo > COND_LIMIT)))
         theta_hat = np.where(impact_fitted, (sxx * spb - sxb * spx) / det, prior.theta_hat)
         gamma_hat = np.where(impact_fitted, (sbb * spx - sxb * spb) / det, prior.gamma_hat)
 
         s2e_hat, impact_valid = prior.sigma_eps_sq_hat, no
         if n >= 2:
-            # (delta_p - theta_hat * b) - gamma_hat * x, in place where it can be
-            r = theta_hat[:, None] * b
-            np.subtract(delta_p, r, out=r)
-            r -= gamma_hat[:, None] * x
+            r = delta_p - theta_hat[:, None] * b - gamma_hat[:, None] * x
             s2e = np.vecdot(r, r) / (n - 1)
             s2e_hat = np.where(impact_fitted, s2e, s2e_hat)
             if n >= 3:

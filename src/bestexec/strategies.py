@@ -205,8 +205,8 @@ def _pow(bases: list, exponents) -> np.ndarray:
     return np.fromiter(map(pow, bases, exponents), float, count=len(bases))
 
 
-def ar_adjustment_factor(theta_hat, gamma_hat, rho_hat, t: int, horizon: int,
-                         rho_factor=None):
+def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
+                         t: int, horizon: int) -> float:
     """Closed-form shares-per-information-unit tilt used by the online strategy:
 
         f_hat_t = gamma_hat / (theta_hat * (T - t + 1)) * sum_{k=1}^{T-t} (T - t - k) * rho_hat^k
@@ -218,27 +218,20 @@ def ar_adjustment_factor(theta_hat, gamma_hat, rho_hat, t: int, horizon: int,
     informed strategy; this closed form is what the online strategy applies
     to its estimates (see docs/value_function_conventions.md).
 
-    On floats, or elementwise on arrays of equal shape. rho_factor, when
-    given, is ar_rho_factor(rho_hat, t, horizon) computed beforehand, and
-    rho_hat is then not read.
+    On floats. order_rule tilts many rows at once from the same two halves,
+    ar_rho_factor and _tilt_factor, on arrays.
     """
-    is_array = isinstance(theta_hat, np.ndarray)
-    if not ((theta_hat > 0.0).all() if is_array else theta_hat > 0.0):
-        bad = theta_hat[~(theta_hat > 0.0)][0] if is_array else theta_hat
-        raise ValueError(f"theta_hat: must be > 0 (got {bad})")
-    if rho_factor is None:
-        rho_factor = ar_rho_factor(rho_hat, t, horizon)
-    if not is_array:
-        return _tilt_factor(theta_hat, gamma_hat, rho_factor, t, horizon)
-    # silent on overflow, as float arithmetic is
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _tilt_factor(theta_hat, gamma_hat, rho_factor, t, horizon)
+    if not theta_hat > 0.0:
+        raise ValueError(f"theta_hat: must be > 0 (got {theta_hat})")
+    return _tilt_factor(theta_hat, gamma_hat, ar_rho_factor(rho_hat, t, horizon), t, horizon)
 
 
 def _tilt_factor(theta_hat, gamma_hat, rho_factor, t: int, horizon: int):
-    """ar_adjustment_factor from its rho part, unchecked. It is exactly 0.0
-    where rho_factor is: gamma_hat / (theta_hat * k) * 0.0 may be -0.0, or
-    NaN, which np.where drops on arrays."""
+    """ar_adjustment_factor from its rho part rho_factor = ar_rho_factor(rho_hat,
+    t, horizon), unchecked: on floats, or elementwise on arrays of equal shape
+    (the caller drops the rows it may not use, and their warnings). It is
+    exactly 0.0 where rho_factor is: gamma_hat / (theta_hat * k) * 0.0 may be
+    -0.0, or NaN, which np.where drops on arrays."""
     if not isinstance(rho_factor, np.ndarray):
         if rho_factor == 0.0:
             return 0.0
@@ -271,10 +264,10 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
     ar            -> uniform split + f_hat_t * x_prev, f_hat_t from
                      ar_adjustment_factor, where the estimates are usable; the
                      uniform split elsewhere. On arrays the tag is then one
-                     code per row. rho_factor, when given, is ar_rho_factor of
-                     estimates.rho_hat at this period, on the usable rows at
-                     least (the batch engine computes it for all periods
-                     before its loop).
+                     code per row. On arrays, rho_factor, when given, is
+                     ar_rho_factor of estimates.rho_hat at this period, on
+                     the usable rows at least (the batch engine computes it
+                     for all periods before its loop); floats ignore it.
 
     With clamp, an interior order below zero becomes 0.0; a -0.0 order passes
     through as is, as np.where(order < 0.0, 0.0, order) does.
@@ -294,7 +287,7 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
         if not is_array:
             if ok:
                 f_hat = ar_adjustment_factor(estimates.theta_hat, estimates.gamma_hat,
-                                             estimates.rho_hat, t, horizon, rho_factor)
+                                             estimates.rho_hat, t, horizon)
                 order, tag = order + f_hat * x_prev, AUTOREGRESSIVE
         elif estimates is not None and ok.any():
             # the tilt of every row, kept only in the usable ones: the others

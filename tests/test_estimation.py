@@ -334,6 +334,21 @@ def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
     assert batch.theta_hat[5] < 0.0
 
 
+def test_estimate_all_batch_rejects_a_prior_of_another_length():
+    # the rho fields come from fit_information, which carries forward no
+    # prior: only the refit of the first n - 1 periods (or none) may be one
+    rng = np.random.default_rng(3)
+    history = rng.normal(0.0, 1.0, (2, 4, 10))
+    info = rng.normal(0.0, 1.0, (4, 11))
+    information = fit_information(info)
+    first = estimate_all_batch(history, info, information, 1)
+    second = estimate_all_batch(history, info, information, 2, prior=first)
+    estimate_all_batch(history, info, information, 5)
+    for n, prior in ((3, first), (2, second), (10, second)):
+        with pytest.raises(ValueError, match=rf"prior: .* first {n - 1} periods"):
+            estimate_all_batch(history, info, information, n, prior=prior)
+
+
 # information values: ordinary, signed zeros, subnormals, and values whose
 # squares (or their sums) overflow
 _INFO_VALUES = st.one_of(

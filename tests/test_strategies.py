@@ -123,18 +123,8 @@ def test_ar_adjustment_factor_edge_cases():
         ar_adjustment_factor(0.0, 5.0, 0.5, 1, 20)
     with pytest.raises(ValueError, match="rho_hat"):
         ar_adjustment_factor(5e-5, 5.0, 1.0, 1, 20)
-    # on arrays: the same zeros, row by row, and the same checks on any row
-    theta, gamma = np.full(3, 5e-5), np.full(3, 5.0)
-    got = ar_adjustment_factor(theta, gamma, np.array([0.5, 0.0, -0.5]), 1, 20)
-    assert got.tolist() == [ar_adjustment_factor(5e-5, 5.0, r, 1, 20) for r in (0.5, 0.0, -0.5)]
-    assert got[1] == 0.0 and not np.signbit(got[1])
-    assert ar_adjustment_factor(theta, gamma, np.full(3, 0.5), 19, 20).tolist() == [0.0] * 3
     with pytest.raises(ValueError, match="theta_hat"):
         ar_adjustment_factor(float("nan"), 5.0, 0.5, 1, 20)
-    with pytest.raises(ValueError, match="theta_hat"):
-        ar_adjustment_factor(np.array([5e-5, float("nan"), 5e-5]), gamma, np.full(3, 0.5), 1, 20)
-    with pytest.raises(ValueError, match="rho_hat"):
-        ar_adjustment_factor(theta, gamma, np.array([0.5, -1.0, 0.5]), 1, 20)
 
 
 def test_ar_adjustment_factor_matches_term_by_term_sum():
@@ -157,7 +147,7 @@ def test_ar_adjustment_factor_matches_term_by_term_sum():
 def test_ar_rho_factor_of_every_period_equals_the_float_form():
     # the batch engine takes the rho part of every period in one call, with t
     # a column of periods; each element must equal the float form, and the
-    # tilt built from it ar_adjustment_factor's own, bit for bit
+    # ar order built from it the float rule's, bit for bit
     rng = np.random.default_rng(9)
     T, n = 40, 30
     rho = rng.uniform(-0.99, 0.99, (T, n))
@@ -167,11 +157,16 @@ def test_ar_rho_factor_of_every_period_equals_the_float_form():
                                          for t, row in enumerate(rho.tolist(), start=1)]
                                         ).tobytes()
     theta, gamma = 10 ** rng.uniform(-6, -3, n), rng.uniform(-10, 10, n)
+    s, x_prev = rng.uniform(0.0, 1e5, n), rng.normal(0.0, 1.0, n)
+    yes = np.ones(n, dtype=bool)
     for t in (1, T // 2, T - 2, T - 1, T):
-        got = ar_adjustment_factor(theta, gamma, rho[t - 1], t, T, rho_factor=factor[t - 1])
+        est = EstimateArrays(theta, gamma, rho[t - 1], np.full(n, 0.01), np.full(n, 0.001),
+                             yes, yes, 10)
+        got = order_rule("ar", s, x_prev, t, T, estimates=est, rho_factor=factor[t - 1])[0]
         assert got.tobytes() == np.array([
-            ar_adjustment_factor(th, g, r, t, T)
-            for th, g, r in zip(theta.tolist(), gamma.tolist(), rho[t - 1].tolist())]).tobytes()
+            order_rule("ar", si, xi, t, T, estimates=_estimates(th, g, r))[0]
+            for si, xi, th, g, r in zip(s.tolist(), x_prev.tolist(), theta.tolist(),
+                                        gamma.tolist(), rho[t - 1].tolist())]).tobytes()
 
 
 def _estimates(theta=5e-5, gamma=5.0, rho=0.5, impact_valid=True, rho_valid=True):
