@@ -265,6 +265,22 @@ def _g17(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _csv_rows(first: int, columns) -> str:
+    """CSV rows, one per cell of the equal-length float columns: the index
+    (first, first + 1, ...) and then the row's cells at 17 significant
+    digits, as _g17 renders them ("%.17g" % v and format(v, ".17g") are
+    the same routine). One template formats every row from one flat tuple,
+    in one operation."""
+    columns = list(columns)
+    k = len(columns)
+    n = len(columns[0])
+    cells = [0] * (n * (k + 1))
+    cells[0::k + 1] = range(first, first + n)
+    for j, column in enumerate(columns, start=1):
+        cells[j::k + 1] = column
+    return ("%d" + ",%.17g" * k + "\n") * n % tuple(cells)
+
+
 def _require_finite_outputs(named_values) -> None:
     """Raise SpecError naming the first of the (name, numbers) pairs that
     holds a NaN or an infinity: the spec's numbers overflowed."""
@@ -294,27 +310,22 @@ def cmd_simulate(spec: RunSpec) -> int:
         result = run_episode(strategy, params, mandate, path,
                              clamp_nonneg_orders=spec.clamp_nonneg_orders,
                              ar_expected_cost_from_estimates=spec.ar_value_toggle)
-    rows = [(row.price, row.shares_bought, row.shares_remaining, row.market_information,
-             row.accumulated_cost) for row in result.blotter]
+    columns = list(zip(*((row.price, row.shares_bought, row.shares_remaining,
+                          row.market_information, row.accumulated_cost)
+                         for row in result.blotter)))
     _require_finite_outputs([
         ("total cost", [result.actual_cost]),
         ("expected cost", [result.expected_cost]),
         ("improvement per share", [result.improvement_per_share]),
         *zip(("price", "shares bought", "shares remaining", "market information",
-              "accumulated cost"), zip(*rows)),
+              "accumulated cost"), columns),
     ])
-    lines = [BLOTTER_HEADER]
-    for row in result.blotter:
-        lines.append(",".join([
-            str(row.period), _g17(row.price), _g17(row.shares_bought),
-            _g17(row.shares_remaining), _g17(row.market_information),
-            _g17(row.accumulated_cost),
-        ]))
     footer = {"actual_cost": result.actual_cost,
               "expected_cost": result.expected_cost,
               "improvement_per_share": result.improvement_per_share}
-    lines.append(json.dumps(footer, sort_keys=True))
-    _write(Path(spec.out_dir) / "blotter.csv", "\n".join(lines) + "\n")
+    _write(Path(spec.out_dir) / "blotter.csv",
+           BLOTTER_HEADER + "\n" + _csv_rows(0, columns)
+           + json.dumps(footer, sort_keys=True) + "\n")
     print(f"Actual Cost: {result.actual_cost:.6g}")
     print(f"Expected Cost: {result.expected_cost:.6g}")
     print(f"Improvement: {result.improvement_per_share:.6g}")
@@ -366,11 +377,8 @@ def cmd_montecarlo(spec: RunSpec) -> int:
             ("order_size_mean.csv", "mean_order_size", "period", 1),
             ("accumulated_cost_variance.csv", "accumulated_cost_variance", "period", 1),
             ("total_costs.csv", "per_sim_actual_cost", "sim", 0)):
-        rows = [label + "," + ",".join(summary.strategies)]
-        for index, cells in enumerate(zip(*(columns[s, attr] for s in summary.strategies)),
-                                      start=first):
-            rows.append(",".join([str(index), *map(_g17, cells)]))
-        _write(out / fname, "\n".join(rows) + "\n")
+        _write(out / fname, label + "," + ",".join(summary.strategies) + "\n"
+               + _csv_rows(first, (columns[s, attr] for s in summary.strategies)))
 
     for strat in summary.strategies:
         st = summary.stats[strat]
@@ -397,10 +405,8 @@ def cmd_convergence(spec: RunSpec) -> int:
                 raise SpecError(f"overflow: {name} {stat} is not finite")
     columns = [stat[name].tolist() for name in ESTIMATE_FIELDS
                for stat in (conv.mean, conv.sd)]
-    rows = [CONVERGENCE_HEADER]
-    for t, cells in zip(conv.periods.tolist(), zip(*columns)):
-        rows.append(",".join([str(t), *map(_g17, cells)]))
-    _write(Path(spec.out_dir) / "convergence.csv", "\n".join(rows) + "\n")
+    _write(Path(spec.out_dir) / "convergence.csv",
+           CONVERGENCE_HEADER + "\n" + _csv_rows(1, columns))
     print(f"wrote convergence.csv for {conv.n_episodes} episodes")
     return 0
 

@@ -26,19 +26,20 @@ estimate_all refits one history given as 1-D arrays and is the reference;
 it refits the whole history each period. The batch refit serves many
 equal-length histories at once (one row per simulation) in two phases and
 equals it row by row, bit for bit. The information half reads no order, so
-fit_information fits it for every period of a study at once. The impact
-half, estimate_all_batch, runs each period after the orders are known. Their
-sums are np.vecdot over row views, one call per prefix length, which round
-as the scalar 1-D `a @ b` does (np.einsum, (a*b).sum(1) and running sums do
-not). Every other step is the same IEEE operation in the same order, and the
-prior is carried forward through np.where masks or, along the period axis,
-by index.
+fit_information fits it for every period of a study at once; a Monte Carlo
+study, whose orders read no sigma_eta_sq_hat, fits it without the residual
+pass (_fit_rho). The impact half, estimate_all_batch, runs each period after
+the orders are known. Their sums are np.vecdot over row views, one call per
+prefix length, which round as the scalar 1-D `a @ b` does (np.einsum,
+(a*b).sum(1) and running sums do not). Every other step is the same IEEE
+operation in the same order, and the prior is carried forward through
+np.where masks or, along the period axis, by index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,13 +161,14 @@ def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarra
 @dataclass(frozen=True)
 class EstimateArrays:
     """ParameterEstimates of many histories of equal length n_obs: each field
-    is an (n_sims,) array whose row i belongs to history i."""
+    is an (n_sims,) array whose row i belongs to history i. sigma_eta_sq_hat
+    is None when the InformationFit it was read from has none."""
 
     theta_hat: np.ndarray
     gamma_hat: np.ndarray
     rho_hat: np.ndarray
     sigma_eps_sq_hat: np.ndarray
-    sigma_eta_sq_hat: np.ndarray
+    sigma_eta_sq_hat: np.ndarray | None
     impact_valid: np.ndarray
     rho_valid: np.ndarray
     n_obs: int
@@ -183,11 +185,12 @@ class InformationFit:
     """The information half of the refit of n_sims information paths after
     every period: each field is a C-contiguous (n_sims, T) array whose
     column n-1 holds estimate_all's values for the first n periods, without
-    a prior. sum_xx is the impact fit's sum of X_k^2."""
+    a prior. sum_xx is the impact fit's sum of X_k^2. sigma_eta_sq_hat is
+    None in a Monte Carlo study's fit (_fit_rho), whose orders read none."""
 
     rho_hat: np.ndarray
     rho_valid: np.ndarray
-    sigma_eta_sq_hat: np.ndarray
+    sigma_eta_sq_hat: np.ndarray | None
     sum_xx: np.ndarray
 
 
@@ -198,13 +201,37 @@ def fit_information(info_series: np.ndarray) -> InformationFit:
     equal to them bit for bit. Each prefix's sums are np.vecdot over row
     views, the dot products of estimate_all; the divisions, clamps and
     carried-forward values then run over all periods at once."""
+    fit, fitted = _fit_rho(info_series)
+    n_sims, T = fit.rho_hat.shape
+    lag = info_series[:, :-1]
+    x = info_series[:, 1:]
+    periods = np.arange(T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # residual sums of squares, each prefix with its own period's rho_hat.
+        # The residuals of prefix n fill the first n_sims * n values of one
+        # buffer: rows laid out as in a fresh (n_sims, n) array keep their
+        # 16-byte alignment, by which OpenBLAS's SSE2 dot kernel rounds
+        ssr = np.zeros((n_sims, T))
+        buffer = np.empty(n_sims * T)
+        for n in range(2, T + 1):
+            r = buffer[:n_sims * n].reshape(n_sims, n)
+            np.multiply(fit.rho_hat[:, n - 1:n], lag[:, :n], out=r)
+            np.subtract(x[:, :n], r, out=r)
+            np.vecdot(r, r, out=ssr[:, n - 1])
+        s2h_hat = _carry_forward(fitted & (periods >= 1), ssr / periods)
+    return replace(fit, sigma_eta_sq_hat=s2h_hat)
+
+
+def _fit_rho(info_series: np.ndarray) -> tuple[InformationFit, np.ndarray]:
+    """fit_information without the residual variance (its sigma_eta_sq_hat
+    is None), and the (n_sims, T) mask of the prefixes whose lag series is
+    not all zero, the ones the rho fit ran on."""
     n_sims, T = info_series.shape[0], info_series.shape[1] - 1
     lag = info_series[:, :-1]
     x = info_series[:, 1:]
     # lag and X as one (2, n_sims, T) view, for sum lag^2 and sum lag*X in one call
     lag_x = np.lib.stride_tricks.sliding_window_view(info_series, T, axis=1).transpose(1, 0, 2)
     sums = np.empty((3, n_sims, T))
-    periods = np.arange(T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(1, T + 1):
             np.vecdot(lag[:, :n], lag_x[:, :, :n], out=sums[:2, :, n - 1])
@@ -216,20 +243,8 @@ def fit_information(info_series: np.ndarray) -> InformationFit:
         clamped = np.where(RHO_CLAMP < floored, RHO_CLAMP, floored)
         rho_valid = fitted & (clamped == raw)
         rho_hat = _carry_forward(fitted, clamped)
-        # residual sums of squares, each prefix with its own period's rho_hat.
-        # The residuals of prefix n fill the first n_sims * n values of one
-        # buffer: rows laid out as in a fresh (n_sims, n) array keep their
-        # 16-byte alignment, by which OpenBLAS's SSE2 dot kernel rounds
-        ssr = np.zeros((n_sims, T))
-        buffer = np.empty(n_sims * T)
-        for n in range(2, T + 1):
-            r = buffer[:n_sims * n].reshape(n_sims, n)
-            np.multiply(rho_hat[:, n - 1:n], lag[:, :n], out=r)
-            np.subtract(x[:, :n], r, out=r)
-            np.vecdot(r, r, out=ssr[:, n - 1])
-        s2h_hat = _carry_forward(fitted & (periods >= 1), ssr / periods)
     return InformationFit(rho_hat=rho_hat, rho_valid=rho_valid,
-                          sigma_eta_sq_hat=s2h_hat, sum_xx=sum_xx)
+                          sigma_eta_sq_hat=None, sum_xx=sum_xx), fitted
 
 
 def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -249,11 +264,12 @@ def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
 
     history is a (2, n_sims, T) array of the orders (history[0]) and price
     changes (history[1]), info_series the (n_sims, T + 1) information paths
-    and information their fit_information; columns past n are not read. Only
-    the impact fit is computed here; the information fit is read from column
-    n - 1 of information. Row i of the result equals estimate_all(history[1,
-    i, :n], history[0, i, :n], info_series[i, :n + 1], prior_i) bit for bit,
-    where prior None stands for no prior in every row. The rho fields
+    and information their fit_information (or _fit_rho); columns past n
+    are not read. Only the impact fit is computed here; the information fit
+    is read from column n - 1 of information. Row i of the result equals
+    estimate_all(history[1, i, :n], history[0, i, :n], info_series[i, :n +
+    1], prior_i) bit for bit, where prior None stands for no prior in every
+    row. The rho fields
     carry forward no prior, so they equal estimate_all's only with prior
     None or the refit of the same histories' first n - 1 periods; a prior of
     any other length raises.
@@ -301,6 +317,7 @@ def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
         theta_hat=theta_hat, gamma_hat=gamma_hat,
         rho_hat=information.rho_hat[:, n - 1],
         sigma_eps_sq_hat=s2e_hat,
-        sigma_eta_sq_hat=information.sigma_eta_sq_hat[:, n - 1],
+        sigma_eta_sq_hat=(None if information.sigma_eta_sq_hat is None
+                          else information.sigma_eta_sq_hat[:, n - 1]),
         impact_valid=impact_valid, rho_valid=information.rho_valid[:, n - 1], n_obs=n,
     )

@@ -17,19 +17,31 @@ strategies.order_rule: run_episode, the readable scalar reference, on floats
 of one strategy at once, on (n_sims,) vectors. The Monte Carlo and
 convergence studies run on the batch engine. No order moves the information
 process, so a study computes the information path X_0..X_T (with info_step)
-and lays out its shocks by period once, and every strategy reads them. For
-the naive and informed rules the period loop then only decides orders and
-remaining shares, and the prices follow after the loop from one sequential
-np.add.accumulate along the period axis. Every rule's accumulated costs
-follow from another. Such an accumulate is a left fold and rounds exactly as
-the loop's running sums; np.sum and np.mean along a contiguous axis sum
-pairwise and would not. The online strategy keeps stepping its price in the
-loop, as its refit needs the price changes. Before the loop it fits the
-information half of every period's refit (estimation.fit_information) and
-the rho part of every period's tilt (strategies.ar_rho_factor); in the loop
-it refits only the impact half, with estimate_all_batch over row views of
+and lays out its shocks by period once, and every strategy reads them.
+Naive orders read no noise at all, so the batch engine decides one row of
+them on floats and copies it to every simulation. For the informed rule the
+period loop only decides orders and remaining shares. The prices of both
+follow after the loop from one sequential np.add.accumulate along the
+period axis, and every rule's accumulated costs from another. Such an
+accumulate is a left fold and rounds exactly as the loop's running sums;
+np.sum and np.mean along a contiguous axis sum pairwise and would not. The
+online strategy keeps stepping its price in the loop, as its refit needs
+the price changes. Before the loop it fits the information half of every
+period's refit (estimation.fit_information) and the rho part of the tilt of
+every period that can tilt (strategies.ar_rho_factor); in the loop it
+refits only the impact half, with estimate_all_batch over row views of
 preallocated history buffers. So the batch engine's results equal
 run_episode's bit for bit.
+
+A Monte Carlo study reads only orders and costs, so there the online
+strategy refits only after periods 3..T-2 and keeps no estimates log: an
+order tilts only by impact fits of at least 3 observations, period T buys
+the remainder, and a row it tilts by was fitted in that same period, so no
+prior is carried and the residual variance sigma_eta_sq_hat is never
+fitted. run_episode_batch and run_convergence keep the full log. The
+study's noise rows are keyed from substream seeds hashed off one SHA-256
+prefix over (b"episode", base_seed), as market.generate_noise_arrays keys
+each path off one prefix over b"noise".
 
 Per-share improvement conventions: a RunResult compares an episode's actual
 cost against that strategy's own ex-ante expected cost, while the Monte Carlo
@@ -40,18 +52,19 @@ cost so the cross-strategy ordering is meaningful.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import (EstimateArrays, ParameterEstimates, estimate_all,
+from .estimation import (EstimateArrays, ParameterEstimates, _fit_rho, estimate_all,
                          estimate_all_batch, fit_information)
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
-                     check_seed, generate_noise_arrays, generate_noise_path,
-                     info_step, price_step, substream_seed)
+                     _substream_seeds, check_seed, generate_noise_arrays,
+                     generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
 from .strategies import (STRATEGIES, ar_rho_factor, decide_order, order_rule,
@@ -246,19 +259,58 @@ def _shared_path(params: MarketParams, eps: np.ndarray, eta: np.ndarray) -> _Sha
 
 
 def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionMandate,
-               path: _SharedPath, clamp_nonneg_orders: bool):
-    """run_episode_batch on a shared path. The period loop decides orders
-    (the online strategy also steps its price and refits); the prices of the
-    other rules and every rule's accumulated costs follow after it, by
-    sequential sums over periods."""
+               path: _SharedPath, clamp_nonneg_orders: bool, keep_log: bool = True):
+    """run_episode_batch on a shared path. Naive orders read no noise, so
+    one row of them, decided on floats, serves every simulation. For the
+    other rules the period loop decides orders (the online strategy also
+    steps its price and refits). The prices of the non-online rules and
+    every rule's accumulated costs follow after it, by sequential sums over
+    periods.
+
+    With keep_log False (a Monte Carlo study, which reads only orders and
+    costs), the online strategy keeps no estimates log and refits only
+    after periods 3..T-2, with no prior and no sigma_eta_sq_hat: the rule
+    tilts only by impact fits of n >= 3 observations, period T buys the
+    remainder, and a row it tilts by was fitted in that same period, so
+    the orders are the logged run's."""
     T = mandate.horizon
     n = path.eps.shape[1]
-    schedule = solve_coefficients(params, T) if strategy_kind == "informed" else None
+    estimates_log = None
+    if strategy_kind == "naive":
+        # order_rule on floats equals it on arrays, row by row, bit for bit
+        s, row = float(mandate.s0), []
+        for t in range(1, T + 1):
+            order = order_rule("naive", s, 0.0, t, T, clamp=clamp_nonneg_orders)[0]
+            s = s - order
+            row.append(order)
+        orders = np.empty((n, T))
+        orders[:] = row
+    else:
+        orders, prices, estimates_log = _decide_orders(
+            strategy_kind, params, mandate, path, clamp_nonneg_orders, keep_log)
+    if strategy_kind != "ar":
+        prices = _accumulate_prices(mandate.p0, params.theta * orders.T, path)
+    # accumulated costs C_t = C_{t-1} + P_t * B_t from C_0 = 0.0: the zero row
+    # makes a first term of -0.0 give +0.0, as the loop's 0.0 + (-0.0) does
+    cost = np.empty((T + 1, n))
+    cost[0] = 0.0
+    np.multiply(prices, orders.T, out=cost[1:])
+    np.add.accumulate(cost, axis=0, out=cost)
+    return cost[T].copy(), orders, np.ascontiguousarray(cost[1:].T), estimates_log
+
+
+def _decide_orders(strategy_kind: str, params: MarketParams, mandate: ExecutionMandate,
+                   path: _SharedPath, clamp_nonneg_orders: bool, keep_log: bool):
+    """The period loop of the informed or online rule: the (n_sims, T)
+    orders, and for the online rule its (T, n_sims) prices and, with keep_log,
+    its estimates log (None otherwise)."""
+    T = mandate.horizon
+    n = path.eps.shape[1]
     is_ar = strategy_kind == "ar"
     s = np.full(n, float(mandate.s0))
     estimates: EstimateArrays | None = None
-    estimates_log = None
-    rho_factors = [None] * T
+    prices = estimates_log = None
+    tilts = rho_factors = [None] * T
     if is_ar:
         price = np.full(n, float(mandate.p0))
         prices = np.empty((T, n))
@@ -270,22 +322,26 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
         info = np.ascontiguousarray(path.info.T)
         # no order moves the information, so its half of every period's
         # refit, and the rho part of every period's tilt, come first
-        information = fit_information(info)
+        information = fit_information(info) if keep_log else _fit_rho(info)[0]
+        # period t tilts by the estimates of period t - 1, which are usable
+        # only from 3 observations on, and period T tilts by none: only
+        # periods 4..T-1 need a rho factor. ar_rho_factor needs
+        # |rho_hat| < 1, which every row the rule reads has
         rho_factors = np.zeros((T, n))
-        # period t tilts by the estimates of period t - 1; ar_rho_factor
-        # needs |rho_hat| < 1, which every row the rule reads has
-        rho_prev = np.where(information.rho_valid, information.rho_hat, 0.0).T[:-1]
-        rho_factors[1:] = ar_rho_factor(rho_prev, np.arange(2, T + 1)[:, None], T)
-        estimates_log = {
-            "theta_hat": np.empty((n, T)), "gamma_hat": np.empty((n, T)),
-            "rho_hat": information.rho_hat, "sigma_eps_sq_hat": np.empty((n, T)),
-            "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
-            "impact_valid": np.empty((n, T), dtype=bool),
-            "rho_valid": information.rho_valid}
+        rho_prev = np.where(information.rho_valid, information.rho_hat, 0.0).T[2:T - 2]
+        rho_factors[3:T - 1] = ar_rho_factor(rho_prev, np.arange(4, T)[:, None], T)
+        if keep_log:
+            estimates_log = {
+                "theta_hat": np.empty((n, T)), "gamma_hat": np.empty((n, T)),
+                "rho_hat": information.rho_hat, "sigma_eps_sq_hat": np.empty((n, T)),
+                "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
+                "impact_valid": np.empty((n, T), dtype=bool),
+                "rho_valid": information.rho_valid}
+        refits = range(1, T + 1) if keep_log else range(3, T - 1)
     else:
         orders = np.empty((n, T))
-    # the informed tilt f_t * X_{t-1} of every period, in one product
-    tilts = schedule.f[:, None] * path.info[:-1] if schedule is not None else [None] * T
+        # the informed tilt f_t * X_{t-1} of every period, in one product
+        tilts = solve_coefficients(params, T).f[:, None] * path.info[:-1]
     for t in range(1, T + 1):
         order = order_rule(strategy_kind, s, path.info[t - 1], t, T, tilts[t - 1],
                            estimates, clamp_nonneg_orders, rho_factors[t - 1])[0]
@@ -297,20 +353,15 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
                          + path.gamma_info[t - 1] + path.eps[t - 1])
             prices[t - 1] = price_new
             delta_p[:, t - 1] = price_new - price
-            estimates = estimate_all_batch(history, info, information, t, prior=estimates)
-            # the other fields are fit_information's arrays
-            for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat", "impact_valid"):
-                estimates_log[name][:, t - 1] = getattr(estimates, name)
+            if t in refits:
+                estimates = estimate_all_batch(history, info, information, t,
+                                               prior=estimates if keep_log else None)
+            if keep_log:
+                # the other fields are fit_information's arrays
+                for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat", "impact_valid"):
+                    estimates_log[name][:, t - 1] = getattr(estimates, name)
             price = price_new
-    if not is_ar:
-        prices = _accumulate_prices(mandate.p0, params.theta * orders.T, path)
-    # accumulated costs C_t = C_{t-1} + P_t * B_t from C_0 = 0.0: the zero row
-    # makes a first term of -0.0 give +0.0, as the loop's 0.0 + (-0.0) does
-    cost = np.empty((T + 1, n))
-    cost[0] = 0.0
-    np.multiply(prices, orders.T, out=cost[1:])
-    np.add.accumulate(cost, axis=0, out=cost)
-    return cost[T].copy(), orders, np.ascontiguousarray(cost[1:].T), estimates_log
+    return orders, prices, estimates_log
 
 
 def _accumulate_prices(p0: float, theta_orders: np.ndarray, path: _SharedPath) -> np.ndarray:
@@ -369,10 +420,12 @@ def _noise_arrays(n_sims: int, params: MarketParams, horizon: int,
                   base_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The common random numbers as (n_sims, T) arrays eps and eta: row i is
     the path keyed by substream_seed(base_seed, i)."""
+    if isinstance(n_sims, bool) or not isinstance(n_sims, numbers.Integral):
+        raise ValueError(f"n_sims: must be an integer (got {n_sims!r})")
     if n_sims < 1:
         raise ValueError(f"n_sims: must be >= 1 (got {n_sims})")
     base_seed = check_seed(base_seed, "base_seed")
-    return generate_noise_arrays((substream_seed(base_seed, i) for i in range(n_sims)),
+    return generate_noise_arrays(_substream_seeds(base_seed, range(n_sims)),
                                  horizon, params.sigma_eps_sq, params.sigma_eta_sq)
 
 
@@ -385,7 +438,8 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
     every strategy consumes that same path on the batch engine, so
     comparisons are under common random numbers. Results are reduced in
     simulation-index order and are bit-identical for a fixed (n_sims,
-    base_seed, params, mandate). base_seed must lie in [0, 2**64).
+    base_seed, params, mandate). n_sims must be an integer >= 1 (not a
+    bool) and base_seed must lie in [0, 2**64).
     """
     strategies = tuple(dict.fromkeys(strategy_set))
     for strat in strategies:
@@ -404,7 +458,7 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
     stats = {}
     for strat in strategies:
         actual, orders, cum_cost, _ = _run_batch(strat, params, mandate, path,
-                                                 clamp_nonneg_orders)
+                                                 clamp_nonneg_orders, keep_log=False)
         imp = (benchmark - actual) / mandate.s0
         periodwise = np.mean((bench_cum - cum_cost) / mandate.s0, axis=1)
         stats[strat] = StrategyStats(
@@ -417,7 +471,7 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
             per_sim_actual_cost=actual,
             per_sim_improvement=imp,
         )
-    return MonteCarloSummary(n_sims=n_sims, base_seed=int(base_seed),
+    return MonteCarloSummary(n_sims=int(n_sims), base_seed=int(base_seed),
                              strategies=strategies,
                              benchmark_expected_cost=benchmark, stats=stats)
 

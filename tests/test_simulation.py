@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from bestexec import (ExecutionMandate, MarketParams, NoisePath,
                       run_convergence, run_episode, run_episode_batch,
                       run_monte_carlo, solve_coefficients,
                       summarize_convergence, substream_seed)
+from bestexec import simulation
 from bestexec.simulation import ESTIMATE_FIELDS
 from bestexec.strategies import STRATEGIES
 
@@ -299,7 +301,8 @@ def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
         assert cum_cost[0].tobytes() == ref_cum.tobytes(), kind
 
 
-@pytest.mark.parametrize("T", [1, 20])
+# T = 1..5 cross the edges of the study's refit range, periods 3..T-2
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 20])
 @pytest.mark.parametrize("clamp", [False, True])
 @pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
 def test_monte_carlo_equals_per_simulation_run_episode(T, clamp, params):
@@ -439,6 +442,32 @@ def test_monte_carlo_rejects_out_of_range_base_seed(seed):
         run_monte_carlo(2, ("naive",), BASELINE, MANDATE, seed)
     with pytest.raises(ValueError, match="base_seed"):
         run_convergence(2, BASELINE, MANDATE, seed)
+
+
+@pytest.mark.parametrize("n_sims", [True, False, 2.5, 3.0, "3", None])
+def test_studies_reject_a_non_integer_n_sims(n_sims):
+    message = rf"^n_sims: must be an integer \(got {re.escape(repr(n_sims))}\)$"
+    with pytest.raises(ValueError, match=message):
+        run_monte_carlo(n_sims, ("naive",), BASELINE, MANDATE, 0)
+    with pytest.raises(ValueError, match=message):
+        run_convergence(n_sims, BASELINE, MANDATE, 0)
+
+
+def test_studies_accept_a_numpy_integer_n_sims():
+    s = run_monte_carlo(np.int64(3), ("naive",), BASELINE, MANDATE, 0)
+    assert s.n_sims == 3 and type(s.n_sims) is int
+    assert run_convergence(np.int64(3), BASELINE, MANDATE, 0).n_episodes == 3
+
+
+@pytest.mark.parametrize("base_seed", [0, 2 ** 64 - 1])
+def test_study_noise_rows_equal_their_substream_paths(base_seed):
+    # _noise_arrays hashes every substream seed from one copied prefix
+    eps, eta = simulation._noise_arrays(7, BASELINE, 5, base_seed)
+    for i in range(7):
+        path = generate_noise_path(substream_seed(base_seed, i), 5,
+                                   BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
+        assert eps[i].tobytes() == path.eps.tobytes(), i
+        assert eta[i].tobytes() == path.eta.tobytes(), i
 
 
 def test_monte_carlo_accepts_largest_seed():
