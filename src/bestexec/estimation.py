@@ -28,12 +28,15 @@ equal-length histories at once (one row per simulation) in two phases and
 equals it row by row, bit for bit. The information half reads no order, so
 fit_information fits it for every period of a study at once; a Monte Carlo
 study, whose orders read no sigma_eta_sq_hat, fits it without the residual
-pass (_fit_rho). The impact half, estimate_all_batch, runs each period after
-the orders are known. Their sums are np.vecdot over row views, one call per
-prefix length, which round as the scalar 1-D `a @ b` does (np.einsum,
-(a*b).sum(1) and running sums do not). Every other step is the same IEEE
-operation in the same order, and the prior is carried forward through
-np.where masks or, along the period axis, by index.
+pass (_fit_rho). The impact half runs each period after the orders are
+known: its arithmetic is _fit_impact, on plain arrays and with no prior,
+which the batch engine calls directly; estimate_all_batch is its public
+wrapper, with a prior check and EstimateArrays. Their sums are np.vecdot
+over row views, one call per prefix length, which round as the scalar 1-D
+`a @ b` does (np.einsum, (a*b).sum(1) and running sums do not). Every other
+step is the same IEEE operation in the same order, and the prior is carried
+forward through np.where masks (estimate_all_batch) or, along the period
+axis, by index (_carry_forward).
 """
 
 from __future__ import annotations
@@ -248,12 +251,15 @@ def _fit_rho(info_series: np.ndarray) -> tuple[InformationFit, np.ndarray]:
 
 
 def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values where fitted, else the last fitted value before it in the row,
-    NaN before the first: the prior carried forward along axis 1."""
-    last = np.where(fitted, np.arange(values.shape[1]), -1)
+    """values where fitted, else the last fitted value before it along the
+    period axis, NaN before the first: the prior carried forward. fitted is
+    an (n_sims, T) mask, values an (n_sims, T) array or a stack of them
+    (..., n_sims, T), each carried by the same mask."""
+    last = np.where(fitted, np.arange(fitted.shape[1]), -1)
     np.maximum.accumulate(last, axis=1, out=last)
-    carried = np.take_along_axis(values, np.maximum(last, 0), axis=1)
-    carried[last < 0] = np.nan
+    index = np.broadcast_to(np.maximum(last, 0), values.shape)
+    carried = np.take_along_axis(values, index, axis=-1)
+    carried[..., last < 0] = np.nan
     return carried
 
 
@@ -265,14 +271,13 @@ def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
     history is a (2, n_sims, T) array of the orders (history[0]) and price
     changes (history[1]), info_series the (n_sims, T + 1) information paths
     and information their fit_information (or _fit_rho); columns past n
-    are not read. Only the impact fit is computed here; the information fit
-    is read from column n - 1 of information. Row i of the result equals
-    estimate_all(history[1, i, :n], history[0, i, :n], info_series[i, :n +
-    1], prior_i) bit for bit, where prior None stands for no prior in every
-    row. The rho fields
-    carry forward no prior, so they equal estimate_all's only with prior
-    None or the refit of the same histories' first n - 1 periods; a prior of
-    any other length raises.
+    are not read. Only the impact fit is computed here (by _fit_impact);
+    the information fit is read from column n - 1 of information. Row i of
+    the result equals estimate_all(history[1, i, :n], history[0, i, :n],
+    info_series[i, :n + 1], prior_i) bit for bit, where prior None stands
+    for no prior in every row. The rho fields carry forward no prior, so
+    they equal estimate_all's only with prior None or the refit of the same
+    histories' first n - 1 periods; a prior of any other length raises.
     """
     n_sims = history.shape[1]
     if prior is None:
@@ -280,14 +285,40 @@ def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
     elif prior.n_obs != n - 1:
         raise ValueError(f"prior: must be the refit of the first {n - 1} periods "
                          f"(got n_obs={prior.n_obs})")
-    h = history[:, :, :n]
-    b = h[0]
-    delta_p = h[1]
-    x = info_series[:, 1:n + 1]
-    sxx = information.sum_xx[:, n - 1]
-    no = np.zeros(n_sims, dtype=bool) if n < 3 else None
+    if n < 2:
+        theta_hat, gamma_hat, s2e_hat = prior.theta_hat, prior.gamma_hat, prior.sigma_eps_sq_hat
+        impact_valid = np.zeros(n_sims, dtype=bool)
+    else:
+        fitted, theta, gamma, s2e, impact_valid = _fit_impact(
+            history[:, :, :n], info_series[:, 1:n + 1], information.sum_xx[:, n - 1])
+        theta_hat = np.where(fitted, theta, prior.theta_hat)
+        gamma_hat = np.where(fitted, gamma, prior.gamma_hat)
+        s2e_hat = np.where(fitted, s2e, prior.sigma_eps_sq_hat)
+    return EstimateArrays(
+        theta_hat=theta_hat, gamma_hat=gamma_hat,
+        rho_hat=information.rho_hat[:, n - 1],
+        sigma_eps_sq_hat=s2e_hat,
+        sigma_eta_sq_hat=(None if information.sigma_eta_sq_hat is None
+                          else information.sigma_eta_sq_hat[:, n - 1]),
+        impact_valid=impact_valid, rho_valid=information.rho_valid[:, n - 1], n_obs=n,
+    )
+
+
+def _fit_impact(h: np.ndarray, x: np.ndarray, sxx: np.ndarray):
+    """The impact fit of estimate_all, with no prior, for n_sims histories of
+    n >= 2 periods: h is the (2, n_sims, n) orders and price changes, x the
+    (n_sims, n) X_1..X_n and sxx their sum X^2 (InformationFit.sum_xx).
+
+    Returns (fitted, theta_hat, gamma_hat, sigma_eps_sq_hat, impact_valid),
+    (n_sims,) arrays. On the fitted rows the three values are estimate_all's
+    bit for bit; on the others they are whatever the arithmetic gave, and a
+    caller carries its prior there. impact_valid is False on every row not
+    fitted. Floating-point warnings are silenced, as failures are encoded.
+    """
+    n = h.shape[2]
+    b, delta_p = h
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # impact fit as in estimate_all, _cond_2x2 inlined, failures masked out
+        # the 2x2 normal equations as in estimate_all, _cond_2x2 inlined
         sbb, spb = np.vecdot(h, b)
         sxb = np.vecdot(x, b)
         spx = np.vecdot(delta_p, x)
@@ -297,27 +328,15 @@ def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
         disc = np.sqrt(np.where(0.0 > disc_sq, 0.0, disc_sq))
         lo = (tr - disc) / 2.0
         hi = (tr + disc) / 2.0
-        impact_fitted = (no if n < 2 else
-                         ~((det <= 0.0) | (lo <= 0.0) | (hi / lo > COND_LIMIT)))
-        theta_hat = np.where(impact_fitted, (sxx * spb - sxb * spx) / det, prior.theta_hat)
-        gamma_hat = np.where(impact_fitted, (sbb * spx - sxb * spb) / det, prior.gamma_hat)
-
-        s2e_hat, impact_valid = prior.sigma_eps_sq_hat, no
-        if n >= 2:
-            r = delta_p - theta_hat[:, None] * b - gamma_hat[:, None] * x
-            s2e = np.vecdot(r, r) / (n - 1)
-            s2e_hat = np.where(impact_fitted, s2e, s2e_hat)
-            if n >= 3:
-                var_theta = s2e * (n - 1) / (n - 2) * sxx / det
-                impact_valid = (impact_fitted & (theta_hat > 0.0)
-                                & ((var_theta <= 0.0)
-                                   | (theta_hat >= THETA_TSTAT_MIN * np.sqrt(var_theta))))
-
-    return EstimateArrays(
-        theta_hat=theta_hat, gamma_hat=gamma_hat,
-        rho_hat=information.rho_hat[:, n - 1],
-        sigma_eps_sq_hat=s2e_hat,
-        sigma_eta_sq_hat=(None if information.sigma_eta_sq_hat is None
-                          else information.sigma_eta_sq_hat[:, n - 1]),
-        impact_valid=impact_valid, rho_valid=information.rho_valid[:, n - 1], n_obs=n,
-    )
+        fitted = ~((det <= 0.0) | (lo <= 0.0) | (hi / lo > COND_LIMIT))
+        theta_hat = (sxx * spb - sxb * spx) / det
+        gamma_hat = (sbb * spx - sxb * spb) / det
+        r = delta_p - theta_hat[:, None] * b - gamma_hat[:, None] * x
+        s2e = np.vecdot(r, r) / (n - 1)
+        if n < 3:
+            return fitted, theta_hat, gamma_hat, s2e, np.zeros(len(fitted), dtype=bool)
+        var_theta = s2e * (n - 1) / (n - 2) * sxx / det
+        impact_valid = (fitted & (theta_hat > 0.0)
+                        & ((var_theta <= 0.0)
+                           | (theta_hat >= THETA_TSTAT_MIN * np.sqrt(var_theta))))
+    return fitted, theta_hat, gamma_hat, s2e, impact_valid

@@ -54,11 +54,33 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
     """Reject fields that are not real numbers (a str or a bool, say) or are
     NaN or infinite, naming the first offending one."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name}: must be a real number (got {value!r})")
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: must be finite (got {value})")
+        _check_finite(name, getattr(obj, name))
+
+
+def _check_finite(name: str, value) -> None:
+    """Reject a value that is not a real number or is NaN or infinite; the
+    message names the field `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: must be a real number (got {value!r})")
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: must be finite (got {value})")
+
+
+def _check_variance(name: str, value) -> None:
+    """Reject a variance that is not a finite real number >= 0."""
+    _check_finite(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name}: must be >= 0 (got {value})")
+
+
+def _check_horizon(horizon) -> int:
+    """Return `horizon` as an int after checking that it is an integer (not
+    a bool) >= 1; the message names the field horizon."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise ValueError(f"horizon: must be an integer (got {horizon!r})")
+    if horizon < 1:
+        raise ValueError(f"horizon: must be >= 1 (got {horizon})")
+    return int(horizon)
 
 
 @dataclass(frozen=True)
@@ -82,10 +104,8 @@ class MarketParams:
         _require_finite(self, ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq"))
         if not abs(self.rho) < 1.0:
             raise ValueError(f"rho: |rho| must be < 1 (got {self.rho})")
-        if self.sigma_eps_sq < 0.0:
-            raise ValueError(f"sigma_eps_sq: must be >= 0 (got {self.sigma_eps_sq})")
-        if self.sigma_eta_sq < 0.0:
-            raise ValueError(f"sigma_eta_sq: must be >= 0 (got {self.sigma_eta_sq})")
+        _check_variance("sigma_eps_sq", self.sigma_eps_sq)
+        _check_variance("sigma_eta_sq", self.sigma_eta_sq)
 
 
 @dataclass(frozen=True)
@@ -203,12 +223,12 @@ def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
     words it overwrites: the new key with the counter and buffer cleared,
     which equals a freshly constructed Philox(key=...). The state setter
     copies the words, so threads may draw at once. Each seed's key hashes
-    from a copy of one SHA-256 prefix holding b"noise".
+    from a copy of one SHA-256 prefix holding b"noise". horizon must be an
+    integer >= 1 (not a bool), and both variances finite and >= 0.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon: must be >= 1 (got {horizon})")
-    if sigma_eps_sq < 0.0 or sigma_eta_sq < 0.0:
-        raise ValueError("variances must be >= 0")
+    horizon = _check_horizon(horizon)
+    _check_variance("sigma_eps_sq", sigma_eps_sq)
+    _check_variance("sigma_eta_sq", sigma_eta_sq)
     seeds = list(seeds)
     z = np.empty((len(seeds), 2 * horizon))
     rng = _thread_generator()

@@ -29,8 +29,11 @@ online strategy keeps stepping its price in the loop, as its refit needs
 the price changes. Before the loop it fits the information half of every
 period's refit (estimation.fit_information) and the rho part of the tilt of
 every period that can tilt (strategies.ar_rho_factor); in the loop it
-refits only the impact half, with estimate_all_batch over row views of
-preallocated history buffers. So the batch engine's results equal
+refits only the impact half, with estimation._fit_impact over row views of
+preallocated history buffers. The rule reads an impact fit only on its
+impact_valid rows, fitted in that same period, so the loop masks in no
+prior; the logged run carries the prior of a failed fit forward after the
+loop, along the period axis. So the batch engine's results equal
 run_episode's bit for bit.
 
 A Monte Carlo study reads only orders and costs, so there the online
@@ -58,12 +61,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import (EstimateArrays, ParameterEstimates, _fit_rho, estimate_all,
-                         estimate_all_batch, fit_information)
+from .estimation import (EstimateArrays, ParameterEstimates, _carry_forward, _fit_impact,
+                         _fit_rho, estimate_all, fit_information)
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
-                     _substream_seeds, check_seed, generate_noise_arrays,
+                     _check_finite, _substream_seeds, check_seed, generate_noise_arrays,
                      generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
@@ -331,13 +334,13 @@ def _decide_orders(strategy_kind: str, params: MarketParams, mandate: ExecutionM
         rho_prev = np.where(information.rho_valid, information.rho_hat, 0.0).T[2:T - 2]
         rho_factors[3:T - 1] = ar_rho_factor(rho_prev, np.arange(4, T)[:, None], T)
         if keep_log:
-            estimates_log = {
-                "theta_hat": np.empty((n, T)), "gamma_hat": np.empty((n, T)),
-                "rho_hat": information.rho_hat, "sigma_eps_sq_hat": np.empty((n, T)),
-                "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
-                "impact_valid": np.empty((n, T), dtype=bool),
-                "rho_valid": information.rho_valid}
-        refits = range(1, T + 1) if keep_log else range(3, T - 1)
+            # the impact half's theta_hat, gamma_hat and sigma_eps_sq_hat
+            # after every period as fitted, its prior carried after the loop
+            impact = np.empty((3, n, T))
+            fitted = np.zeros((n, T), dtype=bool)
+            impact_valid = np.zeros((n, T), dtype=bool)
+        # an impact fit needs 2 observations: after period 1 nothing is fitted
+        refits = range(2, T + 1) if keep_log else range(3, T - 1)
     else:
         orders = np.empty((n, T))
         # the informed tilt f_t * X_{t-1} of every period, in one product
@@ -354,13 +357,24 @@ def _decide_orders(strategy_kind: str, params: MarketParams, mandate: ExecutionM
             prices[t - 1] = price_new
             delta_p[:, t - 1] = price_new - price
             if t in refits:
-                estimates = estimate_all_batch(history, info, information, t,
-                                               prior=estimates if keep_log else None)
-            if keep_log:
-                # the other fields are fit_information's arrays
-                for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat", "impact_valid"):
-                    estimates_log[name][:, t - 1] = getattr(estimates, name)
+                # the rule reads theta_hat and gamma_hat only on impact_valid
+                # rows, which were fitted in this period: no prior is masked in
+                fit, theta_hat, gamma_hat, s2e, valid = _fit_impact(
+                    history[:, :, :t], info[:, 1:t + 1], information.sum_xx[:, t - 1])
+                estimates = EstimateArrays(theta_hat, gamma_hat, information.rho_hat[:, t - 1],
+                                           s2e, None, valid, information.rho_valid[:, t - 1], t)
+                if keep_log:
+                    impact[:, :, t - 1] = theta_hat, gamma_hat, s2e
+                    fitted[:, t - 1] = fit
+                    impact_valid[:, t - 1] = valid
             price = price_new
+    if is_ar and keep_log:
+        theta_hat, gamma_hat, s2e = _carry_forward(fitted, impact)
+        estimates_log = {
+            "theta_hat": theta_hat, "gamma_hat": gamma_hat,
+            "rho_hat": information.rho_hat, "sigma_eps_sq_hat": s2e,
+            "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
+            "impact_valid": impact_valid, "rho_valid": information.rho_valid}
     return orders, prices, estimates_log
 
 
@@ -380,7 +394,9 @@ def _accumulate_prices(p0: float, theta_orders: np.ndarray, path: _SharedPath) -
 
 
 def per_share_improvement(expected_cost: float, actual_cost: float, s0: float) -> float:
-    """(expected - actual) / s0: positive when the run beat its benchmark."""
+    """(expected - actual) / s0: positive when the run beat its benchmark.
+    s0 must be a finite real number > 0."""
+    _check_finite("s0", s0)
     if s0 <= 0.0:
         raise ValueError(f"s0: must be > 0 (got {s0})")
     return (expected_cost - actual_cost) / s0
@@ -522,16 +538,20 @@ def summarize_convergence(episodes) -> ConvergenceSummary:
 
 def _reduce_estimates(values: dict[str, np.ndarray]) -> ConvergenceSummary:
     """NaN-skipping per-period mean and population spread of the
-    (n_episodes, T) estimate arrays values[name], name in ESTIMATE_FIELDS."""
-    n_episodes, T = values[ESTIMATE_FIELDS[0]].shape
-    mean = {}
-    sd = {}
+    (n_episodes, T) estimate arrays values[name], name in ESTIMATE_FIELDS.
+    Each statistic is one call over the fields stacked as a (5, n_episodes,
+    T) array, reduced along axis 1: along that axis, as along axis 0 of one
+    field, numpy sums each column by a sequential left fold, so the bytes
+    are those of five calls."""
+    stacked = np.stack([values[name] for name in ESTIMATE_FIELDS])
+    n_episodes, T = stacked.shape[1:]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for name in ESTIMATE_FIELDS:
-            mean[name] = np.nanmean(values[name], axis=0)
-            sd[name] = np.nanstd(values[name], axis=0)
-    n_values = {name: np.count_nonzero(~np.isnan(values[name]), axis=0)
-                for name in ESTIMATE_FIELDS}
-    return ConvergenceSummary(periods=np.arange(1, T + 1), mean=mean, sd=sd,
-                              n_values=n_values, n_episodes=n_episodes)
+        mean = np.nanmean(stacked, axis=1)
+        sd = np.nanstd(stacked, axis=1)
+    n_values = np.count_nonzero(~np.isnan(stacked), axis=1)
+    return ConvergenceSummary(periods=np.arange(1, T + 1),
+                              mean=dict(zip(ESTIMATE_FIELDS, mean)),
+                              sd=dict(zip(ESTIMATE_FIELDS, sd)),
+                              n_values=dict(zip(ESTIMATE_FIELDS, n_values)),
+                              n_episodes=n_episodes)

@@ -42,13 +42,11 @@ alternative convention and the benchmark values each one produces.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .market import MarketParams
+from .market import MarketParams, _check_horizon
 
 __all__ = [
     "CoefficientSchedule",
@@ -125,11 +123,7 @@ def solve_coefficients(params: MarketParams, horizon: int) -> CoefficientSchedul
     """
     if not params.theta > 0.0:
         raise ValueError(f"theta: must be > 0 for a convex Bellman step (got {params.theta})")
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ValueError(f"horizon: must be an integer (got {horizon!r})")
-    T = int(horizon)
-    if T < 1:
-        raise ValueError(f"horizon: must be >= 1 (got {horizon})")
+    T = _check_horizon(horizon)
     theta, gamma, rho = params.theta, params.gamma, params.rho
     s2h = params.sigma_eta_sq
 
@@ -169,8 +163,10 @@ def ar_rho_factor(rho_hat, t, horizon):
 
     rho_hat is a float, or an array with t an int or an integer array that
     broadcasts against it (the batch engine takes every period at once). On
-    arrays the powers are still Python's float ** taken element by element:
-    np.power rounds differently in a few percent of cases.
+    arrays the powers are np.float_power with float exponents, which calls
+    the C library's pow, as Python's float ** does, so both forms give the
+    same bits. np.power is SIMD-dispatched and rounds differently in a few
+    percent of cases.
     """
     m = horizon - t
     if not isinstance(rho_hat, np.ndarray):
@@ -190,19 +186,12 @@ def ar_rho_factor(rho_hat, t, horizon):
     nonzero = (m > 1) & (rho_hat != 0.0)
     # float exponents: r ** m converts an int m to this same double
     r, m = rho_hat[nonzero], m[nonzero].astype(float)
-    r_list = r.tolist()
-    r_m = _pow(r_list, m.tolist())
-    r_m1 = _pow(r_list, (m + 1.0).tolist())
+    r_m = np.float_power(r, m)
     s1 = r * (1.0 - r_m) / (1.0 - r)
-    s2 = r * (1.0 - (m + 1.0) * r_m + m * r_m1) / _pow((1.0 - r).tolist(), repeat(2.0))
+    s2 = (r * (1.0 - (m + 1.0) * r_m + m * np.float_power(r, m + 1.0))
+          / np.float_power(1.0 - r, 2.0))
     factor[nonzero] = m * s1 - s2
     return factor
-
-
-def _pow(bases: list, exponents) -> np.ndarray:
-    """The array of b ** e by Python's float **, element by element, over the
-    float list bases and an iterable of float exponents."""
-    return np.fromiter(map(pow, bases, exponents), float, count=len(bases))
 
 
 def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,

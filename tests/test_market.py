@@ -239,3 +239,42 @@ def test_threads_drawing_at_once_get_the_serial_rows():
         for b, (eps, eta) in rows.items():
             assert eps.tobytes() == serial[b][0].tobytes(), (k, b)
             assert eta.tobytes() == serial[b][1].tobytes(), (k, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda horizon, s2e, s2h: generate_noise_arrays([1], horizon, s2e, s2h),
+    lambda horizon, s2e, s2h: generate_noise_path(1, horizon, s2e, s2h),
+], ids=["arrays", "path"])
+@pytest.mark.parametrize("horizon, s2e, s2h, message", [
+    (True, 0.01, 0.001, r"horizon: must be an integer \(got True\)"),
+    (2.5, 0.01, 0.001, r"horizon: must be an integer \(got 2\.5\)"),
+    (0, 0.01, 0.001, r"horizon: must be >= 1 \(got 0\)"),
+    (20, math.nan, 0.001, r"sigma_eps_sq: must be finite \(got nan\)"),
+    (20, 0.01, math.inf, r"sigma_eta_sq: must be finite \(got inf\)"),
+    (20, -0.01, 0.001, r"sigma_eps_sq: must be >= 0 \(got -0\.01\)"),
+    (20, 0.01, -0.001, r"sigma_eta_sq: must be >= 0 \(got -0\.001\)"),
+    (20, "0.01", 0.001, r"sigma_eps_sq: must be a real number \(got '0\.01'\)"),
+])
+def test_noise_generation_rejects_bad_inputs_naming_the_field(call, horizon, s2e, s2h,
+                                                              message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(horizon, s2e, s2h)
+
+
+# the first draws of generate_noise_path(0, 4, 1.0, 1.0), eps then eta, as
+# the bit patterns of their doubles
+PINNED_DRAWS = (
+    4602014812156903381, 4605196788401165089, 13830289288846602055, 13828146398331846854,
+    4609225652009993308, 4605959024758021813, 4602010760073360759, 4613119435256342801,
+)
+
+
+def test_the_noise_stream_is_pinned():
+    # NumPy's RNG policy (NEP 19) lets a feature release change the stream of
+    # Generator.standard_normal; every output file depends on it
+    path = generate_noise_path(0, 4, 1.0, 1.0)
+    draws = tuple(np.concatenate([path.eps, path.eta]).view(np.uint64).tolist())
+    assert draws == PINNED_DRAWS, (
+        f"numpy {np.__version__} draws another noise stream from the same Philox "
+        "key than the one pinned here (NEP 19 allows a numpy feature release to "
+        "change Generator.standard_normal): every seeded output changes")

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,18 @@ def test_per_share_improvement_values():
     assert per_share_improvement(123.0, 123.0, 10.0) == 0.0
     with pytest.raises(ValueError):
         per_share_improvement(1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("s0, message", [
+    (0.0, r"s0: must be > 0 \(got 0\.0\)"),
+    (-1.0, r"s0: must be > 0 \(got -1\.0\)"),
+    (math.nan, r"s0: must be finite \(got nan\)"),
+    (math.inf, r"s0: must be finite \(got inf\)"),
+    ("1", r"s0: must be a real number \(got '1'\)"),
+])
+def test_per_share_improvement_rejects_a_bad_s0_naming_it(s0, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        per_share_improvement(1.0, 2.0, s0)
 
 
 def test_expected_cost_conventions_per_strategy():
@@ -541,3 +554,62 @@ def test_zero_noise_gives_every_strategy_the_same_orders_property(scenario):
               for kind in STRATEGIES}
     for kind in STRATEGIES:
         assert orders[kind].tobytes() == orders["naive"].tobytes(), kind
+
+
+@pytest.mark.parametrize("study", [
+    lambda mandate: run_monte_carlo(7, STRATEGIES, BASELINE, mandate, 0),
+    lambda mandate: run_convergence(7, BASELINE, mandate, 0),
+], ids=["montecarlo", "convergence"])
+def test_studies_leave_the_numpy_error_state_as_they_found_it(study):
+    before = np.geterr()
+    study(MANDATE)
+    assert np.geterr() == before
+    # s0 = 1e308 overflows the accumulated costs: under "raise" the study
+    # raises from inside, and must still restore the caller's state
+    with np.errstate(over="raise", invalid="raise"):
+        inside = np.geterr()
+        with pytest.raises(FloatingPointError):
+            study(ExecutionMandate(1e308, 50.0, 20))
+        assert np.geterr() == inside
+    assert np.geterr() == before
+
+
+def _runtime_warnings(call) -> set[str]:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+
+
+@pytest.mark.parametrize("T", [3, 20])
+def test_ar_runs_at_an_overflowing_s0_emit_the_pinned_warnings(T):
+    # the refit silences its own warnings and no other: the accumulated costs
+    # overflow, and the study's improvements subtract infinities
+    mandate = ExecutionMandate(1e308, 50.0, T)
+    eps, eta = generate_noise_arrays(range(10), T, BASELINE.sigma_eps_sq,
+                                     BASELINE.sigma_eta_sq)
+    assert _runtime_warnings(lambda: run_monte_carlo(1, ["ar"], BASELINE, mandate, 0)) == {
+        "overflow encountered in multiply", "invalid value encountered in subtract"}
+    assert _runtime_warnings(lambda: run_episode_batch("ar", BASELINE, mandate, eps, eta)) == {
+        "overflow encountered in multiply"}
+
+
+@pytest.mark.parametrize("n_episodes, T", [(1, 1), (2, 3), (37, 5), (200, 100)])
+def test_stacked_estimate_reduction_equals_one_call_per_field(n_episodes, T):
+    # convergence.csv reduces the five fields in one call per statistic; its
+    # bytes must be those of reducing each field on its own along axis 0
+    rng = np.random.default_rng(n_episodes * T)
+    values = {}
+    for name in ESTIMATE_FIELDS:
+        field = rng.normal(size=(n_episodes, T)) * 10.0 ** rng.uniform(-8, 8, (n_episodes, T))
+        field[rng.random((n_episodes, T)) < 0.2] = np.nan
+        values[name] = field
+    summary = simulation._reduce_estimates(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name, field in values.items():
+            assert summary.mean[name].tobytes() == np.nanmean(field, axis=0).tobytes()
+            assert summary.sd[name].tobytes() == np.nanstd(field, axis=0).tobytes()
+            n_values = np.count_nonzero(~np.isnan(field), axis=0)
+            assert summary.n_values[name].tobytes() == n_values.tobytes()
+    assert summary.n_episodes == n_episodes

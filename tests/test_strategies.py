@@ -169,6 +169,27 @@ def test_ar_rho_factor_of_every_period_equals_the_float_form():
                                         gamma.tolist(), rho[t - 1].tolist())]).tobytes()
 
 
+def test_float_power_equals_python_pow_bit_for_bit():
+    # ar_rho_factor takes its powers on arrays with np.float_power, and on
+    # floats with Python's **: both must call the same C pow, or the batch
+    # engine's ar orders stop equalling run_episode's (np.power does not)
+    rng = np.random.default_rng(20)
+    n = 120_000
+    r = rng.uniform(-0.999, 0.999, n)
+    r[:1000] = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-323.5, -300.0, 1000)
+    r[1000:1004] = [0.999, -0.999, 5e-324, -5e-324]
+    m = rng.integers(2, 401, n).astype(float)
+    for bases, exponents in ((r, m), (r, m + 1.0), (1.0 - r, np.full(n, 2.0))):
+        expected = np.fromiter(map(pow, bases.tolist(), exponents.tolist()), float, count=n)
+        got = np.float_power(bases, exponents)
+        differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+        assert differ.size == 0, (
+            f"numpy {np.__version__}: np.float_power differs from Python's float ** "
+            f"in {differ.size} of {n} cases (first: {float(bases[differ[0]])!r} ** "
+            f"{float(exponents[differ[0]])!r}); the ar bytes of the batch engine depend on "
+            "this identity")
+
+
 def _estimates(theta=5e-5, gamma=5.0, rho=0.5, impact_valid=True, rho_valid=True):
     return ParameterEstimates(theta, gamma, rho, 0.01, 0.001,
                               impact_valid, rho_valid, 10)
