@@ -7,8 +7,7 @@ from .estimation import (COND_LIMIT, RHO_CLAMP, EstimateArrays, InformationFit,
                          fit_information)
 from .market import (ExecutionMandate, MarketParams, NoisePath, check_seed,
                      generate_noise_arrays, generate_noise_path, info_step,
-                     noise_digest, price_step, stationary_info_component_std,
-                     substream_seed)
+                     price_step, stationary_info_component_std, substream_seed)
 from .simulation import (ConvergenceSummary, MonteCarloSummary, PeriodRecord,
                          RunResult, StrategyStats, per_share_improvement,
                          run_convergence, run_episode, run_episode_batch,

@@ -10,8 +10,12 @@ Configuration flows flags > config file > defaults, where the defaults are
 the baseline calibration (theta 5e-5, gamma 5, rho 0.5, sigma_eps_sq 0.125^2,
 sigma_eta_sq 0.001, s0 100000, p0 50, horizon 20). The config file grammar is
 flat ``key = value`` lines; '#' starts a comment, blank lines are ignored,
-keys match the flag names with underscores, and the strategy key takes a
-comma-separated list. Unknown keys are rejected by name.
+and the strategy key takes a comma-separated list. Unknown keys are rejected
+by name. A flag is '--' and a config key with dashes for underscores, given
+as `--key VALUE` or `--key=VALUE` and read as the line `key = VALUE` would
+be; the two boolean flags stand alone, --strategy repeats and takes one
+name, and `--config PATH` names a config file. Flags are never abbreviated,
+and a token that starts with '--' is never a value.
 
 Machine files render numbers at 17 significant digits (bit-stable round
 trips); the human footer on stdout uses 6. Outputs carry no timestamps, so a
@@ -20,12 +24,11 @@ fixed spec produces byte-identical files.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +73,18 @@ class RunSpec:
     ar_value_toggle: bool = False
 
     def market_params(self) -> MarketParams:
-        return MarketParams(self.theta, self.gamma, self.rho,
-                            self.sigma_eps_sq, self.sigma_eta_sq)
+        return self._model[0]
 
     def mandate(self) -> ExecutionMandate:
-        return ExecutionMandate(self.s0, self.p0, self.horizon)
+        return self._model[1]
+
+    @cached_property
+    def _model(self) -> tuple[MarketParams, ExecutionMandate]:
+        """The spec's market and mandate, built and checked once per spec:
+        both types are immutable, so every caller shares them."""
+        return (MarketParams(self.theta, self.gamma, self.rho,
+                             self.sigma_eps_sq, self.sigma_eta_sq),
+                ExecutionMandate(self.s0, self.p0, self.horizon))
 
 
 _FLOAT_KEYS = ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq", "s0", "p0")
@@ -160,50 +170,44 @@ def validate(spec: RunSpec) -> RunSpec:
     return spec
 
 
-class _FlagParser(argparse.ArgumentParser):
-    """An argument parser that raises SpecError instead of printing its usage
-    block and exiting."""
-
-    def error(self, message):
-        raise SpecError(f"argv: {message}")
+# every flag: "--" and a config key with dashes for underscores, or --config
+_FLAGS = {"--" + key.replace("_", "-"): key for key in _ALL_KEYS + ("config",)}
 
 
-@functools.cache
-def _flag_parser() -> _FlagParser:
-    """The flag parser, built once per process: building it costs several
-    parses, and parse_known_args keeps no state on it between calls."""
-    parser = _FlagParser(add_help=False, exit_on_error=False)
-    # numbers arrive as strings and go through _coerce, as in config files
-    for key in _FLOAT_KEYS + _INT_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key)
-    parser.add_argument("--strategy", dest="strategy", action="append",
-                        choices=STRATEGIES)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--config", dest="config")
-    for key in _BOOL_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key,
-                            action="store_const", const=True)
-    return parser
+def _read_flags(argv: list[str]) -> tuple[dict[str, str], list[str]]:
+    """Walk argv once and return its raw values by key, the last of a
+    repeated flag winning, and the --strategy names in order.
 
-
-_NUMBER_FLAGS = {"--" + key.replace("_", "-") for key in _FLOAT_KEYS + _INT_KEYS}
-
-
-def _attach_number_values(argv: list[str]) -> list[str]:
-    """Rewrite `--theta VALUE` as `--theta=VALUE`, so that argparse does not
-    read a value such as -1e-5 (not a negative number to its matcher) as a
-    flag."""
-    out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in _NUMBER_FLAGS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
+    A flag takes its value as `--key VALUE` or `--key=VALUE`; a boolean flag
+    stands alone. A token that starts with "--" is never a value. Raises
+    SpecError for the shape of argv: at the first missing value, explicit
+    value of a boolean or invalid strategy, and then for any unknown token."""
+    values, strategies, unknown = {}, [], []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, has_value, raw = token.partition("=")
+        key = _FLAGS.get(flag)
+        if key is None:
+            unknown.append(token)
+            continue
+        if key in _BOOL_KEYS:
+            if has_value:
+                raise SpecError(f"{key}: ignored explicit argument {raw!r}")
+            raw = "true"
+        elif not has_value:
+            raw = next(tokens, None)
+            if raw is None or raw.startswith("--"):
+                raise SpecError(f"{key}: expected one argument")
+        if key == "strategy":
+            if raw not in STRATEGIES:
+                raise SpecError(f"strategy: invalid choice: {raw!r} "
+                                f"(choose from {', '.join(map(repr, STRATEGIES))})")
+            strategies.append(raw)
         else:
-            out.append(arg)
-            i += 1
-    return out
+            values[key] = raw
+    if unknown:
+        raise SpecError(f"argv: unknown arguments {' '.join(unknown)!r}")
+    return values, strategies
 
 
 def parse_config(argv: list[str],
@@ -211,32 +215,24 @@ def parse_config(argv: list[str],
     """Build a validated RunSpec from flag-style argv (no subcommand).
 
     Precedence: flags override config-file values override baseline defaults.
+    Errors in the shape of argv come first, then those of the config file,
+    then those of the flag values, each coerced as its config line would be.
     """
-    try:
-        ns, extra = _flag_parser().parse_known_args(_attach_number_values(argv))
-    except argparse.ArgumentError as exc:
-        name = (exc.argument_name or "argv").lstrip("-").replace("-", "_")
-        raise SpecError(f"{name}: {exc.message}") from exc
-    if extra:
-        raise SpecError(f"argv: unknown arguments {' '.join(extra)!r}")
+    flags, strategies = _read_flags(argv)
     values = {}
     if default_strategies is not None:
         values["strategies"] = tuple(default_strategies)
-    if ns.config is not None:
-        file_values = _read_config_file(ns.config)
+    if "config" in flags:
+        file_values = _read_config_file(flags["config"])
         if "strategy" in file_values:
             file_values["strategies"] = file_values.pop("strategy")
         values.update(file_values)
-    for key in _FLOAT_KEYS + _INT_KEYS:
-        if getattr(ns, key) is not None:
-            values[key] = _coerce(key, getattr(ns, key))
-    for key in _BOOL_KEYS + ("out_dir",):
-        flag_val = getattr(ns, key)
-        if flag_val is not None:
-            values[key] = flag_val
-    if ns.strategy is not None:
-        values["strategies"] = tuple(dict.fromkeys(ns.strategy))
-    return validate(replace(RunSpec(), **values))
+    for key in _ALL_KEYS:
+        if key in flags:
+            values[key] = _coerce(key, flags[key])
+    if strategies:
+        values["strategies"] = tuple(dict.fromkeys(strategies))
+    return validate(RunSpec(**values))
 
 
 def render_config(spec: RunSpec) -> str:

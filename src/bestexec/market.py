@@ -43,7 +43,6 @@ __all__ = [
     "substream_seed",
     "generate_noise_path",
     "generate_noise_arrays",
-    "noise_digest",
     "info_step",
     "price_step",
     "stationary_info_component_std",
@@ -153,18 +152,6 @@ class NoisePath:
     def horizon(self) -> int:
         return len(self.eps)
 
-    def digest(self) -> str:
-        """SHA-256 of the raw shock bytes; equal digests mean identical paths."""
-        return noise_digest(self.eps, self.eta)
-
-
-def noise_digest(eps: np.ndarray, eta: np.ndarray) -> str:
-    """SHA-256 over the bytes of eps, then eta: NoisePath.digest of that path."""
-    h = hashlib.sha256()
-    h.update(eps.tobytes())
-    h.update(eta.tobytes())
-    return h.hexdigest()
-
 
 def check_seed(seed: int, name: str = "seed") -> int:
     """Return `seed` as an int after checking that it is an integer (not a
@@ -181,12 +168,13 @@ def substream_seed(seed: int, index: int, tag: str = "episode") -> int:
     """Derive an independent 64-bit substream seed from (seed, index, tag).
 
     SHA-256 keyed derivation keeps substreams decorrelated for any index and
-    stable across platforms and processes.
+    stable across platforms and processes. seed and index must each be an
+    integer in [0, 2**64) (not a bool).
     """
     h = hashlib.sha256()
     h.update(tag.encode("ascii"))
-    h.update(int(seed).to_bytes(8, "little", signed=False))
-    h.update(int(index).to_bytes(8, "little", signed=False))
+    h.update(check_seed(seed).to_bytes(8, "little", signed=False))
+    h.update(check_seed(index, "index").to_bytes(8, "little", signed=False))
     return int.from_bytes(h.digest()[:8], "little")
 
 
@@ -206,8 +194,9 @@ def generate_noise_path(seed: int, horizon: int,
                         sigma_eps_sq: float, sigma_eta_sq: float) -> NoisePath:
     """Draw T i.i.d. Gaussian shock pairs, deterministically from the seed:
     the one-seed case of generate_noise_arrays."""
-    eps, eta = generate_noise_arrays([seed], horizon, sigma_eps_sq, sigma_eta_sq)
-    return NoisePath(eps=eps[0], eta=eta[0], seed=int(seed))
+    seed = check_seed(seed)
+    eps, eta = _noise_rows([seed], horizon, sigma_eps_sq, sigma_eta_sq)
+    return NoisePath(eps=eps[0], eta=eta[0], seed=seed)
 
 
 def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
@@ -223,9 +212,18 @@ def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
     words it overwrites: the new key with the counter and buffer cleared,
     which equals a freshly constructed Philox(key=...). The state setter
     copies the words, so threads may draw at once. Each seed's key hashes
-    from a copy of one SHA-256 prefix holding b"noise". horizon must be an
-    integer >= 1 (not a bool), and both variances finite and >= 0.
+    from a copy of one SHA-256 prefix holding b"noise". Every seed must be an
+    integer in [0, 2**64) (not a bool), horizon an integer >= 1 (not a
+    bool), and both variances finite and >= 0.
     """
+    return _noise_rows([check_seed(seed) for seed in seeds], horizon,
+                       sigma_eps_sq, sigma_eta_sq)
+
+
+def _noise_rows(seeds, horizon: int, sigma_eps_sq: float,
+                sigma_eta_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """generate_noise_arrays for seeds that are known to be ints in
+    [0, 2**64), such as a study's substream seeds: it checks no seed."""
     horizon = _check_horizon(horizon)
     _check_variance("sigma_eps_sq", sigma_eps_sq)
     _check_variance("sigma_eta_sq", sigma_eta_sq)
@@ -239,7 +237,7 @@ def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
     prefix = hashlib.sha256(b"noise")
     for row, seed in zip(z, seeds):
         h = prefix.copy()
-        h.update(int(seed).to_bytes(8, "little", signed=False))
+        h.update(seed.to_bytes(8, "little", signed=False))
         words["key"] = _KEY_WORDS.unpack_from(h.digest())
         bit_generator.state = state
         rng.standard_normal(out=row)

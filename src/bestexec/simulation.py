@@ -66,7 +66,7 @@ from .estimation import (EstimateArrays, ParameterEstimates, _carry_forward, _fi
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
-                     _check_finite, _substream_seeds, check_seed, generate_noise_arrays,
+                     _check_finite, _noise_rows, _substream_seeds, check_seed,
                      generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
@@ -115,8 +115,6 @@ class RunResult:
     expected_cost: float
     improvement_per_share: float
     strategy_tag: str
-    seed: int
-    noise_digest: str
     estimates_log: list[ParameterEstimates] | None = None
 
 
@@ -190,8 +188,6 @@ def run_episode(strategy_kind: str, params: MarketParams,
         expected_cost=expected,
         improvement_per_share=per_share_improvement(expected, cost, mandate.s0),
         strategy_tag=strategy_kind,
-        seed=noise_path.seed,
-        noise_digest=noise_path.digest(),
         estimates_log=estimates_log,
     )
 
@@ -441,8 +437,8 @@ def _noise_arrays(n_sims: int, params: MarketParams, horizon: int,
     if n_sims < 1:
         raise ValueError(f"n_sims: must be >= 1 (got {n_sims})")
     base_seed = check_seed(base_seed, "base_seed")
-    return generate_noise_arrays(_substream_seeds(base_seed, range(n_sims)),
-                                 horizon, params.sigma_eps_sq, params.sigma_eta_sq)
+    return _noise_rows(_substream_seeds(base_seed, range(n_sims)),
+                       horizon, params.sigma_eps_sq, params.sigma_eta_sq)
 
 
 def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,

@@ -313,6 +313,47 @@ def test_negative_exponent_value_reaches_the_theta_check(tmp_path, capsys, flag)
     assert parse_config(["--gamma", "-2.5e1"]).gamma == -25.0
 
 
+@pytest.mark.parametrize("argv", [["--n-sim", "5"], ["--the", "1e-5"], ["--the=1e-5"],
+                                  ["--s", "1"], ["--clamp"], ["--sigma_eps_sq", "0.01"]])
+def test_abbreviated_or_misspelt_flags_are_unknown(argv):
+    with pytest.raises(SpecError, match=f"^argv: unknown arguments '{re.escape(argv[0])}"):
+        parse_config(argv)
+
+
+def test_a_value_may_start_with_one_dash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-x").write_text("horizon = 3\n")
+    assert parse_config(["--out-dir", "-x"]).out_dir == "-x"
+    assert parse_config(["--config", "-x"]).horizon == 3
+    assert parse_config(["--config=-x", "--out-dir=-y"]).out_dir == "-y"
+    for argv in (["--out-dir", "--x"], ["--out-dir"]):
+        with pytest.raises(SpecError, match="^out_dir: expected one argument$"):
+            parse_config(argv)
+
+
+def test_a_repeated_flag_keeps_its_last_value_and_reads_only_it():
+    assert parse_config(["--theta", "abc", "--theta", "1e-4"]).theta == 1e-4
+    assert parse_config(["--seed=3", "--seed", "4"]).seed == 4
+
+
+def test_errors_come_in_argv_shape_then_file_then_value_order(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("rho = fast\n")
+    missing = tmp_path / "missing.cfg"
+    for argv, message in [
+            (["--theta", "abc", "--config", str(bad)], "rho: unparsable value 'fast'"),
+            (["--config", str(bad), "--theta"], "theta: expected one argument"),
+            (["--config", str(bad), "--frob"], "argv: unknown arguments '--frob'"),
+            (["--frob", "--theta"], "theta: expected one argument"),
+            (["--theta", "abc", "--config", str(missing)], f"config: cannot read {missing}: "),
+            (["--config", str(bad), "--strategy", "twap"], "strategy: invalid choice: 'twap' "),
+            # flag values are read in the keys' fixed order, not in argv's
+            (["--seed", "abc", "--theta", "abc"], "theta: unparsable value 'abc'")]:
+        with pytest.raises(SpecError) as info:
+            parse_config(argv)
+        assert str(info.value).startswith(message), argv
+
+
 def _run_cli(argv):
     """(exit code, stdout, stderr, warnings raised) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -341,11 +382,8 @@ def test_cached_flag_parser_keeps_no_state_between_calls(tmp_path):
         files = {p.name: p.read_bytes() for p in out_dir.glob("*")}
         return rc, out, err, [str(w.message) for w in caught], files
 
-    hits = cli._flag_parser.cache_info().hits
     in_sequence = [run(argv, tmp_path / f"seq{i}") for i, argv in enumerate(calls)]
-    assert cli._flag_parser.cache_info().hits >= hits + len(calls) - 1
     for i, argv in enumerate(calls):
-        cli._flag_parser.cache_clear()  # the call on its own builds a fresh parser
         assert in_sequence[i] == run(argv, tmp_path / f"own{i}"), argv
     assert [result[0] for result in in_sequence] == [0, 0, 0, 0, 2, 2, 0]
     assert in_sequence[3][4]["total_costs.csv"].startswith(b"sim,naive,informed,ar\n")
@@ -431,6 +469,29 @@ def test_cli_fuzz_exits_0_or_2_with_finite_files(argv):
                 # NaN cells of convergence.csv mark never-fitted periods
                 pattern = _INFINITE if argv[0] == "convergence" else _NON_FINITE
                 assert not pattern.search(path.read_text()), path.name
+
+
+_KEY_VALUES = {flag[2:].replace("-", "_"): values for flag, values in _FLAG_VALUES.items()}
+
+
+def _spec_or_error(parse):
+    """repr of the parsed RunSpec, or the message of its one-line SpecError."""
+    try:
+        return repr(parse())
+    except SpecError as exc:
+        assert "\n" not in str(exc)
+        return f"SpecError: {exc}"
+
+
+@pytest.mark.parametrize("key", list(_KEY_VALUES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_both_flag_forms_read_a_value_as_its_config_line_property(key, data):
+    value = data.draw(_KEY_VALUES[key], label="value")
+    flag = "--" + key.replace("_", "-")
+    assert (_spec_or_error(lambda: parse_config([flag, value]))
+            == _spec_or_error(lambda: parse_config([f"{flag}={value}"]))
+            == _spec_or_error(lambda: _parse_config_text(f"{key} = {value}\n")))
 
 
 _CSV_CELLS = st.floats() | st.sampled_from(

@@ -9,8 +9,7 @@ import pytest
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath, check_seed,
                       generate_noise_arrays, generate_noise_path, info_step,
-                      noise_digest, price_step, stationary_info_component_std,
-                      substream_seed)
+                      price_step, stationary_info_component_std, substream_seed)
 
 
 def test_zero_variance_yields_zero_shocks():
@@ -24,7 +23,7 @@ def test_generation_is_bit_identical():
     b = generate_noise_path(7, 50, 0.125 ** 2, 0.001)
     assert np.array_equal(a.eps, b.eps)
     assert np.array_equal(a.eta, b.eta)
-    assert a.digest() == b.digest()
+    assert (a.eps.tobytes(), a.eta.tobytes()) == (b.eps.tobytes(), b.eta.tobytes())
 
 
 def test_substreams_are_distinct():
@@ -155,6 +154,34 @@ def test_check_seed_range():
             check_seed(bad, "base_seed")
 
 
+# each public entry that keys on a seed, as (name the error gives, call)
+_SEEDED_ENTRIES = {
+    "generate_noise_path": ("seed", lambda seed: generate_noise_path(seed, 4, 1.0, 1.0)),
+    "generate_noise_arrays": ("seed", lambda seed: generate_noise_arrays([1, seed], 4, 1.0, 1.0)),
+    "substream_seed": ("seed", lambda seed: substream_seed(seed, 0)),
+    "substream_seed index": ("index", lambda seed: substream_seed(0, seed)),
+}
+
+
+@pytest.mark.parametrize("bad, wording", [
+    (1.5, "must be an integer"), (True, "must be an integer"), ("3", "must be an integer"),
+    (-1, r"must be in \[0, 2\*\*64\)"), (2 ** 64, r"must be in \[0, 2\*\*64\)")])
+@pytest.mark.parametrize("entry", list(_SEEDED_ENTRIES))
+def test_seeded_entries_check_their_seeds(entry, bad, wording):
+    name, call = _SEEDED_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{name}: {wording}"):
+        call(bad)
+
+
+def test_numpy_integer_seed_keys_as_its_int():
+    path = generate_noise_path(np.uint64(7), 4, 1.0, 1.0)
+    assert type(path.seed) is int and path.seed == 7
+    assert path.eps.tobytes() == generate_noise_path(7, 4, 1.0, 1.0).eps.tobytes()
+    eps, eta = generate_noise_arrays([np.int64(7)], 4, 1.0, 1.0)
+    assert (eps[0].tobytes(), eta[0].tobytes()) == (path.eps.tobytes(), path.eta.tobytes())
+    assert substream_seed(np.int64(3), np.uint32(2)) == substream_seed(3, 2)
+
+
 def _fresh_philox_path(seed, horizon, sigma_eps_sq, sigma_eta_sq):
     """The documented stream, one freshly keyed Philox generator per seed."""
     key = hashlib.sha256(b"noise" + seed.to_bytes(8, "little")).digest()
@@ -173,7 +200,7 @@ def test_noise_arrays_rows_equal_freshly_keyed_generators(horizon):
         assert eps[i].tobytes() == ref_eps.tobytes()
         assert eta[i].tobytes() == ref_eta.tobytes()
         path = generate_noise_path(seed, horizon, 0.125 ** 2, 0.001)
-        assert noise_digest(eps[i], eta[i]) == path.digest()
+        assert (eps[i].tobytes(), eta[i].tobytes()) == (path.eps.tobytes(), path.eta.tobytes())
 
 
 @pytest.mark.parametrize("horizon", [2.5, True, False, 20.0])

@@ -57,3 +57,14 @@ def test_a_spec_line_is_the_digests_of_its_run(argv, tmp_path):
     assert line == " | ".join(expected)
     assert (code == 0) == bool(files)
     assert code in (0, 2)
+
+
+def test_the_argv_shapes_read_both_flag_forms_alike():
+    lines = cli_grid.argv_lines()
+    assert len(lines) == len(set(cli_grid.ARGV)) == len(cli_grid.ARGV)
+    fields = [line.split(" | ") for line in lines]
+    assert [f[0] for f in fields] == [" ".join(argv) for argv in cli_grid.ARGV]
+    assert all(f[1] in ("exit=0", "exit=2") for f in fields)
+    # shape 2i gives a flag as --key VALUE and shape 2i + 1 as --key=VALUE
+    for i in range(len(cli_grid.VALUES)):
+        assert fields[2 * i][1:] == fields[2 * i + 1][1:], fields[2 * i][0]

@@ -15,6 +15,14 @@ rules and convergence, each at n_sims 1 and 37, and simulate with naive,
 informed, ar and ar with --ar-value-toggle; at T in {1, 2, 3, 4, 5, 20, 100},
 with the clamp on and off, under seven calibrations and at seeds 0 and
 987654321.
+
+With --argv it fingerprints argv shapes instead: every flag in both forms,
+negative values, values that start with '-', missing values, repeated,
+unknown and abbreviated flags, a boolean flag given a value, an invalid
+strategy, config files against flags, and the order of errors. These run in
+a temporary working directory that holds the config files they name:
+
+    PYTHONPATH=src python tools/cli_grid.py --argv
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from itertools import product
@@ -55,6 +64,52 @@ CALIBRATIONS = (
 SEEDS = (0, 987654321)
 
 
+# config files of the argv shapes, written to their working directory
+CONFIG_FILES = {
+    "run.cfg": "theta = 2e-5\nhorizon = 4\nn_sims = 3\nstrategy = naive,informed\n",
+    "bad.cfg": "rho = fast\n",
+    "-run.cfg": "horizon = 2\n",
+}
+MC = ("montecarlo", "--horizon", "3", "--n-sims", "2")
+# each flag with a value, given as --key VALUE by one shape and --key=VALUE by the next
+VALUES = (("--theta", "1e-4"), ("--gamma", "2.5"), ("--rho", "-0.25"),
+          ("--sigma-eps-sq", "0.01"), ("--sigma-eta-sq", "0.002"), ("--s0", "5e4"),
+          ("--p0", "20"), ("--horizon", "2"), ("--n-sims", "4"), ("--seed", "11"),
+          ("--strategy", "informed"), ("--config", "run.cfg"), ("--out-dir", "."),
+          ("--theta", "-1e-5"), ("--gamma", "-2.5e1"), ("--seed", "-1"), ("--rho", "-2"),
+          ("--theta", "abc"), ("--horizon", "2.5"), ("--theta", ""),
+          ("--out-dir", "-x"), ("--config", "-run.cfg"), ("--strategy", "-x"),
+          ("--strategy", "twap"), ("--strategy", "naive,ar"))
+ARGV = (
+    *((*MC, *form) for flag, value in VALUES for form in ((flag, value), (f"{flag}={value}",))),
+    # missing values: at the end, and before another flag
+    *((*MC, flag) for flag in ("--theta", "--seed", "--strategy", "--config", "--out-dir")),
+    (*MC, "--theta", "--gamma", "1"), (*MC, "--out-dir", "--x"),
+    # repeated flags: the last value wins; --strategy accumulates
+    (*MC, "--theta", "abc", "--theta", "1e-4"),
+    (*MC, "--seed", "1", "--seed=2"),
+    (*MC, "--strategy", "ar", "--strategy", "naive", "--strategy", "ar"),
+    # unknown and abbreviated flags
+    (*MC, "--frobnicate", "1"), (*MC, "frobnicate"), (*MC, "-x"), (*MC, "--sigma_eps_sq", "0"),
+    (*MC, "--frob", "--theta", "1e-4", "--blah"), (*MC, "--", "--theta", "1e-4"),
+    (*MC, "--the", "1e-4"), (*MC, "--the=1e-4"), (*MC, "--n-sim", "5"), (*MC, "--s", "1"),
+    (*MC, "--clamp"),
+    # boolean flags, alone and given a value
+    ("simulate", "--strategy", "ar", "--clamp-nonneg-orders", "--ar-value-toggle"),
+    (*MC, "--clamp-nonneg-orders=true"), (*MC, "--ar-value-toggle="),
+    # config against flags, and the order of errors
+    ("montecarlo", "--config", "run.cfg"),
+    ("montecarlo", "--config", "run.cfg", "--theta", "1e-4", "--horizon", "3"),
+    ("montecarlo", "--theta", "1e-4", "--strategy", "ar", "--config", "run.cfg"),
+    (*MC, "--theta", "abc", "--config", "bad.cfg"),
+    (*MC, "--config", "bad.cfg", "--theta"),
+    (*MC, "--config", "bad.cfg", "--frob"),
+    (*MC, "--config", "missing.cfg", "--theta", "abc"),
+    (*MC, "--seed", "abc", "--theta", "abc"),
+    (*MC, "--frob", "--theta"),
+)
+
+
 def grid() -> list[tuple[str, ...]]:
     """Every spec's argv, without --out-dir, in a fixed order."""
     return [(*command, "--horizon", str(T), *clamp, *calibration, "--seed", str(seed))
@@ -68,10 +123,12 @@ def _sha(data: bytes) -> str:
 
 def run_spec(argv: tuple[str, ...], out_dir: Path) -> str:
     """Run one spec with its files written to the empty directory out_dir
-    and return its line; out_dir is emptied again afterwards."""
+    and return its line; out_dir is emptied again afterwards. --out-dir
+    follows the command, so the spec's last token ends argv and a later
+    --out-dir in the spec overrides it."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main([*argv, "--out-dir", str(out_dir)])
+        code = cli_main([argv[0], "--out-dir", str(out_dir), *argv[1:]])
     fields = [" ".join(argv), f"exit={code}",
               f"stdout={_sha(stdout.getvalue().encode())}",
               f"stderr={_sha(stderr.getvalue().encode())}"]
@@ -81,7 +138,29 @@ def run_spec(argv: tuple[str, ...], out_dir: Path) -> str:
     return " | ".join(fields)
 
 
-def main() -> int:
+def argv_lines() -> list[str]:
+    """The line of every argv shape, run in a temporary working directory
+    that holds CONFIG_FILES."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CONFIG_FILES.items():
+            (Path(tmp) / name).write_text(text)
+        out_dir = Path(tmp) / "out"
+        out_dir.mkdir()
+        os.chdir(tmp)
+        try:
+            return [run_spec(argv, out_dir) for argv in ARGV]
+        finally:
+            os.chdir(cwd)
+
+
+def main(args: list[str]) -> int:
+    if args == ["--argv"]:
+        print("\n".join(argv_lines()))
+        return 0
+    if args:
+        print("usage: cli_grid.py [--argv]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         for argv in grid():
             print(run_spec(argv, Path(tmp)), flush=True)
@@ -89,4 +168,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
