@@ -21,10 +21,10 @@ for kind in ("naive", "informed", "ar"):
     print(f"\n=== {kind} strategy ===")
     print(f"{'Period':>6} {'Price':>10} {'Shares Bought':>14} "
           f"{'Shares Remaining':>17} {'Information':>12} {'Accum. Cost':>14}")
-    for row in res.blotter:
-        print(f"{row.period:>6} {row.price:>10.5f} {row.shares_bought:>14.4f} "
-              f"{row.shares_remaining:>17.4f} {row.market_information:>12.8f} "
-              f"{row.accumulated_cost:>14.1f}")
+    # the blotter holds columns; zip reads them back as rows
+    for period, price, bought, remaining, info, cost in zip(*res.blotter):
+        print(f"{period:>6} {price:>10.5f} {bought:>14.4f} "
+              f"{remaining:>17.4f} {info:>12.8f} {cost:>14.1f}")
     print(f"Actual Cost: {res.actual_cost:.1f}")
     print(f"Expected Cost: {res.expected_cost:.1f}")
     print(f"Improvement: {res.improvement_per_share:.7f}")

@@ -8,10 +8,10 @@ from .estimation import (COND_LIMIT, RHO_CLAMP, EstimateArrays, InformationFit,
 from .market import (ExecutionMandate, MarketParams, NoisePath, check_seed,
                      generate_noise_arrays, generate_noise_path, info_step,
                      price_step, stationary_info_component_std, substream_seed)
-from .simulation import (ConvergenceSummary, MonteCarloSummary, PeriodRecord,
-                         RunResult, StrategyStats, per_share_improvement,
-                         run_convergence, run_episode, run_episode_batch,
-                         run_monte_carlo, summarize_convergence)
+from .simulation import (Blotter, ConvergenceSummary, MonteCarloSummary, RunResult,
+                         StrategyStats, per_share_improvement, run_convergence,
+                         run_episode, run_episode_batch, run_monte_carlo,
+                         summarize_convergence)
 from .strategies import (STRATEGIES, TAGS, CoefficientSchedule, OrderDecision,
                          ar_adjustment_factor, ar_rho_factor, decide_order,
                          naive_order, order_rule, solve_coefficients, usable)

@@ -13,9 +13,9 @@ flat ``key = value`` lines; '#' starts a comment, blank lines are ignored,
 and the strategy key takes a comma-separated list. Unknown keys are rejected
 by name. A flag is '--' and a config key with dashes for underscores, given
 as `--key VALUE` or `--key=VALUE` and read as the line `key = VALUE` would
-be; the two boolean flags stand alone, --strategy repeats and takes one
-name, and `--config PATH` names a config file. Flags are never abbreviated,
-and a token that starts with '--' is never a value.
+be; the two boolean flags stand alone, --strategy repeats and adds the
+names of its list, and `--config PATH` names a config file. Flags are never
+abbreviated, and a token that starts with '--' is never a value.
 
 Machine files render numbers at 17 significant digits (bit-stable round
 trips); the human footer on stdout uses 6. Outputs carry no timestamps, so a
@@ -24,7 +24,6 @@ fixed spec produces byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -45,6 +44,8 @@ __all__ = ["RunSpec", "SpecError", "parse_config", "render_config",
            "cmd_simulate", "cmd_montecarlo", "cmd_convergence", "main"]
 
 BLOTTER_HEADER = "period,price,shares_bought,shares_remaining,market_information,accumulated_cost"
+# json.dumps(footer, sort_keys=True) of the finite floats, which it renders by repr
+FOOTER = '{"actual_cost": %r, "expected_cost": %r, "improvement_per_share": %r}\n'
 CONVERGENCE_HEADER = "period," + ",".join(
     f"{name}_mean,{name}_sd" for name in ESTIMATE_FIELDS)
 
@@ -102,10 +103,14 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise SpecError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def _parse_strategies(key: str, raw: str) -> tuple[str, ...]:
+def _parse_strategies(key: str, raw: str, flag: bool = False) -> tuple[str, ...]:
+    """The names of a comma-separated list; a flag's unknown name is an `invalid choice`."""
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
     for name in names:
         if name not in STRATEGIES:
+            if flag:
+                raise SpecError(f"{key}: invalid choice: {name!r} "
+                                f"(choose from {', '.join(map(repr, STRATEGIES))})")
             raise SpecError(f"{key}: unknown strategy {name!r} "
                             f"(choose from {', '.join(STRATEGIES)})")
     if not names:
@@ -116,7 +121,8 @@ def _parse_strategies(key: str, raw: str) -> tuple[str, ...]:
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise SpecError(f"config: cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -176,12 +182,13 @@ _FLAGS = {"--" + key.replace("_", "-"): key for key in _ALL_KEYS + ("config",)}
 
 def _read_flags(argv: list[str]) -> tuple[dict[str, str], list[str]]:
     """Walk argv once and return its raw values by key, the last of a
-    repeated flag winning, and the --strategy names in order.
+    repeated flag winning, and the names of every --strategy list in order.
 
     A flag takes its value as `--key VALUE` or `--key=VALUE`; a boolean flag
     stands alone. A token that starts with "--" is never a value. Raises
     SpecError for the shape of argv: at the first missing value, explicit
-    value of a boolean or invalid strategy, and then for any unknown token."""
+    value of a boolean, or invalid or empty strategy list, and then for any
+    unknown token."""
     values, strategies, unknown = {}, [], []
     tokens = iter(argv)
     for token in tokens:
@@ -199,10 +206,7 @@ def _read_flags(argv: list[str]) -> tuple[dict[str, str], list[str]]:
             if raw is None or raw.startswith("--"):
                 raise SpecError(f"{key}: expected one argument")
         if key == "strategy":
-            if raw not in STRATEGIES:
-                raise SpecError(f"strategy: invalid choice: {raw!r} "
-                                f"(choose from {', '.join(map(repr, STRATEGIES))})")
-            strategies.append(raw)
+            strategies += _parse_strategies(key, raw, flag=True)
         else:
             values[key] = raw
     if unknown:
@@ -286,8 +290,12 @@ def _require_finite_outputs(named_values) -> None:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError:  # a missing directory; an error left is mkdir's or the retry's
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="\n")
+    with fh:
         fh.write(text)
 
 
@@ -297,18 +305,13 @@ def cmd_simulate(spec: RunSpec) -> int:
     if len(spec.strategies) != 1:
         raise SpecError(f"strategy: simulate needs exactly one strategy "
                         f"(got {len(spec.strategies)})")
-    strategy = spec.strategies[0]
-    params = spec.market_params()
-    mandate = spec.mandate()
     path = generate_noise_path(substream_seed(spec.seed, 0), spec.horizon,
                                spec.sigma_eps_sq, spec.sigma_eta_sq)
     with np.errstate(all="ignore"):  # overflow is reported below, by name
-        result = run_episode(strategy, params, mandate, path,
-                             clamp_nonneg_orders=spec.clamp_nonneg_orders,
+        result = run_episode(spec.strategies[0], spec.market_params(), spec.mandate(),
+                             path, clamp_nonneg_orders=spec.clamp_nonneg_orders,
                              ar_expected_cost_from_estimates=spec.ar_value_toggle)
-    columns = list(zip(*((row.price, row.shares_bought, row.shares_remaining,
-                          row.market_information, row.accumulated_cost)
-                         for row in result.blotter)))
+    columns = result.blotter[1:]  # the period column is _csv_rows's index
     _require_finite_outputs([
         ("total cost", [result.actual_cost]),
         ("expected cost", [result.expected_cost]),
@@ -316,12 +319,10 @@ def cmd_simulate(spec: RunSpec) -> int:
         *zip(("price", "shares bought", "shares remaining", "market information",
               "accumulated cost"), columns),
     ])
-    footer = {"actual_cost": result.actual_cost,
-              "expected_cost": result.expected_cost,
-              "improvement_per_share": result.improvement_per_share}
+    footer = FOOTER % (float(result.actual_cost), float(result.expected_cost),
+                       float(result.improvement_per_share))
     _write(Path(spec.out_dir) / "blotter.csv",
-           BLOTTER_HEADER + "\n" + _csv_rows(0, columns)
-           + json.dumps(footer, sort_keys=True) + "\n")
+           BLOTTER_HEADER + "\n" + _csv_rows(0, columns) + footer)
     print(f"Actual Cost: {result.actual_cost:.6g}")
     print(f"Expected Cost: {result.expected_cost:.6g}")
     print(f"Improvement: {result.improvement_per_share:.6g}")

@@ -32,8 +32,9 @@ pass (_fit_rho). The impact half runs each period after the orders are
 known: its arithmetic is _fit_impact, on plain arrays and with no prior,
 which the batch engine calls directly; estimate_all_batch is its public
 wrapper, with a prior check and EstimateArrays. Their sums are np.vecdot
-over row views, one call per prefix length, which round as the scalar 1-D
-`a @ b` does (np.einsum, (a*b).sum(1) and running sums do not). Every other
+over row views, one call per prefix length, which round as the scalar
+refit's 1-D `a.dot(b)` does (the BLAS ddot of `a @ b`, at less call
+overhead; np.einsum, (a*b).sum(1) and running sums do not). Every other
 step is the same IEEE operation in the same order, and the prior is carried
 forward through np.where masks (estimate_all_batch) or, along the period
 axis, by index (_carry_forward).
@@ -123,18 +124,18 @@ def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarra
 
     # impact fit: the 2x2 normal equations in (theta, gamma), by Cramer's rule
     if n >= 2:
-        sbb = float(b @ b)
-        sxb = float(x @ b)
-        sxx = float(x @ x)
+        sbb = float(b.dot(b))
+        sxb = float(x.dot(b))
+        sxx = float(x.dot(x))
         det = sbb * sxx - sxb * sxb
         # negated so that an overflowed (NaN) design is fitted, as in the batch
         if not (det <= 0.0 or _cond_2x2(sbb, sxb, sxx) > COND_LIMIT):
-            spb = float(dp @ b)
-            spx = float(dp @ x)
+            spb = float(dp.dot(b))
+            spx = float(dp.dot(x))
             theta_hat = (sxx * spb - sxb * spx) / det
             gamma_hat = (sbb * spx - sxb * spb) / det
             r = dp - theta_hat * b - gamma_hat * x
-            s2e_hat = float(r @ r) / (n - 1)
+            s2e_hat = float(r.dot(r)) / (n - 1)
             # significance gate: Var(theta_hat) = s2e * sum X^2 / det, with the
             # residual variance on n - 2 degrees of freedom, so a two-point fit
             # (exact interpolation) never qualifies; a zero residual variance
@@ -145,14 +146,16 @@ def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarra
                                 or theta_hat >= THETA_TSTAT_MIN * math.sqrt(var_theta))
 
     # rho fit: X_k on X_{k-1} over in-sample pairs only, clamped
-    den = float(lag @ lag)
+    den = float(lag.dot(lag))
     if den != 0.0:
+        # @, not dot: at n = 1, dot returns the lone product itself, -0.0
+        # included, where BLAS's sum from 0.0 (and so the batch) gives +0.0
         raw = float(lag @ x) / den
         rho_hat = min(max(raw, -RHO_CLAMP), RHO_CLAMP)
         rho_valid = rho_hat == raw
         if n >= 2:
             r = x - rho_hat * lag
-            s2h_hat = float(r @ r) / (n - 1)
+            s2h_hat = float(r.dot(r)) / (n - 1)
 
     return ParameterEstimates(
         theta_hat=theta_hat, gamma_hat=gamma_hat, rho_hat=rho_hat,

@@ -2,7 +2,7 @@
 
 An episode walks the mandate's horizon period by period: decide the order
 (the online strategy refits its estimates first), evolve the information and
-then the price under the true dynamics, append a blotter row. The final
+then the price under the true dynamics, extend the blotter columns. The final
 period always buys the remainder, so every episode conserves shares exactly.
 
 Monte Carlo studies use common random numbers: simulation i draws ONE noise
@@ -58,6 +58,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from .strategies import (STRATEGIES, ar_rho_factor, decide_order, order_rule,
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
-    "PeriodRecord",
+    "Blotter",
     "RunResult",
     "StrategyStats",
     "MonteCarloSummary",
@@ -93,24 +94,24 @@ ESTIMATE_FIELDS = ("theta_hat", "gamma_hat", "rho_hat",
                    "sigma_eps_sq_hat", "sigma_eta_sq_hat")
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
-    """One blotter row. Row 0 is the pre-trade state (nothing bought,
-    everything remaining, zero cost)."""
+class Blotter(NamedTuple):
+    """An episode's blotter as columns, each indexed by period 0..T. Row 0
+    is the pre-trade state: nothing bought, everything remaining, zero
+    information and zero cost."""
 
-    period: int
-    price: float
-    shares_bought: float
-    shares_remaining: float
-    market_information: float
-    accumulated_cost: float
+    period: range
+    price: list[float]
+    shares_bought: list[float]
+    shares_remaining: list[float]
+    market_information: list[float]
+    accumulated_cost: list[float]
 
 
 @dataclass
 class RunResult:
-    """A finished episode: T+1 blotter rows plus the cost summary."""
+    """A finished episode: its blotter plus the cost summary."""
 
-    blotter: list[PeriodRecord]
+    blotter: Blotter
     actual_cost: float
     expected_cost: float
     improvement_per_share: float
@@ -128,7 +129,8 @@ def run_episode(strategy_kind: str, params: MarketParams,
     `params` are the parameters the strategy believes (the informed schedule
     is built from them); the market itself evolves under `true_params`, which
     defaults to the same object. The online strategy starts with an empty
-    history and refits after every period.
+    history and refits after every period. The blotter's columns are lists
+    that the loop appends to; period t is index t of each.
 
     With clamp_nonneg_orders, interior orders are floored at zero and the
     final period still takes the exact remainder.
@@ -148,30 +150,31 @@ def run_episode(strategy_kind: str, params: MarketParams,
 
     is_ar = strategy_kind == "ar"
     estimates: ParameterEstimates | None = None
-    estimates_log: list[ParameterEstimates] | None = None
+    estimates_log: list[ParameterEstimates] | None = [] if is_ar else None
     if is_ar:
         # the refit's history: price changes, orders and (x0, X_1..X_T)
-        delta_p = np.empty(T)
-        orders = np.empty(T)
-        info = np.zeros(T + 1)
-        estimates_log = []
+        delta_p, orders, info = np.empty(T), np.empty(T), np.zeros(T + 1)
 
-    price = mandate.p0
-    x = 0.0
-    s = mandate.s0
-    cost = 0.0
-    blotter = [PeriodRecord(0, price, 0.0, s, 0.0, 0.0)]
+    # the shocks as Python floats, whose arithmetic rounds as float64's does
+    eps, eta = noise_path.eps.tolist(), noise_path.eta.tolist()
+    theta, gamma, rho = truth.theta, truth.gamma, truth.rho
+    price, x, s, cost = mandate.p0, 0.0, mandate.s0, 0.0
+    blotter = Blotter(range(T + 1), [price], [0.0], [s], [0.0], [0.0])
+    prices, bought, remaining, information, costs = blotter[1:]
 
     for t in range(1, T + 1):
         tilt = f[t - 1] * x if f is not None else None
         order = decide_order(strategy_kind, s, x, t, T, tilt, estimates,
                              clamp_nonneg_orders).order
-        x_new = info_step(x, truth.rho, noise_path.eta[t - 1])
-        price_new = price_step(price, order, x_new, truth.theta, truth.gamma,
-                               noise_path.eps[t - 1])
+        x_new = info_step(x, rho, eta[t - 1])
+        price_new = price_step(price, order, x_new, theta, gamma, eps[t - 1])
         cost += price_new * order
         s_new = s - order
-        blotter.append(PeriodRecord(t, price_new, order, s_new, x_new, cost))
+        prices.append(price_new)
+        bought.append(order)
+        remaining.append(s_new)
+        information.append(x_new)
+        costs.append(cost)
         if is_ar:
             delta_p[t - 1] = price_new - price
             orders[t - 1] = order

@@ -119,37 +119,30 @@ def solve_coefficients(params: MarketParams, horizon: int) -> CoefficientSchedul
     """Backward induction for the informed strategy's coefficient schedule.
 
     Requires params.theta > 0 (strict convexity of every Bellman step) and
-    |rho| < 1 (already enforced by MarketParams).
+    |rho| < 1 (already enforced by MarketParams). The recursion runs on
+    Python floats, step for step the float64 operations of one on numpy
+    scalars, so both give the same bits; the arrays are built once, after it.
     """
     if not params.theta > 0.0:
         raise ValueError(f"theta: must be > 0 for a convex Bellman step (got {params.theta})")
     T = _check_horizon(horizon)
-    theta, gamma, rho = params.theta, params.gamma, params.rho
-    s2h = params.sigma_eta_sq
+    theta, gamma, rho, s2h = map(float, (params.theta, params.gamma, params.rho,
+                                         params.sigma_eta_sq))
 
-    # remaining-horizon arrays, k = 1..T at index k-1
-    a = np.empty(T)
-    b = np.empty(T)
-    c = np.empty(T)
-    d = np.empty(T)
-    e = np.empty(T)
-    f = np.empty(T)
-    a[0], b[0], c[0], d[0], e[0], f[0] = theta, gamma * rho, 0.0, 0.0, 1.0, 0.0
+    # remaining-horizon values, k = 1..T at index k-1
+    a, b, c, d, f = [theta], [gamma * rho], [0.0], [0.0], [0.0]
     for k in range(2, T + 1):
         ap, bp, cp, dp = a[k - 2], b[k - 2], c[k - 2], d[k - 2]
-        a[k - 1] = theta * (k + 1) / (2.0 * k)
-        e[k - 1] = 1.0 / k
-        f[k - 1] = rho * bp / (2.0 * ap)
-        b[k - 1] = rho * (gamma + theta * bp / (2.0 * ap))
-        c[k - 1] = rho * rho * (cp - bp * bp / (4.0 * ap))
-        d[k - 1] = dp + cp * s2h
+        a.append(theta * (k + 1) / (2.0 * k))
+        f.append(rho * bp / (2.0 * ap))
+        b.append(rho * (gamma + theta * bp / (2.0 * ap)))
+        c.append(rho * rho * (cp - bp * bp / (4.0 * ap)))
+        d.append(dp + cp * s2h)
+    e = [1.0 / k for k in range(1, T + 1)]
 
     # reindex to periods: period t has k = T - t + 1 remaining
-    rev = slice(None, None, -1)
-    return CoefficientSchedule(
-        horizon=T, a=a[rev].copy(), b=b[rev].copy(), c=c[rev].copy(),
-        d=d[rev].copy(), e=e[rev].copy(), f=f[rev].copy(),
-    )
+    a, b, c, d, e, f = np.array([a, b, c, d, e, f])[:, ::-1].copy()
+    return CoefficientSchedule(horizon=T, a=a, b=b, c=c, d=d, e=e, f=f)
 
 
 def ar_rho_factor(rho_hat, t, horizon):

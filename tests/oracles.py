@@ -93,3 +93,25 @@ def brute_force_best_execution(theta, gamma, rho, sigma_eta_sq, p0, x0, s0, T):
     if T >= 3:
         return b1, float(x[1]), float(x[2]), value
     return b1, None, None, value
+
+
+def numpy_scalar_schedule(theta, gamma, rho, sigma_eta_sq, T):
+    """The schedule (a, b, c, d, e, f), each indexed by period t - 1, from
+    the backward recursion over the remaining horizon k = T - t + 1 on
+    float64 arrays, every step reading its k - 1 values as numpy scalars."""
+    a = np.empty(T)
+    b = np.empty(T)
+    c = np.empty(T)
+    d = np.empty(T)
+    e = np.empty(T)
+    f = np.empty(T)
+    a[0], b[0], c[0], d[0], e[0], f[0] = theta, gamma * rho, 0.0, 0.0, 1.0, 0.0
+    for k in range(2, T + 1):
+        ap, bp, cp, dp = a[k - 2], b[k - 2], c[k - 2], d[k - 2]
+        a[k - 1] = theta * (k + 1) / (2.0 * k)
+        e[k - 1] = 1.0 / k
+        f[k - 1] = rho * bp / (2.0 * ap)
+        b[k - 1] = rho * (gamma + theta * bp / (2.0 * ap))
+        c[k - 1] = rho * rho * (cp - bp * bp / (4.0 * ap))
+        d[k - 1] = dp + cp * sigma_eta_sq
+    return tuple(arr[::-1].copy() for arr in (a, b, c, d, e, f))

@@ -153,10 +153,10 @@ def test_criterion_08_conservation():
                                        BASELINE.sigma_eps_sq,
                                        BASELINE.sigma_eta_sq)
             res = run_episode(kind, BASELINE, mandate, path)
-            bought = sum(r.shares_bought for r in res.blotter[1:])
+            bought = sum(res.blotter.shares_bought[1:])
             worst = max(worst, abs(bought - s0))
             final_ok = final_ok and (
-                res.blotter[T].shares_bought == res.blotter[T - 1].shares_remaining)
+                res.blotter.shares_bought[T] == res.blotter.shares_remaining[T - 1])
     _report(8, "share conservation", worst <= 1e-6 and final_ok,
             f"worst |sum B - S0|={worst:.2e}")
 

@@ -251,6 +251,77 @@ def test_unwritable_output_path(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_SMALL_RUNS = {"simulate": ["--horizon", "3"],
+               "montecarlo": ["--horizon", "3", "--n-sims", "2"],
+               "convergence": ["--horizon", "3", "--n-sims", "2"]}
+_FILES = {"simulate": ["blotter.csv"], "convergence": ["convergence.csv"],
+          "montecarlo": ["accumulated_cost_variance.csv", "order_size_mean.csv",
+                         "summary.txt", "total_costs.csv"]}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_a_missing_nested_out_dir_is_created(tmp_path, command):
+    out = tmp_path / "a" / "b" / "c"
+    rc, _, err, _ = _run_cli([command, *_SMALL_RUNS[command], "--out-dir", str(out)])
+    assert (rc, err) == (0, "")
+    assert sorted(p.name for p in out.iterdir()) == _FILES[command]
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_an_out_dir_that_is_a_file_exits_1_with_the_mkdir_error(tmp_path, command):
+    # the files are opened first and the directory made only when that
+    # fails; the error is still mkdir's, as when the directory came first
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    rc, out, err, _ = _run_cli([command, *_SMALL_RUNS[command], "--out-dir", str(blocker)])
+    assert rc == 1
+    assert err == f"error: io: [Errno 17] File exists: {str(blocker)!r}\n"
+    assert out == ""
+    assert blocker.read_text() == "x"
+
+
+@pytest.mark.parametrize("form", [["--strategy", "naive,ar"], ["--strategy=naive,ar"],
+                                  ["--strategy", " naive , ar ,"]])
+def test_a_strategy_flag_takes_the_config_lines_comma_list(form):
+    spec = parse_config(form)
+    assert spec.strategies == ("naive", "ar")
+    assert spec == _parse_config_text("strategy = naive,ar\n")
+    # a repeated flag still appends, and names are kept once, in order
+    assert parse_config([*form, "--strategy", "informed,naive"]).strategies == (
+        "naive", "ar", "informed")
+
+
+@pytest.mark.parametrize("argv", [["--strategy", "naive,twap"], ["--strategy=naive,twap"],
+                                  ["--strategy", "ar", "--strategy", "twap,ar"]])
+def test_each_name_of_a_strategy_flag_is_an_invalid_choice_when_unknown(argv):
+    with pytest.raises(SpecError) as info:
+        parse_config(argv)
+    assert str(info.value) == ("strategy: invalid choice: 'twap' "
+                               "(choose from 'naive', 'informed', 'ar')")
+
+
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_an_empty_strategy_flag_reads_as_an_empty_config_list(value):
+    for argv in (["--strategy", value], [f"--strategy={value}"]):
+        with pytest.raises(SpecError, match="^strategy: at least one strategy required$"):
+            parse_config(argv)
+    with pytest.raises(SpecError, match="^strategy: at least one strategy required$"):
+        _parse_config_text(f"strategy = {value}\n")
+
+
+def test_a_strategy_list_flag_runs_as_repeated_flags(tmp_path):
+    runs = {}
+    for name, flags in (("list", ["--strategy", "naive,ar"]),
+                        ("repeated", ["--strategy", "naive", "--strategy", "ar"])):
+        out = tmp_path / name
+        rc, stdout, err, _ = _run_cli(["montecarlo", "--horizon", "4", "--n-sims", "3",
+                                       *flags, "--out-dir", str(out)])
+        assert (rc, err) == (0, "")
+        runs[name] = stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["list"] == runs["repeated"]
+    assert runs["list"][1]["total_costs.csv"].startswith(b"sim,naive,ar\n")
+
+
 @pytest.mark.parametrize("seed", ["99999999999999999999999", str(2 ** 64), "-1"])
 def test_out_of_range_seed_exits_2_naming_the_field(tmp_path, capsys, seed):
     rc = main(["montecarlo", "--seed", seed, "--out-dir", str(tmp_path)])

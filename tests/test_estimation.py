@@ -374,3 +374,28 @@ def test_fit_information_equals_estimate_all_property(n_rows, T, zeros, data):
             for name in ("rho_hat", "rho_valid", "sigma_eta_sq_hat"):
                 assert (np.array(getattr(est, name)).tobytes()
                         == getattr(fit, name)[i, n - 1].tobytes()), (i, n, name)
+
+
+def test_dot_equals_matmul_on_1d_views_bit_for_bit():
+    # estimate_all takes its sums with a.dot(b), at less call overhead than
+    # a @ b; the batch refit's np.vecdot rounds as a @ b, so the two must run
+    # the same BLAS ddot on the same operands. Views at offsets 0..2 vary the
+    # operands' alignment, by which some ddot kernels round
+    rng = np.random.default_rng(2026)
+    buffers = rng.normal(size=(2, 402)) * 10.0 ** rng.uniform(-6.0, 6.0, (2, 402))
+    differ = [(n, i, j) for n in range(1, 401) for i in range(3) for j in range(3)
+              if (np.float64(buffers[0, i:i + n].dot(buffers[1, j:j + n])).tobytes()
+                  != np.float64(buffers[0, i:i + n] @ buffers[1, j:j + n]).tobytes())]
+    assert not differ, (
+        f"numpy {np.__version__}: ndarray.dot differs from @ on {len(differ)} of 3600 "
+        f"pairs of views (first: length, offsets {differ[0]}); the batch refit equals "
+        "estimate_all only through this identity")
+
+
+def test_one_pair_rho_fit_keeps_the_sign_the_batch_gives_a_zero_lag_sum():
+    # at n = 1, dot returns the lone product -1.0 * 0.0 = -0.0 itself, while
+    # @ and np.vecdot sum it from 0.0 and give +0.0: the rho fit keeps @
+    info = np.array([[-1.0, 0.0]])
+    est = estimate_all(np.zeros(1), np.zeros(1), info[0])
+    assert np.float64(est.rho_hat).tobytes() == np.float64(0.0).tobytes()
+    assert fit_information(info).rho_hat[0, 0].tobytes() == np.float64(0.0).tobytes()

@@ -38,12 +38,13 @@ def test_uniform_split_reference_blotter_reproduced():
                     for t in range(1, 21)])
     path = NoisePath(eps=eps, eta=np.zeros(20), seed=0)
     res = run_episode("naive", BASELINE, MANDATE, path)
+    blotter = res.blotter
     for t in range(21):
-        assert res.blotter[t].price == pytest.approx(TABLE1_PRICES[t], abs=1e-4)
-        assert res.blotter[t].accumulated_cost == pytest.approx(
+        assert blotter.price[t] == pytest.approx(TABLE1_PRICES[t], abs=1e-4)
+        assert blotter.accumulated_cost[t] == pytest.approx(
             TABLE1_COSTS[t], rel=1e-4)
         if t >= 1:
-            assert res.blotter[t].shares_bought == 5000.0
+            assert blotter.shares_bought[t] == 5000.0
     assert res.improvement_per_share == pytest.approx(-0.2525668, abs=1e-6)
 
 
@@ -62,23 +63,23 @@ def test_blotter_shape_and_conservation():
             path = generate_noise_path(seed, 20, BASELINE.sigma_eps_sq,
                                        BASELINE.sigma_eta_sq)
             res = run_episode(kind, BASELINE, MANDATE, path)
-            assert len(res.blotter) == 21
-            row0 = res.blotter[0]
-            assert (row0.period, row0.price, row0.shares_bought,
-                    row0.shares_remaining, row0.market_information,
-                    row0.accumulated_cost) == (0, 50.0, 0.0, 100000.0, 0.0, 0.0)
-            bought = sum(r.shares_bought for r in res.blotter[1:])
+            blotter = res.blotter
+            assert [len(column) for column in blotter] == [21] * 6
+            row0 = tuple(column[0] for column in blotter)
+            assert row0 == (0, 50.0, 0.0, 100000.0, 0.0, 0.0)
+            bought = sum(blotter.shares_bought[1:])
             assert abs(bought - 100000.0) <= 1e-6
-            assert res.blotter[-1].shares_remaining == 0.0
+            assert blotter.shares_remaining[-1] == 0.0
             # final order equals the remainder entering the last period
-            assert res.blotter[20].shares_bought == pytest.approx(
-                res.blotter[19].shares_remaining, abs=1e-9)
+            assert blotter.shares_bought[20] == pytest.approx(
+                blotter.shares_remaining[19], abs=1e-9)
             # accumulated cost is the running sum of price * bought
             running = 0.0
-            for row in res.blotter[1:]:
-                running += row.price * row.shares_bought
-                assert row.accumulated_cost == pytest.approx(running, rel=1e-12)
-            assert res.actual_cost == res.blotter[-1].accumulated_cost
+            for price, shares, cost in zip(blotter.price[1:], blotter.shares_bought[1:],
+                                           blotter.accumulated_cost[1:]):
+                running += price * shares
+                assert cost == pytest.approx(running, rel=1e-12)
+            assert res.actual_cost == blotter.accumulated_cost[-1]
 
 
 def test_clamped_orders_stay_nonnegative_and_conserve():
@@ -89,8 +90,8 @@ def test_clamped_orders_stay_nonnegative_and_conserve():
                                    BASELINE.sigma_eta_sq)
         res = run_episode("informed", BASELINE, MANDATE, path,
                           clamp_nonneg_orders=True)
-        assert all(r.shares_bought >= 0.0 for r in res.blotter[1:20])
-        assert abs(sum(r.shares_bought for r in res.blotter[1:]) - 100000.0) <= 1e-6
+        assert all(b >= 0.0 for b in res.blotter.shares_bought[1:20])
+        assert abs(sum(res.blotter.shares_bought[1:]) - 100000.0) <= 1e-6
 
 
 def test_run_episode_rejects_mismatched_path():
@@ -141,11 +142,11 @@ def test_strategy_beliefs_can_differ_from_market_truth():
     res = run_episode("informed", beliefs, MANDATE, path, true_params=BASELINE)
     true_run = run_episode("informed", BASELINE, MANDATE, path)
     assert res.blotter != true_run.blotter  # different beliefs, different orders
-    assert abs(sum(r.shares_bought for r in res.blotter[1:]) - 100000.0) <= 1e-6
+    assert abs(sum(res.blotter.shares_bought[1:]) - 100000.0) <= 1e-6
     # price moves reflect the true impact: back out theta from the blotter
-    r1 = res.blotter[1]
-    implied_theta = (r1.price - 50.0 - BASELINE.gamma * r1.market_information
-                     - path.eps[0]) / r1.shares_bought
+    price, bought, info = (res.blotter.price[1], res.blotter.shares_bought[1],
+                           res.blotter.market_information[1])
+    implied_theta = (price - 50.0 - BASELINE.gamma * info - path.eps[0]) / bought
     assert implied_theta == pytest.approx(BASELINE.theta, rel=1e-9)
 
 
@@ -159,8 +160,7 @@ def test_monte_carlo_single_simulation_matches_episode():
     assert st.mean_improvement == pytest.approx(
         (s.benchmark_expected_cost - res.actual_cost) / 1e5, rel=1e-12)
     assert st.sd_improvement == 0.0
-    assert np.array_equal(st.mean_order_size,
-                          [r.shares_bought for r in res.blotter[1:]])
+    assert np.array_equal(st.mean_order_size, res.blotter.shares_bought[1:])
 
 
 def test_monte_carlo_is_deterministic():
@@ -258,8 +258,8 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
                                                         clamp_nonneg_orders=clamp)
         for i, path in enumerate(paths):
             ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
-            ref_orders = np.array([r.shares_bought for r in ref.blotter[1:]])
-            ref_cum = np.array([r.accumulated_cost for r in ref.blotter[1:]])
+            ref_orders = np.array(ref.blotter.shares_bought[1:])
+            ref_cum = np.array(ref.blotter.accumulated_cost[1:])
             assert cost[i].tobytes() == np.float64(ref.actual_cost).tobytes()
             assert orders[i].tobytes() == ref_orders.tobytes()
             assert cum_cost[i].tobytes() == ref_cum.tobytes()
@@ -302,12 +302,12 @@ def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
     for kind in ("naive", "informed", "ar"):
         with np.errstate(over="ignore"):  # the improvement per share overflows
             ref = run_episode(kind, BASELINE, mandate, path, clamp_nonneg_orders=clamp)
-        assert ref.blotter[1].shares_bought == 0.0 and ref.blotter[1].price < 0.0
+        assert ref.blotter.shares_bought[1] == 0.0 and ref.blotter.price[1] < 0.0
         cost, orders, cum_cost, _ = run_episode_batch(
             kind, BASELINE, mandate, path.eps[None, :], path.eta[None, :],
             clamp_nonneg_orders=clamp)
-        ref_orders = np.array([r.shares_bought for r in ref.blotter[1:]])
-        ref_cum = np.array([r.accumulated_cost for r in ref.blotter[1:]])
+        ref_orders = np.array(ref.blotter.shares_bought[1:])
+        ref_cum = np.array(ref.blotter.accumulated_cost[1:])
         assert math.copysign(1.0, ref_cum[0]) == 1.0, kind
         assert cost.tobytes() == np.float64(ref.actual_cost).tobytes(), kind
         assert orders[0].tobytes() == ref_orders.tobytes(), kind
@@ -331,10 +331,8 @@ def test_monte_carlo_equals_per_simulation_run_episode(T, clamp, params):
                             clamp_nonneg_orders=clamp)
                 for i in range(n_sims)]
         ref_cost = np.array([r.actual_cost for r in refs])
-        ref_orders = np.array([[row.shares_bought for row in r.blotter[1:]]
-                               for r in refs])
-        ref_cum = np.array([[row.accumulated_cost for row in r.blotter[1:]]
-                            for r in refs])
+        ref_orders = np.array([r.blotter.shares_bought[1:] for r in refs])
+        ref_cum = np.array([r.blotter.accumulated_cost[1:] for r in refs])
         st = s.stats[kind]
         assert st.per_sim_actual_cost.tobytes() == ref_cost.tobytes()
         assert st.mean_order_size.tobytes() == np.mean(ref_orders, axis=0).tobytes()
@@ -351,8 +349,8 @@ def _reference_arrays(kind, params, mandate, base_seed, n_sims, clamp):
                         clamp_nonneg_orders=clamp)
             for i in range(n_sims)]
     cost = np.array([r.actual_cost for r in refs])
-    orders = np.array([[row.shares_bought for row in r.blotter[1:]] for r in refs])
-    cum = np.array([[row.accumulated_cost for row in r.blotter[1:]] for r in refs])
+    orders = np.array([r.blotter.shares_bought[1:] for r in refs])
+    cum = np.array([r.blotter.accumulated_cost[1:] for r in refs])
     return cost, orders, cum, refs
 
 

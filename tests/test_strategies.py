@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_best_execution
+from oracles import brute_force_best_execution, numpy_scalar_schedule
 
 from bestexec import (TAGS, EstimateArrays, MarketParams, ParameterEstimates,
                       ar_adjustment_factor, ar_rho_factor, decide_order, naive_order,
@@ -169,6 +169,27 @@ def test_ar_rho_factor_of_every_period_equals_the_float_form():
                                         gamma.tolist(), rho[t - 1].tolist())]).tobytes()
 
 
+_THETAS = st.floats(1e-12, 1e-1) | st.sampled_from([5e-324, 1e-300, 1.0, 1e300])
+_GAMMAS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
+_RHOS = st.floats(-0.999, 0.999) | st.sampled_from([0.0, -0.0, 0.999999, -5e-324])
+_VARIANCES = st.floats(0.0, 10.0) | st.sampled_from([0.0, 5e-324, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=_THETAS, gamma=_GAMMAS, rho=_RHOS, sigma_eta_sq=_VARIANCES,
+       T=st.integers(1, 400))
+def test_schedule_equals_the_numpy_scalar_recursion_property(theta, gamma, rho,
+                                                             sigma_eta_sq, T):
+    # solve_coefficients steps on Python floats: every field must keep the
+    # bits of the recursion on numpy scalars it replaced
+    schedule = solve_coefficients(MarketParams(theta, gamma, rho, 0.01, sigma_eta_sq), T)
+    with np.errstate(all="ignore"):  # extreme draws overflow numpy's scalars
+        expected = numpy_scalar_schedule(theta, gamma, rho, sigma_eta_sq, T)
+    assert schedule.horizon == T
+    for name, want in zip("abcdef", expected):
+        assert getattr(schedule, name).tobytes() == want.tobytes(), name
+
+
 def test_float_power_equals_python_pow_bit_for_bit():
     # ar_rho_factor takes its powers on arrays with np.float_power, and on
     # floats with Python's **: both must call the same C pow, or the batch
@@ -239,7 +260,7 @@ def test_decide_order_contract_violations():
 
 def test_decide_order_returns_a_python_float_and_the_tag_name():
     sch = solve_coefficients(BASELINE, 20)
-    x = np.float64(0.2)  # run_episode's X_t are numpy scalars
+    x = np.float64(0.2)  # a library caller may pass numpy scalars
     for kind, tilt, estimates, tag in (
             ("naive", None, None, "naive_fallback"),
             ("informed", sch.f[4] * x, None, "informed"),

@@ -68,3 +68,34 @@ def test_the_argv_shapes_read_both_flag_forms_alike():
     # shape 2i gives a flag as --key VALUE and shape 2i + 1 as --key=VALUE
     for i in range(len(cli_grid.VALUES)):
         assert fields[2 * i][1:] == fields[2 * i + 1][1:], fields[2 * i][0]
+
+
+def _load_ab_time():
+    spec = importlib.util.spec_from_file_location("ab_time", ROOT / "tools" / "ab_time.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_time_times_a_checkout_against_itself(capsys):
+    ab_time = _load_ab_time()
+    src = str(ROOT / "src")
+    assert ab_time.main([src, src, "--rounds", "4", "--warmup", "1",
+                         "--argv", "simulate --strategy ar --horizon 4 --seed {i}",
+                         "--argv", "montecarlo --horizon 4 --n-sims 3 --seed {i}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["a", "b", "median per-round ratio b/a"]
+    ratio = float(lines[2].split(": ")[1].split()[0])
+    assert 0.0 < ratio < float("inf")
+
+
+def test_ab_time_stops_when_the_checkouts_exit_differently(tmp_path):
+    # a stand-in checkout whose CLI exits 3 on every call
+    package = tmp_path / "src" / "bestexec"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def main(argv):\n    return 3\n")
+    ab_time = _load_ab_time()
+    with pytest.raises(SystemExit, match="round 0 exit codes differ: a \\[0\\], b \\[3\\]"):
+        ab_time.ab_time(str(ROOT / "src"), str(tmp_path / "src"),
+                        [["simulate", "--horizon", "4"]], rounds=2, warmup=0)
