@@ -302,13 +302,15 @@ def _write(path: Path, text: str) -> None:
 def cmd_simulate(spec: RunSpec) -> int:
     """Run one episode and write <out_dir>/blotter.csv: header, T+1 rows, then
     one JSON footer line with actual_cost, expected_cost, improvement_per_share."""
-    if len(spec.strategies) != 1:
+    # the distinct names, as run_monte_carlo reads them (a file's list keeps repeats)
+    strategies = tuple(dict.fromkeys(spec.strategies))
+    if len(strategies) != 1:
         raise SpecError(f"strategy: simulate needs exactly one strategy "
-                        f"(got {len(spec.strategies)})")
+                        f"(got {len(strategies)})")
     path = generate_noise_path(substream_seed(spec.seed, 0), spec.horizon,
                                spec.sigma_eps_sq, spec.sigma_eta_sq)
     with np.errstate(all="ignore"):  # overflow is reported below, by name
-        result = run_episode(spec.strategies[0], spec.market_params(), spec.mandate(),
+        result = run_episode(strategies[0], spec.market_params(), spec.mandate(),
                              path, clamp_nonneg_orders=spec.clamp_nonneg_orders,
                              ar_expected_cost_from_estimates=spec.ar_value_toggle)
     columns = result.blotter[1:]  # the period column is _csv_rows's index

@@ -29,15 +29,12 @@ equals it row by row, bit for bit. The information half reads no order, so
 fit_information fits it for every period of a study at once; a Monte Carlo
 study, whose orders read no sigma_eta_sq_hat, fits it without the residual
 pass (_fit_rho). The impact half runs each period after the orders are
-known: its arithmetic is _fit_impact, on plain arrays and with no prior,
-which the batch engine calls directly; estimate_all_batch is its public
-wrapper, with a prior check and EstimateArrays. Their sums are np.vecdot
-over row views, one call per prefix length, which round as the scalar
-refit's 1-D `a.dot(b)` does (the BLAS ddot of `a @ b`, at less call
-overhead; np.einsum, (a*b).sum(1) and running sums do not). Every other
-step is the same IEEE operation in the same order, and the prior is carried
-forward through np.where masks (estimate_all_batch) or, along the period
-axis, by index (_carry_forward).
+known, as _fit_impact on plain arrays with no prior; after the last period,
+_carry_forward carries each failed fit's prior forward along the period
+axis. Their sums are np.vecdot over row views, one call per prefix length,
+which round as the scalar refit's 1-D `a.dot(b)` does (the BLAS ddot of
+`a @ b`, at less call overhead; np.einsum, (a*b).sum(1) and running sums do
+not). Every other step is the same IEEE operation in the same order.
 """
 
 from __future__ import annotations
@@ -53,10 +50,8 @@ __all__ = [
     "COND_LIMIT",
     "THETA_TSTAT_MIN",
     "estimate_all",
-    "EstimateArrays",
     "InformationFit",
     "fit_information",
-    "estimate_all_batch",
 ]
 
 RHO_CLAMP = 0.999
@@ -66,21 +61,24 @@ THETA_TSTAT_MIN = 2.0
 
 @dataclass(frozen=True)
 class ParameterEstimates:
-    """The five online estimates plus validity flags.
+    """The five online estimates plus validity flags, of n_obs periods: floats
+    from estimate_all, or (n_sims,) arrays in the batch engine (row i from
+    history i), where sigma_eta_sq_hat may be None.
 
     impact_valid: the (theta, gamma) design was well conditioned at fit time
                   and theta_hat cleared its significance gate.
     rho_valid:    the lag regression was nonsingular and needed no clamping.
-    Values from failed fits are NaN unless a prior carried them forward.
+    Values from failed fits are NaN unless a prior carried them forward; the
+    batch engine's per-period estimates hold _fit_impact's raw values there.
     """
 
-    theta_hat: float
-    gamma_hat: float
-    rho_hat: float
-    sigma_eps_sq_hat: float
-    sigma_eta_sq_hat: float
-    impact_valid: bool
-    rho_valid: bool
+    theta_hat: float | np.ndarray
+    gamma_hat: float | np.ndarray
+    rho_hat: float | np.ndarray
+    sigma_eps_sq_hat: float | np.ndarray
+    sigma_eta_sq_hat: float | np.ndarray | None
+    impact_valid: bool | np.ndarray
+    rho_valid: bool | np.ndarray
     n_obs: int
 
     @classmethod
@@ -165,28 +163,6 @@ def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarra
 
 
 @dataclass(frozen=True)
-class EstimateArrays:
-    """ParameterEstimates of many histories of equal length n_obs: each field
-    is an (n_sims,) array whose row i belongs to history i. sigma_eta_sq_hat
-    is None when the InformationFit it was read from has none."""
-
-    theta_hat: np.ndarray
-    gamma_hat: np.ndarray
-    rho_hat: np.ndarray
-    sigma_eps_sq_hat: np.ndarray
-    sigma_eta_sq_hat: np.ndarray | None
-    impact_valid: np.ndarray
-    rho_valid: np.ndarray
-    n_obs: int
-
-    @classmethod
-    def invalid(cls, n_sims: int) -> "EstimateArrays":
-        nan = np.full(n_sims, np.nan)
-        no = np.zeros(n_sims, dtype=bool)
-        return cls(nan, nan, nan, nan, nan, no, no, 0)
-
-
-@dataclass(frozen=True)
 class InformationFit:
     """The information half of the refit of n_sims information paths after
     every period: each field is a C-contiguous (n_sims, T) array whose
@@ -264,47 +240,6 @@ def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
     carried = np.take_along_axis(values, index, axis=-1)
     carried[..., last < 0] = np.nan
     return carried
-
-
-def estimate_all_batch(history: np.ndarray, info_series: np.ndarray,
-                       information: InformationFit, n: int,
-                       prior: EstimateArrays | None = None) -> EstimateArrays:
-    """estimate_all for n_sims histories of their first n periods at once.
-
-    history is a (2, n_sims, T) array of the orders (history[0]) and price
-    changes (history[1]), info_series the (n_sims, T + 1) information paths
-    and information their fit_information (or _fit_rho); columns past n
-    are not read. Only the impact fit is computed here (by _fit_impact);
-    the information fit is read from column n - 1 of information. Row i of
-    the result equals estimate_all(history[1, i, :n], history[0, i, :n],
-    info_series[i, :n + 1], prior_i) bit for bit, where prior None stands
-    for no prior in every row. The rho fields carry forward no prior, so
-    they equal estimate_all's only with prior None or the refit of the same
-    histories' first n - 1 periods; a prior of any other length raises.
-    """
-    n_sims = history.shape[1]
-    if prior is None:
-        prior = EstimateArrays.invalid(n_sims)
-    elif prior.n_obs != n - 1:
-        raise ValueError(f"prior: must be the refit of the first {n - 1} periods "
-                         f"(got n_obs={prior.n_obs})")
-    if n < 2:
-        theta_hat, gamma_hat, s2e_hat = prior.theta_hat, prior.gamma_hat, prior.sigma_eps_sq_hat
-        impact_valid = np.zeros(n_sims, dtype=bool)
-    else:
-        fitted, theta, gamma, s2e, impact_valid = _fit_impact(
-            history[:, :, :n], info_series[:, 1:n + 1], information.sum_xx[:, n - 1])
-        theta_hat = np.where(fitted, theta, prior.theta_hat)
-        gamma_hat = np.where(fitted, gamma, prior.gamma_hat)
-        s2e_hat = np.where(fitted, s2e, prior.sigma_eps_sq_hat)
-    return EstimateArrays(
-        theta_hat=theta_hat, gamma_hat=gamma_hat,
-        rho_hat=information.rho_hat[:, n - 1],
-        sigma_eps_sq_hat=s2e_hat,
-        sigma_eta_sq_hat=(None if information.sigma_eta_sq_hat is None
-                          else information.sigma_eta_sq_hat[:, n - 1]),
-        impact_valid=impact_valid, rho_valid=information.rho_valid[:, n - 1], n_obs=n,
-    )
 
 
 def _fit_impact(h: np.ndarray, x: np.ndarray, sxx: np.ndarray):

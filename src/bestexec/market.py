@@ -140,7 +140,6 @@ class NoisePath:
 
     eps: np.ndarray
     eta: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if len(self.eps) != len(self.eta):
@@ -196,7 +195,7 @@ def generate_noise_path(seed: int, horizon: int,
     the one-seed case of generate_noise_arrays."""
     seed = check_seed(seed)
     eps, eta = _noise_rows([seed], horizon, sigma_eps_sq, sigma_eta_sq)
-    return NoisePath(eps=eps[0], eta=eta[0], seed=seed)
+    return NoisePath(eps=eps[0], eta=eta[0])
 
 
 def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,

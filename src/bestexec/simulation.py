@@ -62,8 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import (EstimateArrays, ParameterEstimates, _carry_forward, _fit_impact,
-                         _fit_rho, estimate_all, fit_information)
+from .estimation import (ParameterEstimates, _carry_forward, _fit_impact, _fit_rho,
+                         estimate_all, fit_information)
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
@@ -115,7 +115,6 @@ class RunResult:
     actual_cost: float
     expected_cost: float
     improvement_per_share: float
-    strategy_tag: str
     estimates_log: list[ParameterEstimates] | None = None
 
 
@@ -190,7 +189,6 @@ def run_episode(strategy_kind: str, params: MarketParams,
         actual_cost=cost,
         expected_cost=expected,
         improvement_per_share=per_share_improvement(expected, cost, mandate.s0),
-        strategy_tag=strategy_kind,
         estimates_log=estimates_log,
     )
 
@@ -305,12 +303,13 @@ def _decide_orders(strategy_kind: str, params: MarketParams, mandate: ExecutionM
                    path: _SharedPath, clamp_nonneg_orders: bool, keep_log: bool):
     """The period loop of the informed or online rule: the (n_sims, T)
     orders, and for the online rule its (T, n_sims) prices and, with keep_log,
-    its estimates log (None otherwise)."""
+    its estimates log (None otherwise). Its rule reads each period's fits as
+    a ParameterEstimates of (n_sims,) arrays, without prior or sigma_eta_sq_hat."""
     T = mandate.horizon
     n = path.eps.shape[1]
     is_ar = strategy_kind == "ar"
     s = np.full(n, float(mandate.s0))
-    estimates: EstimateArrays | None = None
+    estimates: ParameterEstimates | None = None
     prices = estimates_log = None
     tilts = rho_factors = [None] * T
     if is_ar:
@@ -360,8 +359,9 @@ def _decide_orders(strategy_kind: str, params: MarketParams, mandate: ExecutionM
                 # rows, which were fitted in this period: no prior is masked in
                 fit, theta_hat, gamma_hat, s2e, valid = _fit_impact(
                     history[:, :, :t], info[:, 1:t + 1], information.sum_xx[:, t - 1])
-                estimates = EstimateArrays(theta_hat, gamma_hat, information.rho_hat[:, t - 1],
-                                           s2e, None, valid, information.rho_valid[:, t - 1], t)
+                estimates = ParameterEstimates(
+                    theta_hat, gamma_hat, information.rho_hat[:, t - 1], s2e, None, valid,
+                    information.rho_valid[:, t - 1], t)
                 if keep_log:
                     impact[:, :, t - 1] = theta_hat, gamma_hat, s2e
                     fitted[:, t - 1] = fit
@@ -417,7 +417,6 @@ class StrategyStats:
     mean_order_size: np.ndarray          # (T,)
     accumulated_cost_variance: np.ndarray  # (T,)
     per_sim_actual_cost: np.ndarray      # (n_sims,)
-    per_sim_improvement: np.ndarray      # (n_sims,)
 
 
 @dataclass
@@ -484,7 +483,6 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
             accumulated_cost_variance=(np.var(cum_cost, axis=0, ddof=1)
                                        if n_sims > 1 else np.zeros(T)),
             per_sim_actual_cost=actual,
-            per_sim_improvement=imp,
         )
     return MonteCarloSummary(n_sims=int(n_sims), base_seed=int(base_seed),
                              strategies=strategies,

@@ -224,7 +224,7 @@ def _tilt_factor(theta_hat, gamma_hat, rho_factor, t: int, horizon: int):
 
 def usable(estimates) -> bool | np.ndarray:
     """Whether the online rule may tilt by these estimates: present, both fits
-    valid and theta_hat > 0. Elementwise (a bool array) on EstimateArrays."""
+    valid and theta_hat > 0. Elementwise (a bool array) on estimates of arrays."""
     return (estimates is not None
             and estimates.impact_valid & estimates.rho_valid & (estimates.theta_hat > 0.0))
 
@@ -234,8 +234,8 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
     """The order B_t of one strategy at period t and its tag code (see TAGS).
 
     s (shares remaining) and x_prev (X_{t-1}) are floats, or (n_sims,) arrays
-    with estimates an EstimateArrays; row i of the arrays' result equals the
-    result on row i's floats, bit for bit.
+    with estimates a ParameterEstimates of arrays; row i of the arrays' result
+    equals the result on row i's floats, bit for bit.
 
     final period  -> s, whatever the strategy.
     naive         -> the uniform split naive_order(s, t, horizon).

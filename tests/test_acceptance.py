@@ -210,7 +210,7 @@ def test_criterion_11_sensitivity_check():
 
 def test_criterion_12_zero_noise_degeneracy():
     params = MarketParams(5e-5, 5.0, 0.5, 0.0, 0.0)
-    path = NoisePath(eps=np.zeros(20), eta=np.zeros(20), seed=0)
+    path = NoisePath(eps=np.zeros(20), eta=np.zeros(20))
     results = {k: run_episode(k, params, MANDATE, path)
                for k in ("naive", "informed", "ar")}
     identical = all(res.blotter == results["naive"].blotter

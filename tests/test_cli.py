@@ -159,6 +159,29 @@ def test_simulate_requires_exactly_one_strategy(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "strategy" in capsys.readouterr().err
+    # a config file's list counts its distinct names
+    cfg, out = tmp_path / "two.cfg", tmp_path / "out"
+    for names in ("naive,ar", "naive,ar,naive"):
+        cfg.write_text(f"strategy = {names}\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "strategy: simulate needs exactly one strategy (got 2)\n")
+        assert not out.exists()
+
+
+def test_simulate_reads_a_config_files_repeated_strategy_once(tmp_path):
+    # the file's list keeps its repeat, as a spec renders as it was written;
+    # simulate reads the distinct names, as --strategy and montecarlo do
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("strategy = naive,naive\n")
+    assert parse_config(["--config", str(cfg)]).strategies == ("naive", "naive")
+    runs = {}
+    for name, flags in (("config", ["--config", str(cfg)]), ("flag", ["--strategy", "naive"])):
+        out = tmp_path / name
+        rc, stdout, err, _ = _run_cli(["simulate", *flags, "--out-dir", str(out)])
+        assert (rc, err) == (0, "")
+        runs[name] = stdout, (out / "blotter.csv").read_bytes()
+    assert runs["config"] == runs["flag"]
 
 
 def test_montecarlo_outputs_and_determinism(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestexec import (ParameterEstimates, estimate_all, estimate_all_batch, fit_information,
-                      info_step, price_step)
+from bestexec import ParameterEstimates, estimate_all, fit_information, info_step, price_step
+from bestexec.estimation import _carry_forward, _fit_impact
 
 
 def _arrays(rows, x0=0.0):
@@ -303,7 +303,9 @@ def _batch_test_rows(n_obs):
     return rows
 
 
-def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
+def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
+    # the batch engine's composition: _fit_impact after every period, with no
+    # prior, then each failed fit's prior carried forward along the period axis
     n_obs = 12
     rows = _batch_test_rows(n_obs)
     dp = np.array([r[0] for r in rows])
@@ -312,11 +314,21 @@ def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
     info[:, 1:] = [r[2] for r in rows]
     history = np.stack([b, dp])
     information = fit_information(info)
+    impact = np.empty((3, len(rows), n_obs))
+    fitted = np.zeros((len(rows), n_obs), dtype=bool)
+    impact_valid = np.zeros((len(rows), n_obs), dtype=bool)
+    for n in range(2, n_obs + 1):
+        fit, theta, gamma, s2e, valid = _fit_impact(
+            history[:, :, :n], info[:, 1:n + 1], information.sum_xx[:, n - 1])
+        impact[:, :, n - 1] = theta, gamma, s2e
+        fitted[:, n - 1] = fit
+        impact_valid[:, n - 1] = valid
+    theta_hat, gamma_hat, s2e_hat = _carry_forward(fitted, impact)
+    batch = {"theta_hat": theta_hat, "gamma_hat": gamma_hat, "rho_hat": information.rho_hat,
+             "sigma_eps_sq_hat": s2e_hat, "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
+             "impact_valid": impact_valid, "rho_valid": information.rho_valid}
     scalar = [None] * len(rows)
-    batch = None
     for n in range(1, n_obs + 1):
-        batch = estimate_all_batch(history, info, information, n, prior=batch)
-        assert batch.n_obs == n
         # the overflow history overflows in the scalar dot products, as in simulate
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(len(rows)):
@@ -324,29 +336,15 @@ def test_estimate_all_batch_equals_estimate_all_bit_for_bit():
                                          info[i, :n + 1].copy(), prior=scalar[i])
         for name in ESTIMATE_ATTRS:
             ref = np.array([getattr(est, name) for est in scalar])
-            assert getattr(batch, name).tobytes() == ref.tobytes(), (n, name)
+            assert batch[name][:, n - 1].tobytes() == ref.tobytes(), (n, name)
     # every branch was taken at the final length
-    assert batch.impact_valid.any() and not batch.impact_valid.all()
-    assert batch.rho_valid.any() and not batch.rho_valid.all()
-    assert np.isnan(batch.theta_hat[1]) and np.isnan(batch.rho_hat[1])
-    assert batch.rho_hat[3] == 0.999
-    assert batch.sigma_eps_sq_hat[4] <= 1e-20
-    assert batch.theta_hat[5] < 0.0
-
-
-def test_estimate_all_batch_rejects_a_prior_of_another_length():
-    # the rho fields come from fit_information, which carries forward no
-    # prior: only the refit of the first n - 1 periods (or none) may be one
-    rng = np.random.default_rng(3)
-    history = rng.normal(0.0, 1.0, (2, 4, 10))
-    info = rng.normal(0.0, 1.0, (4, 11))
-    information = fit_information(info)
-    first = estimate_all_batch(history, info, information, 1)
-    second = estimate_all_batch(history, info, information, 2, prior=first)
-    estimate_all_batch(history, info, information, 5)
-    for n, prior in ((3, first), (2, second), (10, second)):
-        with pytest.raises(ValueError, match=rf"prior: .* first {n - 1} periods"):
-            estimate_all_batch(history, info, information, n, prior=prior)
+    last = {name: column[:, -1] for name, column in batch.items()}
+    assert last["impact_valid"].any() and not last["impact_valid"].all()
+    assert last["rho_valid"].any() and not last["rho_valid"].all()
+    assert np.isnan(last["theta_hat"][1]) and np.isnan(last["rho_hat"][1])
+    assert last["rho_hat"][3] == 0.999
+    assert last["sigma_eps_sq_hat"][4] <= 1e-20
+    assert last["theta_hat"][5] < 0.0
 
 
 # information values: ordinary, signed zeros, subnormals, and values whose

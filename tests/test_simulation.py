@@ -36,7 +36,7 @@ def test_uniform_split_reference_blotter_reproduced():
     # back-solve the price shocks from the reference prices, replay the episode
     eps = np.array([TABLE1_PRICES[t] - TABLE1_PRICES[t - 1] - 5e-5 * 5000.0
                     for t in range(1, 21)])
-    path = NoisePath(eps=eps, eta=np.zeros(20), seed=0)
+    path = NoisePath(eps=eps, eta=np.zeros(20))
     res = run_episode("naive", BASELINE, MANDATE, path)
     blotter = res.blotter
     for t in range(21):
@@ -49,7 +49,7 @@ def test_uniform_split_reference_blotter_reproduced():
 
 
 def test_naive_zero_noise_cost_is_closed_form():
-    path = NoisePath(eps=np.zeros(20), eta=np.zeros(20), seed=0)
+    path = NoisePath(eps=np.zeros(20), eta=np.zeros(20))
     res = run_episode("naive", BASELINE, MANDATE, path)
     assert res.actual_cost == pytest.approx(5262500.0, abs=1e-5)
     assert res.improvement_per_share == pytest.approx(0.0, abs=1e-12)
@@ -176,7 +176,7 @@ def test_monte_carlo_is_deterministic():
 
 def test_zero_noise_degeneracy_identical_blotters():
     params = MarketParams(5e-5, 5.0, 0.5, 0.0, 0.0)
-    path = NoisePath(eps=np.zeros(20), eta=np.zeros(20), seed=0)
+    path = NoisePath(eps=np.zeros(20), eta=np.zeros(20))
     results = {k: run_episode(k, params, MANDATE, path)
                for k in ("naive", "informed", "ar")}
     for k, res in results.items():
@@ -298,7 +298,7 @@ def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
     # from -0.0
     mandate = ExecutionMandate(5e-324, 1e-300, 3)
     path = NoisePath(eps=np.array([-1.0, 0.25, -0.5]),
-                     eta=np.array([0.01, -0.02, 0.03]), seed=0)
+                     eta=np.array([0.01, -0.02, 0.03]))
     for kind in ("naive", "informed", "ar"):
         with np.errstate(over="ignore"):  # the improvement per share overflows
             ref = run_episode(kind, BASELINE, mandate, path, clamp_nonneg_orders=clamp)

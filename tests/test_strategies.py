@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_best_execution, numpy_scalar_schedule
 
-from bestexec import (TAGS, EstimateArrays, MarketParams, ParameterEstimates,
-                      ar_adjustment_factor, ar_rho_factor, decide_order, naive_order,
-                      order_rule, solve_coefficients)
+from bestexec import (TAGS, MarketParams, ParameterEstimates, ar_adjustment_factor,
+                      ar_rho_factor, decide_order, naive_order, order_rule,
+                      solve_coefficients)
 from bestexec.strategies import STRATEGIES
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
@@ -160,8 +160,8 @@ def test_ar_rho_factor_of_every_period_equals_the_float_form():
     s, x_prev = rng.uniform(0.0, 1e5, n), rng.normal(0.0, 1.0, n)
     yes = np.ones(n, dtype=bool)
     for t in (1, T // 2, T - 2, T - 1, T):
-        est = EstimateArrays(theta, gamma, rho[t - 1], np.full(n, 0.01), np.full(n, 0.001),
-                             yes, yes, 10)
+        est = ParameterEstimates(theta, gamma, rho[t - 1], np.full(n, 0.01),
+                                 np.full(n, 0.001), yes, yes, 10)
         got = order_rule("ar", s, x_prev, t, T, estimates=est, rho_factor=factor[t - 1])[0]
         assert got.tobytes() == np.array([
             order_rule("ar", si, xi, t, T, estimates=_estimates(th, g, r))[0]
@@ -326,8 +326,8 @@ def test_order_rule_on_arrays_equals_the_rule_on_each_row_property(kind, T, data
     scalar_est = [ParameterEstimates(th, g, r, 0.01, 0.001, i_ok, r_ok, t)
                   for th, g, r, i_ok, r_ok in est]
     theta, gamma, rho, impact_ok, rho_ok = (np.array(col) for col in zip(*est))
-    array_est = EstimateArrays(theta, gamma, rho, np.full(len(rows), 0.01),
-                               np.full(len(rows), 0.001), impact_ok, rho_ok, t)
+    array_est = ParameterEstimates(theta, gamma, rho, np.full(len(rows), 0.01),
+                                   np.full(len(rows), 0.001), impact_ok, rho_ok, t)
     by_row = [order_rule(kind, *row, t, T, tilt_i, est_i, clamp)
               for *row, tilt_i, est_i in zip(s, x_prev, tilt, scalar_est)]
     order, tag = order_rule(kind, np.array(s), np.array(x_prev), t, T, np.array(tilt),
@@ -344,10 +344,10 @@ def test_ar_rule_on_many_random_rows_equals_the_scalar_rule():
     n = 400
     for T in (3, 20, 100):
         for t in range(1, T + 1):
-            est = EstimateArrays(10 ** rng.uniform(-7, -3, n), rng.uniform(-50, 50, n),
-                                 rng.uniform(-0.99, 0.99, n), np.full(n, 0.01),
-                                 np.full(n, 0.001), rng.random(n) < 0.9,
-                                 rng.random(n) < 0.9, t)
+            est = ParameterEstimates(10 ** rng.uniform(-7, -3, n), rng.uniform(-50, 50, n),
+                                     rng.uniform(-0.99, 0.99, n), np.full(n, 0.01),
+                                     np.full(n, 0.001), rng.random(n) < 0.9,
+                                     rng.random(n) < 0.9, t)
             s, x_prev = rng.uniform(-1e5, 1e6, n), rng.uniform(-10, 10, n)
             order, tag = order_rule("ar", s, x_prev, t, T, estimates=est)
             by_row = [order_rule("ar", s[i], x_prev[i], t, T, estimates=ParameterEstimates(

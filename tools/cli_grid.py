@@ -69,6 +69,7 @@ CONFIG_FILES = {
     "run.cfg": "theta = 2e-5\nhorizon = 4\nn_sims = 3\nstrategy = naive,informed\n",
     "bad.cfg": "rho = fast\n",
     "-run.cfg": "horizon = 2\n",
+    "dup.cfg": "strategy = naive,naive\n",
 }
 MC = ("montecarlo", "--horizon", "3", "--n-sims", "2")
 # each flag with a value, given as --key VALUE by one shape and --key=VALUE by the next
@@ -107,6 +108,9 @@ ARGV = (
     (*MC, "--config", "missing.cfg", "--theta", "abc"),
     (*MC, "--seed", "abc", "--theta", "abc"),
     (*MC, "--frob", "--theta"),
+    # a strategy named twice, in the config file and in the flags
+    ("simulate", "--config", "dup.cfg"),
+    ("simulate", "--strategy", "naive,naive"),
 )
 
 
