@@ -434,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

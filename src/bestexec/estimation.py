@@ -29,12 +29,15 @@ equals it row by row, bit for bit. The information half reads no order, so
 fit_information fits it for every period of a study at once; a Monte Carlo
 study, whose orders read no sigma_eta_sq_hat, fits it without the residual
 pass (_fit_rho). The impact half runs each period after the orders are
-known, as _fit_impact on plain arrays with no prior; after the last period,
-_carry_forward carries each failed fit's prior forward along the period
-axis. Their sums are np.vecdot over row views, one call per prefix length,
-which round as the scalar refit's 1-D `a.dot(b)` does (the BLAS ddot of
-`a @ b`, at less call overhead; np.einsum, (a*b).sum(1) and running sums do
-not). Every other step is the same IEEE operation in the same order.
+known, as _fit_impact with no prior: the caller takes the four sums that
+read orders in one broadcast np.vecdot of its (3, n_sims, n) history of
+price changes, orders and X, and _fit_impact writes its three values into
+slots the caller gives it. After the last period, _carry_forward carries
+each failed fit's prior forward along the period axis. Every sum is
+np.vecdot over row views, one call per prefix length, which rounds as the
+scalar refit's 1-D `a.dot(b)` does (the BLAS ddot of `a @ b`, at less call
+overhead; np.einsum, (a*b).sum(1) and running sums do not). Every other
+step is the same IEEE operation in the same order.
 """
 
 from __future__ import annotations
@@ -62,21 +65,20 @@ THETA_TSTAT_MIN = 2.0
 @dataclass(frozen=True)
 class ParameterEstimates:
     """The five online estimates plus validity flags, of n_obs periods: floats
-    from estimate_all, or (n_sims,) arrays in the batch engine (row i from
-    history i), where sigma_eta_sq_hat may be None.
+    from estimate_all, or (n_sims,) arrays (row i from history i), as
+    order_rule reads them on arrays.
 
     impact_valid: the (theta, gamma) design was well conditioned at fit time
                   and theta_hat cleared its significance gate.
     rho_valid:    the lag regression was nonsingular and needed no clamping.
-    Values from failed fits are NaN unless a prior carried them forward; the
-    batch engine's per-period estimates hold _fit_impact's raw values there.
+    Values from failed fits are NaN unless a prior carried them forward.
     """
 
     theta_hat: float | np.ndarray
     gamma_hat: float | np.ndarray
     rho_hat: float | np.ndarray
     sigma_eps_sq_hat: float | np.ndarray
-    sigma_eta_sq_hat: float | np.ndarray | None
+    sigma_eta_sq_hat: float | np.ndarray
     impact_valid: bool | np.ndarray
     rho_valid: bool | np.ndarray
     n_obs: int
@@ -242,39 +244,51 @@ def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
     return carried
 
 
-def _fit_impact(h: np.ndarray, x: np.ndarray, sxx: np.ndarray):
+def _fit_impact(h: np.ndarray, sums: np.ndarray, out: np.ndarray):
     """The impact fit of estimate_all, with no prior, for n_sims histories of
-    n >= 2 periods: h is the (2, n_sims, n) orders and price changes, x the
-    (n_sims, n) X_1..X_n and sxx their sum X^2 (InformationFit.sum_xx).
+    n >= 2 periods. h is the (3, n_sims, n) history: price changes, orders
+    and X_1..X_n. sums is a (2, 3, n_sims) array of its sums, whose rows in
+    order are sum dP*B, sum dP*X, sum X^2, sum B^2, sum B*X and one unread:
+    sums[:, :2] is the block np.vecdot(h[0:2, None], h[None, 1:3]), and
+    sums[0, 2] is InformationFit.sum_xx. Then the diagonal of the normal
+    equations (sum X^2, sum B^2) and the right-hand sides (sum dP*B,
+    sum dP*X) are each one (2, n_sims) view, and Cramer's two numerators
+    one product.
 
-    Returns (fitted, theta_hat, gamma_hat, sigma_eps_sq_hat, impact_valid),
-    (n_sims,) arrays. On the fitted rows the three values are estimate_all's
-    bit for bit; on the others they are whatever the arithmetic gave, and a
-    caller carries its prior there. impact_valid is False on every row not
-    fitted. Floating-point warnings are silenced, as failures are encoded.
+    Writes theta_hat, gamma_hat and sigma_eps_sq_hat to the rows of the
+    (3, n_sims) out and returns the (n_sims,) masks (fitted, impact_valid).
+    On the fitted rows the three values are estimate_all's bit for bit; on
+    the others they are whatever the arithmetic gave, and a caller carries
+    its prior there. impact_valid is False on every row not fitted. Failures
+    are encoded, not raised: callers must silence floating-point warnings
+    (np.errstate), as the batch engine does once around its period loop.
     """
     n = h.shape[2]
-    b, delta_p = h
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the 2x2 normal equations as in estimate_all, _cond_2x2 inlined
-        sbb, spb = np.vecdot(h, b)
-        sxb = np.vecdot(x, b)
-        spx = np.vecdot(delta_p, x)
-        det = sbb * sxx - sxb * sxb
-        tr = sbb + sxx
-        disc_sq = tr * tr - 4.0 * det
-        disc = np.sqrt(np.where(0.0 > disc_sq, 0.0, disc_sq))
-        lo = (tr - disc) / 2.0
-        hi = (tr + disc) / 2.0
-        fitted = ~((det <= 0.0) | (lo <= 0.0) | (hi / lo > COND_LIMIT))
-        theta_hat = (sxx * spb - sxb * spx) / det
-        gamma_hat = (sbb * spx - sxb * spb) / det
-        r = delta_p - theta_hat[:, None] * b - gamma_hat[:, None] * x
-        s2e = np.vecdot(r, r) / (n - 1)
-        if n < 3:
-            return fitted, theta_hat, gamma_hat, s2e, np.zeros(len(fitted), dtype=bool)
-        var_theta = s2e * (n - 1) / (n - 2) * sxx / det
-        impact_valid = (fitted & (theta_hat > 0.0)
-                        & ((var_theta <= 0.0)
-                           | (theta_hat >= THETA_TSTAT_MIN * np.sqrt(var_theta))))
-    return fitted, theta_hat, gamma_hat, s2e, impact_valid
+    rows = sums.reshape(6, -1)
+    diag, sxb = rows[2:4], rows[4]
+    sxx, sbb = diag
+    # the 2x2 normal equations as in estimate_all, _cond_2x2 inlined
+    det = sbb * sxx - sxb * sxb
+    tr = sbb + sxx
+    disc_sq = tr * tr - 4.0 * det
+    # max(disc_sq, 0.0), as np.maximum gives it: they would differ only at
+    # -0.0, and tr * tr - 4.0 * det is never -0.0 (tr * tr never is)
+    disc = np.sqrt(np.maximum(disc_sq, 0.0))
+    lo = (tr - disc) / 2.0
+    hi = (tr + disc) / 2.0
+    fitted = ~((det <= 0.0) | (lo <= 0.0) | (hi / lo > COND_LIMIT))
+    # theta_hat = (sxx*spb - sxb*spx) / det, gamma_hat = (sbb*spx - sxb*spb) / det
+    np.divide(diag * rows[0:2] - sxb * rows[1::-1], det, out=out[:2])
+    # the residual dP - theta_hat*B - gamma_hat*X, both products in one call
+    r = out[:2, :, None] * h[1:]
+    np.subtract(h[0], r[0], out=r[0])
+    np.subtract(r[0], r[1], out=r[0])
+    np.divide(np.vecdot(r[0], r[0]), n - 1, out=out[2])
+    if n < 3:
+        return fitted, np.zeros(len(fitted), dtype=bool)
+    theta_hat = out[0]
+    var_theta = out[2] * (n - 1) / (n - 2) * sxx / det
+    impact_valid = (fitted & (theta_hat > 0.0)
+                    & ((var_theta <= 0.0)
+                       | (theta_hat >= THETA_TSTAT_MIN * np.sqrt(var_theta))))
+    return fitted, impact_valid

@@ -28,13 +28,17 @@ np.sum and np.mean along a contiguous axis sum pairwise and would not. The
 online strategy keeps stepping its price in the loop, as its refit needs
 the price changes. Before the loop it fits the information half of every
 period's refit (estimation.fit_information) and the rho part of the tilt of
-every period that can tilt (strategies.ar_rho_factor); in the loop it
-refits only the impact half, with estimation._fit_impact over row views of
-preallocated history buffers. The rule reads an impact fit only on its
-impact_valid rows, fitted in that same period, so the loop masks in no
-prior; the logged run carries the prior of a failed fit forward after the
-loop, along the period axis. So the batch engine's results equal
-run_episode's bit for bit.
+every period that can tilt (strategies.ar_rho_factor), and copies X_1..X_T
+into its one (3, n_sims, T) history buffer of price changes, orders and X.
+In the loop it refits only the impact half: one np.vecdot over row views
+of that buffer gives the four sums that read orders, and
+estimation._fit_impact writes its values straight into the estimates log
+(into one reused slot in a study). The rule, strategies._ar_order, reads an
+impact fit only on its impact_valid rows, fitted in that same period, so
+the loop masks in no prior and builds no estimates object; the logged run
+carries the prior of a failed fit forward after the loop, along the period
+axis. The whole loop runs under one np.errstate. So the batch engine's
+results equal run_episode's bit for bit.
 
 A Monte Carlo study reads only orders and costs, so there the online
 strategy refits only after periods 3..T-2 and keeps no estimates log: an
@@ -71,8 +75,8 @@ from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
                      generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
-from .strategies import (STRATEGIES, ar_rho_factor, decide_order, order_rule,
-                         solve_coefficients, usable)
+from .strategies import (STRATEGIES, _ar_order, ar_rho_factor, decide_order, naive_order,
+                         order_rule, solve_coefficients, usable)
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
@@ -285,9 +289,11 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
             row.append(order)
         orders = np.empty((n, T))
         orders[:] = row
+    elif strategy_kind == "informed":
+        orders = _informed_orders(params, mandate, path, clamp_nonneg_orders)
     else:
-        orders, prices, estimates_log = _decide_orders(
-            strategy_kind, params, mandate, path, clamp_nonneg_orders, keep_log)
+        orders, prices, estimates_log = _ar_orders(params, mandate, path,
+                                                   clamp_nonneg_orders, keep_log)
     if strategy_kind != "ar":
         prices = _accumulate_prices(mandate.p0, params.theta * orders.T, path)
     # accumulated costs C_t = C_{t-1} + P_t * B_t from C_0 = 0.0: the zero row
@@ -299,75 +305,98 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
     return cost[T].copy(), orders, np.ascontiguousarray(cost[1:].T), estimates_log
 
 
-def _decide_orders(strategy_kind: str, params: MarketParams, mandate: ExecutionMandate,
-                   path: _SharedPath, clamp_nonneg_orders: bool, keep_log: bool):
-    """The period loop of the informed or online rule: the (n_sims, T)
-    orders, and for the online rule its (T, n_sims) prices and, with keep_log,
-    its estimates log (None otherwise). Its rule reads each period's fits as
-    a ParameterEstimates of (n_sims,) arrays, without prior or sigma_eta_sq_hat."""
+def _informed_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPath,
+                     clamp_nonneg_orders: bool) -> np.ndarray:
+    """The period loop of the informed rule: its (n_sims, T) orders."""
     T = mandate.horizon
-    n = path.eps.shape[1]
-    is_ar = strategy_kind == "ar"
-    s = np.full(n, float(mandate.s0))
-    estimates: ParameterEstimates | None = None
-    prices = estimates_log = None
-    tilts = rho_factors = [None] * T
-    if is_ar:
-        price = np.full(n, float(mandate.p0))
-        prices = np.empty((T, n))
-        # the refit's history: orders and price changes, and (x0, X_1..X_T);
-        # the price changes start 16-byte aligned, as an array of their own
-        # would (OpenBLAS's SSE2 dot kernel rounds by operand alignment)
-        history = np.empty((2, n * T + n * T % 2))[:, :n * T].reshape(2, n, T)
-        orders, delta_p = history
-        info = np.ascontiguousarray(path.info.T)
-        # no order moves the information, so its half of every period's
-        # refit, and the rho part of every period's tilt, come first
-        information = fit_information(info) if keep_log else _fit_rho(info)[0]
-        # period t tilts by the estimates of period t - 1, which are usable
-        # only from 3 observations on, and period T tilts by none: only
-        # periods 4..T-1 need a rho factor. ar_rho_factor needs
-        # |rho_hat| < 1, which every row the rule reads has
-        rho_factors = np.zeros((T, n))
-        rho_prev = np.where(information.rho_valid, information.rho_hat, 0.0).T[2:T - 2]
-        rho_factors[3:T - 1] = ar_rho_factor(rho_prev, np.arange(4, T)[:, None], T)
-        if keep_log:
-            # the impact half's theta_hat, gamma_hat and sigma_eps_sq_hat
-            # after every period as fitted, its prior carried after the loop
-            impact = np.empty((3, n, T))
-            fitted = np.zeros((n, T), dtype=bool)
-            impact_valid = np.zeros((n, T), dtype=bool)
-        # an impact fit needs 2 observations: after period 1 nothing is fitted
-        refits = range(2, T + 1) if keep_log else range(3, T - 1)
-    else:
-        orders = np.empty((n, T))
-        # the informed tilt f_t * X_{t-1} of every period, in one product
-        tilts = solve_coefficients(params, T).f[:, None] * path.info[:-1]
+    s = np.full(path.eps.shape[1], float(mandate.s0))
+    orders = np.empty((len(s), T))
+    # the informed tilt f_t * X_{t-1} of every period, in one product
+    tilts = solve_coefficients(params, T).f[:, None] * path.info[:-1]
     for t in range(1, T + 1):
-        order = order_rule(strategy_kind, s, path.info[t - 1], t, T, tilts[t - 1],
-                           estimates, clamp_nonneg_orders, rho_factors[t - 1])[0]
+        order = order_rule("informed", s, path.info[t - 1], t, T, tilts[t - 1],
+                           clamp=clamp_nonneg_orders)[0]
         s = s - order
         orders[:, t - 1] = order
-        if is_ar:
+    return orders
+
+
+def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPath,
+               clamp_nonneg_orders: bool, keep_log: bool):
+    """The period loop of the online rule: its (n_sims, T) orders, its
+    (T, n_sims) prices and, with keep_log, its estimates log (None
+    otherwise). Each period decides the orders (strategies._ar_order),
+    steps the price and refits the impact half into a slot: the log's
+    column with keep_log, else one slot that each refit overwrites, as the
+    rule reads only the last. The loop runs under one np.errstate, for the
+    failed fits and unread rows that warn; it silences the price step too.
+    """
+    T = mandate.horizon
+    n = path.eps.shape[1]
+    info = np.ascontiguousarray(path.info.T)
+    # the refit's history: price changes, orders and X_1..X_T. Each plane
+    # starts 16-byte aligned, as an array of its own would (OpenBLAS's
+    # SSE2 dot kernel rounds by operand alignment)
+    history = np.empty((3, n * T + n * T % 2))[:, :n * T].reshape(3, n, T)
+    delta_p, orders, x = history
+    x[:] = info[:, 1:]
+    # no order moves the information, so its half of every period's
+    # refit, and the rho part of every period's tilt, come first
+    information = fit_information(info) if keep_log else _fit_rho(info)[0]
+    # period t tilts by the estimates of period t - 1, which are usable
+    # only from 3 observations on, and period T tilts by none: only
+    # periods 4..T-1 need a rho factor. ar_rho_factor needs |rho_hat| < 1,
+    # which every row the rule reads has
+    rho_factors = np.zeros((T, n))
+    rho_prev = np.where(information.rho_valid, information.rho_hat, 0.0).T[2:T - 2]
+    rho_factors[3:T - 1] = ar_rho_factor(rho_prev, np.arange(4, T)[:, None], T)
+    # the sums _fit_impact reads: the vecdot block and sum X^2
+    sums = np.empty((2, 3, n))
+    if keep_log:
+        # the impact half's theta_hat, gamma_hat and sigma_eps_sq_hat after
+        # every period as fitted, its prior carried after the loop
+        impact = np.empty((3, n, T))
+        fitted = np.zeros((n, T), dtype=bool)
+        impact_valid = np.zeros((n, T), dtype=bool)
+    else:
+        impact = np.empty((3, n, 1))
+    # an impact fit needs 2 observations: after period 1 nothing is fitted
+    refits = range(2, T + 1) if keep_log else range(3, T - 1)
+    s = np.full(n, float(mandate.s0))
+    price = np.full(n, float(mandate.p0))
+    prices = np.empty((T, n))
+    ok = None  # the rows whose last refit is usable: none before the first
+    with np.errstate(all="ignore"):
+        for t in range(1, T + 1):
+            if t == T:
+                order = s
+            else:
+                order = naive_order(s, t, T)
+                if ok is not None:
+                    order = _ar_order(order, ok, slot[0], slot[1], rho_factors[t - 1],
+                                      path.info[t - 1], t, T)
+                if clamp_nonneg_orders:
+                    order = np.where(order < 0.0, 0.0, order)
+            s = s - order
+            orders[:, t - 1] = order
             # price_step's left fold, gamma * X_t read from the shared path
-            price_new = (price + params.theta * order
-                         + path.gamma_info[t - 1] + path.eps[t - 1])
-            prices[t - 1] = price_new
-            delta_p[:, t - 1] = price_new - price
+            prices[t - 1] = price_new = (price + params.theta * order
+                                         + path.gamma_info[t - 1] + path.eps[t - 1])
+            np.subtract(price_new, price, out=delta_p[:, t - 1])
+            price = price_new
             if t in refits:
-                # the rule reads theta_hat and gamma_hat only on impact_valid
-                # rows, which were fitted in this period: no prior is masked in
-                fit, theta_hat, gamma_hat, s2e, valid = _fit_impact(
-                    history[:, :, :t], info[:, 1:t + 1], information.sum_xx[:, t - 1])
-                estimates = ParameterEstimates(
-                    theta_hat, gamma_hat, information.rho_hat[:, t - 1], s2e, None, valid,
-                    information.rho_valid[:, t - 1], t)
+                h = history[:, :, :t]
+                np.vecdot(h[0:2, None], h[None, 1:3], out=sums[:, :2])
+                sums[0, 2] = information.sum_xx[:, t - 1]
+                slot = impact[:, :, t - 1 if keep_log else 0]
+                fit, valid = _fit_impact(h, sums, slot)
+                # impact_valid implies theta_hat > 0: these rows are usable
+                ok = valid & information.rho_valid[:, t - 1]
                 if keep_log:
-                    impact[:, :, t - 1] = theta_hat, gamma_hat, s2e
                     fitted[:, t - 1] = fit
                     impact_valid[:, t - 1] = valid
-            price = price_new
-    if is_ar and keep_log:
+    estimates_log = None
+    if keep_log:
         theta_hat, gamma_hat, s2e = _carry_forward(fitted, impact)
         estimates_log = {
             "theta_hat": theta_hat, "gamma_hat": gamma_hat,

@@ -200,26 +200,30 @@ def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
     informed strategy; this closed form is what the online strategy applies
     to its estimates (see docs/value_function_conventions.md).
 
-    On floats. order_rule tilts many rows at once from the same two halves,
-    ar_rho_factor and _tilt_factor, on arrays.
+    On floats. On arrays, _ar_order tilts many rows at once by the same
+    formula, from ar_rho_factor of the rows.
     """
     if not theta_hat > 0.0:
         raise ValueError(f"theta_hat: must be > 0 (got {theta_hat})")
-    return _tilt_factor(theta_hat, gamma_hat, ar_rho_factor(rho_hat, t, horizon), t, horizon)
+    rho_factor = ar_rho_factor(rho_hat, t, horizon)
+    if rho_factor == 0.0:
+        return 0.0
+    return gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor
 
 
-def _tilt_factor(theta_hat, gamma_hat, rho_factor, t: int, horizon: int):
-    """ar_adjustment_factor from its rho part rho_factor = ar_rho_factor(rho_hat,
-    t, horizon), unchecked: on floats, or elementwise on arrays of equal shape
-    (the caller drops the rows it may not use, and their warnings). It is
-    exactly 0.0 where rho_factor is: gamma_hat / (theta_hat * k) * 0.0 may be
-    -0.0, or NaN, which np.where drops on arrays."""
-    if not isinstance(rho_factor, np.ndarray):
-        if rho_factor == 0.0:
-            return 0.0
-        return gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor
-    return np.where(rho_factor == 0.0, 0.0,
-                    gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor)
+def _ar_order(order, ok, theta_hat, gamma_hat, rho_factor, x_prev, t: int, horizon: int):
+    """The online rule on (n_sims,) arrays: order (the uniform split) plus
+    f_hat_t * x_prev, with f_hat_t = ar_adjustment_factor from its rho part
+    rho_factor = ar_rho_factor(rho_hat, t, horizon), in the rows where ok,
+    and order itself elsewhere. The other rows may hold NaN or a
+    nonpositive theta_hat: their values are dropped, and the caller
+    silences their floating-point warnings. Adding a zero tilt there would
+    not be the identity (-0.0 + 0.0 is +0.0, and 0.0 * inf is NaN), and the
+    tilt is exactly 0.0 where rho_factor is, as on floats:
+    gamma_hat / (theta_hat * k) * 0.0 may be -0.0, or NaN."""
+    f_hat = np.where(rho_factor == 0.0, 0.0,
+                     gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor)
+    return np.where(ok, order + f_hat * x_prev, order)
 
 
 def usable(estimates) -> bool | np.ndarray:
@@ -230,7 +234,7 @@ def usable(estimates) -> bool | np.ndarray:
 
 
 def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
-               estimates=None, clamp: bool = False, rho_factor=None):
+               estimates=None, clamp: bool = False):
     """The order B_t of one strategy at period t and its tag code (see TAGS).
 
     s (shares remaining) and x_prev (X_{t-1}) are floats, or (n_sims,) arrays
@@ -246,10 +250,8 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
     ar            -> uniform split + f_hat_t * x_prev, f_hat_t from
                      ar_adjustment_factor, where the estimates are usable; the
                      uniform split elsewhere. On arrays the tag is then one
-                     code per row. On arrays, rho_factor, when given, is
-                     ar_rho_factor of estimates.rho_hat at this period, on
-                     the usable rows at least (the batch engine computes it
-                     for all periods before its loop); floats ignore it.
+                     code per row, and the order is _ar_order's, which the
+                     batch engine calls directly.
 
     With clamp, an interior order below zero becomes 0.0; a -0.0 order passes
     through as is, as np.where(order < 0.0, 0.0, order) does.
@@ -272,15 +274,10 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
                                              estimates.rho_hat, t, horizon)
                 order, tag = order + f_hat * x_prev, AUTOREGRESSIVE
         elif estimates is not None and ok.any():
-            # the tilt of every row, kept only in the usable ones: the others
-            # may hold NaN or a nonpositive theta_hat, so their values and
-            # floating-point warnings are dropped
-            if rho_factor is None:
-                rho_factor = ar_rho_factor(np.where(ok, estimates.rho_hat, 0.0), t, horizon)
+            rho_factor = ar_rho_factor(np.where(ok, estimates.rho_hat, 0.0), t, horizon)
             with np.errstate(all="ignore"):
-                tilted = order + _tilt_factor(estimates.theta_hat, estimates.gamma_hat,
-                                              rho_factor, t, horizon) * x_prev
-            order = np.where(ok, tilted, order)
+                order = _ar_order(order, ok, estimates.theta_hat, estimates.gamma_hat,
+                                  rho_factor, x_prev, t, horizon)
             tag = np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK)
     if clamp:
         if is_array:

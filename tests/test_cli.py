@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestexec import cli
+from bestexec import cli, simulation
 from bestexec.cli import (BLOTTER_HEADER, CONVERGENCE_HEADER, RunSpec,
                           SpecError, main, parse_config, render_config)
 from bestexec.strategies import STRATEGIES
@@ -301,6 +301,27 @@ def test_an_out_dir_that_is_a_file_exits_1_with_the_mkdir_error(tmp_path, comman
     assert err == f"error: io: [Errno 17] File exists: {str(blocker)!r}\n"
     assert out == ""
     assert blocker.read_text() == "x"
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.45 GiB for an array with shape (1000000, 1000)",
+     "error: memory: Unable to allocate 7.45 GiB for an array with shape (1000000, 1000)\n"),
+    ("", "error: memory: out of memory\n"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_an_allocation_that_fails_exits_1_with_one_line(tmp_path, monkeypatch, command,
+                                                        message, line):
+    # the engine (and simulate's episode) raising as numpy does when an
+    # array cannot be allocated; no real memory limit is involved
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(simulation, "_run_batch", fail)
+    monkeypatch.setattr(cli, "run_episode", fail)
+    out_dir = tmp_path / "out"
+    rc, out, err, _ = _run_cli([command, *_SMALL_RUNS[command], "--out-dir", str(out_dir)])
+    assert (rc, out, err) == (1, "", line)
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("form", [["--strategy", "naive,ar"], ["--strategy=naive,ar"],

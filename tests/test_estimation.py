@@ -283,12 +283,16 @@ def _batch_test_rows(n_obs):
     """Histories (dp, B, X) that between them take every branch of the refit:
     well posed, all-zero information (both fits singular), constant orders,
     an explosive information series (rho clamped), a noiseless exact fit
-    (zero residual variance), a negative theta, plain noise, and sums that
-    overflow (a NaN design, which is fitted)."""
+    (zero residual variance), a negative theta, plain noise, sums that
+    overflow (a NaN design, which is fitted), and a noiseless fit whose
+    design turns ill-conditioned at a huge X_k four periods before the end,
+    so that its last fit is carried forward."""
     rng = np.random.default_rng(43)
     k = np.arange(1, n_obs + 1, dtype=float)
     b_var = 5000.0 + 700.0 * k
     x_ar = np.cumsum(rng.normal(0.0, 0.03, n_obs))
+    x_jump = x_ar.copy()
+    x_jump[n_obs - 4] = 1e12
     rows = [
         (5e-5 * b_var + 5.0 * x_ar + rng.normal(0.0, 0.1, n_obs), b_var, x_ar),
         (5e-5 * b_var + rng.normal(0.0, 0.1, n_obs), b_var, np.zeros(n_obs)),
@@ -299,30 +303,34 @@ def _batch_test_rows(n_obs):
         (rng.normal(0.0, 1.0, n_obs), rng.normal(0.0, 1e3, n_obs),
          rng.normal(0.0, 1.0, n_obs)),
         (rng.normal(0.0, 1e300, n_obs), 1e300 * b_var, 1e300 * x_ar),
+        (5e-5 * b_var + 5.0 * x_jump, b_var, x_jump),
     ]
     return rows
 
 
 def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
-    # the batch engine's composition: _fit_impact after every period, with no
-    # prior, then each failed fit's prior carried forward along the period axis
+    # the batch engine's composition: after every period one np.vecdot for
+    # the sums and _fit_impact, with no prior, then each failed fit's prior
+    # carried forward along the period axis
     n_obs = 12
     rows = _batch_test_rows(n_obs)
     dp = np.array([r[0] for r in rows])
     b = np.array([r[1] for r in rows])
     info = np.zeros((len(rows), n_obs + 1))
     info[:, 1:] = [r[2] for r in rows]
-    history = np.stack([b, dp])
+    history = np.stack([dp, b, info[:, 1:]])
     information = fit_information(info)
+    sums = np.empty((2, 3, len(rows)))
     impact = np.empty((3, len(rows), n_obs))
     fitted = np.zeros((len(rows), n_obs), dtype=bool)
     impact_valid = np.zeros((len(rows), n_obs), dtype=bool)
     for n in range(2, n_obs + 1):
-        fit, theta, gamma, s2e, valid = _fit_impact(
-            history[:, :, :n], info[:, 1:n + 1], information.sum_xx[:, n - 1])
-        impact[:, :, n - 1] = theta, gamma, s2e
-        fitted[:, n - 1] = fit
-        impact_valid[:, n - 1] = valid
+        h = history[:, :, :n]
+        # the overflow history overflows in the sums and the fit, as in simulate
+        with np.errstate(all="ignore"):
+            np.vecdot(h[0:2, None], h[None, 1:3], out=sums[:, :2])
+            sums[0, 2] = information.sum_xx[:, n - 1]
+            fitted[:, n - 1], impact_valid[:, n - 1] = _fit_impact(h, sums, impact[:, :, n - 1])
     theta_hat, gamma_hat, s2e_hat = _carry_forward(fitted, impact)
     batch = {"theta_hat": theta_hat, "gamma_hat": gamma_hat, "rho_hat": information.rho_hat,
              "sigma_eps_sq_hat": s2e_hat, "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
@@ -345,6 +353,11 @@ def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
     assert last["rho_hat"][3] == 0.999
     assert last["sigma_eps_sq_hat"][4] <= 1e-20
     assert last["theta_hat"][5] < 0.0
+    # the jump history's usable fit before its jump is carried through the end
+    assert impact_valid[8, n_obs - 5] and not fitted[8, n_obs - 4:].any()
+    for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat"):
+        carried = batch[name][8, n_obs - 5:]
+        assert np.isfinite(carried).all() and (carried == carried[0]).all(), name
 
 
 # information values: ordinary, signed zeros, subnormals, and values whose
@@ -388,6 +401,31 @@ def test_dot_equals_matmul_on_1d_views_bit_for_bit():
         f"numpy {np.__version__}: ndarray.dot differs from @ on {len(differ)} of 3600 "
         f"pairs of views (first: length, offsets {differ[0]}); the batch refit equals "
         "estimate_all only through this identity")
+
+
+def test_broadcast_vecdot_block_equals_separate_vecdots_bit_for_bit():
+    # the batch engine takes sum dP*B, sum dP*X, sum B^2 and sum B*X of its
+    # (3, n_sims, t) history [dP, B, X] in one broadcast np.vecdot, where the
+    # earlier refit took np.vecdot([B, dP], B), np.vecdot(X, B) and
+    # np.vecdot(dP, X): each block entry must run the same BLAS ddot on the
+    # same products. Views at offsets 0..2 vary the operands' alignment, by
+    # which some ddot kernels round
+    rng = np.random.default_rng(2027)
+    buffers = rng.normal(size=(3, 2, 402)) * 10.0 ** rng.uniform(-6.0, 6.0, (3, 2, 402))
+    differ = []
+    for n in range(1, 401):
+        for i in range(3):
+            h = buffers[:, :, i:i + n]
+            delta_p, b, x = h
+            block = np.vecdot(h[0:2, None], h[None, 1:3])
+            sbb, spb = np.vecdot(h[1::-1], b)
+            separate = np.stack([[spb, np.vecdot(delta_p, x)], [sbb, np.vecdot(x, b)]])
+            if block.tobytes() != separate.tobytes():
+                differ.append((n, i))
+    assert not differ, (
+        f"numpy {np.__version__}: the broadcast vecdot block differs from separate "
+        f"vecdot calls on {len(differ)} of 1200 histories (first: length, offset "
+        f"{differ[0]}); the batch engine equals estimate_all only through this identity")
 
 
 def test_one_pair_rho_fit_keeps_the_sign_the_batch_gives_a_zero_lag_sum():

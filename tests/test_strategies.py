@@ -9,7 +9,7 @@ from oracles import brute_force_best_execution, numpy_scalar_schedule
 from bestexec import (TAGS, MarketParams, ParameterEstimates, ar_adjustment_factor,
                       ar_rho_factor, decide_order, naive_order, order_rule,
                       solve_coefficients)
-from bestexec.strategies import STRATEGIES
+from bestexec.strategies import STRATEGIES, _ar_order
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 
@@ -162,11 +162,16 @@ def test_ar_rho_factor_of_every_period_equals_the_float_form():
     for t in (1, T // 2, T - 2, T - 1, T):
         est = ParameterEstimates(theta, gamma, rho[t - 1], np.full(n, 0.01),
                                  np.full(n, 0.001), yes, yes, 10)
-        got = order_rule("ar", s, x_prev, t, T, estimates=est, rho_factor=factor[t - 1])[0]
-        assert got.tobytes() == np.array([
+        expected = np.array([
             order_rule("ar", si, xi, t, T, estimates=_estimates(th, g, r))[0]
             for si, xi, th, g, r in zip(s.tolist(), x_prev.tolist(), theta.tolist(),
                                         gamma.tolist(), rho[t - 1].tolist())]).tobytes()
+        assert order_rule("ar", s, x_prev, t, T, estimates=est)[0].tobytes() == expected
+        if t < T:
+            # the batch engine's call: the factor of every period, taken at once
+            got = _ar_order(naive_order(s, t, T), yes, theta, gamma, factor[t - 1],
+                            x_prev, t, T)
+            assert got.tobytes() == expected
 
 
 _THETAS = st.floats(1e-12, 1e-1) | st.sampled_from([5e-324, 1e-300, 1.0, 1e300])

@@ -6,6 +6,7 @@ import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bestexec.cli import main
@@ -68,6 +69,27 @@ def test_the_argv_shapes_read_both_flag_forms_alike():
     # shape 2i gives a flag as --key VALUE and shape 2i + 1 as --key=VALUE
     for i in range(len(cli_grid.VALUES)):
         assert fields[2 * i][1:] == fields[2 * i + 1][1:], fields[2 * i][0]
+
+
+# the lines of the simulate specs with the naive and informed rules, whose
+# bytes depend on no BLAS kernel: a change that moves them on purpose
+# regenerates the file in a commit of its own, with
+#   PYTHONPATH=src python tools/cli_grid.py | grep -E '^simulate --strategy (naive|informed) '
+NAIVE_INFORMED_LINES = ROOT / "tests" / "data" / "cli_grid_simulate_naive_informed.txt"
+NAIVE_INFORMED = [argv for argv in GRID
+                  if argv[:3] in (("simulate", "--strategy", "naive"),
+                                  ("simulate", "--strategy", "informed"))]
+
+
+def test_naive_and_informed_simulate_lines_equal_the_committed_ones(tmp_path):
+    expected = NAIVE_INFORMED_LINES.read_text().splitlines()
+    assert len(expected) == len(NAIVE_INFORMED) == 392
+    assert [line.split(" | ")[0] for line in expected] == [" ".join(a) for a in NAIVE_INFORMED]
+    for argv, want in zip(NAIVE_INFORMED, expected):
+        got = cli_grid.run_spec(argv, tmp_path)
+        assert got == want, (f"numpy {np.__version__}: the first spec whose outputs differ "
+                             f"from the committed line is {' '.join(argv)!r}\n"
+                             f"got:  {got}\nwant: {want}")
 
 
 def _load_ab_time():
