@@ -29,15 +29,14 @@ equals it row by row, bit for bit. The information half reads no order, so
 fit_information fits it for every period of a study at once; a Monte Carlo
 study, whose orders read no sigma_eta_sq_hat, fits it without the residual
 pass (_fit_rho). The impact half runs each period after the orders are
-known, as _fit_impact with no prior: the caller takes the four sums that
-read orders in one broadcast np.vecdot of its (3, n_sims, n) history of
-price changes, orders and X, and _fit_impact writes its three values into
-slots the caller gives it. After the last period, _carry_forward carries
-each failed fit's prior forward along the period axis. Every sum is
-np.vecdot over row views, one call per prefix length, which rounds as the
-scalar refit's 1-D `a.dot(b)` does (the BLAS ddot of `a @ b`, at less call
-overhead; np.einsum, (a*b).sum(1) and running sums do not). Every other
-step is the same IEEE operation in the same order.
+known, as _fit_impact with no prior: it takes its own sums from the
+caller's (3, n_sims, n) history of price changes, orders and X and writes
+its three values into slots the caller gives it. After the last period,
+_carry_forward carries each failed fit's prior forward along the period
+axis. Every sum is np.vecdot over row views, one call per prefix length,
+which rounds as the scalar refit's 1-D `a.dot(b)` does (the BLAS ddot of
+`a @ b`, at less call overhead; np.einsum, (a*b).sum(1) and running sums
+do not). Every other step is the same IEEE operation in the same order.
 """
 
 from __future__ import annotations
@@ -64,9 +63,8 @@ THETA_TSTAT_MIN = 2.0
 
 @dataclass(frozen=True)
 class ParameterEstimates:
-    """The five online estimates plus validity flags, of n_obs periods: floats
-    from estimate_all, or (n_sims,) arrays (row i from history i), as
-    order_rule reads them on arrays.
+    """The five online estimates plus validity flags, of n_obs periods, as
+    estimate_all returns them and order_rule reads them.
 
     impact_valid: the (theta, gamma) design was well conditioned at fit time
                   and theta_hat cleared its significance gate.
@@ -74,13 +72,13 @@ class ParameterEstimates:
     Values from failed fits are NaN unless a prior carried them forward.
     """
 
-    theta_hat: float | np.ndarray
-    gamma_hat: float | np.ndarray
-    rho_hat: float | np.ndarray
-    sigma_eps_sq_hat: float | np.ndarray
-    sigma_eta_sq_hat: float | np.ndarray
-    impact_valid: bool | np.ndarray
-    rho_valid: bool | np.ndarray
+    theta_hat: float
+    gamma_hat: float
+    rho_hat: float
+    sigma_eps_sq_hat: float
+    sigma_eta_sq_hat: float
+    impact_valid: bool
+    rho_valid: bool
     n_obs: int
 
     @classmethod
@@ -191,16 +189,10 @@ def fit_information(info_series: np.ndarray) -> InformationFit:
     x = info_series[:, 1:]
     periods = np.arange(T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # residual sums of squares, each prefix with its own period's rho_hat.
-        # The residuals of prefix n fill the first n_sims * n values of one
-        # buffer: rows laid out as in a fresh (n_sims, n) array keep their
-        # 16-byte alignment, by which OpenBLAS's SSE2 dot kernel rounds
+        # residual sums of squares, each prefix with its own period's rho_hat
         ssr = np.zeros((n_sims, T))
-        buffer = np.empty(n_sims * T)
         for n in range(2, T + 1):
-            r = buffer[:n_sims * n].reshape(n_sims, n)
-            np.multiply(fit.rho_hat[:, n - 1:n], lag[:, :n], out=r)
-            np.subtract(x[:, :n], r, out=r)
+            r = x[:, :n] - fit.rho_hat[:, n - 1:n] * lag[:, :n]
             np.vecdot(r, r, out=ssr[:, n - 1])
         s2h_hat = _carry_forward(fitted & (periods >= 1), ssr / periods)
     return replace(fit, sigma_eta_sq_hat=s2h_hat)
@@ -244,16 +236,16 @@ def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
     return carried
 
 
-def _fit_impact(h: np.ndarray, sums: np.ndarray, out: np.ndarray):
+def _fit_impact(h: np.ndarray, information: InformationFit, out: np.ndarray):
     """The impact fit of estimate_all, with no prior, for n_sims histories of
     n >= 2 periods. h is the (3, n_sims, n) history: price changes, orders
-    and X_1..X_n. sums is a (2, 3, n_sims) array of its sums, whose rows in
-    order are sum dP*B, sum dP*X, sum X^2, sum B^2, sum B*X and one unread:
-    sums[:, :2] is the block np.vecdot(h[0:2, None], h[None, 1:3]), and
-    sums[0, 2] is InformationFit.sum_xx. Then the diagonal of the normal
-    equations (sum X^2, sum B^2) and the right-hand sides (sum dP*B,
-    sum dP*X) are each one (2, n_sims) view, and Cramer's two numerators
-    one product.
+    and X_1..X_n; information the InformationFit of the X. Its sums are a
+    (2, 3, n_sims) array whose rows in order are sum dP*B, sum dP*X, sum X^2
+    (information.sum_xx), sum B^2, sum B*X and one unread, the others from
+    one broadcast np.vecdot(h[0:2, None], h[None, 1:3]). Then the diagonal
+    of the normal equations (sum X^2, sum B^2) and the right-hand sides
+    (sum dP*B, sum dP*X) are each one (2, n_sims) view, and Cramer's two
+    numerators one product.
 
     Writes theta_hat, gamma_hat and sigma_eps_sq_hat to the rows of the
     (3, n_sims) out and returns the (n_sims,) masks (fitted, impact_valid).
@@ -263,8 +255,10 @@ def _fit_impact(h: np.ndarray, sums: np.ndarray, out: np.ndarray):
     are encoded, not raised: callers must silence floating-point warnings
     (np.errstate), as the batch engine does once around its period loop.
     """
-    n = h.shape[2]
-    rows = sums.reshape(6, -1)
+    n_sims, n = h.shape[1:]
+    rows = np.empty((6, n_sims))
+    np.vecdot(h[0:2, None], h[None, 1:3], out=rows.reshape(2, 3, n_sims)[:, :2])
+    rows[2] = information.sum_xx[:, n - 1]
     diag, sxb = rows[2:4], rows[4]
     sxx, sbb = diag
     # the 2x2 normal equations as in estimate_all, _cond_2x2 inlined

@@ -18,10 +18,10 @@ independent.
 
 Keying a path costs two SHA-256 hashes and one state assignment, and a
 study keys one path per simulation. So the hashes of a batch each continue
-a copy of one shared prefix (b"noise" for the path keys, the tag and seed
-for the substream seeds), and generate_noise_arrays fetches the thread's
-generator once and assigns the same state dict for every path, with only
-its key words overwritten.
+a copy of one shared prefix (b"noise" for the path keys, b"episode" and the
+seed for the substream seeds), and generate_noise_arrays fetches the
+thread's generator once and assigns the same state dict for every path,
+with only its key words overwritten.
 """
 
 from __future__ import annotations
@@ -58,11 +58,20 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
 
 def _check_finite(name: str, value) -> None:
     """Reject a value that is not a real number or is NaN or infinite; the
-    message names the field `name`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    message names the field `name`. Exact floats and ints skip the ABC check."""
+    if (type(value) is not float and type(value) is not int
+            and (isinstance(value, bool) or not isinstance(value, numbers.Real))):
         raise ValueError(f"{name}: must be a real number (got {value!r})")
     if not math.isfinite(value):
         raise ValueError(f"{name}: must be finite (got {value})")
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer (or is a bool); the message
+    names the field `name`. Exact ints skip the ABC check."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name}: must be an integer (got {value!r})")
 
 
 def _check_variance(name: str, value) -> None:
@@ -75,8 +84,7 @@ def _check_variance(name: str, value) -> None:
 def _check_horizon(horizon) -> int:
     """Return `horizon` as an int after checking that it is an integer (not
     a bool) >= 1; the message names the field horizon."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ValueError(f"horizon: must be an integer (got {horizon!r})")
+    _check_integer("horizon", horizon)
     if horizon < 1:
         raise ValueError(f"horizon: must be >= 1 (got {horizon})")
     return int(horizon)
@@ -119,8 +127,7 @@ class ExecutionMandate:
         _require_finite(self, ("s0", "p0"))
         if not isinstance(self.horizon, bool):  # a bool horizon fails the integer check
             _require_finite(self, ("horizon",))
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
-            raise ValueError(f"horizon: must be an integer (got {self.horizon!r})")
+        _check_integer("horizon", self.horizon)
         if self.s0 <= 0.0:
             raise ValueError(f"s0: must be > 0 (got {self.s0})")
         if self.p0 <= 0.0:
@@ -156,32 +163,31 @@ def check_seed(seed: int, name: str = "seed") -> int:
     """Return `seed` as an int after checking that it is an integer (not a
     bool) that fits the 8-byte unsigned encoding substream_seed and
     generate_noise_path key on; the message names the field `name`."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"{name}: must be an integer (got {seed!r})")
+    _check_integer(name, seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"{name}: must be in [0, 2**64) (got {seed})")
     return int(seed)
 
 
-def substream_seed(seed: int, index: int, tag: str = "episode") -> int:
-    """Derive an independent 64-bit substream seed from (seed, index, tag).
+def substream_seed(seed: int, index: int) -> int:
+    """Derive an independent 64-bit substream seed from (seed, index): the
+    first 8 bytes of SHA-256(b"episode", seed, index), all little-endian.
 
     SHA-256 keyed derivation keeps substreams decorrelated for any index and
     stable across platforms and processes. seed and index must each be an
     integer in [0, 2**64) (not a bool).
     """
-    h = hashlib.sha256()
-    h.update(tag.encode("ascii"))
+    h = hashlib.sha256(b"episode")
     h.update(check_seed(seed).to_bytes(8, "little", signed=False))
     h.update(check_seed(index, "index").to_bytes(8, "little", signed=False))
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def _substream_seeds(seed: int, indices, tag: str = "episode"):
-    """substream_seed(seed, index, tag) for each of the indices, in order,
-    at about half the cost: every hash continues a copy of one SHA-256
-    prefix over (tag, seed). substream_seed stays the reference."""
-    prefix = hashlib.sha256(tag.encode("ascii"))
+def _substream_seeds(seed: int, indices):
+    """substream_seed(seed, index) for each of the indices, in order, at
+    about half the cost: every hash continues a copy of one SHA-256 prefix
+    over (b"episode", seed). substream_seed stays the reference."""
+    prefix = hashlib.sha256(b"episode")
     prefix.update(int(seed).to_bytes(8, "little", signed=False))
     for index in indices:
         h = prefix.copy()

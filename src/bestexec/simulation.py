@@ -11,34 +11,33 @@ strategy in the set, which removes the shared noise from the strategy
 comparison. Everything is deterministic given (n_sims, base_seed, params,
 mandate).
 
-Two engines run episodes, and both decide every order with
-strategies.order_rule: run_episode, the readable scalar reference, on floats
-(through decide_order), and run_episode_batch, which advances many episodes
-of one strategy at once, on (n_sims,) vectors. The Monte Carlo and
-convergence studies run on the batch engine. No order moves the information
-process, so a study computes the information path X_0..X_T (with info_step)
-and lays out its shocks by period once, and every strategy reads them.
-Naive orders read no noise at all, so the batch engine decides one row of
-them on floats and copies it to every simulation. For the informed rule the
-period loop only decides orders and remaining shares. The prices of both
-follow after the loop from one sequential np.add.accumulate along the
-period axis, and every rule's accumulated costs from another. Such an
-accumulate is a left fold and rounds exactly as the loop's running sums;
-np.sum and np.mean along a contiguous axis sum pairwise and would not. The
-online strategy keeps stepping its price in the loop, as its refit needs
-the price changes. Before the loop it fits the information half of every
-period's refit (estimation.fit_information) and the rho part of the tilt of
-every period that can tilt (strategies.ar_rho_factor), and copies X_1..X_T
-into its one (3, n_sims, T) history buffer of price changes, orders and X.
-In the loop it refits only the impact half: one np.vecdot over row views
-of that buffer gives the four sums that read orders, and
-estimation._fit_impact writes its values straight into the estimates log
-(into one reused slot in a study). The rule, strategies._ar_order, reads an
-impact fit only on its impact_valid rows, fitted in that same period, so
-the loop masks in no prior and builds no estimates object; the logged run
-carries the prior of a failed fit forward after the loop, along the period
-axis. The whole loop runs under one np.errstate. So the batch engine's
-results equal run_episode's bit for bit.
+Two engines run episodes: run_episode, the readable scalar reference, on
+floats (strategies.order_rule, through decide_order), and run_episode_batch,
+which advances many episodes of one strategy at once, on (n_sims,) vectors
+(order_rule, and strategies._ar_order for the online rule). The Monte Carlo
+and convergence studies run on the batch engine. No order moves the
+information process, so a study computes the information path X_0..X_T (with
+info_step) and lays out its shocks by period once, and every strategy reads
+them. Naive orders read no noise at all, so the batch engine decides one row
+of them on floats and copies it to every simulation. For the informed rule
+the period loop only decides orders and remaining shares. The prices of both
+follow after the loop from one sequential np.add.accumulate along the period
+axis, and every rule's accumulated costs from another. Such an accumulate is
+a left fold and rounds exactly as the loop's running sums; np.sum and
+np.mean along a contiguous axis sum pairwise and would not. The online
+strategy keeps stepping its price in the loop, as its refit needs the price
+changes. Before the loop it fits the information half of every period's
+refit (estimation.fit_information) and the rho part of the tilt of every
+period that can tilt (strategies.ar_rho_factor), and copies X_1..X_T into
+its one (3, n_sims, T) history buffer of price changes, orders and X. In the
+loop it refits only the impact half: estimation._fit_impact takes its sums
+from that buffer and writes its values straight into the estimates log (into
+one reused slot in a study). The rule, strategies._ar_order, reads an impact
+fit only on its impact_valid rows, fitted in that same period, so the loop
+masks in no prior and builds no estimates object; the logged run carries the
+prior of a failed fit forward after the loop, along the period axis. The
+whole loop runs under one np.errstate. So the batch engine's results equal
+run_episode's bit for bit.
 
 A Monte Carlo study reads only orders and costs, so there the online
 strategy refits only after periods 3..T-2 and keeps no estimates log: an
@@ -59,7 +58,6 @@ cost so the cross-strategy ordering is meaningful.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,7 +69,7 @@ from .estimation import (ParameterEstimates, _carry_forward, _fit_impact, _fit_r
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
-                     _check_finite, _noise_rows, _substream_seeds, check_seed,
+                     _check_finite, _check_integer, _noise_rows, _substream_seeds, check_seed,
                      generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
@@ -223,12 +221,13 @@ def run_episode_batch(strategy_kind: str, params: MarketParams,
     arrays eps and eta, all simulations advancing together.
 
     Returns (actual_cost, orders, accumulated_cost, estimates) with shapes
-    (n_sims,), (n_sims, T) and (n_sims, T), the last two C-contiguous. Row i
-    equals, bit for bit, the actual_cost, shares_bought and accumulated_cost
-    of run_episode on the path (eps[i], eta[i]). For the online strategy,
-    estimates holds the estimates after every period, {field: (n_sims, T)
-    array} over ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row
-    i's run_episode estimates_log; it is None for naive and informed.
+    (n_sims,), (n_sims, T) and (n_sims, T), the last two C-contiguous and
+    the orders owning their data. Row i equals, bit for bit, the
+    actual_cost, shares_bought and accumulated_cost of run_episode on the
+    path (eps[i], eta[i]). For the online strategy, estimates holds the
+    estimates after every period, {field: (n_sims, T) array} over
+    ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row i's
+    run_episode estimates_log; it is None for naive and informed.
     """
     if strategy_kind not in STRATEGIES:
         raise ValueError(f"strategy_kind: unknown strategy {strategy_kind!r}")
@@ -236,8 +235,10 @@ def run_episode_batch(strategy_kind: str, params: MarketParams,
     if eps.ndim != 2 or eps.shape != eta.shape or eps.shape[1] != T:
         raise ValueError(f"noise arrays must both have shape (n_sims, {T}) "
                          f"(got {eps.shape} and {eta.shape})")
-    return _run_batch(strategy_kind, params, mandate, _shared_path(params, eps, eta),
-                      clamp_nonneg_orders)
+    actual, orders, cost, estimates = _run_batch(
+        strategy_kind, params, mandate, _shared_path(params, eps, eta), clamp_nonneg_orders)
+    # the ar orders are a plane of the engine's buffer of price changes and X
+    return actual, orders if orders.base is None else orders.copy(), cost, estimates
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,8 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
     """The period loop of the online rule: its (n_sims, T) orders, its
     (T, n_sims) prices and, with keep_log, its estimates log (None
     otherwise). Each period decides the orders (strategies._ar_order),
-    steps the price and refits the impact half into a slot: the log's
+    steps the price and refits the impact half (estimation._fit_impact,
+    which takes its sums from the history buffer) into a slot: the log's
     column with keep_log, else one slot that each refit overwrites, as the
     rule reads only the last. The loop runs under one np.errstate, for the
     failed fits and unread rows that warn; it silences the price step too.
@@ -350,8 +352,6 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
     rho_factors = np.zeros((T, n))
     rho_prev = np.where(information.rho_valid, information.rho_hat, 0.0).T[2:T - 2]
     rho_factors[3:T - 1] = ar_rho_factor(rho_prev, np.arange(4, T)[:, None], T)
-    # the sums _fit_impact reads: the vecdot block and sum X^2
-    sums = np.empty((2, 3, n))
     if keep_log:
         # the impact half's theta_hat, gamma_hat and sigma_eps_sq_hat after
         # every period as fitted, its prior carried after the loop
@@ -385,11 +385,8 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
             np.subtract(price_new, price, out=delta_p[:, t - 1])
             price = price_new
             if t in refits:
-                h = history[:, :, :t]
-                np.vecdot(h[0:2, None], h[None, 1:3], out=sums[:, :2])
-                sums[0, 2] = information.sum_xx[:, t - 1]
                 slot = impact[:, :, t - 1 if keep_log else 0]
-                fit, valid = _fit_impact(h, sums, slot)
+                fit, valid = _fit_impact(history[:, :, :t], information, slot)
                 # impact_valid implies theta_hat > 0: these rows are usable
                 ok = valid & information.rho_valid[:, t - 1]
                 if keep_log:
@@ -463,8 +460,7 @@ def _noise_arrays(n_sims: int, params: MarketParams, horizon: int,
                   base_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The common random numbers as (n_sims, T) arrays eps and eta: row i is
     the path keyed by substream_seed(base_seed, i)."""
-    if isinstance(n_sims, bool) or not isinstance(n_sims, numbers.Integral):
-        raise ValueError(f"n_sims: must be an integer (got {n_sims!r})")
+    _check_integer("n_sims", n_sims)
     if n_sims < 1:
         raise ValueError(f"n_sims: must be >= 1 (got {n_sims})")
     base_seed = check_seed(base_seed, "base_seed")

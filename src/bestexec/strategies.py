@@ -7,9 +7,9 @@ Auto-regressive  the informed shape driven by online least-squares estimates
                and a closed-form adjustment factor, falling back to the
                uniform split until the estimates are usable.
 
-order_rule is the one implementation of all three, for both engines: on
-floats for run_episode (decide_order wraps it) and on (n_sims,) arrays for
-the batch engine, with the same operations in the same order on each.
+order_rule is the one implementation of all three, on floats for run_episode
+(decide_order wraps it) and on (n_sims,) arrays; the batch engine's online
+rule tilts each row by its own fit with _ar_order, the array form of the tilt.
 
 The informed coefficients come from backward induction over the remaining
 horizon k = T - t + 1. Writing the optimal remaining cost, given last price p,
@@ -212,25 +212,26 @@ def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
 
 
 def _ar_order(order, ok, theta_hat, gamma_hat, rho_factor, x_prev, t: int, horizon: int):
-    """The online rule on (n_sims,) arrays: order (the uniform split) plus
-    f_hat_t * x_prev, with f_hat_t = ar_adjustment_factor from its rho part
-    rho_factor = ar_rho_factor(rho_hat, t, horizon), in the rows where ok,
-    and order itself elsewhere. The other rows may hold NaN or a
-    nonpositive theta_hat: their values are dropped, and the caller
-    silences their floating-point warnings. Adding a zero tilt there would
-    not be the identity (-0.0 + 0.0 is +0.0, and 0.0 * inf is NaN), and the
-    tilt is exactly 0.0 where rho_factor is, as on floats:
-    gamma_hat / (theta_hat * k) * 0.0 may be -0.0, or NaN."""
+    """The online rule on (n_sims,) arrays, one fit per row, as the batch
+    engine steps it: order (the uniform split) plus f_hat_t * x_prev in the
+    usable rows ok, order elsewhere; f_hat_t = ar_adjustment_factor from its
+    rho part rho_factor = ar_rho_factor(rho_hat, t, horizon). Row i is
+    order_rule's on row i's floats, before the final period and the clamp.
+    The other rows may hold NaN or a nonpositive theta_hat: their values are
+    dropped, and the caller silences their floating-point warnings. Adding a
+    zero tilt there would not be the identity (-0.0 + 0.0 is +0.0, and
+    0.0 * inf is NaN), and the tilt is exactly 0.0 where rho_factor is, as
+    on floats: gamma_hat / (theta_hat * k) * 0.0 may be -0.0, or NaN."""
     f_hat = np.where(rho_factor == 0.0, 0.0,
                      gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor)
     return np.where(ok, order + f_hat * x_prev, order)
 
 
-def usable(estimates) -> bool | np.ndarray:
+def usable(estimates) -> bool:
     """Whether the online rule may tilt by these estimates: present, both fits
-    valid and theta_hat > 0. Elementwise (a bool array) on estimates of arrays."""
-    return (estimates is not None
-            and estimates.impact_valid & estimates.rho_valid & (estimates.theta_hat > 0.0))
+    valid and theta_hat > 0."""
+    return (estimates is not None and estimates.impact_valid and estimates.rho_valid
+            and estimates.theta_hat > 0.0)
 
 
 def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
@@ -238,8 +239,8 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
     """The order B_t of one strategy at period t and its tag code (see TAGS).
 
     s (shares remaining) and x_prev (X_{t-1}) are floats, or (n_sims,) arrays
-    with estimates a ParameterEstimates of arrays; row i of the arrays' result
-    equals the result on row i's floats, bit for bit.
+    with a tilt per row and one ParameterEstimates for all rows: row i of the
+    result is then the result on row i's floats, bit for bit.
 
     final period  -> s, whatever the strategy.
     naive         -> the uniform split naive_order(s, t, horizon).
@@ -248,10 +249,8 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
                      (the caller forms it, the batch engine for all periods
                      in one product).
     ar            -> uniform split + f_hat_t * x_prev, f_hat_t from
-                     ar_adjustment_factor, where the estimates are usable; the
-                     uniform split elsewhere. On arrays the tag is then one
-                     code per row, and the order is _ar_order's, which the
-                     batch engine calls directly.
+                     ar_adjustment_factor, if the estimates are usable; the
+                     uniform split otherwise.
 
     With clamp, an interior order below zero becomes 0.0; a -0.0 order passes
     through as is, as np.where(order < 0.0, 0.0, order) does.
@@ -261,26 +260,16 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
     if t == horizon:
         return s, FINAL_PERIOD
     order, tag = naive_order(s, t, horizon), NAIVE_FALLBACK
-    is_array = isinstance(order, np.ndarray)
     if strategy_kind == "informed":
         if tilt is None:
             raise ValueError("tilt: the informed rule needs f_t * X_{t-1}")
         order, tag = order + tilt, INFORMED
-    elif strategy_kind == "ar":
-        ok = usable(estimates)
-        if not is_array:
-            if ok:
-                f_hat = ar_adjustment_factor(estimates.theta_hat, estimates.gamma_hat,
-                                             estimates.rho_hat, t, horizon)
-                order, tag = order + f_hat * x_prev, AUTOREGRESSIVE
-        elif estimates is not None and ok.any():
-            rho_factor = ar_rho_factor(np.where(ok, estimates.rho_hat, 0.0), t, horizon)
-            with np.errstate(all="ignore"):
-                order = _ar_order(order, ok, estimates.theta_hat, estimates.gamma_hat,
-                                  rho_factor, x_prev, t, horizon)
-            tag = np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK)
+    elif strategy_kind == "ar" and usable(estimates):
+        f_hat = ar_adjustment_factor(estimates.theta_hat, estimates.gamma_hat,
+                                     estimates.rho_hat, t, horizon)
+        order, tag = order + f_hat * x_prev, AUTOREGRESSIVE
     if clamp:
-        if is_array:
+        if isinstance(order, np.ndarray):
             order = np.where(order < 0.0, 0.0, order)
         elif order < 0.0:
             order = 0.0

@@ -309,9 +309,9 @@ def _batch_test_rows(n_obs):
 
 
 def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
-    # the batch engine's composition: after every period one np.vecdot for
-    # the sums and _fit_impact, with no prior, then each failed fit's prior
-    # carried forward along the period axis
+    # the batch engine's composition: after every period _fit_impact, with
+    # no prior, then each failed fit's prior carried forward along the
+    # period axis
     n_obs = 12
     rows = _batch_test_rows(n_obs)
     dp = np.array([r[0] for r in rows])
@@ -320,17 +320,14 @@ def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
     info[:, 1:] = [r[2] for r in rows]
     history = np.stack([dp, b, info[:, 1:]])
     information = fit_information(info)
-    sums = np.empty((2, 3, len(rows)))
     impact = np.empty((3, len(rows), n_obs))
     fitted = np.zeros((len(rows), n_obs), dtype=bool)
     impact_valid = np.zeros((len(rows), n_obs), dtype=bool)
     for n in range(2, n_obs + 1):
-        h = history[:, :, :n]
         # the overflow history overflows in the sums and the fit, as in simulate
         with np.errstate(all="ignore"):
-            np.vecdot(h[0:2, None], h[None, 1:3], out=sums[:, :2])
-            sums[0, 2] = information.sum_xx[:, n - 1]
-            fitted[:, n - 1], impact_valid[:, n - 1] = _fit_impact(h, sums, impact[:, :, n - 1])
+            fit = _fit_impact(history[:, :, :n], information, impact[:, :, n - 1])
+        fitted[:, n - 1], impact_valid[:, n - 1] = fit
     theta_hat, gamma_hat, s2e_hat = _carry_forward(fitted, impact)
     batch = {"theta_hat": theta_hat, "gamma_hat": gamma_hat, "rho_hat": information.rho_hat,
              "sigma_eps_sq_hat": s2e_hat, "sigma_eta_sq_hat": information.sigma_eta_sq_hat,

@@ -447,6 +447,15 @@ def test_batch_engine_rejects_unknown_strategy_and_misshapen_noise():
         run_episode_batch("naive", BASELINE, MANDATE, eps[:, :19], eps[:, :19])
 
 
+@pytest.mark.parametrize("kind", STRATEGIES)
+def test_batch_orders_own_their_data(kind):
+    # a caller that keeps the orders must not keep the engine's buffers alive
+    eps, eta = generate_noise_arrays(range(3), 5, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
+    orders = run_episode_batch(kind, BASELINE, ExecutionMandate(1e5, 50.0, 5), eps, eta)[1]
+    assert orders.shape == (3, 5)
+    assert orders.base is None and orders.flags.c_contiguous
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
 def test_monte_carlo_rejects_out_of_range_base_seed(seed):
     with pytest.raises(ValueError, match="base_seed"):
@@ -539,6 +548,37 @@ def test_informed_value_at_zero_information_is_at_most_uniform_split_property(sc
     uniform = naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
     # the two closed forms round differently: allow a few ulps
     assert informed <= uniform * (1.0 + 1e-12)
+
+
+_SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(theta_exp=st.floats(-6.0, -4.0), gamma=st.floats(1.0, 10.0), gamma_sign=_SIGNS,
+       rho=st.floats(0.2, 0.9), rho_sign=_SIGNS, sigma_eta_sq=st.floats(1e-4, 1e-2),
+       sigma_eps_sq=st.floats(0.0, 0.05), T=st.integers(5, 20),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_study_means_equal_the_closed_form_values_property(theta_exp, gamma, gamma_sign, rho,
+                                                           rho_sign, sigma_eta_sq,
+                                                           sigma_eps_sq, T, seed):
+    # naive's mean improvement is 0, and informed beats it by the gap of the
+    # two closed-form values, each within z = 5 paired standard errors. No
+    # boundary values (gamma, rho or sigma_eta_sq at 0): there the informed
+    # rule is the naive one and no timing error could show. With 60
+    # comparisons, the false-alarm rate is about 60 * 5.7e-7 = 3e-5
+    params = MarketParams(10.0 ** theta_exp, gamma_sign * gamma, rho_sign * rho,
+                          sigma_eps_sq, sigma_eta_sq)
+    mandate = ExecutionMandate(100000.0, 50.0, T)
+    n_sims, z = 4000, 5.0
+    summary = run_monte_carlo(n_sims, ("naive", "informed"), params, mandate, seed)
+    naive, informed = summary.stats["naive"], summary.stats["informed"]
+    assert abs(naive.mean_improvement) <= z * naive.sd_improvement / math.sqrt(n_sims)
+    gain = (naive.per_sim_actual_cost - informed.per_sim_actual_cost) / mandate.s0
+    expected_gain = (naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
+                     - informed_expected_cost(mandate.s0, mandate.p0, 0.0, 1,
+                                              solve_coefficients(params, T))) / mandate.s0
+    assert (abs(float(np.mean(gain)) - expected_gain)
+            <= z * float(np.std(gain, ddof=1)) / math.sqrt(n_sims))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ from oracles import brute_force_best_execution, numpy_scalar_schedule
 from bestexec import (TAGS, MarketParams, ParameterEstimates, ar_adjustment_factor,
                       ar_rho_factor, decide_order, naive_order, order_rule,
                       solve_coefficients)
-from bestexec.strategies import STRATEGIES, _ar_order
+from bestexec.strategies import AUTOREGRESSIVE, NAIVE_FALLBACK, STRATEGIES, _ar_order
 
 BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 
@@ -144,6 +144,21 @@ def test_ar_adjustment_factor_matches_term_by_term_sum():
         assert got == pytest.approx(expected, rel=1e-10, abs=tol)
 
 
+def _engine_ar_step(s, x_prev, t, T, theta, gamma, rho, impact_ok, rho_ok, clamp=False):
+    """The batch engine's online step on (n,) arrays of fits, one per row:
+    the uniform split tilted by _ar_order in the usable rows, then the clamp;
+    the final period buys s. Returns the orders and the usable mask."""
+    ok = impact_ok & rho_ok & (theta > 0.0)
+    if t == T:
+        return s, ok
+    rho_factor = ar_rho_factor(np.where(ok, rho, 0.0), t, T)
+    with np.errstate(all="ignore"):
+        order = _ar_order(naive_order(s, t, T), ok, theta, gamma, rho_factor, x_prev, t, T)
+    if clamp:
+        order = np.where(order < 0.0, 0.0, order)
+    return order, ok
+
+
 def test_ar_rho_factor_of_every_period_equals_the_float_form():
     # the batch engine takes the rho part of every period in one call, with t
     # a column of periods; each element must equal the float form, and the
@@ -159,19 +174,15 @@ def test_ar_rho_factor_of_every_period_equals_the_float_form():
     theta, gamma = 10 ** rng.uniform(-6, -3, n), rng.uniform(-10, 10, n)
     s, x_prev = rng.uniform(0.0, 1e5, n), rng.normal(0.0, 1.0, n)
     yes = np.ones(n, dtype=bool)
-    for t in (1, T // 2, T - 2, T - 1, T):
-        est = ParameterEstimates(theta, gamma, rho[t - 1], np.full(n, 0.01),
-                                 np.full(n, 0.001), yes, yes, 10)
+    for t in (1, T // 2, T - 2, T - 1):
         expected = np.array([
             order_rule("ar", si, xi, t, T, estimates=_estimates(th, g, r))[0]
             for si, xi, th, g, r in zip(s.tolist(), x_prev.tolist(), theta.tolist(),
                                         gamma.tolist(), rho[t - 1].tolist())]).tobytes()
-        assert order_rule("ar", s, x_prev, t, T, estimates=est)[0].tobytes() == expected
-        if t < T:
-            # the batch engine's call: the factor of every period, taken at once
-            got = _ar_order(naive_order(s, t, T), yes, theta, gamma, factor[t - 1],
-                            x_prev, t, T)
-            assert got.tobytes() == expected
+        # the batch engine's call: the factor of every period, taken at once
+        got = _ar_order(naive_order(s, t, T), yes, theta, gamma, factor[t - 1],
+                        x_prev, t, T)
+        assert got.tobytes() == expected
 
 
 _THETAS = st.floats(1e-12, 1e-1) | st.sampled_from([5e-324, 1e-300, 1.0, 1e300])
@@ -330,34 +341,48 @@ def test_order_rule_on_arrays_equals_the_rule_on_each_row_property(kind, T, data
            for th, g, r, i_ok, r_ok in est]
     scalar_est = [ParameterEstimates(th, g, r, 0.01, 0.001, i_ok, r_ok, t)
                   for th, g, r, i_ok, r_ok in est]
-    theta, gamma, rho, impact_ok, rho_ok = (np.array(col) for col in zip(*est))
-    array_est = ParameterEstimates(theta, gamma, rho, np.full(len(rows), 0.01),
-                                   np.full(len(rows), 0.001), impact_ok, rho_ok, t)
     by_row = [order_rule(kind, *row, t, T, tilt_i, est_i, clamp)
               for *row, tilt_i, est_i in zip(s, x_prev, tilt, scalar_est)]
-    order, tag = order_rule(kind, np.array(s), np.array(x_prev), t, T, np.array(tilt),
-                            array_est, clamp)
-    assert order.tobytes() == np.array([o for o, _ in by_row]).tobytes()
-    assert (np.broadcast_to(tag, order.shape).tobytes()
-            == np.array([c for _, c in by_row]).tobytes())
+    expected_orders = np.array([o for o, _ in by_row]).tobytes()
+    expected_tags = np.array([c for _, c in by_row]).tobytes()
+    s, x_prev = np.array(s), np.array(x_prev)
+    if kind != "ar":
+        order, tag = order_rule(kind, s, x_prev, t, T, np.array(tilt), None, clamp)
+    else:
+        # the engine's step, one fit per row; its usable mask is the tag
+        order, ok = _engine_ar_step(s, x_prev, t, T, *(np.array(col) for col in zip(*est)),
+                                    clamp)
+        assert order.tobytes() == expected_orders
+        if t < T:
+            assert (np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK).tobytes()
+                    == expected_tags)
+        # order_rule on arrays with one fit of floats for every row
+        shared = scalar_est[0]
+        by_row = [order_rule(kind, si, xi, t, T, None, shared, clamp)
+                  for si, xi in zip(s.tolist(), x_prev.tolist())]
+        expected_orders = np.array([o for o, _ in by_row]).tobytes()
+        expected_tags = np.array([c for _, c in by_row]).tobytes()
+        order, tag = order_rule(kind, s, x_prev, t, T, None, shared, clamp)
+    assert order.tobytes() == expected_orders
+    assert np.broadcast_to(tag, order.shape).tobytes() == expected_tags
 
 
 def test_ar_rule_on_many_random_rows_equals_the_scalar_rule():
     # numpy's array power rounds differently from Python's float ** in a few
-    # percent of cases, so the array rule must take f_hat from the scalar form
+    # percent of cases, so the engine's array step must take f_hat from the
+    # scalar form
     rng = np.random.default_rng(8)
     n = 400
     for T in (3, 20, 100):
-        for t in range(1, T + 1):
-            est = ParameterEstimates(10 ** rng.uniform(-7, -3, n), rng.uniform(-50, 50, n),
-                                     rng.uniform(-0.99, 0.99, n), np.full(n, 0.01),
-                                     np.full(n, 0.001), rng.random(n) < 0.9,
-                                     rng.random(n) < 0.9, t)
+        for t in range(1, T):
+            theta, gamma = 10 ** rng.uniform(-7, -3, n), rng.uniform(-50, 50, n)
+            rho = rng.uniform(-0.99, 0.99, n)
+            impact_ok, rho_ok = rng.random(n) < 0.9, rng.random(n) < 0.9
             s, x_prev = rng.uniform(-1e5, 1e6, n), rng.uniform(-10, 10, n)
-            order, tag = order_rule("ar", s, x_prev, t, T, estimates=est)
+            order, ok = _engine_ar_step(s, x_prev, t, T, theta, gamma, rho, impact_ok, rho_ok)
             by_row = [order_rule("ar", s[i], x_prev[i], t, T, estimates=ParameterEstimates(
-                          est.theta_hat[i], est.gamma_hat[i], est.rho_hat[i], 0.01, 0.001,
-                          est.impact_valid[i], est.rho_valid[i], t)) for i in range(n)]
+                          theta[i], gamma[i], rho[i], 0.01, 0.001, impact_ok[i], rho_ok[i], t))
+                      for i in range(n)]
             assert order.tobytes() == np.array([o for o, _ in by_row]).tobytes(), (T, t)
-            assert (np.broadcast_to(tag, (n,)).tobytes()
+            assert (np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK).tobytes()
                     == np.array([c for _, c in by_row]).tobytes()), (T, t)
