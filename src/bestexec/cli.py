@@ -17,6 +17,10 @@ be; the two boolean flags stand alone, --strategy repeats and adds the
 names of its list, and `--config PATH` names a config file. Flags are never
 abbreviated, and a token that starts with '--' is never a value.
 
+A bad value, a config file that cannot be read (as UTF-8) or a size whose
+noise buffer numpy cannot address exits 2 with one stderr line naming the
+field; a failed write or allocation exits 1.
+
 Machine files render numbers at 17 significant digits (bit-stable round
 trips); the human footer on stdout uses 6. Outputs carry no timestamps, so a
 fixed spec produces byte-identical files.
@@ -27,13 +31,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .market import (ExecutionMandate, MarketParams, check_seed, generate_noise_path,
-                     substream_seed)
+from .market import (ExecutionMandate, MarketParams, _check_count, check_seed,
+                     generate_noise_path, substream_seed)
 # summarize_convergence is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.cli.summarize_convergence
 from .simulation import (ESTIMATE_FIELDS, run_convergence, run_episode,  # noqa: F401
@@ -56,7 +59,9 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A fully validated run configuration."""
+    """A run configuration that checks itself as it is built, so a RunSpec
+    that exists is valid: construction raises SpecError naming the first
+    bad field, in the order of the checks of __post_init__."""
 
     theta: float = 5e-5
     gamma: float = 5.0
@@ -73,19 +78,40 @@ class RunSpec:
     clamp_nonneg_orders: bool = False
     ar_value_toggle: bool = False
 
+    def __post_init__(self):
+        try:
+            # the market and mandate: both immutable, so every caller shares them
+            object.__setattr__(self, "_model", (
+                MarketParams(self.theta, self.gamma, self.rho,
+                             self.sigma_eps_sq, self.sigma_eta_sq),
+                ExecutionMandate(self.s0, self.p0, self.horizon)))
+            check_seed(self.seed)
+            _check_count("n_sims", self.n_sims)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
+        # the most n_sims * horizon shock pairs, 16 bytes each, numpy can address
+        limit = np.iinfo(np.intp).max // 16
+        if self.horizon > limit:
+            raise SpecError(f"horizon: must be <= {limit} for a noise buffer numpy can "
+                            f"address (got {self.horizon})")
+        if self.n_sims > limit // self.horizon:
+            raise SpecError(f"n_sims: must be <= {limit // self.horizon} at horizon "
+                            f"{self.horizon} for a noise buffer numpy can address "
+                            f"(got {self.n_sims})")
+        if not self.strategies:
+            raise SpecError("strategy: at least one strategy required")
+        for name in self.strategies:
+            if name not in STRATEGIES:
+                raise SpecError(f"strategy: unknown strategy {name!r}")
+        if ("informed" in self.strategies or "ar" in self.strategies) and self.theta <= 0.0:
+            raise SpecError(f"theta: must be > 0 for the informed/ar strategies "
+                            f"(got {self.theta})")
+
     def market_params(self) -> MarketParams:
         return self._model[0]
 
     def mandate(self) -> ExecutionMandate:
         return self._model[1]
-
-    @cached_property
-    def _model(self) -> tuple[MarketParams, ExecutionMandate]:
-        """The spec's market and mandate, built and checked once per spec:
-        both types are immutable, so every caller shares them."""
-        return (MarketParams(self.theta, self.gamma, self.rho,
-                             self.sigma_eps_sq, self.sigma_eta_sq),
-                ExecutionMandate(self.s0, self.p0, self.horizon))
 
 
 _FLOAT_KEYS = ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq", "s0", "p0")
@@ -121,9 +147,9 @@ def _parse_strategies(key: str, raw: str, flag: bool = False) -> tuple[str, ...]
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise SpecError(f"config: cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -152,28 +178,9 @@ def _coerce(key: str, raw: str):
         return _parse_bool(key, raw)
     if key == "strategy":
         return _parse_strategies(key, raw)
+    if "\0" in raw:  # no path holds one
+        raise SpecError(f"out_dir: must not hold a NUL character (got {raw!r})")
     return raw  # out_dir
-
-
-def validate(spec: RunSpec) -> RunSpec:
-    """Check every field against its type invariants; raise SpecError naming
-    the offending field."""
-    try:
-        spec.market_params()
-        spec.mandate()
-        check_seed(spec.seed)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    if spec.n_sims < 1:
-        raise SpecError(f"n_sims: must be >= 1 (got {spec.n_sims})")
-    if not spec.strategies:
-        raise SpecError("strategy: at least one strategy required")
-    for name in spec.strategies:
-        if name not in STRATEGIES:
-            raise SpecError(f"strategy: unknown strategy {name!r}")
-    if ("informed" in spec.strategies or "ar" in spec.strategies) and spec.theta <= 0.0:
-        raise SpecError(f"theta: must be > 0 for the informed/ar strategies (got {spec.theta})")
-    return spec
 
 
 # every flag: "--" and a config key with dashes for underscores, or --config
@@ -216,7 +223,7 @@ def _read_flags(argv: list[str]) -> tuple[dict[str, str], list[str]]:
 
 def parse_config(argv: list[str],
                  default_strategies: tuple[str, ...] | None = None) -> RunSpec:
-    """Build a validated RunSpec from flag-style argv (no subcommand).
+    """Build a RunSpec from flag-style argv (no subcommand).
 
     Precedence: flags override config-file values override baseline defaults.
     Errors in the shape of argv come first, then those of the config file,
@@ -236,7 +243,7 @@ def parse_config(argv: list[str],
             values[key] = _coerce(key, flags[key])
     if strategies:
         values["strategies"] = tuple(dict.fromkeys(strategies))
-    return validate(RunSpec(**values))
+    return RunSpec(**values)
 
 
 def render_config(spec: RunSpec) -> str:
@@ -244,9 +251,10 @@ def render_config(spec: RunSpec) -> str:
 
     Raises SpecError naming out_dir if the file grammar cannot carry its
     value: one holding a '#' or a line break, or with whitespace at either
-    end, would read back as another value or fail to parse."""
+    end, would read back as another value, and one holding a NUL would fail
+    to parse."""
     out_dir = spec.out_dir
-    if ("#" in out_dir or out_dir != out_dir.strip()
+    if ("#" in out_dir or "\0" in out_dir or out_dir != out_dir.strip()
             or len(f"x{out_dir}x".splitlines()) != 1):
         raise SpecError(f"out_dir: cannot be written to a config file (got {out_dir!r})")
     lines = []

@@ -49,20 +49,15 @@ __all__ = [
 ]
 
 
-def _require_finite(obj, names: tuple[str, ...]) -> None:
-    """Reject fields that are not real numbers (a str or a bool, say) or are
-    NaN or infinite, naming the first offending one."""
-    for name in names:
-        _check_finite(name, getattr(obj, name))
-
-
 def _check_finite(name: str, value) -> None:
-    """Reject a value that is not a real number or is NaN or infinite; the
-    message names the field `name`. Exact floats and ints skip the ABC check."""
+    """Reject a value that is not a real number (a str or a bool, say) or is
+    NaN or infinite; the message names the field `name`. Exact floats and
+    ints skip the ABC check, and an exact int, finite however large, skips
+    math.isfinite too, which overflows beyond the float range."""
     if (type(value) is not float and type(value) is not int
             and (isinstance(value, bool) or not isinstance(value, numbers.Real))):
         raise ValueError(f"{name}: must be a real number (got {value!r})")
-    if not math.isfinite(value):
+    if type(value) is not int and not math.isfinite(value):
         raise ValueError(f"{name}: must be finite (got {value})")
 
 
@@ -81,13 +76,14 @@ def _check_variance(name: str, value) -> None:
         raise ValueError(f"{name}: must be >= 0 (got {value})")
 
 
-def _check_horizon(horizon) -> int:
-    """Return `horizon` as an int after checking that it is an integer (not
-    a bool) >= 1; the message names the field horizon."""
-    _check_integer("horizon", horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon: must be >= 1 (got {horizon})")
-    return int(horizon)
+def _check_count(name: str, value) -> int:
+    """Return `value` as an int after checking that it is an integer (not a
+    bool) >= 1, as a horizon or a number of simulations must be; the
+    message names the field `name`."""
+    _check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name}: must be >= 1 (got {value})")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,8 @@ class MarketParams:
     sigma_eta_sq: float
 
     def __post_init__(self):
-        _require_finite(self, ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq"))
+        for name in ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq"):
+            _check_finite(name, getattr(self, name))
         if not abs(self.rho) < 1.0:
             raise ValueError(f"rho: |rho| must be < 1 (got {self.rho})")
         _check_variance("sigma_eps_sq", self.sigma_eps_sq)
@@ -124,16 +121,15 @@ class ExecutionMandate:
     horizon: int
 
     def __post_init__(self):
-        _require_finite(self, ("s0", "p0"))
-        if not isinstance(self.horizon, bool):  # a bool horizon fails the integer check
-            _require_finite(self, ("horizon",))
-        _check_integer("horizon", self.horizon)
+        _check_finite("s0", self.s0)
+        _check_finite("p0", self.p0)
+        if not isinstance(self.horizon, bool):  # a bool horizon fails the count check
+            _check_finite("horizon", self.horizon)
+        _check_count("horizon", self.horizon)
         if self.s0 <= 0.0:
             raise ValueError(f"s0: must be > 0 (got {self.s0})")
         if self.p0 <= 0.0:
             raise ValueError(f"p0: must be > 0 (got {self.p0})")
-        if self.horizon < 1:
-            raise ValueError(f"horizon: must be >= 1 (got {self.horizon})")
 
 
 @dataclass(frozen=True)
@@ -199,8 +195,7 @@ def generate_noise_path(seed: int, horizon: int,
                         sigma_eps_sq: float, sigma_eta_sq: float) -> NoisePath:
     """Draw T i.i.d. Gaussian shock pairs, deterministically from the seed:
     the one-seed case of generate_noise_arrays."""
-    seed = check_seed(seed)
-    eps, eta = _noise_rows([seed], horizon, sigma_eps_sq, sigma_eta_sq)
+    eps, eta = _noise_rows(1, [check_seed(seed)], horizon, sigma_eps_sq, sigma_eta_sq)
     return NoisePath(eps=eps[0], eta=eta[0])
 
 
@@ -221,19 +216,19 @@ def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
     integer in [0, 2**64) (not a bool), horizon an integer >= 1 (not a
     bool), and both variances finite and >= 0.
     """
-    return _noise_rows([check_seed(seed) for seed in seeds], horizon,
-                       sigma_eps_sq, sigma_eta_sq)
+    seeds = [check_seed(seed) for seed in seeds]
+    return _noise_rows(len(seeds), seeds, horizon, sigma_eps_sq, sigma_eta_sq)
 
 
-def _noise_rows(seeds, horizon: int, sigma_eps_sq: float,
+def _noise_rows(n: int, seeds, horizon: int, sigma_eps_sq: float,
                 sigma_eta_sq: float) -> tuple[np.ndarray, np.ndarray]:
-    """generate_noise_arrays for seeds that are known to be ints in
-    [0, 2**64), such as a study's substream seeds: it checks no seed."""
-    horizon = _check_horizon(horizon)
+    """generate_noise_arrays for n seeds that are known to be ints in
+    [0, 2**64), such as a study's lazily hashed substream seeds: it checks
+    no seed, and allocates the (n, 2T) buffer before it reads one."""
+    horizon = _check_count("horizon", horizon)
     _check_variance("sigma_eps_sq", sigma_eps_sq)
     _check_variance("sigma_eta_sq", sigma_eta_sq)
-    seeds = list(seeds)
-    z = np.empty((len(seeds), 2 * horizon))
+    z = np.empty((n, 2 * horizon))
     rng = _thread_generator()
     bit_generator = rng.bit_generator
     words = {"counter": (0, 0, 0, 0), "key": (0, 0)}

@@ -69,7 +69,7 @@ from .estimation import (ParameterEstimates, _carry_forward, _fit_impact, _fit_r
 # generate_noise_path is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.simulation.generate_noise_path
 from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
-                     _check_finite, _check_integer, _noise_rows, _substream_seeds, check_seed,
+                     _check_count, _check_finite, _noise_rows, _substream_seeds, check_seed,
                      generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
@@ -336,10 +336,8 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
     T = mandate.horizon
     n = path.eps.shape[1]
     info = np.ascontiguousarray(path.info.T)
-    # the refit's history: price changes, orders and X_1..X_T. Each plane
-    # starts 16-byte aligned, as an array of its own would (OpenBLAS's
-    # SSE2 dot kernel rounds by operand alignment)
-    history = np.empty((3, n * T + n * T % 2))[:, :n * T].reshape(3, n, T)
+    # the refit's history: price changes, orders and X_1..X_T
+    history = np.empty((3, n, T))
     delta_p, orders, x = history
     x[:] = info[:, 1:]
     # no order moves the information, so its half of every period's
@@ -460,11 +458,9 @@ def _noise_arrays(n_sims: int, params: MarketParams, horizon: int,
                   base_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The common random numbers as (n_sims, T) arrays eps and eta: row i is
     the path keyed by substream_seed(base_seed, i)."""
-    _check_integer("n_sims", n_sims)
-    if n_sims < 1:
-        raise ValueError(f"n_sims: must be >= 1 (got {n_sims})")
+    n_sims = _check_count("n_sims", n_sims)
     base_seed = check_seed(base_seed, "base_seed")
-    return _noise_rows(_substream_seeds(base_seed, range(n_sims)),
+    return _noise_rows(n_sims, _substream_seeds(base_seed, range(n_sims)),
                        horizon, params.sigma_eps_sq, params.sigma_eta_sq)
 
 

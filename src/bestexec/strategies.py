@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketParams, _check_horizon
+from .market import MarketParams, _check_count
 
 __all__ = [
     "CoefficientSchedule",
@@ -125,7 +125,7 @@ def solve_coefficients(params: MarketParams, horizon: int) -> CoefficientSchedul
     """
     if not params.theta > 0.0:
         raise ValueError(f"theta: must be > 0 for a convex Bellman step (got {params.theta})")
-    T = _check_horizon(horizon)
+    T = _check_count("horizon", horizon)
     theta, gamma, rho, s2h = map(float, (params.theta, params.gamma, params.rho,
                                          params.sigma_eta_sq))
 

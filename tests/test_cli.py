@@ -3,11 +3,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -658,3 +662,128 @@ def test_cli_output_bytes_are_pinned(tmp_path, command):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == _PINNED_OUTPUTS[command]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--horizon", str(10 ** 400)], "error: horizon: must be <= "),
+    (["simulate", "--horizon", str(10 ** 30)], "error: horizon: must be <= "),
+    (["montecarlo", "--n-sims", str(10 ** 23), "--horizon", "2"], "error: n_sims: must be <= "),
+    # simulate reads no n_sims, but a spec holds no size numpy cannot address
+    (["simulate", "--n-sims", str(10 ** 20)], "error: n_sims: must be <= "),
+], ids=["horizon-10**400", "horizon-10**30", "n_sims-10**23", "simulate-n_sims-10**20"])
+def test_a_size_no_noise_buffer_can_hold_exits_2_naming_the_field(tmp_path, argv, message):
+    out_dir = tmp_path / "out"
+    rc, out, err, _ = _run_cli(argv + ["--out-dir", str(out_dir)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert not out_dir.exists()
+
+
+def test_a_size_numpy_can_address_but_no_memory_holds_exits_1(tmp_path):
+    # 16 * 10**12 * 20 bytes is 291 TiB: beyond the user address space, so
+    # the allocation fails at once, before any seed is hashed
+    out_dir = tmp_path / "out"
+    rc, out, err, _ = _run_cli(["montecarlo", "--n-sims", str(10 ** 12),
+                                "--out-dir", str(out_dir)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: memory: ") and err.count("\n") == 1, err
+    assert not out_dir.exists()
+
+
+def test_the_size_bound_is_the_noise_buffer_numpy_can_address():
+    limit = np.iinfo(np.intp).max // 16
+    assert RunSpec(horizon=limit, n_sims=1).horizon == limit
+    assert RunSpec(horizon=7, n_sims=limit // 7).n_sims == limit // 7
+    with pytest.raises(SpecError, match=rf"^horizon: must be <= {limit} "):
+        RunSpec(horizon=limit + 1, n_sims=1)
+    with pytest.raises(SpecError, match=rf"^n_sims: must be <= {limit // 7} at horizon 7 "):
+        RunSpec(horizon=7, n_sims=limit // 7 + 1)
+
+
+def _unreadable_paths(tmp_path):
+    """(argv, start of the error line) of each config file that cannot be
+    read, and of an out_dir that no path can be."""
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"theta = 1e-5\n\xff\n")
+    return [
+        (["--config", str(latin)], f"error: config: cannot read {latin}: 'utf-8' codec "),
+        (["--config", f"{tmp_path}/a\0b.cfg"],
+         f"error: config: cannot read {tmp_path}/a\0b.cfg: embedded null byte"),
+        (["--out-dir", f"{tmp_path}/out\0x"], "error: out_dir: must not hold a NUL character"),
+    ]
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_an_unreadable_config_or_a_nul_path_exits_2_with_one_line(tmp_path, command):
+    for argv, message in _unreadable_paths(tmp_path):
+        out_dir = ["--out-dir", str(tmp_path / "out")] if argv[0] == "--config" else []
+        rc, out, err, _ = _run_cli([command, *_SMALL_RUNS[command], *argv, *out_dir])
+        assert (rc, out) == (2, ""), err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin.cfg"]
+
+
+def test_a_config_file_is_read_as_utf8_under_any_locale(tmp_path):
+    (tmp_path / "run.cfg").write_bytes("out_dir = résultats\n".encode("utf-8"))
+    # the C locale without UTF-8 mode: open's default encoding is ASCII
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               LC_ALL="C", PYTHONUTF8="0")
+    code = ("from bestexec.cli import parse_config\n"
+            "print(ascii(parse_config(['--config', 'run.cfg']).out_dir))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, ascii("résultats") + "\n"), proc.stderr
+
+
+def test_render_config_names_a_nul_out_dir():
+    with pytest.raises(SpecError, match="^out_dir: cannot be written to a config file"):
+        render_config(RunSpec(out_dir="a\0b"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("clamp_nonneg_orders = maybe\n",
+     "clamp_nonneg_orders: expected a boolean, got 'maybe'"),
+    ("strategy = twap\n",
+     "strategy: unknown strategy 'twap' (choose from naive, informed, ar)"),
+])
+def test_bad_config_values_are_named(tmp_path, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SpecError) as info:
+        parse_config(["--config", str(cfg)])
+    assert str(info.value) == message
+
+
+def test_comment_and_blank_config_lines_are_skipped(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment line\n\n   \n  # indented\nhorizon = 7  # trailing\n")
+    assert parse_config(["--config", str(cfg)]) == RunSpec(horizon=7)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"]])
+def test_no_command_or_help_prints_the_help_with_exit_0(argv):
+    rc, out, err, _ = _run_cli(argv)
+    assert (rc, out, err) == (0, cli.__doc__.strip() + "\n", "")
+
+
+def test_the_module_entry_point_prints_the_help(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "bestexec", "--help"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.__doc__.strip() + "\n", "")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"strategies": ()}, "strategy: at least one strategy required"),
+    ({"strategies": ("twap",)}, "strategy: unknown strategy 'twap'"),
+    ({"rho": 2.0}, r"rho: \|rho\| must be < 1 \(got 2.0\)"),
+    ({"n_sims": 2.5}, r"n_sims: must be an integer \(got 2.5\)"),
+    ({"n_sims": 0}, r"n_sims: must be >= 1 \(got 0\)"),
+    ({"seed": -1}, r"seed: must be in \[0, 2\*\*64\) \(got -1\)"),
+    ({"horizon": 0}, r"horizon: must be >= 1 \(got 0\)"),
+    ({"theta": 0.0}, r"theta: must be > 0 for the informed/ar strategies \(got 0.0\)"),
+], ids=["no-strategy", "twap", "rho", "n_sims-2.5", "n_sims-0", "seed", "horizon", "theta"])
+def test_a_hand_built_spec_checks_itself(fields, message):
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        RunSpec(**fields)

@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,27 @@ def test_every_public_package_name_is_in_a_library_modules_all():
     public = {name for name, value in vars(bestexec).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public - listed) == []
+
+
+# names a module imports only so that bench/tracer.py can wrap them in that
+# module's namespace, where the tracer looks them up; the module itself never
+# reads them
+TRACER_ONLY = {"cli": {"summarize_convergence"}, "simulation": {"generate_noise_path"}}
+# __init__.py only re-exports
+MODULES = sorted(p for p in Path(bestexec.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_name_a_module_imports_is_used_there(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exempt = TRACER_ONLY.get(path.stem, set())
+    assert sorted(imported - used - exempt) == []
+    assert exempt <= imported - used  # an exemption that no longer applies goes

@@ -473,6 +473,22 @@ def test_studies_reject_a_non_integer_n_sims(n_sims):
         run_convergence(n_sims, BASELINE, MANDATE, 0)
 
 
+def test_studies_reject_n_sims_below_one():
+    with pytest.raises(ValueError, match=r"^n_sims: must be >= 1 \(got 0\)$"):
+        run_monte_carlo(0, ("naive",), BASELINE, MANDATE, 0)
+
+
+def test_study_noise_is_allocated_before_any_seed_is_hashed():
+    # 10**23 rows: hashing the seeds first would run for years
+    with pytest.raises(ValueError, match="dimension|too big"):
+        simulation._noise_arrays(10 ** 23, BASELINE, 2, 0)
+
+
+def test_summarize_convergence_needs_an_episode():
+    with pytest.raises(ValueError, match="^episodes: need at least one episode$"):
+        summarize_convergence([])
+
+
 def test_studies_accept_a_numpy_integer_n_sims():
     s = run_monte_carlo(np.int64(3), ("naive",), BASELINE, MANDATE, 0)
     assert s.n_sims == 3 and type(s.n_sims) is int

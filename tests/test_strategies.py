@@ -159,6 +159,16 @@ def _engine_ar_step(s, x_prev, t, T, theta, gamma, rho, impact_ok, rho_ok, clamp
     return order, ok
 
 
+def test_ar_rho_factor_rejects_a_unit_root_array():
+    with pytest.raises(ValueError, match=r"^rho_hat: \|rho_hat\| must be < 1 \(got 1\.0\)$"):
+        ar_rho_factor(np.array([1.0]), 5, 20)
+
+
+def test_schedule_at_rejects_a_period_outside_the_horizon():
+    with pytest.raises(ValueError, match="^t: period 0 outside schedule horizon 20$"):
+        solve_coefficients(BASELINE, 20).at(0)
+
+
 def test_ar_rho_factor_of_every_period_equals_the_float_form():
     # the batch engine takes the rho part of every period in one call, with t
     # a column of periods; each element must equal the float form, and the
