@@ -106,6 +106,7 @@ class RunSpec:
         if ("informed" in self.strategies or "ar" in self.strategies) and self.theta <= 0.0:
             raise SpecError(f"theta: must be > 0 for the informed/ar strategies "
                             f"(got {self.theta})")
+        _check_out_dir(self.out_dir)
 
     def market_params(self) -> MarketParams:
         return self._model[0]
@@ -178,9 +179,13 @@ def _coerce(key: str, raw: str):
         return _parse_bool(key, raw)
     if key == "strategy":
         return _parse_strategies(key, raw)
-    if "\0" in raw:  # no path holds one
-        raise SpecError(f"out_dir: must not hold a NUL character (got {raw!r})")
-    return raw  # out_dir
+    return _check_out_dir(raw)
+
+
+def _check_out_dir(out_dir: str) -> str:
+    if "\0" in str(out_dir):  # no path holds one; str() also reads a pathlib.Path
+        raise SpecError(f"out_dir: must not hold a NUL character (got {out_dir!r})")
+    return out_dir
 
 
 # every flag: "--" and a config key with dashes for underscores, or --config
@@ -251,10 +256,9 @@ def render_config(spec: RunSpec) -> str:
 
     Raises SpecError naming out_dir if the file grammar cannot carry its
     value: one holding a '#' or a line break, or with whitespace at either
-    end, would read back as another value, and one holding a NUL would fail
-    to parse."""
+    end, would read back as another value."""
     out_dir = spec.out_dir
-    if ("#" in out_dir or "\0" in out_dir or out_dir != out_dir.strip()
+    if ("#" in out_dir or out_dir != out_dir.strip()
             or len(f"x{out_dir}x".splitlines()) != 1):
         raise SpecError(f"out_dir: cannot be written to a config file (got {out_dir!r})")
     lines = []
@@ -404,12 +408,11 @@ def cmd_convergence(spec: RunSpec) -> int:
     with np.errstate(all="ignore"):  # overflow is reported below, by name
         conv = run_convergence(spec.n_sims, spec.market_params(), spec.mandate(),
                                spec.seed, clamp_nonneg_orders=spec.clamp_nonneg_orders)
-    for name in ESTIMATE_FIELDS:
-        fitted = conv.n_values[name] > 0
-        for stat in ("mean", "sd"):
-            cells = getattr(conv, stat)[name]
-            if np.isinf(cells).any() or np.isnan(cells[fitted]).any():
-                raise SpecError(f"overflow: {name} {stat} is not finite")
+    # a cell that no simulation fitted is NaN, never infinite: only the
+    # fitted cells must be finite
+    _require_finite_outputs(
+        (f"{name} {stat}", getattr(conv, stat)[name][conv.n_values[name] > 0].tolist())
+        for name in ESTIMATE_FIELDS for stat in ("mean", "sd"))
     columns = [stat[name].tolist() for name in ESTIMATE_FIELDS
                for stat in (conv.mean, conv.sd)]
     _write(Path(spec.out_dir) / "convergence.csv",

@@ -29,14 +29,15 @@ equals it row by row, bit for bit. The information half reads no order, so
 fit_information fits it for every period of a study at once; a Monte Carlo
 study, whose orders read no sigma_eta_sq_hat, fits it without the residual
 pass (_fit_rho). The impact half runs each period after the orders are
-known, as _fit_impact with no prior: it takes its own sums from the
-caller's (3, n_sims, n) history of price changes, orders and X and writes
-its three values into slots the caller gives it. After the last period,
-_carry_forward carries each failed fit's prior forward along the period
-axis. Every sum is np.vecdot over row views, one call per prefix length,
-which rounds as the scalar refit's 1-D `a.dot(b)` does (the BLAS ddot of
-`a @ b`, at less call overhead; np.einsum, (a*b).sum(1) and running sums
-do not). Every other step is the same IEEE operation in the same order.
+known, as _fit_impact with no prior: it takes all five of its sums from
+the caller's (3, n_sims, n) history of price changes, orders and X and
+writes its three values into slots the caller gives it. After the last
+period, _carry_forward carries each failed fit's prior forward along the
+period axis. Every sum is np.vecdot over row views, one call per prefix
+length, which rounds as the scalar refit's 1-D `a.dot(b)` does (the BLAS
+ddot of `a @ b`, at less call overhead; np.einsum, (a*b).sum(1) and
+running sums do not). Every other step is the same IEEE operation in the
+same order.
 """
 
 from __future__ import annotations
@@ -167,17 +168,16 @@ class InformationFit:
     """The information half of the refit of n_sims information paths after
     every period: each field is a C-contiguous (n_sims, T) array whose
     column n-1 holds estimate_all's values for the first n periods, without
-    a prior. sum_xx is the impact fit's sum of X_k^2. sigma_eta_sq_hat is
-    None in a Monte Carlo study's fit (_fit_rho), whose orders read none."""
+    a prior. sigma_eta_sq_hat is None in a Monte Carlo study's fit
+    (_fit_rho), whose orders read none."""
 
     rho_hat: np.ndarray
     rho_valid: np.ndarray
     sigma_eta_sq_hat: np.ndarray | None
-    sum_xx: np.ndarray
 
 
 def fit_information(info_series: np.ndarray) -> InformationFit:
-    """The rho fit, its residual variance and sum X^2 of every prefix of the
+    """The rho fit and its residual variance of every prefix of the
     (n_sims, T + 1) information paths info_series (pre-trade value in column
     0), as estimate_all computes them period after period from no prior:
     equal to them bit for bit. Each prefix's sums are np.vecdot over row
@@ -204,23 +204,20 @@ def _fit_rho(info_series: np.ndarray) -> tuple[InformationFit, np.ndarray]:
     not all zero, the ones the rho fit ran on."""
     n_sims, T = info_series.shape[0], info_series.shape[1] - 1
     lag = info_series[:, :-1]
-    x = info_series[:, 1:]
     # lag and X as one (2, n_sims, T) view, for sum lag^2 and sum lag*X in one call
     lag_x = np.lib.stride_tricks.sliding_window_view(info_series, T, axis=1).transpose(1, 0, 2)
-    sums = np.empty((3, n_sims, T))
+    sums = np.empty((2, n_sims, T))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(1, T + 1):
-            np.vecdot(lag[:, :n], lag_x[:, :, :n], out=sums[:2, :, n - 1])
-            np.vecdot(x[:, :n], x[:, :n], out=sums[2, :, n - 1])
-        den, num, sum_xx = sums
+            np.vecdot(lag[:, :n], lag_x[:, :, :n], out=sums[:, :, n - 1])
+        den, num = sums
         fitted = ~(den == 0.0)
         raw = num / den
         floored = np.where(-RHO_CLAMP > raw, -RHO_CLAMP, raw)
         clamped = np.where(RHO_CLAMP < floored, RHO_CLAMP, floored)
         rho_valid = fitted & (clamped == raw)
         rho_hat = _carry_forward(fitted, clamped)
-    return InformationFit(rho_hat=rho_hat, rho_valid=rho_valid,
-                          sigma_eta_sq_hat=None, sum_xx=sum_xx), fitted
+    return InformationFit(rho_hat=rho_hat, rho_valid=rho_valid, sigma_eta_sq_hat=None), fitted
 
 
 def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -236,16 +233,15 @@ def _carry_forward(fitted: np.ndarray, values: np.ndarray) -> np.ndarray:
     return carried
 
 
-def _fit_impact(h: np.ndarray, information: InformationFit, out: np.ndarray):
+def _fit_impact(h: np.ndarray, out: np.ndarray):
     """The impact fit of estimate_all, with no prior, for n_sims histories of
     n >= 2 periods. h is the (3, n_sims, n) history: price changes, orders
-    and X_1..X_n; information the InformationFit of the X. Its sums are a
-    (2, 3, n_sims) array whose rows in order are sum dP*B, sum dP*X, sum X^2
-    (information.sum_xx), sum B^2, sum B*X and one unread, the others from
-    one broadcast np.vecdot(h[0:2, None], h[None, 1:3]). Then the diagonal
-    of the normal equations (sum X^2, sum B^2) and the right-hand sides
-    (sum dP*B, sum dP*X) are each one (2, n_sims) view, and Cramer's two
-    numerators one product.
+    and X_1..X_n. One broadcast np.vecdot(h[0:3, None], h[None, 1:3]) takes
+    all its sums as a (3, 2, n_sims) block, whose six rows in order are
+    sum dP*B, sum dP*X, sum B^2, sum B*X, sum X*B (unread) and sum X^2.
+    Then the diagonal of the normal equations (sum X^2, sum B^2) and the
+    right-hand sides (sum dP*B, sum dP*X) are each one (2, n_sims) view,
+    and Cramer's two numerators one product.
 
     Writes theta_hat, gamma_hat and sigma_eps_sq_hat to the rows of the
     (3, n_sims) out and returns the (n_sims,) masks (fitted, impact_valid).
@@ -256,10 +252,8 @@ def _fit_impact(h: np.ndarray, information: InformationFit, out: np.ndarray):
     (np.errstate), as the batch engine does once around its period loop.
     """
     n_sims, n = h.shape[1:]
-    rows = np.empty((6, n_sims))
-    np.vecdot(h[0:2, None], h[None, 1:3], out=rows.reshape(2, 3, n_sims)[:, :2])
-    rows[2] = information.sum_xx[:, n - 1]
-    diag, sxb = rows[2:4], rows[4]
+    rows = np.vecdot(h[0:3, None], h[None, 1:3]).reshape(6, n_sims)
+    diag, sxb = rows[5:1:-3], rows[3]
     sxx, sbb = diag
     # the 2x2 normal equations as in estimate_all, _cond_2x2 inlined
     det = sbb * sxx - sxb * sxb

@@ -384,7 +384,7 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
             price = price_new
             if t in refits:
                 slot = impact[:, :, t - 1 if keep_log else 0]
-                fit, valid = _fit_impact(history[:, :, :t], information, slot)
+                fit, valid = _fit_impact(history[:, :, :t], slot)
                 # impact_valid implies theta_hat > 0: these rows are usable
                 ok = valid & information.rho_valid[:, t - 1]
                 if keep_log:

@@ -7,9 +7,18 @@ history-affine policy by propagating Gaussian moments, identifies the
 function evaluations alone, and minimizes it with one linear solve. For
 small horizons that global optimum is the ground truth the informed strategy
 must reproduce.
+
+The exact refit runs the online OLS refit in rational arithmetic on the
+float inputs, so it carries no rounding at all: the ground truth the float
+refits are measured against.
 """
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
+
+from bestexec import COND_LIMIT, RHO_CLAMP, THETA_TSTAT_MIN
 
 
 def affine_policy_expected_cost(coefvec, theta, gamma, rho, sigma_eta_sq,
@@ -115,3 +124,79 @@ def numpy_scalar_schedule(theta, gamma, rho, sigma_eta_sq, T):
         c[k - 1] = rho * rho * (cp - bp * bp / (4.0 * ap))
         d[k - 1] = dp + cp * sigma_eta_sq
     return tuple(arr[::-1].copy() for arr in (a, b, c, d, e, f))
+
+
+def _sqrt(q: Fraction) -> Fraction:
+    """The square root of q >= 0, rounded to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Fraction((Decimal(q.numerator) / Decimal(q.denominator)).sqrt())
+
+
+def exact_refit(delta_p, orders, info_series) -> dict:
+    """estimate_all's refit of one history with no prior, in exact rational
+    arithmetic (fractions.Fraction) on the float inputs: exact sums,
+    Cramer's rule, residual variances and the rho clamp. Returns a dict:
+
+    impact_fitted     the impact design is fitted: n >= 2, its determinant
+                      is > 0 and its condition number is <= COND_LIMIT
+    cond              that condition number (to about 60 digits), or None
+                      where the determinant is <= 0
+    theta_hat, gamma_hat, sigma_eps_sq_hat
+                      the impact fit wherever the determinant is > 0, None
+                      otherwise
+    t_ratio           theta_hat / (THETA_TSTAT_MIN * its standard error),
+                      squared, where theta_hat > 0, n >= 3 and the residual
+                      variance is > 0; None otherwise
+    impact_valid      fitted and theta_hat > 0 and n >= 3, and t_ratio >= 1
+                      or a zero residual variance
+    rho_fitted        the lag series is not all zero
+    rho_raw           the unclamped rho fit where rho_fitted, else None
+    rho_hat, rho_valid, sigma_eta_sq_hat
+                      the clamped fit, raw == clamped, and its residual
+                      variance (n >= 2); None and False where not fitted
+    """
+    dp = [Fraction(v) for v in np.asarray(delta_p, dtype=float).tolist()]
+    b = [Fraction(v) for v in np.asarray(orders, dtype=float).tolist()]
+    info = [Fraction(v) for v in np.asarray(info_series, dtype=float).tolist()]
+    x, lag = info[1:], info[:-1]
+    n = len(dp)
+
+    def dot(u, v):
+        return sum((p * q for p, q in zip(u, v)), Fraction(0))
+
+    out = dict(impact_fitted=False, cond=None, theta_hat=None, gamma_hat=None,
+               sigma_eps_sq_hat=None, t_ratio=None, impact_valid=False,
+               rho_fitted=False, rho_raw=None, rho_hat=None, rho_valid=False,
+               sigma_eta_sq_hat=None)
+    if n >= 2:
+        sbb, sxb, sxx = dot(b, b), dot(x, b), dot(x, x)
+        det = sbb * sxx - sxb * sxb
+        if det > 0:
+            # hi * lo = det, so hi / lo = hi^2 / det; tr^2 - 4 det >= 0 exactly
+            tr = sbb + sxx
+            hi = (tr + _sqrt(tr * tr - 4 * det)) / 2
+            out["cond"] = hi * hi / det
+            spb, spx = dot(dp, b), dot(dp, x)
+            theta = (sxx * spb - sxb * spx) / det
+            gamma = (sbb * spx - sxb * spb) / det
+            r = [p - theta * q - gamma * v for p, q, v in zip(dp, b, x)]
+            s2e = dot(r, r) / (n - 1)
+            out.update(impact_fitted=out["cond"] <= COND_LIMIT, theta_hat=theta,
+                       gamma_hat=gamma, sigma_eps_sq_hat=s2e)
+            if theta > 0 and n >= 3:
+                var_theta = s2e * (n - 1) / (n - 2) * sxx / det
+                if var_theta > 0:
+                    out["t_ratio"] = theta * theta / (Fraction(THETA_TSTAT_MIN) ** 2 * var_theta)
+                out["impact_valid"] = (out["impact_fitted"]
+                                       and (var_theta == 0 or out["t_ratio"] >= 1))
+    den = dot(lag, lag)
+    if den != 0:
+        raw = dot(lag, x) / den
+        clamp = Fraction(RHO_CLAMP)
+        rho = min(max(raw, -clamp), clamp)
+        out.update(rho_fitted=True, rho_raw=raw, rho_hat=rho, rho_valid=rho == raw)
+        if n >= 2:
+            r = [v - rho * w for v, w in zip(x, lag)]
+            out["sigma_eta_sq_hat"] = dot(r, r) / (n - 1)
+    return out

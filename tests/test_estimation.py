@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exact_refit
 
-from bestexec import ParameterEstimates, estimate_all, fit_information, info_step, price_step
+from bestexec import (COND_LIMIT, RHO_CLAMP, ParameterEstimates, estimate_all, fit_information,
+                      info_step, price_step)
 from bestexec.estimation import _carry_forward, _fit_impact
 
 
@@ -326,7 +329,7 @@ def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
     for n in range(2, n_obs + 1):
         # the overflow history overflows in the sums and the fit, as in simulate
         with np.errstate(all="ignore"):
-            fit = _fit_impact(history[:, :, :n], information, impact[:, :, n - 1])
+            fit = _fit_impact(history[:, :, :n], impact[:, :, n - 1])
         fitted[:, n - 1], impact_valid[:, n - 1] = fit
     theta_hat, gamma_hat, s2e_hat = _carry_forward(fitted, impact)
     batch = {"theta_hat": theta_hat, "gamma_hat": gamma_hat, "rho_hat": information.rho_hat,
@@ -384,6 +387,116 @@ def test_fit_information_equals_estimate_all_property(n_rows, T, zeros, data):
                         == getattr(fit, name)[i, n - 1].tobytes()), (i, n, name)
 
 
+def _exact_test_history(T, constant, zeros, jump, rho, scale, noise, seed):
+    """(delta_p, orders, info_series) of T periods at theta 5e-5 and gamma 5:
+    orders about 5,000 whose first `constant` are exactly 5,000 (a nearly
+    singular impact design early on), an AR(1) information series of
+    innovation sd `scale` whose first `zeros` values are 0.0 (a singular rho
+    fit), and X_jump = 1e12, which leaves every later impact design too
+    ill-conditioned to fit, after fits that may have been good."""
+    rng = np.random.default_rng(seed)
+    orders = 5000.0 * (1.0 + 0.3 * rng.standard_normal(T))
+    orders[:constant] = 5000.0
+    eta = scale * rng.standard_normal(T + 1)
+    info = np.zeros(T + 1)
+    if zeros == 0:
+        info[0] = eta[0]
+    for k in range(max(zeros, 1), T + 1):
+        info[k] = rho * info[k - 1] + eta[k]
+    if jump is not None and jump <= T:
+        info[jump] = 1e12
+    delta_p = 5e-5 * orders + 5.0 * info[1:] + noise * rng.standard_normal(T)
+    return delta_p, orders, info
+
+
+def _scaled_error(got, exact, regressor, regressand):
+    """|got - exact| * ||regressor|| / ||regressand||: a coefficient's error as
+    the share of the data's size that it moves the fitted values by."""
+    sq = [sum(Fraction(v) ** 2 for v in a.tolist()) for a in (regressor, regressand)]
+    return math.sqrt((Fraction(got) - exact) ** 2 * sq[0] / sq[1])
+
+
+def _mean_square_error(got, exact, regressand):
+    """|got - exact| over the mean square sum(y^2) / (n - 1) of the regressand y."""
+    mean_square = sum(Fraction(v) ** 2 for v in regressand.tolist()) / (len(regressand) - 1)
+    return float(abs(Fraction(got) - exact) / mean_square)
+
+
+# Error bounds, in units of EPS. Over 6,000 such histories (about 63,000
+# impact designs with condition number cond below 1e10), the worst errors
+# measured were 0.71 * cond * EPS for theta_hat and gamma_hat (as
+# _scaled_error gives them), 2.7 * EPS for rho_hat and 2.4 * EPS for the
+# variances (as _mean_square_error gives them). Plain relative errors need
+# no such scaling for rho_hat (2.9e-13), but do for theta_hat (3.0e-8,
+# where theta * B is a sliver of dP) and sigma_eps_sq_hat (a two-point fit
+# interpolates, so its exact residual variance is 0)
+EPS = float(np.finfo(float).eps)
+IMPACT_ERROR_PER_COND = 4.0 * EPS
+RHO_ERROR_BOUND = VARIANCE_ERROR_BOUND = 8.0 * EPS
+WELL_CONDITIONED = 1e10
+# a decision is compared only outside these margins: the float refit's
+# condition number is off by up to about cond * EPS of itself (2e-4 at
+# COND_LIMIT), its t statistic by about theta_hat's relative error, and
+# its raw rho_hat by a few ulps
+COND_MARGIN = 2.0  # cond within a factor of 2 of COND_LIMIT
+T_RATIO_MARGIN = Fraction(1, 1000)  # (t / THETA_TSTAT_MIN)^2 within 1e-3 of 1
+RHO_MARGIN = Fraction(1, 10 ** 12)  # |raw rho_hat| within 1e-12 of RHO_CLAMP
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(T=st.integers(2, 40), constant=st.integers(0, 40), zeros=st.integers(0, 8),
+       jump=st.none() | st.integers(1, 40), rho=st.sampled_from([-0.9, 0.0, 0.5, 0.95, 1.2]),
+       scale=st.sampled_from([0.03, 3.0, 300.0]), noise=st.sampled_from([0.0, 1e-3, 0.125, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_refit_equals_exact_ols_property(T, constant, zeros, jump, rho, scale, noise, seed):
+    # estimate_all, chained with its prior as the scalar engine runs it, and
+    # _fit_impact with none, against the exact refit of every prefix
+    dp, b, info = _exact_test_history(T, constant, zeros, jump, rho, scale, noise, seed)
+    est = None
+    for n in range(1, T + 1):
+        prior = est
+        exact = exact_refit(dp[:n], b[:n], info[:n + 1])
+        with np.errstate(all="ignore"):  # the jump overflows no sum, but may underflow
+            est = estimate_all(dp[:n].copy(), b[:n].copy(), info[:n + 1].copy(), prior=prior)
+            if n >= 2:
+                impact = np.empty((3, 1))
+                history = np.stack([dp[:n], b[:n], info[1:n + 1]])[:, None]
+                fitted, valid = _fit_impact(history, impact)
+        cond = exact["cond"]
+        near_limit = (cond is not None
+                      and COND_LIMIT / COND_MARGIN <= cond <= COND_LIMIT * COND_MARGIN)
+        if n >= 2 and not near_limit:
+            assert fitted[0] == exact["impact_fitted"], (n, cond)
+            t_ratio = exact["t_ratio"]
+            if t_ratio is None or abs(t_ratio - 1) > T_RATIO_MARGIN:
+                assert est.impact_valid == valid[0] == exact["impact_valid"], (n, t_ratio)
+        if exact["impact_fitted"] and cond < WELL_CONDITIONED:
+            for k, (name, regressor) in enumerate((("theta_hat", b[:n]),
+                                                   ("gamma_hat", info[1:n + 1]))):
+                for got in (getattr(est, name), impact[k, 0]):
+                    error = _scaled_error(got, exact[name], regressor, dp[:n])
+                    assert error <= IMPACT_ERROR_PER_COND * cond, (n, name, error, cond)
+            for got in (est.sigma_eps_sq_hat, impact[2, 0]):
+                error = _mean_square_error(got, exact["sigma_eps_sq_hat"], dp[:n])
+                assert error <= VARIANCE_ERROR_BOUND, (n, error)
+        elif not exact["impact_fitted"] and not near_limit:
+            # a failed fit carries the prior forward, NaN before the first
+            carried = prior if prior is not None else ParameterEstimates.invalid()
+            for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat"):
+                assert (np.float64(getattr(est, name)).tobytes()
+                        == np.float64(getattr(carried, name)).tobytes()), (n, name)
+        raw = exact["rho_raw"]
+        if raw is None or abs(abs(raw) - Fraction(RHO_CLAMP)) > RHO_MARGIN:
+            assert est.rho_valid == exact["rho_valid"], (n, raw)
+        if exact["rho_fitted"]:
+            error = _scaled_error(est.rho_hat, exact["rho_hat"], info[:n], info[1:n + 1])
+            assert error <= RHO_ERROR_BOUND, (n, error)
+            if n >= 2:
+                error = _mean_square_error(est.sigma_eta_sq_hat, exact["sigma_eta_sq_hat"],
+                                           info[1:n + 1])
+                assert error <= VARIANCE_ERROR_BOUND, (n, error)
+
+
 def test_dot_equals_matmul_on_1d_views_bit_for_bit():
     # estimate_all takes its sums with a.dot(b), at less call overhead than
     # a @ b; the batch refit's np.vecdot rounds as a @ b, so the two must run
@@ -401,12 +514,12 @@ def test_dot_equals_matmul_on_1d_views_bit_for_bit():
 
 
 def test_broadcast_vecdot_block_equals_separate_vecdots_bit_for_bit():
-    # the batch engine takes sum dP*B, sum dP*X, sum B^2 and sum B*X of its
-    # (3, n_sims, t) history [dP, B, X] in one broadcast np.vecdot, where the
-    # earlier refit took np.vecdot([B, dP], B), np.vecdot(X, B) and
-    # np.vecdot(dP, X): each block entry must run the same BLAS ddot on the
-    # same products. Views at offsets 0..2 vary the operands' alignment, by
-    # which some ddot kernels round
+    # the batch engine takes sum dP*B, sum dP*X, sum B^2, sum B*X, sum X*B
+    # and sum X^2 of its (3, n_sims, t) history [dP, B, X] in one broadcast
+    # np.vecdot, where the earlier refit took np.vecdot([B, dP], B),
+    # np.vecdot(X, B), np.vecdot(dP, X) and np.vecdot(X, X): each block entry
+    # must run the same BLAS ddot on the same products. Views at offsets 0..2
+    # vary the operands' alignment, by which some ddot kernels round
     rng = np.random.default_rng(2027)
     buffers = rng.normal(size=(3, 2, 402)) * 10.0 ** rng.uniform(-6.0, 6.0, (3, 2, 402))
     differ = []
@@ -414,9 +527,10 @@ def test_broadcast_vecdot_block_equals_separate_vecdots_bit_for_bit():
         for i in range(3):
             h = buffers[:, :, i:i + n]
             delta_p, b, x = h
-            block = np.vecdot(h[0:2, None], h[None, 1:3])
+            block = np.vecdot(h[0:3, None], h[None, 1:3])
             sbb, spb = np.vecdot(h[1::-1], b)
-            separate = np.stack([[spb, np.vecdot(delta_p, x)], [sbb, np.vecdot(x, b)]])
+            separate = np.stack([[spb, np.vecdot(delta_p, x)], [sbb, np.vecdot(x, b)],
+                                 [np.vecdot(x, b), np.vecdot(x, x)]])
             if block.tobytes() != separate.tobytes():
                 differ.append((n, i))
     assert not differ, (

@@ -109,6 +109,10 @@ def test_ab_time_times_a_checkout_against_itself(capsys):
     assert [line.split(":")[0] for line in lines] == ["a", "b", "median per-round ratio b/a"]
     ratio = float(lines[2].split(": ")[1].split()[0])
     assert 0.0 < ratio < float("inf")
+    res = ab_time.ab_time(src, src, [["simulate", "--horizon", "3", "--seed", "{i}"]],
+                          rounds=2, warmup=0)
+    assert res["a_s"] > 0.0 and res["b_s"] > 0.0
+    assert 0.0 < res["ratio"] < float("inf")
 
 
 def test_ab_time_stops_when_the_checkouts_exit_differently(tmp_path):
@@ -121,3 +125,12 @@ def test_ab_time_stops_when_the_checkouts_exit_differently(tmp_path):
     with pytest.raises(SystemExit, match="round 0 exit codes differ: a \\[0\\], b \\[3\\]"):
         ab_time.ab_time(str(ROOT / "src"), str(tmp_path / "src"),
                         [["simulate", "--horizon", "4"]], rounds=2, warmup=0)
+
+
+def test_ab_time_rejects_zero_rounds(capsys):
+    ab_time = _load_ab_time()
+    src = str(ROOT / "src")
+    with pytest.raises(SystemExit) as info:
+        ab_time.main([src, src, "--argv", "simulate", "--rounds", "0"])
+    assert info.value.code == 2
+    assert "--rounds must be >= 1" in capsys.readouterr().err
