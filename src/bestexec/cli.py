@@ -14,8 +14,9 @@ and the strategy key takes a comma-separated list. Unknown keys are rejected
 by name. A flag is '--' and a config key with dashes for underscores, given
 as `--key VALUE` or `--key=VALUE` and read as the line `key = VALUE` would
 be; the two boolean flags stand alone, --strategy repeats and adds the
-names of its list, and `--config PATH` names a config file. Flags are never
-abbreviated, and a token that starts with '--' is never a value.
+names of its list, and `--config PATH` names a config file. A value, a
+flag's or a line's, is read without the whitespace at either end. Flags are
+never abbreviated, and a token that starts with '--' is never a value.
 
 A bad value, a config file that cannot be read (as UTF-8) or a size whose
 noise buffer numpy cannot address exits 2 with one stderr line naming the
@@ -122,7 +123,7 @@ _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _BOOL_KEYS + ("strategy", "out_dir")
 
 
 def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
+    low = raw.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
@@ -160,7 +161,6 @@ def _read_config_file(path: str) -> dict:
             raise SpecError(f"config: line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key not in _ALL_KEYS:
             raise SpecError(f"{key}: unknown key")
         values[key] = _coerce(key, raw)
@@ -168,6 +168,8 @@ def _read_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, raw: str):
+    """key's value from a flag's or a config line's raw text, stripped."""
+    raw = raw.strip()
     try:
         if key in _FLOAT_KEYS:
             return float(raw)
@@ -256,10 +258,12 @@ def render_config(spec: RunSpec) -> str:
 
     Raises SpecError naming out_dir if the file grammar cannot carry its
     value: one holding a '#' or a line break, or with whitespace at either
-    end, would read back as another value."""
+    end, would read back as another value, and no UTF-8 file holds one with
+    a lone surrogate (argv decodes a byte that is not UTF-8 to one)."""
     out_dir = spec.out_dir
     if ("#" in out_dir or out_dir != out_dir.strip()
-            or len(f"x{out_dir}x".splitlines()) != 1):
+            or len(f"x{out_dir}x".splitlines()) != 1
+            or any("\ud800" <= c <= "\udfff" for c in out_dir)):  # UTF-8 encodes none
         raise SpecError(f"out_dir: cannot be written to a config file (got {out_dir!r})")
     lines = []
     for key in _FLOAT_KEYS:

@@ -73,8 +73,8 @@ from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
                      generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
-from .strategies import (STRATEGIES, _ar_order, ar_rho_factor, decide_order, naive_order,
-                         order_rule, solve_coefficients, usable)
+from .strategies import (STRATEGIES, _ar_order, ar_rho_factor, decide_order, order_rule,
+                         solve_coefficients, usable)
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
@@ -326,13 +326,13 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
                clamp_nonneg_orders: bool, keep_log: bool):
     """The period loop of the online rule: its (n_sims, T) orders, its
     (T, n_sims) prices and, with keep_log, its estimates log (None
-    otherwise). Each period decides the orders (strategies._ar_order),
-    steps the price and refits the impact half (estimation._fit_impact,
-    which takes its sums from the history buffer) into a slot: the log's
-    column with keep_log, else one slot that each refit overwrites, as the
-    rule reads only the last. The loop runs under one np.errstate, for the
-    failed fits and unread rows that warn; it silences the price step too.
-    """
+    otherwise). Each period decides its orders in one call of
+    strategies._ar_order, steps the price and refits the impact half
+    (estimation._fit_impact, which takes its sums from the history buffer)
+    into a slot: the log's column with keep_log, else one slot that each
+    refit overwrites, as the rule reads only the last. The loop runs under
+    one np.errstate, for the failed fits and unread rows that warn; it
+    silences the price step too."""
     T = mandate.horizon
     n = path.eps.shape[1]
     info = np.ascontiguousarray(path.info.T)
@@ -363,18 +363,11 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
     s = np.full(n, float(mandate.s0))
     price = np.full(n, float(mandate.p0))
     prices = np.empty((T, n))
-    ok = None  # the rows whose last refit is usable: none before the first
+    ok, slot = None, impact[:, :, 0]  # before the first refit, the rule reads no fit
     with np.errstate(all="ignore"):
         for t in range(1, T + 1):
-            if t == T:
-                order = s
-            else:
-                order = naive_order(s, t, T)
-                if ok is not None:
-                    order = _ar_order(order, ok, slot[0], slot[1], rho_factors[t - 1],
-                                      path.info[t - 1], t, T)
-                if clamp_nonneg_orders:
-                    order = np.where(order < 0.0, 0.0, order)
+            order = _ar_order(s, ok, slot[0], slot[1], rho_factors[t - 1], path.info[t - 1],
+                              t, T, clamp_nonneg_orders)
             s = s - order
             orders[:, t - 1] = order
             # price_step's left fold, gamma * X_t read from the shared path
@@ -529,8 +522,8 @@ def run_convergence(n_sims: int, params: MarketParams, mandate: ExecutionMandate
     and summarize their estimate trajectories. Equals summarize_convergence
     over the same episodes from run_episode, bit for bit."""
     eps, eta = _noise_arrays(n_sims, params, mandate.horizon, base_seed)
-    return _reduce_estimates(run_episode_batch("ar", params, mandate, eps, eta,
-                                               clamp_nonneg_orders)[3])
+    return _reduce_estimates(_run_batch("ar", params, mandate, _shared_path(params, eps, eta),
+                                        clamp_nonneg_orders)[3])
 
 
 def summarize_convergence(episodes) -> ConvergenceSummary:

@@ -8,8 +8,8 @@ Auto-regressive  the informed shape driven by online least-squares estimates
                uniform split until the estimates are usable.
 
 order_rule is the one implementation of all three, on floats for run_episode
-(decide_order wraps it) and on (n_sims,) arrays; the batch engine's online
-rule tilts each row by its own fit with _ar_order, the array form of the tilt.
+(decide_order wraps it) and on (n_sims,) arrays; the batch engine decides each
+period of the online rule, one fit per row, with _ar_order, its array form.
 
 The informed coefficients come from backward induction over the remaining
 horizon k = T - t + 1. Writing the optimal remaining cost, given last price p,
@@ -200,8 +200,7 @@ def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
     informed strategy; this closed form is what the online strategy applies
     to its estimates (see docs/value_function_conventions.md).
 
-    On floats. On arrays, _ar_order tilts many rows at once by the same
-    formula, from ar_rho_factor of the rows.
+    On floats; on arrays, _ar_order tilts each row by the same formula.
     """
     if not theta_hat > 0.0:
         raise ValueError(f"theta_hat: must be > 0 (got {theta_hat})")
@@ -211,20 +210,28 @@ def ar_adjustment_factor(theta_hat: float, gamma_hat: float, rho_hat: float,
     return gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor
 
 
-def _ar_order(order, ok, theta_hat, gamma_hat, rho_factor, x_prev, t: int, horizon: int):
-    """The online rule on (n_sims,) arrays, one fit per row, as the batch
-    engine steps it: order (the uniform split) plus f_hat_t * x_prev in the
-    usable rows ok, order elsewhere; f_hat_t = ar_adjustment_factor from its
-    rho part rho_factor = ar_rho_factor(rho_hat, t, horizon). Row i is
-    order_rule's on row i's floats, before the final period and the clamp.
-    The other rows may hold NaN or a nonpositive theta_hat: their values are
-    dropped, and the caller silences their floating-point warnings. Adding a
-    zero tilt there would not be the identity (-0.0 + 0.0 is +0.0, and
-    0.0 * inf is NaN), and the tilt is exactly 0.0 where rho_factor is, as
-    on floats: gamma_hat / (theta_hat * k) * 0.0 may be -0.0, or NaN."""
-    f_hat = np.where(rho_factor == 0.0, 0.0,
-                     gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor)
-    return np.where(ok, order + f_hat * x_prev, order)
+def _ar_order(s, ok, theta_hat, gamma_hat, rho_factor, x_prev, t: int, horizon: int,
+              clamp: bool = False):
+    """The online rule's orders of one period on (n_sims,) arrays, one fit
+    per row, as the batch engine steps it; row i is order_rule's on row i's
+    floats: s in the final period (final_period); else the uniform split,
+    tilted by f_hat_t * x_prev in the rows where ok holds (autoregressive;
+    none while ok is None, before any fit), then clamped. f_hat_t is
+    ar_adjustment_factor from rho_factor = ar_rho_factor(rho_hat, t, horizon).
+    Untilted rows (naive_fallback) may hold NaN or theta_hat <= 0, and the
+    caller silences their warnings; a zero tilt there would not be the
+    identity (-0.0 + 0.0 is +0.0, 0.0 * inf is NaN). As on floats, the tilt
+    is 0.0 where rho_factor is; gamma_hat / (theta_hat * k) * 0.0 may not be."""
+    if t == horizon:
+        return s
+    order = naive_order(s, t, horizon)
+    if ok is not None:
+        f_hat = np.where(rho_factor == 0.0, 0.0,
+                         gamma_hat / (theta_hat * (horizon - t + 1)) * rho_factor)
+        order = np.where(ok, order + f_hat * x_prev, order)
+    if clamp:
+        order = np.where(order < 0.0, 0.0, order)
+    return order
 
 
 def usable(estimates) -> bool:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bestexec import cli, simulation
@@ -107,21 +107,25 @@ def _specs(draw):
 def _parse_config_text(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         return parse_config(["--config", str(cfg)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(spec=_specs())
+# on Linux, argv decodes a byte that is not UTF-8 to a lone surrogate:
+# --out-dir $'\xff' gives '\udcff'
+@example(spec=RunSpec(out_dir="\udcff"))
 def test_render_config_round_trips_or_names_out_dir(spec):
     try:
         text = render_config(spec)
     except SpecError as exc:
         assert str(exc).startswith("out_dir: ")
-        # the refusal is needed: a plain out_dir line reads back otherwise
+        # the refusal is needed: a plain out_dir line reads back otherwise,
+        # or no UTF-8 file can hold it
         try:
             assert _parse_config_text(f"out_dir = {spec.out_dir}\n").out_dir != spec.out_dir
-        except SpecError:
+        except (SpecError, UnicodeEncodeError):
             pass
     else:
         parsed = _parse_config_text(text)
@@ -591,7 +595,11 @@ def test_cli_fuzz_exits_0_or_2_with_finite_files(argv):
                 assert not pattern.search(path.read_text()), path.name
 
 
-_KEY_VALUES = {flag[2:].replace("-", "_"): values for flag, values in _FLAG_VALUES.items()}
+# out_dir's values hold no '#' or line break, which no config line carries
+_KEY_VALUES = {**{flag[2:].replace("-", "_"): values for flag, values in _FLAG_VALUES.items()},
+               "out_dir": st.sampled_from(["results", "a b", "-x", "\u00fc/x", ""])}
+# a line break ends a config line: "\v" and "\f" are whitespace but no padding
+_PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
 
 
 def _spec_or_error(parse):
@@ -607,7 +615,8 @@ def _spec_or_error(parse):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_both_flag_forms_read_a_value_as_its_config_line_property(key, data):
-    value = data.draw(_KEY_VALUES[key], label="value")
+    value = (data.draw(_PADDING, label="lead") + data.draw(_KEY_VALUES[key], label="value")
+             + data.draw(_PADDING, label="trail"))
     flag = "--" + key.replace("_", "-")
     assert (_spec_or_error(lambda: parse_config([flag, value]))
             == _spec_or_error(lambda: parse_config([f"{flag}={value}"]))

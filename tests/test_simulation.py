@@ -279,6 +279,47 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
         assert (interior < 0.0).any()
 
 
+@pytest.mark.parametrize("T", [3, 5, 20])
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
+@pytest.mark.parametrize("keep_log", [False, True], ids=["study", "logged"])
+def test_every_batch_ar_decision_passes_through_ar_order(monkeypatch, T, clamp, params,
+                                                         keep_log):
+    # a wrapper of simulation._ar_order sees every period of the engine's
+    # online rule, in order, and the tags its arguments imply are the tags
+    # run_episode gets from decide_order, simulation by simulation
+    n_sims = 12
+    mandate = ExecutionMandate(100000.0, 50.0, T)
+    calls, ar_order = [], simulation._ar_order
+
+    def recording(s, ok, theta_hat, gamma_hat, rho_factor, x_prev, t, horizon, clamps=False):
+        order = ar_order(s, ok, theta_hat, gamma_hat, rho_factor, x_prev, t, horizon, clamps)
+        if t == horizon:
+            tags = np.full(len(s), "final_period")
+        elif ok is None:
+            tags = np.full(len(s), "naive_fallback")
+        else:
+            tags = np.where(ok, "autoregressive", "naive_fallback")
+        calls.append((t, horizon, clamps, order.copy(), tags))
+        return order
+
+    monkeypatch.setattr(simulation, "_ar_order", recording)
+    path = simulation._shared_path(params, *simulation._noise_arrays(n_sims, params, T, 5))
+    orders = simulation._run_batch("ar", params, mandate, path, clamp, keep_log)[1]
+    assert [call[:3] for call in calls] == [(t, T, clamp) for t in range(1, T + 1)]
+    assert np.stack([call[3] for call in calls], axis=1).tobytes() == orders.tobytes()
+
+    decisions, decide = [], simulation.decide_order
+    monkeypatch.setattr(simulation, "decide_order",
+                        lambda *args: decisions.append(decide(*args)) or decisions[-1])
+    ref_orders = _reference_arrays("ar", params, mandate, 5, n_sims, clamp)[1]
+    ref_tags = np.array([d.rationale_tag for d in decisions]).reshape(n_sims, T)
+    assert orders.tobytes() == ref_orders.tobytes()
+    assert (np.stack([call[4] for call in calls], axis=1) == ref_tags).all()
+    if T == 20:
+        assert (ref_tags == "autoregressive").any()
+
+
 @pytest.mark.parametrize("T", [1, 2, 20])
 def test_batch_estimates_are_c_contiguous_n_sims_by_t(T):
     # run_convergence reduces them with nanmean and nanstd along axis 0, which

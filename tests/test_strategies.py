@@ -146,17 +146,12 @@ def test_ar_adjustment_factor_matches_term_by_term_sum():
 
 def _engine_ar_step(s, x_prev, t, T, theta, gamma, rho, impact_ok, rho_ok, clamp=False):
     """The batch engine's online step on (n,) arrays of fits, one per row:
-    the uniform split tilted by _ar_order in the usable rows, then the clamp;
-    the final period buys s. Returns the orders and the usable mask."""
+    the usable mask and the rho factor, as the engine forms them, and its
+    call of _ar_order. Returns the orders and the usable mask."""
     ok = impact_ok & rho_ok & (theta > 0.0)
-    if t == T:
-        return s, ok
     rho_factor = ar_rho_factor(np.where(ok, rho, 0.0), t, T)
     with np.errstate(all="ignore"):
-        order = _ar_order(naive_order(s, t, T), ok, theta, gamma, rho_factor, x_prev, t, T)
-    if clamp:
-        order = np.where(order < 0.0, 0.0, order)
-    return order, ok
+        return _ar_order(s, ok, theta, gamma, rho_factor, x_prev, t, T, clamp), ok
 
 
 def test_ar_rho_factor_rejects_a_unit_root_array():
@@ -190,8 +185,7 @@ def test_ar_rho_factor_of_every_period_equals_the_float_form():
             for si, xi, th, g, r in zip(s.tolist(), x_prev.tolist(), theta.tolist(),
                                         gamma.tolist(), rho[t - 1].tolist())]).tobytes()
         # the batch engine's call: the factor of every period, taken at once
-        got = _ar_order(naive_order(s, t, T), yes, theta, gamma, factor[t - 1],
-                        x_prev, t, T)
+        got = _ar_order(s, yes, theta, gamma, factor[t - 1], x_prev, t, T)
         assert got.tobytes() == expected
 
 

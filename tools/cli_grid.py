@@ -17,10 +17,11 @@ with the clamp on and off, under seven calibrations and at seeds 0 and
 987654321.
 
 With --argv it fingerprints argv shapes instead: every flag in both forms,
-negative values, values that start with '-', missing values, repeated,
-unknown and abbreviated flags, a boolean flag given a value, an invalid
-strategy, config files against flags, and the order of errors. These run in
-a temporary working directory that holds the config files they name:
+negative values, values that start with '-', values padded with spaces,
+missing values, repeated, unknown and abbreviated flags, a boolean flag
+given a value, an invalid strategy, config files against flags, and the
+order of errors. These run in a temporary working directory that holds the
+config files they name:
 
     PYTHONPATH=src python tools/cli_grid.py --argv
 """
@@ -80,7 +81,9 @@ VALUES = (("--theta", "1e-4"), ("--gamma", "2.5"), ("--rho", "-0.25"),
           ("--theta", "-1e-5"), ("--gamma", "-2.5e1"), ("--seed", "-1"), ("--rho", "-2"),
           ("--theta", "abc"), ("--horizon", "2.5"), ("--theta", ""),
           ("--out-dir", "-x"), ("--config", "-run.cfg"), ("--strategy", "-x"),
-          ("--strategy", "twap"), ("--strategy", "naive,ar"))
+          ("--strategy", "twap"), ("--strategy", "naive,ar"),
+          # padded values, read as their config lines: ' out ' is the directory out
+          ("--theta", " abc "), ("--out-dir", " out "))
 ARGV = (
     *((*MC, *form) for flag, value in VALUES for form in ((flag, value), (f"{flag}={value}",))),
     # missing values: at the end, and before another flag
