@@ -18,9 +18,9 @@ names of its list, and `--config PATH` names a config file. A value, a
 flag's or a line's, is read without the whitespace at either end. Flags are
 never abbreviated, and a token that starts with '--' is never a value.
 
-A bad value, a config file that cannot be read (as UTF-8) or a size whose
-noise buffer numpy cannot address exits 2 with one stderr line naming the
-field; a failed write or allocation exits 1.
+A bad value, a config file that cannot be read (as UTF-8), a size whose noise
+buffer numpy cannot address or an out_dir the file system cannot encode exits
+2 with one stderr line naming the field; a failed write or allocation exits 1.
 
 Machine files render numbers at 17 significant digits (bit-stable round
 trips); the human footer on stdout uses 6. Outputs carry no timestamps, so a
@@ -30,6 +30,7 @@ fixed spec produces byte-identical files.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +45,8 @@ from .simulation import (ESTIMATE_FIELDS, run_convergence, run_episode,  # noqa:
                          run_monte_carlo, summarize_convergence)
 from .strategies import STRATEGIES
 
-__all__ = ["RunSpec", "SpecError", "parse_config", "render_config",
-           "cmd_simulate", "cmd_montecarlo", "cmd_convergence", "main"]
+__all__ = ["RunSpec", "SpecError", "parse_config", "cmd_simulate", "cmd_montecarlo",
+           "cmd_convergence", "main"]
 
 BLOTTER_HEADER = "period,price,shares_bought,shares_remaining,market_information,accumulated_cost"
 # json.dumps(footer, sort_keys=True) of the finite floats, which it renders by repr
@@ -72,7 +73,7 @@ class RunSpec:
     s0: float = 100000.0
     p0: float = 50.0
     horizon: int = 20
-    strategies: tuple[str, ...] = ("naive", "informed", "ar")
+    strategies: tuple[str, ...] = ("naive", "informed", "ar")  # held as distinct names
     n_sims: int = 100
     seed: int = 0
     out_dir: str = "."
@@ -99,11 +100,12 @@ class RunSpec:
             raise SpecError(f"n_sims: must be <= {limit // self.horizon} at horizon "
                             f"{self.horizon} for a noise buffer numpy can address "
                             f"(got {self.n_sims})")
-        if not self.strategies:
-            raise SpecError("strategy: at least one strategy required")
         for name in self.strategies:
             if name not in STRATEGIES:
                 raise SpecError(f"strategy: unknown strategy {name!r}")
+        object.__setattr__(self, "strategies", tuple(dict.fromkeys(self.strategies)))
+        if not self.strategies:  # also an iterator, which the name check used up
+            raise SpecError("strategy: at least one strategy required")
         if ("informed" in self.strategies or "ar" in self.strategies) and self.theta <= 0.0:
             raise SpecError(f"theta: must be > 0 for the informed/ar strategies "
                             f"(got {self.theta})")
@@ -249,32 +251,8 @@ def parse_config(argv: list[str],
         if key in flags:
             values[key] = _coerce(key, flags[key])
     if strategies:
-        values["strategies"] = tuple(dict.fromkeys(strategies))
+        values["strategies"] = strategies
     return RunSpec(**values)
-
-
-def render_config(spec: RunSpec) -> str:
-    """Config-file text that parses back to exactly this spec.
-
-    Raises SpecError naming out_dir if the file grammar cannot carry its
-    value: one holding a '#' or a line break, or with whitespace at either
-    end, would read back as another value, and no UTF-8 file holds one with
-    a lone surrogate (argv decodes a byte that is not UTF-8 to one)."""
-    out_dir = spec.out_dir
-    if ("#" in out_dir or out_dir != out_dir.strip()
-            or len(f"x{out_dir}x".splitlines()) != 1
-            or any("\ud800" <= c <= "\udfff" for c in out_dir)):  # UTF-8 encodes none
-        raise SpecError(f"out_dir: cannot be written to a config file (got {out_dir!r})")
-    lines = []
-    for key in _FLOAT_KEYS:
-        lines.append(f"{key} = {format(getattr(spec, key), '.17g')}")
-    for key in _INT_KEYS:
-        lines.append(f"{key} = {getattr(spec, key)}")
-    lines.append(f"strategy = {','.join(spec.strategies)}")
-    lines.append(f"out_dir = {spec.out_dir}")
-    for key in _BOOL_KEYS:
-        lines.append(f"{key} = {'true' if getattr(spec, key) else 'false'}")
-    return "\n".join(lines) + "\n"
 
 
 def _g17(v: float) -> str:
@@ -305,6 +283,14 @@ def _require_finite_outputs(named_values) -> None:
             raise SpecError(f"overflow: {name} is not finite")
 
 
+def _out_dir(spec: RunSpec) -> Path:
+    try:  # a spec is built the same under any locale; a path must encode in this one
+        os.fsencode(spec.out_dir)
+    except UnicodeEncodeError as exc:
+        raise SpecError(f"out_dir: cannot be encoded as {exc.encoding} (got {spec.out_dir!r})")
+    return Path(spec.out_dir)
+
+
 def _write(path: Path, text: str) -> None:
     try:
         fh = open(path, "w", newline="\n")
@@ -318,15 +304,14 @@ def _write(path: Path, text: str) -> None:
 def cmd_simulate(spec: RunSpec) -> int:
     """Run one episode and write <out_dir>/blotter.csv: header, T+1 rows, then
     one JSON footer line with actual_cost, expected_cost, improvement_per_share."""
-    # the distinct names, as run_monte_carlo reads them (a file's list keeps repeats)
-    strategies = tuple(dict.fromkeys(spec.strategies))
-    if len(strategies) != 1:
+    if len(spec.strategies) != 1:
         raise SpecError(f"strategy: simulate needs exactly one strategy "
-                        f"(got {len(strategies)})")
+                        f"(got {len(spec.strategies)})")
+    out = _out_dir(spec)
     path = generate_noise_path(substream_seed(spec.seed, 0), spec.horizon,
                                spec.sigma_eps_sq, spec.sigma_eta_sq)
     with np.errstate(all="ignore"):  # overflow is reported below, by name
-        result = run_episode(strategies[0], spec.market_params(), spec.mandate(),
+        result = run_episode(spec.strategies[0], spec.market_params(), spec.mandate(),
                              path, clamp_nonneg_orders=spec.clamp_nonneg_orders,
                              ar_expected_cost_from_estimates=spec.ar_value_toggle)
     columns = result.blotter[1:]  # the period column is _csv_rows's index
@@ -339,8 +324,7 @@ def cmd_simulate(spec: RunSpec) -> int:
     ])
     footer = FOOTER % (float(result.actual_cost), float(result.expected_cost),
                        float(result.improvement_per_share))
-    _write(Path(spec.out_dir) / "blotter.csv",
-           BLOTTER_HEADER + "\n" + _csv_rows(0, columns) + footer)
+    _write(out / "blotter.csv", BLOTTER_HEADER + "\n" + _csv_rows(0, columns) + footer)
     print(f"Actual Cost: {result.actual_cost:.6g}")
     print(f"Expected Cost: {result.expected_cost:.6g}")
     print(f"Improvement: {result.improvement_per_share:.6g}")
@@ -350,6 +334,7 @@ def cmd_simulate(spec: RunSpec) -> int:
 def cmd_montecarlo(spec: RunSpec) -> int:
     """Run the paired study and write, under out_dir: summary.txt (key = value),
     order_size_mean.csv, accumulated_cost_variance.csv and total_costs.csv."""
+    out = _out_dir(spec)
     with np.errstate(all="ignore"):  # overflow is reported below, by name
         summary = run_monte_carlo(spec.n_sims, spec.strategies, spec.market_params(),
                                   spec.mandate(), spec.seed,
@@ -371,7 +356,6 @@ def cmd_montecarlo(spec: RunSpec) -> int:
                    (f"{strat} accumulated cost variance",
                     columns[strat, "accumulated_cost_variance"])]
     _require_finite_outputs(checks)
-    out = Path(spec.out_dir)
 
     lines = [
         f"n_sims = {summary.n_sims}",
@@ -409,6 +393,7 @@ def cmd_convergence(spec: RunSpec) -> int:
     non-finite cell is an overflow and exits 2 before the file is written."""
     if "ar" not in spec.strategies:
         raise SpecError("strategy: convergence requires the 'ar' strategy")
+    out = _out_dir(spec)
     with np.errstate(all="ignore"):  # overflow is reported below, by name
         conv = run_convergence(spec.n_sims, spec.market_params(), spec.mandate(),
                                spec.seed, clamp_nonneg_orders=spec.clamp_nonneg_orders)
@@ -419,8 +404,7 @@ def cmd_convergence(spec: RunSpec) -> int:
         for name in ESTIMATE_FIELDS for stat in ("mean", "sd"))
     columns = [stat[name].tolist() for name in ESTIMATE_FIELDS
                for stat in (conv.mean, conv.sd)]
-    _write(Path(spec.out_dir) / "convergence.csv",
-           CONVERGENCE_HEADER + "\n" + _csv_rows(1, columns))
+    _write(out / "convergence.csv", CONVERGENCE_HEADER + "\n" + _csv_rows(1, columns))
     print(f"wrote convergence.csv for {conv.n_episodes} episodes")
     return 0
 

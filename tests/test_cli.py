@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from bestexec import cli, simulation
 from bestexec.cli import (BLOTTER_HEADER, CONVERGENCE_HEADER, RunSpec,
-                          SpecError, main, parse_config, render_config)
+                          SpecError, main, parse_config)
 from bestexec.strategies import STRATEGIES
 
 
@@ -77,8 +78,26 @@ def test_config_round_trip(tmp_path):
                    out_dir="results", clamp_nonneg_orders=True,
                    ar_value_toggle=True)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(render_config(spec))
+    cfg.write_text(_config_text(spec))
     assert parse_config(["--config", str(cfg)]) == spec
+
+
+def _config_text(spec):
+    """Config-file text with one `key = value` line per field of spec, its
+    floats at 17 significant digits."""
+    values = {field.name: getattr(spec, field.name) for field in dataclasses.fields(spec)}
+    values["strategy"] = ",".join(values.pop("strategies"))
+    return "".join(f"{key} = {format(value, '.17g') if type(value) is float else value}\n"
+                   for key, value in values.items())
+
+
+def _a_line_carries(out_dir):
+    """Whether the line `out_dir = <out_dir>` of a UTF-8 file can read back
+    as out_dir: not with a '#', a line break or whitespace at either end,
+    nor with a lone surrogate, which UTF-8 does not encode."""
+    return ("#" not in out_dir and out_dir == out_dir.strip()
+            and len(f"x{out_dir}x".splitlines()) == 1
+            and not any("\ud800" <= c <= "\udfff" for c in out_dir))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
@@ -116,21 +135,18 @@ def _parse_config_text(text):
 # on Linux, argv decodes a byte that is not UTF-8 to a lone surrogate:
 # --out-dir $'\xff' gives '\udcff'
 @example(spec=RunSpec(out_dir="\udcff"))
-def test_render_config_round_trips_or_names_out_dir(spec):
-    try:
-        text = render_config(spec)
-    except SpecError as exc:
-        assert str(exc).startswith("out_dir: ")
-        # the refusal is needed: a plain out_dir line reads back otherwise,
-        # or no UTF-8 file can hold it
+def test_a_config_file_reads_back_its_spec_unless_no_line_carries_out_dir(spec):
+    if _a_line_carries(spec.out_dir):
+        parsed = _parse_config_text(_config_text(spec))
+        assert parsed == spec
+        assert repr(parsed) == repr(spec)  # and -0.0 stays -0.0
+    else:
+        # the plain out_dir line reads back as another value, or no UTF-8
+        # file can hold it
         try:
             assert _parse_config_text(f"out_dir = {spec.out_dir}\n").out_dir != spec.out_dir
         except (SpecError, UnicodeEncodeError):
             pass
-    else:
-        parsed = _parse_config_text(text)
-        assert parsed == spec
-        assert repr(parsed) == repr(spec)  # and -0.0 stays -0.0
 
 
 def test_simulate_blotter_file(tmp_path, capsys):
@@ -179,11 +195,11 @@ def test_simulate_requires_exactly_one_strategy(tmp_path, capsys):
 
 
 def test_simulate_reads_a_config_files_repeated_strategy_once(tmp_path):
-    # the file's list keeps its repeat, as a spec renders as it was written;
-    # simulate reads the distinct names, as --strategy and montecarlo do
+    # a spec holds each strategy once, whether a file's list or the flags
+    # named it twice, so simulate runs the file's repeat as --strategy naive
     cfg = tmp_path / "dup.cfg"
     cfg.write_text("strategy = naive,naive\n")
-    assert parse_config(["--config", str(cfg)]).strategies == ("naive", "naive")
+    assert parse_config(["--config", str(cfg)]).strategies == ("naive",)
     runs = {}
     for name, flags in (("config", ["--config", str(cfg)]), ("flag", ["--strategy", "naive"])):
         out = tmp_path / name
@@ -191,6 +207,16 @@ def test_simulate_reads_a_config_files_repeated_strategy_once(tmp_path):
         assert (rc, err) == (0, "")
         runs[name] = stdout, (out / "blotter.csv").read_bytes()
     assert runs["config"] == runs["flag"]
+
+
+def test_a_spec_holds_each_strategy_once_in_first_seen_order():
+    spec = RunSpec(strategies=["ar", "naive", "ar"])
+    assert spec.strategies == ("ar", "naive")
+    assert spec == RunSpec(strategies=("ar", "naive"))
+    assert hash(spec) == hash(RunSpec(strategies=("ar", "naive")))
+    # a spec takes a sequence: an iterator is used up by the name check
+    with pytest.raises(SpecError, match="^strategy: "):
+        RunSpec(strategies=iter(["naive"]))
 
 
 def test_montecarlo_outputs_and_determinism(tmp_path):
@@ -712,7 +738,9 @@ def test_the_size_bound_is_the_noise_buffer_numpy_can_address():
 
 def _unreadable_paths(tmp_path):
     """(argv, start of the error line) of each config file that cannot be
-    read, and of an out_dir that no path can be."""
+    read, and of each out_dir that no path can be: one with a NUL, and one
+    with a lone surrogate outside U+DC80..U+DCFF, which no encoding of
+    file names holds (argv never carries one on Linux; a hand-built spec can)."""
     latin = tmp_path / "latin.cfg"
     latin.write_bytes(b"theta = 1e-5\n\xff\n")
     return [
@@ -720,6 +748,7 @@ def _unreadable_paths(tmp_path):
         (["--config", f"{tmp_path}/a\0b.cfg"],
          f"error: config: cannot read {tmp_path}/a\0b.cfg: embedded null byte"),
         (["--out-dir", f"{tmp_path}/out\0x"], "error: out_dir: must not hold a NUL character"),
+        (["--out-dir", f"{tmp_path}/out\ud800"], "error: out_dir: cannot be encoded as "),
     ]
 
 
@@ -731,6 +760,42 @@ def test_an_unreadable_config_or_a_nul_path_exits_2_with_one_line(tmp_path, comm
         assert (rc, out) == (2, ""), err
         assert err.startswith(message) and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["latin.cfg"]
+
+
+def _never_run(*args, **kwargs):
+    raise AssertionError("an episode or study ran")
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_a_command_refuses_an_out_dir_the_file_system_cannot_encode_before_running(
+        tmp_path, monkeypatch, command):
+    # a hand-built spec is refused too, by the command, before its episode or study
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(simulation, "_run_batch", _never_run)
+    monkeypatch.setattr(cli, "run_episode", _never_run)
+    message = f"out_dir: cannot be encoded as {sys.getfilesystemencoding()} (got '\\ud800')"
+    strategies = ("naive",) if command == "simulate" else ("ar",)
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        cli._COMMANDS[command](RunSpec(out_dir="\ud800", strategies=strategies, horizon=3))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_dir_the_locale_cannot_encode_exits_2_and_a_byte_argv_writes(tmp_path):
+    (tmp_path / "run.cfg").write_bytes("out_dir = résultats\n".encode("utf-8"))
+    # the C locale without UTF-8 mode: the file system's encoding is ASCII
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               LC_ALL="C", PYTHONUTF8="0")
+    command = [sys.executable, "-m", "bestexec", "simulate", "--horizon", "3"]
+    proc = subprocess.run([*command, "--config", "run.cfg"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == "error: out_dir: cannot be encoded as ascii (got 'r\\xe9sultats')\n"
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+    # --out-dir $'\xff': argv decodes the byte to '\udcff', which encodes back to it
+    proc = subprocess.run([*command, "--out-dir", b"\xff"], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    assert os.listdir(tmp_path / os.fsdecode(b"\xff")) == ["blotter.csv"]
 
 
 def test_a_config_file_is_read_as_utf8_under_any_locale(tmp_path):

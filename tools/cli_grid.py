@@ -19,9 +19,9 @@ with the clamp on and off, under seven calibrations and at seeds 0 and
 With --argv it fingerprints argv shapes instead: every flag in both forms,
 negative values, values that start with '-', values padded with spaces,
 missing values, repeated, unknown and abbreviated flags, a boolean flag
-given a value, an invalid strategy, config files against flags, and the
-order of errors. These run in a temporary working directory that holds the
-config files they name:
+given a value, an invalid strategy, config files against flags, the order
+of errors, and an out_dir the file system cannot encode. These run in a
+temporary working directory that holds the config files they name:
 
     PYTHONPATH=src python tools/cli_grid.py --argv
 """
@@ -114,6 +114,9 @@ ARGV = (
     # a strategy named twice, in the config file and in the flags
     ("simulate", "--config", "dup.cfg"),
     ("simulate", "--strategy", "naive,naive"),
+    # an out_dir the file system cannot encode, which argv never carries on Linux
+    *((*command, "--out-dir", "\ud800") for command in (
+        ("simulate", "--horizon", "3"), MC, ("convergence", "--horizon", "3", "--n-sims", "2"))),
 )
 
 
@@ -163,7 +166,8 @@ def argv_lines() -> list[str]:
 
 def main(args: list[str]) -> int:
     if args == ["--argv"]:
-        print("\n".join(argv_lines()))
+        # an argv may hold a lone surrogate, which only an escape prints
+        print("\n".join(argv_lines()).encode("utf-8", "backslashreplace").decode())
         return 0
     if args:
         print("usage: cli_grid.py [--argv]", file=sys.stderr)
