@@ -13,14 +13,16 @@ flat ``key = value`` lines; '#' starts a comment, blank lines are ignored,
 and the strategy key takes a comma-separated list. Unknown keys are rejected
 by name. A flag is '--' and a config key with dashes for underscores, given
 as `--key VALUE` or `--key=VALUE` and read as the line `key = VALUE` would
-be; the two boolean flags stand alone, --strategy repeats and adds the
-names of its list, and `--config PATH` names a config file. A value, a
+be; the two boolean flags stand alone, a repeated --strategy joins its values
+into one comma list, and `--config PATH` names a config file. A value, a
 flag's or a line's, is read without the whitespace at either end. Flags are
 never abbreviated, and a token that starts with '--' is never a value.
 
 A bad value, a config file that cannot be read (as UTF-8), a size whose noise
 buffer numpy cannot address or an out_dir the file system cannot encode exits
 2 with one stderr line naming the field; a failed write or allocation exits 1.
+Errors come in this order: the shape of argv, then the config file, then the
+flag values, then the checks of the spec they build.
 
 Machine files render numbers at 17 significant digits (bit-stable round
 trips); the human footer on stdout uses 6. Outputs carry no timestamps, so a
@@ -102,14 +104,22 @@ class RunSpec:
                             f"(got {self.n_sims})")
         for name in self.strategies:
             if name not in STRATEGIES:
-                raise SpecError(f"strategy: unknown strategy {name!r}")
+                raise SpecError(f"strategy: unknown strategy {name!r} "
+                                f"(choose from {', '.join(STRATEGIES)})")
         object.__setattr__(self, "strategies", tuple(dict.fromkeys(self.strategies)))
         if not self.strategies:  # also an iterator, which the name check used up
             raise SpecError("strategy: at least one strategy required")
         if ("informed" in self.strategies or "ar" in self.strategies) and self.theta <= 0.0:
             raise SpecError(f"theta: must be > 0 for the informed/ar strategies "
                             f"(got {self.theta})")
-        _check_out_dir(self.out_dir)
+        for key in ("clamp_nonneg_orders", "ar_value_toggle"):
+            if type(getattr(self, key)) is not bool:
+                raise SpecError(f"{key}: must be a bool (got {getattr(self, key)!r})")
+        if not (isinstance(self.out_dir, (str, os.PathLike))
+                and isinstance(os.fspath(self.out_dir), str)):
+            raise SpecError(f"out_dir: must be a str or a str path (got {self.out_dir!r})")
+        if "\0" in os.fspath(self.out_dir):  # no path holds one
+            raise SpecError(f"out_dir: must not hold a NUL character (got {self.out_dir!r})")
 
     def market_params(self) -> MarketParams:
         return self._model[0]
@@ -131,21 +141,6 @@ def _parse_bool(key: str, raw: str) -> bool:
     if low in ("false", "0", "no", "off"):
         return False
     raise SpecError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _parse_strategies(key: str, raw: str, flag: bool = False) -> tuple[str, ...]:
-    """The names of a comma-separated list; a flag's unknown name is an `invalid choice`."""
-    names = tuple(s.strip() for s in raw.split(",") if s.strip())
-    for name in names:
-        if name not in STRATEGIES:
-            if flag:
-                raise SpecError(f"{key}: invalid choice: {name!r} "
-                                f"(choose from {', '.join(map(repr, STRATEGIES))})")
-            raise SpecError(f"{key}: unknown strategy {name!r} "
-                            f"(choose from {', '.join(STRATEGIES)})")
-    if not names:
-        raise SpecError(f"{key}: at least one strategy required")
-    return names
 
 
 def _read_config_file(path: str) -> dict:
@@ -182,30 +177,23 @@ def _coerce(key: str, raw: str):
     if key in _BOOL_KEYS:
         return _parse_bool(key, raw)
     if key == "strategy":
-        return _parse_strategies(key, raw)
-    return _check_out_dir(raw)
-
-
-def _check_out_dir(out_dir: str) -> str:
-    if "\0" in str(out_dir):  # no path holds one; str() also reads a pathlib.Path
-        raise SpecError(f"out_dir: must not hold a NUL character (got {out_dir!r})")
-    return out_dir
+        return tuple(name.strip() for name in raw.split(",") if name.strip())
+    return raw
 
 
 # every flag: "--" and a config key with dashes for underscores, or --config
 _FLAGS = {"--" + key.replace("_", "-"): key for key in _ALL_KEYS + ("config",)}
 
 
-def _read_flags(argv: list[str]) -> tuple[dict[str, str], list[str]]:
+def _read_flags(argv: list[str]) -> dict[str, str]:
     """Walk argv once and return its raw values by key, the last of a
-    repeated flag winning, and the names of every --strategy list in order.
+    repeated flag winning, but a repeated --strategy's joined in one list.
 
     A flag takes its value as `--key VALUE` or `--key=VALUE`; a boolean flag
     stands alone. A token that starts with "--" is never a value. Raises
-    SpecError for the shape of argv: at the first missing value, explicit
-    value of a boolean, or invalid or empty strategy list, and then for any
-    unknown token."""
-    values, strategies, unknown = {}, [], []
+    SpecError for the shape of argv only: at the first missing value or
+    explicit value of a boolean, and then for any unknown token."""
+    values, unknown = {}, []
     tokens = iter(argv)
     for token in tokens:
         flag, has_value, raw = token.partition("=")
@@ -221,13 +209,12 @@ def _read_flags(argv: list[str]) -> tuple[dict[str, str], list[str]]:
             raw = next(tokens, None)
             if raw is None or raw.startswith("--"):
                 raise SpecError(f"{key}: expected one argument")
-        if key == "strategy":
-            strategies += _parse_strategies(key, raw, flag=True)
-        else:
-            values[key] = raw
+        if key == "strategy" and key in values:
+            raw = values[key] + "," + raw
+        values[key] = raw
     if unknown:
         raise SpecError(f"argv: unknown arguments {' '.join(unknown)!r}")
-    return values, strategies
+    return values
 
 
 def parse_config(argv: list[str],
@@ -236,22 +223,18 @@ def parse_config(argv: list[str],
 
     Precedence: flags override config-file values override baseline defaults.
     Errors in the shape of argv come first, then those of the config file,
-    then those of the flag values, each coerced as its config line would be.
+    then those of the flag values, each coerced as its config line would be,
+    and last those of the RunSpec's own checks.
     """
-    flags, strategies = _read_flags(argv)
-    values = {}
-    if default_strategies is not None:
-        values["strategies"] = tuple(default_strategies)
+    flags = _read_flags(argv)
+    values = {} if default_strategies is None else {"strategy": tuple(default_strategies)}
     if "config" in flags:
-        file_values = _read_config_file(flags["config"])
-        if "strategy" in file_values:
-            file_values["strategies"] = file_values.pop("strategy")
-        values.update(file_values)
+        values.update(_read_config_file(flags["config"]))
     for key in _ALL_KEYS:
         if key in flags:
             values[key] = _coerce(key, flags[key])
-    if strategies:
-        values["strategies"] = strategies
+    if "strategy" in values:
+        values["strategies"] = values.pop("strategy")
     return RunSpec(**values)
 
 

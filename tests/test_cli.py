@@ -375,8 +375,8 @@ def test_a_strategy_flag_takes_the_config_lines_comma_list(form):
 def test_each_name_of_a_strategy_flag_is_an_invalid_choice_when_unknown(argv):
     with pytest.raises(SpecError) as info:
         parse_config(argv)
-    assert str(info.value) == ("strategy: invalid choice: 'twap' "
-                               "(choose from 'naive', 'informed', 'ar')")
+    assert str(info.value) == ("strategy: unknown strategy 'twap' "
+                               "(choose from naive, informed, ar)")
 
 
 @pytest.mark.parametrize("value", ["", ",", " , "])
@@ -439,7 +439,8 @@ def test_non_finite_value_exits_2_naming_the_field(tmp_path, capsys, key, value)
     (["--theta=abc"], "error: theta: unparsable value 'abc'\n"),
     (["--horizon", "2.5"], "error: horizon: unparsable value '2.5'\n"),
     (["--theta"], "error: theta: expected one argument\n"),
-    (["--strategy", "twap"], "error: strategy: invalid choice: "),
+    (["--strategy", "twap"],
+     "error: strategy: unknown strategy 'twap' (choose from naive, informed, ar)\n"),
 ])
 def test_bad_flag_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     rc = main(["montecarlo"] + argv + ["--out-dir", str(tmp_path)])
@@ -496,7 +497,9 @@ def test_errors_come_in_argv_shape_then_file_then_value_order(tmp_path):
             (["--config", str(bad), "--frob"], "argv: unknown arguments '--frob'"),
             (["--frob", "--theta"], "theta: expected one argument"),
             (["--theta", "abc", "--config", str(missing)], f"config: cannot read {missing}: "),
-            (["--config", str(bad), "--strategy", "twap"], "strategy: invalid choice: 'twap' "),
+            (["--config", str(bad), "--strategy", "twap"], "rho: unparsable value 'fast'"),
+            # a strategy name is checked by the spec, after every flag value
+            (["--strategy", "twap", "--theta", "abc"], "theta: unparsable value 'abc'"),
             # flag values are read in the keys' fixed order, not in argv's
             (["--seed", "abc", "--theta", "abc"], "theta: unparsable value 'abc'")]:
         with pytest.raises(SpecError) as info:
@@ -647,6 +650,27 @@ def test_both_flag_forms_read_a_value_as_its_config_line_property(key, data):
     assert (_spec_or_error(lambda: parse_config([flag, value]))
             == _spec_or_error(lambda: parse_config([f"{flag}={value}"]))
             == _spec_or_error(lambda: _parse_config_text(f"{key} = {value}\n")))
+
+
+# pieces of a strategy text: known and unknown names, commas and blanks; none
+# starts with '--' (never a flag's value) or holds a '#' or a line break
+# (which end a config line's value)
+_STRATEGY_TEXTS = st.lists(st.sampled_from(
+    ["naive", "informed", "ar", "twap", "-x", "NAIVE", "naive ar", ",", " ", "\t", ""]),
+    max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(texts=st.lists(_STRATEGY_TEXTS, min_size=1, max_size=3))
+def test_strategy_flags_and_their_config_line_share_one_path_property(texts):
+    # repeated flags read as the one comma list of all their values
+    argv = [token for text in texts for token in ("--strategy", text)]
+    assert (_spec_or_error(lambda: parse_config(argv))
+            == _spec_or_error(lambda: _parse_config_text(f"strategy = {','.join(texts)}\n")))
+
+
+def test_a_blank_repeated_strategy_flag_adds_no_name():
+    assert parse_config(["--strategy", "naive", "--strategy", ""]).strategies == ("naive",)
 
 
 _CSV_CELLS = st.floats() | st.sampled_from(
@@ -846,7 +870,8 @@ def test_the_module_entry_point_prints_the_help(tmp_path):
 
 @pytest.mark.parametrize("fields, message", [
     ({"strategies": ()}, "strategy: at least one strategy required"),
-    ({"strategies": ("twap",)}, "strategy: unknown strategy 'twap'"),
+    ({"strategies": ("twap",)},
+     r"strategy: unknown strategy 'twap' \(choose from naive, informed, ar\)"),
     ({"rho": 2.0}, r"rho: \|rho\| must be < 1 \(got 2.0\)"),
     ({"n_sims": 2.5}, r"n_sims: must be an integer \(got 2.5\)"),
     ({"n_sims": 0}, r"n_sims: must be >= 1 \(got 0\)"),
@@ -855,8 +880,16 @@ def test_the_module_entry_point_prints_the_help(tmp_path):
     ({"theta": 0.0}, r"theta: must be > 0 for the informed/ar strategies \(got 0.0\)"),
     # no command reaches open with it, which would raise a bare ValueError
     ({"out_dir": "a\0b"}, r"out_dir: must not hold a NUL character \(got 'a\\x00b'\)"),
+    # a non-empty string would otherwise switch the clamp on
+    ({"clamp_nonneg_orders": "false"}, r"clamp_nonneg_orders: must be a bool \(got 'false'\)"),
+    ({"ar_value_toggle": 2}, r"ar_value_toggle: must be a bool \(got 2\)"),
+    # which os.fsencode would refuse in every command with a bare TypeError
+    ({"out_dir": None}, r"out_dir: must be a str or a str path \(got None\)"),
+    ({"out_dir": 5}, r"out_dir: must be a str or a str path \(got 5\)"),
+    ({"out_dir": b"out"}, r"out_dir: must be a str or a str path \(got b'out'\)"),
 ], ids=["no-strategy", "twap", "rho", "n_sims-2.5", "n_sims-0", "seed", "horizon", "theta",
-        "out_dir-nul"])
+        "out_dir-nul", "clamp-str", "toggle-int", "out_dir-none", "out_dir-int",
+        "out_dir-bytes"])
 def test_a_hand_built_spec_checks_itself(fields, message):
     with pytest.raises(SpecError, match=f"^{message}$"):
         RunSpec(**fields)

@@ -47,3 +47,30 @@ def test_every_name_a_module_imports_is_used_there(path):
     exempt = TRACER_ONLY.get(path.stem, set())
     assert sorted(imported - used - exempt) == []
     assert exempt <= imported - used  # an exemption that no longer applies goes
+
+
+def _defined_names(tree):
+    """The names a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for target in targets for n in ast.walk(target)
+                        if isinstance(n, ast.Name))
+
+
+def test_every_module_level_private_name_is_read_in_the_package():
+    # a helper whose last caller was deleted is dead code, and goes with it
+    private, read = [], set()
+    for path in sorted(Path(bestexec.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private += [f"{path.stem}.{name}" for name in _defined_names(tree)
+                    if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert private  # the walk found the package's helpers
+    assert sorted(name for name in private if name.partition(".")[2] not in read) == []
