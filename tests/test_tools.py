@@ -92,6 +92,26 @@ def test_naive_and_informed_simulate_lines_equal_the_committed_ones(tmp_path):
                              f"got:  {got}\nwant: {want}")
 
 
+# the line of every argv shape but the one simulate spec with the ar rule,
+# whose refit at T = 20 runs through a BLAS kernel, as --argv prints them: a
+# change that moves them on purpose regenerates the file in a commit of its own, with
+#   PYTHONPATH=src python tools/cli_grid.py --argv | grep -v '^simulate --strategy ar '
+ARGV_LINES = ROOT / "tests" / "data" / "cli_grid_argv.txt"
+
+
+def test_argv_shape_lines_equal_the_committed_ones():
+    expected = ARGV_LINES.read_text(encoding="utf-8").splitlines()
+    got = [line.encode("utf-8", "backslashreplace").decode()  # an argv's lone surrogate
+           for argv, line in zip(cli_grid.ARGV, cli_grid.argv_lines())
+           if argv[:3] != ("simulate", "--strategy", "ar")]
+    assert len(expected) == len(got) == 91
+    assert [line.split(" | ")[0] for line in expected] == [line.split(" | ")[0] for line in got]
+    for line, want in zip(got, expected):
+        assert line == want, (f"numpy {np.__version__}: the first argv whose outputs differ "
+                              f"from the committed line is {line.split(' | ')[0]!r}\n"
+                              f"got:  {line}\nwant: {want}")
+
+
 def _load_ab_time():
     spec = importlib.util.spec_from_file_location("ab_time", ROOT / "tools" / "ab_time.py")
     module = importlib.util.module_from_spec(spec)
