@@ -112,7 +112,7 @@ class RunSpec:
         if ("informed" in self.strategies or "ar" in self.strategies) and self.theta <= 0.0:
             raise SpecError(f"theta: must be > 0 for the informed/ar strategies "
                             f"(got {self.theta})")
-        for key in ("clamp_nonneg_orders", "ar_value_toggle"):
+        for key in _BOOL_KEYS:
             if type(getattr(self, key)) is not bool:
                 raise SpecError(f"{key}: must be a bool (got {getattr(self, key)!r})")
         if not (isinstance(self.out_dir, (str, os.PathLike))

@@ -662,15 +662,12 @@ _STRATEGY_TEXTS = st.lists(st.sampled_from(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(texts=st.lists(_STRATEGY_TEXTS, min_size=1, max_size=3))
+@example(texts=["naive", ""])  # reads as the line `strategy = naive,`
 def test_strategy_flags_and_their_config_line_share_one_path_property(texts):
     # repeated flags read as the one comma list of all their values
     argv = [token for text in texts for token in ("--strategy", text)]
     assert (_spec_or_error(lambda: parse_config(argv))
             == _spec_or_error(lambda: _parse_config_text(f"strategy = {','.join(texts)}\n")))
-
-
-def test_a_blank_repeated_strategy_flag_adds_no_name():
-    assert parse_config(["--strategy", "naive", "--strategy", ""]).strategies == ("naive",)
 
 
 _CSV_CELLS = st.floats() | st.sampled_from(
