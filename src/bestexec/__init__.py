@@ -5,12 +5,12 @@ estimation and paired Monte Carlo comparison."""
 from .estimation import (COND_LIMIT, RHO_CLAMP, THETA_TSTAT_MIN, InformationFit,
                          ParameterEstimates, estimate_all, fit_information)
 from .market import (ExecutionMandate, MarketParams, NoisePath, check_seed,
-                     generate_noise_arrays, generate_noise_path, info_step,
-                     price_step, stationary_info_component_std, substream_seed)
+                     generate_noise_path, info_step, price_step,
+                     stationary_info_component_std, substream_seed)
 from .simulation import (ESTIMATE_FIELDS, Blotter, ConvergenceSummary, MonteCarloSummary,
                          RunResult, StrategyStats, per_share_improvement,
-                         run_convergence, run_episode, run_episode_batch,
-                         run_monte_carlo, summarize_convergence)
+                         run_convergence, run_episode, run_monte_carlo,
+                         summarize_convergence)
 from .strategies import (STRATEGIES, TAGS, CoefficientSchedule, OrderDecision,
                          ar_adjustment_factor, ar_rho_factor, decide_order,
                          naive_order, order_rule, solve_coefficients, usable)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +103,8 @@ class RunSpec:
             raise SpecError(f"n_sims: must be <= {limit // self.horizon} at horizon "
                             f"{self.horizon} for a noise buffer numpy can address "
                             f"(got {self.n_sims})")
+        if isinstance(self.strategies, str) or not isinstance(self.strategies, Iterable):
+            raise SpecError(f"strategy: must be a sequence of names (got {self.strategies!r})")
         for name in self.strategies:
             if name not in STRATEGIES:
                 raise SpecError(f"strategy: unknown strategy {name!r} "

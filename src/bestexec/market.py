@@ -19,9 +19,9 @@ independent.
 Keying a path costs two SHA-256 hashes and one state assignment, and a
 study keys one path per simulation. So the hashes of a batch each continue
 a copy of one shared prefix (b"noise" for the path keys, b"episode" and the
-seed for the substream seeds), and generate_noise_arrays fetches the
-thread's generator once and assigns the same state dict for every path,
-with only its key words overwritten.
+seed for the substream seeds), and _noise_rows fetches the thread's
+generator once and assigns the same state dict for every path, with only
+its key words overwritten.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "check_seed",
     "substream_seed",
     "generate_noise_path",
-    "generate_noise_arrays",
     "info_step",
     "price_step",
     "stationary_info_component_std",
@@ -193,38 +192,28 @@ def _substream_seeds(seed: int, indices):
 
 def generate_noise_path(seed: int, horizon: int,
                         sigma_eps_sq: float, sigma_eta_sq: float) -> NoisePath:
-    """Draw T i.i.d. Gaussian shock pairs, deterministically from the seed:
-    the one-seed case of generate_noise_arrays."""
+    """Draw T i.i.d. Gaussian shock pairs, deterministically from the seed
+    (checked by check_seed): the one-seed case of _noise_rows."""
     eps, eta = _noise_rows(1, [check_seed(seed)], horizon, sigma_eps_sq, sigma_eta_sq)
     return NoisePath(eps=eps[0], eta=eta[0])
 
 
-def generate_noise_arrays(seeds, horizon: int, sigma_eps_sq: float,
-                          sigma_eta_sq: float) -> tuple[np.ndarray, np.ndarray]:
-    """Noise paths for a sequence of seeds as (len(seeds), T) arrays eps and
-    eta; row i is the path of seeds[i].
-
-    Algorithm: a Philox counter-based bit generator keyed with
-    SHA-256("noise", seed) drives numpy's standard-normal transform; eps is
+def _noise_rows(n: int, seeds, horizon: int, sigma_eps_sq: float,
+                sigma_eta_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Noise paths for n seeds as (n, T) arrays eps and eta, row i the path
+    of the i-th seed: a Philox counter-based bit generator keyed with
+    SHA-256("noise", seed) drives numpy's standard-normal transform, eps
     drawn first, then eta. Zero variances yield exactly zero sequences.
     Each thread keeps one generator (_thread_generator). A call fetches it
     once and re-keys it for every seed by assigning one state dict whose key
     words it overwrites: the new key with the counter and buffer cleared,
     which equals a freshly constructed Philox(key=...). The state setter
     copies the words, so threads may draw at once. Each seed's key hashes
-    from a copy of one SHA-256 prefix holding b"noise". Every seed must be an
-    integer in [0, 2**64) (not a bool), horizon an integer >= 1 (not a
-    bool), and both variances finite and >= 0.
-    """
-    seeds = [check_seed(seed) for seed in seeds]
-    return _noise_rows(len(seeds), seeds, horizon, sigma_eps_sq, sigma_eta_sq)
-
-
-def _noise_rows(n: int, seeds, horizon: int, sigma_eps_sq: float,
-                sigma_eta_sq: float) -> tuple[np.ndarray, np.ndarray]:
-    """generate_noise_arrays for n seeds that are known to be ints in
-    [0, 2**64), such as a study's lazily hashed substream seeds: it checks
-    no seed, and allocates the (n, 2T) buffer before it reads one."""
+    from a copy of one SHA-256 prefix holding b"noise". The seeds must be
+    ints in [0, 2**64), such as a study's lazily hashed substream seeds: no
+    seed is checked, and the (n, 2T) buffer is allocated before one is
+    read. horizon must be an integer >= 1 (not a bool), and both variances
+    finite and >= 0."""
     horizon = _check_count("horizon", horizon)
     _check_variance("sigma_eps_sq", sigma_eps_sq)
     _check_variance("sigma_eta_sq", sigma_eta_sq)

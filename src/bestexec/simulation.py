@@ -12,8 +12,8 @@ comparison. Everything is deterministic given (n_sims, base_seed, params,
 mandate).
 
 Two engines run episodes: run_episode, the readable scalar reference, on
-floats (strategies.order_rule, through decide_order), and run_episode_batch,
-which advances many episodes of one strategy at once, on (n_sims,) vectors
+floats (strategies.order_rule, through decide_order), and _run_batch, which
+advances many episodes of one strategy at once, on (n_sims,) vectors
 (order_rule, and strategies._ar_order for the online rule). The Monte Carlo
 and convergence studies run on the batch engine. No order moves the
 information process, so a study computes the information path X_0..X_T (with
@@ -44,10 +44,10 @@ strategy refits only after periods 3..T-2 and keeps no estimates log: an
 order tilts only by impact fits of at least 3 observations, period T buys
 the remainder, and a row it tilts by was fitted in that same period, so no
 prior is carried and the residual variance sigma_eta_sq_hat is never
-fitted. run_episode_batch and run_convergence keep the full log. The
-study's noise rows are keyed from substream seeds hashed off one SHA-256
-prefix over (b"episode", base_seed), as market.generate_noise_arrays keys
-each path off one prefix over b"noise".
+fitted. run_convergence keeps the full log. The study's noise rows are
+keyed from substream seeds hashed off one SHA-256 prefix over (b"episode",
+base_seed), as market._noise_rows keys each path off one prefix over
+b"noise".
 
 Per-share improvement conventions: a RunResult compares an episode's actual
 cost against that strategy's own ex-ante expected cost, while the Monte Carlo
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,7 +85,6 @@ __all__ = [
     "MonteCarloSummary",
     "ConvergenceSummary",
     "run_episode",
-    "run_episode_batch",
     "per_share_improvement",
     "run_monte_carlo",
     "run_convergence",
@@ -122,16 +122,14 @@ class RunResult:
 
 def run_episode(strategy_kind: str, params: MarketParams,
                 mandate: ExecutionMandate, noise_path: NoisePath,
-                true_params: MarketParams | None = None,
                 clamp_nonneg_orders: bool = False,
                 ar_expected_cost_from_estimates: bool = False) -> RunResult:
     """Run one episode of the given strategy.
 
-    `params` are the parameters the strategy believes (the informed schedule
-    is built from them); the market itself evolves under `true_params`, which
-    defaults to the same object. The online strategy starts with an empty
-    history and refits after every period. The blotter's columns are lists
-    that the loop appends to; period t is index t of each.
+    The market evolves under `params`, and the informed schedule is built
+    from them. The online strategy starts with an empty history and refits
+    after every period. The blotter's columns are lists that the loop
+    appends to; period t is index t of each.
 
     With clamp_nonneg_orders, interior orders are floored at zero and the
     final period still takes the exact remainder.
@@ -143,7 +141,6 @@ def run_episode(strategy_kind: str, params: MarketParams,
     T = mandate.horizon
     if noise_path.horizon != T:
         raise ValueError(f"noise path length {noise_path.horizon} != horizon {T}")
-    truth = true_params if true_params is not None else params
     schedule = f = None
     if strategy_kind == "informed":
         schedule = solve_coefficients(params, T)
@@ -158,7 +155,7 @@ def run_episode(strategy_kind: str, params: MarketParams,
 
     # the shocks as Python floats, whose arithmetic rounds as float64's does
     eps, eta = noise_path.eps.tolist(), noise_path.eta.tolist()
-    theta, gamma, rho = truth.theta, truth.gamma, truth.rho
+    theta, gamma, rho = params.theta, params.gamma, params.rho
     price, x, s, cost = mandate.p0, 0.0, mandate.s0, 0.0
     blotter = Blotter(range(T + 1), [price], [0.0], [s], [0.0], [0.0])
     prices, bought, remaining, information, costs = blotter[1:]
@@ -184,7 +181,7 @@ def run_episode(strategy_kind: str, params: MarketParams,
             estimates_log.append(estimates)
         price, x, s = price_new, x_new, s_new
 
-    expected = _expected_cost_for(strategy_kind, params, truth, mandate, schedule,
+    expected = _expected_cost_for(strategy_kind, params, mandate, schedule,
                                   estimates if ar_expected_cost_from_estimates else None)
     return RunResult(
         blotter=blotter,
@@ -195,7 +192,7 @@ def run_episode(strategy_kind: str, params: MarketParams,
     )
 
 
-def _expected_cost_for(strategy_kind, params, truth, mandate, schedule,
+def _expected_cost_for(strategy_kind, params, mandate, schedule,
                        final_estimates) -> float:
     T = mandate.horizon
     if strategy_kind == "informed":
@@ -209,36 +206,7 @@ def _expected_cost_for(strategy_kind, params, truth, mandate, schedule,
             est_schedule = solve_coefficients(est_params, T)
             return informed_expected_cost(mandate.s0, mandate.p0, 0.0, 1, est_schedule)
     # the uniform-split value is the ex-ante benchmark for naive and online runs
-    return naive_expected_cost(mandate.s0, mandate.p0, 1, T, truth.theta)
-
-
-def run_episode_batch(strategy_kind: str, params: MarketParams,
-                      mandate: ExecutionMandate, eps: np.ndarray, eta: np.ndarray,
-                      clamp_nonneg_orders: bool = False
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 dict[str, np.ndarray] | None]:
-    """Run one episode of the given strategy per row of the (n_sims, T) shock
-    arrays eps and eta, all simulations advancing together.
-
-    Returns (actual_cost, orders, accumulated_cost, estimates) with shapes
-    (n_sims,), (n_sims, T) and (n_sims, T), the last two C-contiguous and
-    the orders owning their data. Row i equals, bit for bit, the
-    actual_cost, shares_bought and accumulated_cost of run_episode on the
-    path (eps[i], eta[i]). For the online strategy, estimates holds the
-    estimates after every period, {field: (n_sims, T) array} over
-    ESTIMATE_FIELDS plus impact_valid and rho_valid, equal to row i's
-    run_episode estimates_log; it is None for naive and informed.
-    """
-    if strategy_kind not in STRATEGIES:
-        raise ValueError(f"strategy_kind: unknown strategy {strategy_kind!r}")
-    T = mandate.horizon
-    if eps.ndim != 2 or eps.shape != eta.shape or eps.shape[1] != T:
-        raise ValueError(f"noise arrays must both have shape (n_sims, {T}) "
-                         f"(got {eps.shape} and {eta.shape})")
-    actual, orders, cost, estimates = _run_batch(
-        strategy_kind, params, mandate, _shared_path(params, eps, eta), clamp_nonneg_orders)
-    # the ar orders are a plane of the engine's buffer of price changes and X
-    return actual, orders if orders.base is None else orders.copy(), cost, estimates
+    return naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
 
 
 @dataclass(frozen=True)
@@ -265,12 +233,12 @@ def _shared_path(params: MarketParams, eps: np.ndarray, eta: np.ndarray) -> _Sha
 
 def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionMandate,
                path: _SharedPath, clamp_nonneg_orders: bool, keep_log: bool = True):
-    """run_episode_batch on a shared path. Naive orders read no noise, so
-    one row of them, decided on floats, serves every simulation. For the
-    other rules the period loop decides orders (the online strategy also
-    steps its price and refits). The prices of the non-online rules and
-    every rule's accumulated costs follow after it, by sequential sums over
-    periods.
+    """The batch engine: run_episode on every simulation of a shared path
+    at once, bit for bit. Naive orders read no noise, so one row of them,
+    decided on floats, serves every simulation. For the other rules the
+    period loop decides orders (the online strategy also steps its price
+    and refits). The prices of the non-online rules and every rule's
+    accumulated costs follow after it, by sequential sums over periods.
 
     With keep_log False (a Monte Carlo study, which reads only orders and
     costs), the online strategy keeps no estimates log and refits only
@@ -469,6 +437,8 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
     base_seed, params, mandate). n_sims must be an integer >= 1 (not a
     bool) and base_seed must lie in [0, 2**64).
     """
+    if isinstance(strategy_set, str) or not isinstance(strategy_set, Iterable):
+        raise ValueError(f"strategy_set: must be a sequence of names (got {strategy_set!r})")
     strategies = tuple(dict.fromkeys(strategy_set))
     for strat in strategies:
         if strat not in STRATEGIES:
@@ -507,7 +477,6 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
 class ConvergenceSummary:
     """Per-period cross-simulation mean and spread of the five estimates."""
 
-    periods: np.ndarray                      # 1..T
     mean: dict[str, np.ndarray]              # field -> (T,)
     sd: dict[str, np.ndarray]                # field -> (T,)
     n_values: dict[str, np.ndarray]          # field -> (T,) episodes with a non-NaN value
@@ -555,14 +524,13 @@ def _reduce_estimates(values: dict[str, np.ndarray]) -> ConvergenceSummary:
     field, numpy sums each column by a sequential left fold, so the bytes
     are those of five calls."""
     stacked = np.stack([values[name] for name in ESTIMATE_FIELDS])
-    n_episodes, T = stacked.shape[1:]
+    n_episodes = stacked.shape[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean = np.nanmean(stacked, axis=1)
         sd = np.nanstd(stacked, axis=1)
     n_values = np.count_nonzero(~np.isnan(stacked), axis=1)
-    return ConvergenceSummary(periods=np.arange(1, T + 1),
-                              mean=dict(zip(ESTIMATE_FIELDS, mean)),
+    return ConvergenceSummary(mean=dict(zip(ESTIMATE_FIELDS, mean)),
                               sd=dict(zip(ESTIMATE_FIELDS, sd)),
                               n_values=dict(zip(ESTIMATE_FIELDS, n_values)),
                               n_episodes=n_episodes)

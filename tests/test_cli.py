@@ -884,9 +884,13 @@ def test_the_module_entry_point_prints_the_help(tmp_path):
     ({"out_dir": None}, r"out_dir: must be a str or a str path \(got None\)"),
     ({"out_dir": 5}, r"out_dir: must be a str or a str path \(got 5\)"),
     ({"out_dir": b"out"}, r"out_dir: must be a str or a str path \(got b'out'\)"),
+    # a str would be read as its characters, and neither None nor 5 iterates
+    ({"strategies": "ar"}, r"strategy: must be a sequence of names \(got 'ar'\)"),
+    ({"strategies": None}, r"strategy: must be a sequence of names \(got None\)"),
+    ({"strategies": 5}, r"strategy: must be a sequence of names \(got 5\)"),
 ], ids=["no-strategy", "twap", "rho", "n_sims-2.5", "n_sims-0", "seed", "horizon", "theta",
         "out_dir-nul", "clamp-str", "toggle-int", "out_dir-none", "out_dir-int",
-        "out_dir-bytes"])
+        "out_dir-bytes", "strategies-str", "strategies-none", "strategies-int"])
 def test_a_hand_built_spec_checks_itself(fields, message):
     with pytest.raises(SpecError, match=f"^{message}$"):
         RunSpec(**fields)

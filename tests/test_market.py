@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath, check_seed,
-                      generate_noise_arrays, generate_noise_path, info_step,
-                      price_step, stationary_info_component_std, substream_seed)
+                      generate_noise_path, info_step, price_step,
+                      stationary_info_component_std, substream_seed)
+from bestexec.market import _noise_rows
 
 
 def test_zero_variance_yields_zero_shocks():
@@ -157,7 +158,6 @@ def test_check_seed_range():
 # each public entry that keys on a seed, as (name the error gives, call)
 _SEEDED_ENTRIES = {
     "generate_noise_path": ("seed", lambda seed: generate_noise_path(seed, 4, 1.0, 1.0)),
-    "generate_noise_arrays": ("seed", lambda seed: generate_noise_arrays([1, seed], 4, 1.0, 1.0)),
     "substream_seed": ("seed", lambda seed: substream_seed(seed, 0)),
     "substream_seed index": ("index", lambda seed: substream_seed(0, seed)),
 }
@@ -176,8 +176,6 @@ def test_seeded_entries_check_their_seeds(entry, bad, wording):
 def test_numpy_integer_seed_keys_as_its_int():
     path = generate_noise_path(np.uint64(7), 4, 1.0, 1.0)
     assert path.eps.tobytes() == generate_noise_path(7, 4, 1.0, 1.0).eps.tobytes()
-    eps, eta = generate_noise_arrays([np.int64(7)], 4, 1.0, 1.0)
-    assert (eps[0].tobytes(), eta[0].tobytes()) == (path.eps.tobytes(), path.eta.tobytes())
     assert substream_seed(np.int64(3), np.uint32(2)) == substream_seed(3, 2)
 
 
@@ -192,7 +190,7 @@ def _fresh_philox_path(seed, horizon, sigma_eps_sq, sigma_eta_sq):
 @pytest.mark.parametrize("horizon", [1, 2, 20, 101])
 def test_noise_arrays_rows_equal_freshly_keyed_generators(horizon):
     seeds = [substream_seed(5, i) for i in range(12)] + [0, 2 ** 64 - 1, 7, 7]
-    eps, eta = generate_noise_arrays(seeds, horizon, 0.125 ** 2, 0.001)
+    eps, eta = _noise_rows(len(seeds), seeds, horizon, 0.125 ** 2, 0.001)
     assert eps.shape == eta.shape == (len(seeds), horizon)
     for i, seed in enumerate(seeds):
         ref_eps, ref_eta = _fresh_philox_path(seed, horizon, 0.125 ** 2, 0.001)
@@ -237,7 +235,7 @@ def test_threads_drawing_at_once_get_the_serial_rows():
     # different orders, so a generator shared between them, re-keyed by one
     # while another draws, would mix their streams
     batches = [[substream_seed(b, i) for i in range(4)] for b in range(100)]
-    serial = [generate_noise_arrays(seeds, 6, 0.125 ** 2, 0.001) for seeds in batches]
+    serial = [_noise_rows(4, seeds, 6, 0.125 ** 2, 0.001) for seeds in batches]
     walks = [list(range(len(batches))), list(reversed(range(len(batches)))),
              list(range(1, len(batches), 2)) + list(range(0, len(batches), 2)),
              list(range(50, len(batches))) + list(range(50))]
@@ -246,7 +244,7 @@ def test_threads_drawing_at_once_get_the_serial_rows():
 
     def draw(k):
         barrier.wait()
-        drawn[k] = {b: generate_noise_arrays(batches[b], 6, 0.125 ** 2, 0.001)
+        drawn[k] = {b: _noise_rows(4, batches[b], 6, 0.125 ** 2, 0.001)
                     for b in walks[k]}
 
     threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(walks))]
@@ -268,7 +266,7 @@ def test_threads_drawing_at_once_get_the_serial_rows():
 
 
 @pytest.mark.parametrize("call", [
-    lambda horizon, s2e, s2h: generate_noise_arrays([1], horizon, s2e, s2h),
+    lambda horizon, s2e, s2h: _noise_rows(1, [1], horizon, s2e, s2h),
     lambda horizon, s2e, s2h: generate_noise_path(1, horizon, s2e, s2h),
 ], ids=["arrays", "path"])
 @pytest.mark.parametrize("horizon, s2e, s2h, message", [

@@ -9,6 +9,7 @@ from bestexec import estimation, market, simulation, strategies, valuation
 
 # the library modules; cli is a front end and exports nothing to the package
 LIBRARY = (market, estimation, strategies, valuation, simulation)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", LIBRARY, ids=lambda module: module.__name__)
@@ -60,6 +61,15 @@ def _defined_names(tree):
                         if isinstance(n, ast.Name))
 
 
+def _read_names(tree):
+    """The names a module reads: its Name loads and its attribute reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def test_every_module_level_private_name_is_read_in_the_package():
     # a helper whose last caller was deleted is dead code, and goes with it
     private, read = [], set()
@@ -67,10 +77,26 @@ def test_every_module_level_private_name_is_read_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         private += [f"{path.stem}.{name}" for name in _defined_names(tree)
                     if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read.update(_read_names(tree))
     assert private  # the walk found the package's helpers
     assert sorted(name for name in private if name.partition(".")[2] not in read) == []
+
+
+def _tracer_targets() -> set[str]:
+    """The attributes that bench/tracer.py's TARGETS binds, from its source."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "TARGETS"):
+            return {entry.elts[1].value for entry in node.value.elts}
+    raise AssertionError("bench/tracer.py assigns no TARGETS")
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    # an export that only tests call is an entry point nothing runs: the
+    # package's modules, the demos and the tracer's targets are its readers
+    read = _tracer_targets()
+    for path in MODULES + sorted((ROOT / "demos").glob("*.py")):
+        read.update(_read_names(ast.parse(path.read_text(encoding="utf-8"))))
+    exported = [f"{module.__name__}.{name}" for module in LIBRARY for name in module.__all__]
+    assert sorted(name for name in exported if name.rpartition(".")[2] not in read) == []

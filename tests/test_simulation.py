@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath,
-                      generate_noise_arrays, generate_noise_path, informed_expected_cost,
+                      generate_noise_path, informed_expected_cost,
                       naive_expected_cost, per_share_improvement,
-                      run_convergence, run_episode, run_episode_batch,
+                      run_convergence, run_episode,
                       run_monte_carlo, solve_coefficients,
                       summarize_convergence, substream_seed)
-from bestexec import simulation
+from bestexec import market, simulation
 from bestexec.simulation import ESTIMATE_FIELDS
 from bestexec.strategies import STRATEGIES
 
@@ -135,21 +135,6 @@ def test_expected_cost_conventions_per_strategy():
     assert informed.expected_cost == informed_expected_cost(1e5, 50.0, 0.0, 1, sch)
 
 
-def test_strategy_beliefs_can_differ_from_market_truth():
-    # schedule built from beliefs, market evolved under the true parameters
-    beliefs = MarketParams(8e-5, 2.0, 0.3, 0.125 ** 2, 0.001)
-    path = generate_noise_path(4, 20, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-    res = run_episode("informed", beliefs, MANDATE, path, true_params=BASELINE)
-    true_run = run_episode("informed", BASELINE, MANDATE, path)
-    assert res.blotter != true_run.blotter  # different beliefs, different orders
-    assert abs(sum(res.blotter.shares_bought[1:]) - 100000.0) <= 1e-6
-    # price moves reflect the true impact: back out theta from the blotter
-    price, bought, info = (res.blotter.price[1], res.blotter.shares_bought[1],
-                           res.blotter.market_information[1])
-    implied_theta = (price - 50.0 - BASELINE.gamma * info - path.eps[0]) / bought
-    assert implied_theta == pytest.approx(BASELINE.theta, rel=1e-9)
-
-
 def test_monte_carlo_single_simulation_matches_episode():
     s = run_monte_carlo(1, ("naive",), BASELINE, MANDATE, base_seed=42)
     path = generate_noise_path(substream_seed(42, 0), 20,
@@ -239,6 +224,12 @@ def test_rho_estimate_tightens_with_time():
     assert np.mean(rho_abs_err[20]) < np.mean(rho_abs_err[3])
 
 
+def _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=False):
+    """The batch engine's logged run on the (n_sims, T) shock arrays eps and eta."""
+    path = simulation._shared_path(params, eps, eta)
+    return simulation._run_batch(kind, params, mandate, path, clamp_nonneg_orders)
+
+
 # large gamma and rho make the informed tilt f_t * X_{t-1} outweigh the
 # uniform part, so interior informed orders go negative
 STEEP = MarketParams(5e-5, 40.0, 0.9, 0.125 ** 2, 0.01)
@@ -254,8 +245,8 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
     eps = np.stack([p.eps for p in paths])
     eta = np.stack([p.eta for p in paths])
     for kind in ("naive", "informed", "ar"):
-        cost, orders, cum_cost, log = run_episode_batch(kind, params, mandate, eps, eta,
-                                                        clamp_nonneg_orders=clamp)
+        cost, orders, cum_cost, log = _batch(kind, params, mandate, eps, eta,
+                                             clamp_nonneg_orders=clamp)
         for i, path in enumerate(paths):
             ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
             ref_orders = np.array(ref.blotter.shares_bought[1:])
@@ -275,7 +266,7 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
         assert (orders[:, :-1] != 100000.0 / T).any()
     if params is STEEP and T >= 3:
         # the clamp is exercised: unclamped interior orders do go negative
-        interior = run_episode_batch("informed", params, mandate, eps, eta)[1][:, :-1]
+        interior = _batch("informed", params, mandate, eps, eta)[1][:, :-1]
         assert (interior < 0.0).any()
 
 
@@ -324,8 +315,8 @@ def test_every_batch_ar_decision_passes_through_ar_order(monkeypatch, T, clamp, 
 def test_batch_estimates_are_c_contiguous_n_sims_by_t(T):
     # run_convergence reduces them with nanmean and nanstd along axis 0, which
     # round differently over a Fortran-ordered or transposed layout
-    eps, eta = generate_noise_arrays(range(5), T, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-    log = run_episode_batch("ar", BASELINE, ExecutionMandate(100000.0, 50.0, T), eps, eta)[3]
+    eps, eta = market._noise_rows(5, range(5), T, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
+    log = _batch("ar", BASELINE, ExecutionMandate(100000.0, 50.0, T), eps, eta)[3]
     assert tuple(log) == ESTIMATE_FIELDS + ("impact_valid", "rho_valid")
     for name, values in log.items():
         assert values.shape == (5, T) and values.flags.c_contiguous, name
@@ -344,7 +335,7 @@ def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
         with np.errstate(over="ignore"):  # the improvement per share overflows
             ref = run_episode(kind, BASELINE, mandate, path, clamp_nonneg_orders=clamp)
         assert ref.blotter.shares_bought[1] == 0.0 and ref.blotter.price[1] < 0.0
-        cost, orders, cum_cost, _ = run_episode_batch(
+        cost, orders, cum_cost, _ = _batch(
             kind, BASELINE, mandate, path.eps[None, :], path.eta[None, :],
             clamp_nonneg_orders=clamp)
         ref_orders = np.array(ref.blotter.shares_bought[1:])
@@ -404,7 +395,6 @@ def test_run_convergence_equals_summarized_run_episode(T, clamp, params):
     ref = summarize_convergence(refs)
     conv = run_convergence(8, params, mandate, 5, clamp_nonneg_orders=clamp)
     assert conv.n_episodes == ref.n_episodes == 8
-    assert conv.periods.tobytes() == ref.periods.tobytes()
     for name in ESTIMATE_FIELDS:
         assert conv.mean[name].tobytes() == ref.mean[name].tobytes(), name
         assert conv.sd[name].tobytes() == ref.sd[name].tobytes(), name
@@ -478,23 +468,11 @@ def test_ar_value_toggle_falls_back_to_uniform_split_when_never_valid():
 def test_monte_carlo_rejects_unknown_strategy_before_drawing_noise():
     with pytest.raises(ValueError, match="unknown strategy 'twap'"):
         run_monte_carlo(0, ("naive", "twap"), BASELINE, MANDATE, 0)
-
-
-def test_batch_engine_rejects_unknown_strategy_and_misshapen_noise():
-    eps = np.zeros((3, 20))
-    with pytest.raises(ValueError, match="strategy_kind: unknown strategy 'twap'"):
-        run_episode_batch("twap", BASELINE, MANDATE, eps, eps)
-    with pytest.raises(ValueError, match="shape"):
-        run_episode_batch("naive", BASELINE, MANDATE, eps[:, :19], eps[:, :19])
-
-
-@pytest.mark.parametrize("kind", STRATEGIES)
-def test_batch_orders_own_their_data(kind):
-    # a caller that keeps the orders must not keep the engine's buffers alive
-    eps, eta = generate_noise_arrays(range(3), 5, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-    orders = run_episode_batch(kind, BASELINE, ExecutionMandate(1e5, 50.0, 5), eps, eta)[1]
-    assert orders.shape == (3, 5)
-    assert orders.base is None and orders.flags.c_contiguous
+    # a str would be read as its characters, and None as no set at all
+    for strategy_set in ("ar", None, 5):
+        message = rf"^strategy_set: must be a sequence of names \(got {strategy_set!r}\)$"
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(0, strategy_set, BASELINE, MANDATE, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
@@ -581,11 +559,10 @@ def _scenarios(draw):
 @given(scenario=_scenarios())
 def test_shares_are_conserved_property(scenario):
     params, mandate, seed, clamp = scenario
-    eps, eta = generate_noise_arrays([substream_seed(seed, i) for i in range(4)],
-                                     mandate.horizon, params.sigma_eps_sq, params.sigma_eta_sq)
+    eps, eta = market._noise_rows(4, [substream_seed(seed, i) for i in range(4)],
+                                  mandate.horizon, params.sigma_eps_sq, params.sigma_eta_sq)
     for kind in STRATEGIES:
-        orders = run_episode_batch(kind, params, mandate, eps, eta,
-                                   clamp_nonneg_orders=clamp)[1]
+        orders = _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=clamp)[1]
         for row in orders.tolist():
             # relative to the shares traded, which is s0 unless an order is
             # negative; the running position rounds at the scale of the trades
@@ -644,8 +621,8 @@ def test_zero_noise_gives_every_strategy_the_same_orders_property(scenario):
     params, mandate, _, clamp = scenario
     params = replace(params, sigma_eps_sq=0.0, sigma_eta_sq=0.0)
     zeros = np.zeros((2, mandate.horizon))
-    orders = {kind: run_episode_batch(kind, params, mandate, zeros, zeros,
-                                      clamp_nonneg_orders=clamp)[1]
+    orders = {kind: _batch(kind, params, mandate, zeros, zeros,
+                           clamp_nonneg_orders=clamp)[1]
               for kind in STRATEGIES}
     for kind in STRATEGIES:
         assert orders[kind].tobytes() == orders["naive"].tobytes(), kind
@@ -681,11 +658,11 @@ def test_ar_runs_at_an_overflowing_s0_emit_the_pinned_warnings(T):
     # the refit silences its own warnings and no other: the accumulated costs
     # overflow, and the study's improvements subtract infinities
     mandate = ExecutionMandate(1e308, 50.0, T)
-    eps, eta = generate_noise_arrays(range(10), T, BASELINE.sigma_eps_sq,
-                                     BASELINE.sigma_eta_sq)
+    eps, eta = market._noise_rows(10, range(10), T, BASELINE.sigma_eps_sq,
+                                  BASELINE.sigma_eta_sq)
     assert _runtime_warnings(lambda: run_monte_carlo(1, ["ar"], BASELINE, mandate, 0)) == {
         "overflow encountered in multiply", "invalid value encountered in subtract"}
-    assert _runtime_warnings(lambda: run_episode_batch("ar", BASELINE, mandate, eps, eta)) == {
+    assert _runtime_warnings(lambda: _batch("ar", BASELINE, mandate, eps, eta)) == {
         "overflow encountered in multiply"}
 
 
