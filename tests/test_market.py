@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath, check_seed,
-                      generate_noise_path, info_step, price_step,
-                      stationary_info_component_std, substream_seed)
+                      generate_noise_path, info_step, price_step, run_convergence,
+                      run_monte_carlo, stationary_info_component_std, substream_seed)
 from bestexec.market import _noise_rows
 
 
@@ -155,11 +155,16 @@ def test_check_seed_range():
             check_seed(bad, "base_seed")
 
 
+# the parameters and mandate of a two-period study
+_STUDY = (MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001), ExecutionMandate(100.0, 50.0, 2))
+
 # each public entry that keys on a seed, as (name the error gives, call)
 _SEEDED_ENTRIES = {
     "generate_noise_path": ("seed", lambda seed: generate_noise_path(seed, 4, 1.0, 1.0)),
     "substream_seed": ("seed", lambda seed: substream_seed(seed, 0)),
     "substream_seed index": ("index", lambda seed: substream_seed(0, seed)),
+    "run_monte_carlo": ("base_seed", lambda seed: run_monte_carlo(1, ("naive",), *_STUDY, seed)),
+    "run_convergence": ("base_seed", lambda seed: run_convergence(1, *_STUDY, seed)),
 }
 
 
@@ -177,6 +182,10 @@ def test_numpy_integer_seed_keys_as_its_int():
     path = generate_noise_path(np.uint64(7), 4, 1.0, 1.0)
     assert path.eps.tobytes() == generate_noise_path(7, 4, 1.0, 1.0).eps.tobytes()
     assert substream_seed(np.int64(3), np.uint32(2)) == substream_seed(3, 2)
+    # a study's noise rows key on the int too
+    costs = [run_monte_carlo(2, ("informed",), *_STUDY, seed).stats["informed"]
+             .per_sim_actual_cost.tobytes() for seed in (np.int64(7), 7)]
+    assert costs[0] == costs[1]
 
 
 def _fresh_philox_path(seed, horizon, sigma_eps_sq, sigma_eta_sq):
