@@ -12,8 +12,8 @@ from .simulation import (ESTIMATE_FIELDS, Blotter, ConvergenceSummary, MonteCarl
                          run_convergence, run_episode, run_monte_carlo,
                          summarize_convergence)
 from .strategies import (STRATEGIES, TAGS, CoefficientSchedule, OrderDecision,
-                         ar_adjustment_factor, ar_rho_factor, decide_order,
-                         naive_order, order_rule, solve_coefficients, usable)
+                         ar_adjustment_factor, ar_rho_factor, decide_order, naive_order,
+                         order_rule, solve_coefficients, strategy_list, usable)
 from .valuation import cost_sensitivity, informed_expected_cost, naive_expected_cost
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .market import (ExecutionMandate, MarketParams, _check_count, check_seed,
 # bench/tracer.py wraps bestexec.cli.summarize_convergence
 from .simulation import (ESTIMATE_FIELDS, run_convergence, run_episode,  # noqa: F401
                          run_monte_carlo, summarize_convergence)
-from .strategies import STRATEGIES
+from .strategies import strategy_list
 
 __all__ = ["RunSpec", "SpecError", "parse_config", "cmd_simulate", "cmd_montecarlo",
            "cmd_convergence", "main"]
@@ -56,6 +55,8 @@ BLOTTER_HEADER = "period,price,shares_bought,shares_remaining,market_information
 FOOTER = '{"actual_cost": %r, "expected_cost": %r, "improvement_per_share": %r}\n'
 CONVERGENCE_HEADER = "period," + ",".join(
     f"{name}_mean,{name}_sd" for name in ESTIMATE_FIELDS)
+# the most n_sims * horizon shock pairs, 16 bytes each, numpy can address
+_MAX_SHOCK_PAIRS = np.iinfo(np.intp).max // 16
 
 
 class SpecError(ValueError):
@@ -66,7 +67,8 @@ class SpecError(ValueError):
 class RunSpec:
     """A run configuration that checks itself as it is built, so a RunSpec
     that exists is valid: construction raises SpecError naming the first
-    bad field, in the order of the checks of __post_init__."""
+    bad field, in the order of the checks of __post_init__. strategies goes
+    through strategy_list, as run_monte_carlo's strategy_set does."""
 
     theta: float = 5e-5
     gamma: float = 5.0
@@ -92,26 +94,16 @@ class RunSpec:
                 ExecutionMandate(self.s0, self.p0, self.horizon)))
             check_seed(self.seed)
             _check_count("n_sims", self.n_sims)
+            if self.horizon > _MAX_SHOCK_PAIRS:
+                raise ValueError(f"horizon: must be <= {_MAX_SHOCK_PAIRS} for a noise buffer "
+                                 f"numpy can address (got {self.horizon})")
+            if self.n_sims > _MAX_SHOCK_PAIRS // self.horizon:
+                raise ValueError(f"n_sims: must be <= {_MAX_SHOCK_PAIRS // self.horizon} at "
+                                 f"horizon {self.horizon} for a noise buffer numpy can "
+                                 f"address (got {self.n_sims})")
+            object.__setattr__(self, "strategies", strategy_list(self.strategies, "strategy"))
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        # the most n_sims * horizon shock pairs, 16 bytes each, numpy can address
-        limit = np.iinfo(np.intp).max // 16
-        if self.horizon > limit:
-            raise SpecError(f"horizon: must be <= {limit} for a noise buffer numpy can "
-                            f"address (got {self.horizon})")
-        if self.n_sims > limit // self.horizon:
-            raise SpecError(f"n_sims: must be <= {limit // self.horizon} at horizon "
-                            f"{self.horizon} for a noise buffer numpy can address "
-                            f"(got {self.n_sims})")
-        if isinstance(self.strategies, str) or not isinstance(self.strategies, Iterable):
-            raise SpecError(f"strategy: must be a sequence of names (got {self.strategies!r})")
-        for name in self.strategies:
-            if name not in STRATEGIES:
-                raise SpecError(f"strategy: unknown strategy {name!r} "
-                                f"(choose from {', '.join(STRATEGIES)})")
-        object.__setattr__(self, "strategies", tuple(dict.fromkeys(self.strategies)))
-        if not self.strategies:  # also an iterator, which the name check used up
-            raise SpecError("strategy: at least one strategy required")
         if ("informed" in self.strategies or "ar" in self.strategies) and self.theta <= 0.0:
             raise SpecError(f"theta: must be > 0 for the informed/ar strategies "
                             f"(got {self.theta})")
@@ -230,7 +222,7 @@ def parse_config(argv: list[str],
     and last those of the RunSpec's own checks.
     """
     flags = _read_flags(argv)
-    values = {} if default_strategies is None else {"strategy": tuple(default_strategies)}
+    values = {} if default_strategies is None else {"strategy": default_strategies}
     if "config" in flags:
         values.update(_read_config_file(flags["config"]))
     for key in _ALL_KEYS:

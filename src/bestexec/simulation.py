@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,8 +73,8 @@ from .market import (ExecutionMandate, MarketParams, NoisePath,  # noqa: F401
                      generate_noise_path, info_step, price_step)
 # run_episode calls decide_order by this name: bench/tracer.py wraps
 # bestexec.simulation.decide_order and reads the tags of its results
-from .strategies import (STRATEGIES, _ar_order, ar_rho_factor, decide_order, order_rule,
-                         solve_coefficients, usable)
+from .strategies import (_ar_order, ar_rho_factor, decide_order, order_rule,
+                         solve_coefficients, strategy_list, usable)
 from .valuation import informed_expected_cost, naive_expected_cost
 
 __all__ = [
@@ -430,6 +429,8 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
                     clamp_nonneg_orders: bool = False) -> MonteCarloSummary:
     """Run n_sims paired episodes of every strategy in strategy_set.
 
+    strategy_set, a list or a tuple of names, is checked by strategy_list
+    before any noise is drawn; each name runs once, in the order first named.
     Simulation i draws its noise path from substream_seed(base_seed, i) and
     every strategy consumes that same path on the batch engine, so
     comparisons are under common random numbers. Results are reduced in
@@ -437,12 +438,7 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
     base_seed, params, mandate). n_sims must be an integer >= 1 (not a
     bool) and base_seed must lie in [0, 2**64).
     """
-    if isinstance(strategy_set, str) or not isinstance(strategy_set, Iterable):
-        raise ValueError(f"strategy_set: must be a sequence of names (got {strategy_set!r})")
-    strategies = tuple(dict.fromkeys(strategy_set))
-    for strat in strategies:
-        if strat not in STRATEGIES:
-            raise ValueError(f"strategy_set: unknown strategy {strat!r}")
+    strategies = strategy_list(strategy_set, "strategy_set")
     T = mandate.horizon
     eps, eta = _noise_arrays(n_sims, params, T, base_seed)
     path = _shared_path(params, eps, eta)

@@ -58,6 +58,7 @@ __all__ = [
     "usable",
     "order_rule",
     "decide_order",
+    "strategy_list",
     "STRATEGIES",
     "TAGS",
 ]
@@ -66,6 +67,21 @@ STRATEGIES = ("naive", "informed", "ar")
 # order_rule's tag codes index TAGS
 FINAL_PERIOD, NAIVE_FALLBACK, INFORMED, AUTOREGRESSIVE = range(4)
 TAGS = ("final_period", "naive_fallback", "informed", "autoregressive")
+_UNKNOWN_NAME = "{field}: unknown strategy {name!r} (choose from " + ", ".join(STRATEGIES) + ")"
+
+
+def strategy_list(names, field: str) -> tuple[str, ...]:
+    """names, a list or a tuple of at least one str in STRATEGIES, without
+    repeats, in the order first named; every name is checked before any is
+    hashed. Raises ValueError naming field otherwise."""
+    if not isinstance(names, (list, tuple)):
+        raise ValueError(f"{field}: must be a sequence of names (got {names!r})")
+    for name in names:
+        if not (isinstance(name, str) and name in STRATEGIES):
+            raise ValueError(_UNKNOWN_NAME.format(field=field, name=name))
+    if not names:
+        raise ValueError(f"{field}: at least one strategy required")
+    return tuple(dict.fromkeys(names))
 
 
 @dataclass(frozen=True)
@@ -263,7 +279,7 @@ def order_rule(strategy_kind: str, s, x_prev, t: int, horizon: int, tilt=None,
     through as is, as np.where(order < 0.0, 0.0, order) does.
     """
     if strategy_kind not in STRATEGIES:
-        raise ValueError(f"strategy_kind: unknown strategy {strategy_kind!r}")
+        raise ValueError(_UNKNOWN_NAME.format(field="strategy_kind", name=strategy_kind))
     if t == horizon:
         return s, FINAL_PERIOD
     order, tag = naive_order(s, t, horizon), NAIVE_FALLBACK

@@ -214,9 +214,12 @@ def test_a_spec_holds_each_strategy_once_in_first_seen_order():
     assert spec.strategies == ("ar", "naive")
     assert spec == RunSpec(strategies=("ar", "naive"))
     assert hash(spec) == hash(RunSpec(strategies=("ar", "naive")))
-    # a spec takes a sequence: an iterator is used up by the name check
-    with pytest.raises(SpecError, match="^strategy: "):
-        RunSpec(strategies=iter(["naive"]))
+    # a spec takes a list or a tuple: an iterator is refused whole, unread
+    names = iter(["naive"])
+    with pytest.raises(SpecError, match=r"^strategy: must be a sequence of names "
+                                        r"\(got <list_iterator object at 0x[0-9a-f]+>\)$"):
+        RunSpec(strategies=names)
+    assert list(names) == ["naive"]
 
 
 def test_montecarlo_outputs_and_determinism(tmp_path):
@@ -894,3 +897,62 @@ def test_the_module_entry_point_prints_the_help(tmp_path):
 def test_a_hand_built_spec_checks_itself(fields, message):
     with pytest.raises(SpecError, match=f"^{message}$"):
         RunSpec(**fields)
+
+
+# RunSpec (and so parse_config) and run_monte_carlo check a strategy list
+# with one function, strategies.strategy_list: (value, message after the
+# field's name)
+_STRATEGY_LISTS = [
+    ("ar", "must be a sequence of names (got {!r})"),
+    (None, "must be a sequence of names (got {!r})"),
+    (5, "must be a sequence of names (got {!r})"),
+    # a set's order, and so every column's, would follow PYTHONHASHSEED
+    ({"ar"}, "must be a sequence of names (got {!r})"),
+    (frozenset({"ar"}), "must be a sequence of names (got {!r})"),
+    (iter(["naive"]), "must be a sequence of names (got {!r})"),
+    ({"ar": 1}, "must be a sequence of names (got {!r})"),
+    # checked by name before it is hashed
+    ([["ar"]], "unknown strategy ['ar'] (choose from naive, informed, ar)"),
+    ((), "at least one strategy required"),
+    (["twap"], "unknown strategy 'twap' (choose from naive, informed, ar)"),
+]
+
+
+@pytest.mark.parametrize("value, message", _STRATEGY_LISTS,
+                         ids=["str", "none", "int", "set", "frozenset", "iterator", "dict",
+                              "unhashable", "empty", "twap"])
+def test_a_strategy_list_gets_one_message_at_both_doors(monkeypatch, value, message):
+    monkeypatch.setattr(simulation, "_noise_rows", _never_run)
+    message = message.format(value)
+    with pytest.raises(SpecError) as spec_error:
+        RunSpec(strategies=value)
+    defaults = RunSpec(horizon=2)
+    with pytest.raises(ValueError) as study_error:
+        simulation.run_monte_carlo(2, value, defaults.market_params(), defaults.mandate(), 0)
+    assert str(spec_error.value) == "strategy: " + message
+    assert str(study_error.value) == "strategy_set: " + message
+
+
+def test_parse_config_holds_its_default_strategies_to_the_same_rule():
+    # a set of defaults would run in PYTHONHASHSEED's order
+    message = r"^strategy: must be a sequence of names \(got \{'ar'\}\)$"
+    with pytest.raises(SpecError, match=message):
+        parse_config([], default_strategies={"ar"})
+    spec = parse_config([], default_strategies=["ar", "naive", "ar"])
+    assert spec.strategies == ("ar", "naive")
+
+
+@settings(max_examples=40, deadline=None)
+@given(names=st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=6))
+def test_both_doors_hold_a_strategy_list_as_its_distinct_names_in_first_seen_order(names):
+    distinct = tuple(name for i, name in enumerate(names) if name not in names[:i])
+    with tempfile.TemporaryDirectory() as out:
+        spec = RunSpec(strategies=names, n_sims=1, horizon=2, out_dir=out)
+        summary = simulation.run_monte_carlo(1, names, spec.market_params(),
+                                             spec.mandate(), spec.seed)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.cmd_montecarlo(spec) == 0
+        lines = Path(out, "summary.txt").read_text().splitlines()
+    assert spec.strategies == summary.strategies == distinct
+    assert [line for line in lines if line.startswith("strategy = ")] == [
+        "strategy = " + ",".join(distinct)]

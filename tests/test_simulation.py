@@ -465,14 +465,29 @@ def test_ar_value_toggle_falls_back_to_uniform_split_when_never_valid():
         assert res.expected_cost == naive_expected_cost(1e5, 50.0, 1, 2, BASELINE.theta)
 
 
-def test_monte_carlo_rejects_unknown_strategy_before_drawing_noise():
-    with pytest.raises(ValueError, match="unknown strategy 'twap'"):
+def _never_drawn(*args, **kwargs):
+    raise AssertionError("noise drawn")
+
+
+def test_monte_carlo_rejects_unknown_strategy_before_drawing_noise(monkeypatch):
+    monkeypatch.setattr(simulation, "_noise_rows", _never_drawn)
+    choose = r" \(choose from naive, informed, ar\)$"
+    with pytest.raises(ValueError, match=r"^strategy_set: unknown strategy 'twap'" + choose):
         run_monte_carlo(0, ("naive", "twap"), BASELINE, MANDATE, 0)
-    # a str would be read as its characters, and None as no set at all
-    for strategy_set in ("ar", None, 5):
-        message = rf"^strategy_set: must be a sequence of names \(got {strategy_set!r}\)$"
+    # a str would be read as its characters, None as no set at all, a set in
+    # an order that follows PYTHONHASHSEED and an iterator only once
+    for strategy_set in ("ar", None, 5, {"ar"}, iter(["ar"])):
+        message = (r"^strategy_set: must be a sequence of names "
+                   rf"\(got {re.escape(repr(strategy_set))}\)$")
         with pytest.raises(ValueError, match=message):
             run_monte_carlo(0, strategy_set, BASELINE, MANDATE, 0)
+    # a name is checked before it is hashed, and an empty list runs nothing
+    with pytest.raises(ValueError, match=r"^strategy_set: unknown strategy \['ar'\]" + choose):
+        run_monte_carlo(2, [["ar"]], BASELINE, MANDATE, 0)
+    with pytest.raises(ValueError, match="^strategy_set: at least one strategy required$"):
+        run_monte_carlo(2, (), BASELINE, MANDATE, 0)
+    with pytest.raises(AssertionError, match="^noise drawn$"):  # a good list draws
+        run_monte_carlo(2, ["ar", "ar"], BASELINE, MANDATE, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])

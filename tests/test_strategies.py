@@ -274,7 +274,8 @@ def test_decide_order_terminal_returns_remainder_for_all_strategies():
 def test_decide_order_contract_violations():
     with pytest.raises(ValueError, match="tilt"):
         order_rule("informed", 100000.0, 0.0, 1, 20)
-    with pytest.raises(ValueError, match="unknown strategy 'twap'"):
+    message = r"^strategy_kind: unknown strategy 'twap' \(choose from naive, informed, ar\)$"
+    with pytest.raises(ValueError, match=message):
         order_rule("twap", 100000.0, 0.0, 1, 20)
 
 
