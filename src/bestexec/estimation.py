@@ -88,18 +88,6 @@ class ParameterEstimates:
         return cls(nan, nan, nan, nan, nan, False, False, 0)
 
 
-def _cond_2x2(m00: float, m01: float, m11: float) -> float:
-    """2-norm condition number of the symmetric matrix [[m00, m01], [m01, m11]]."""
-    tr = m00 + m11
-    det = m00 * m11 - m01 * m01
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    lo = (tr - disc) / 2.0
-    hi = (tr + disc) / 2.0
-    if lo <= 0.0:
-        return math.inf
-    return hi / lo
-
-
 def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarray,
                  prior: ParameterEstimates | None = None) -> ParameterEstimates:
     """Refit all five estimates from one history of n periods.
@@ -127,8 +115,13 @@ def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarra
         sxb = float(x.dot(b))
         sxx = float(x.dot(x))
         det = sbb * sxx - sxb * sxb
-        # negated so that an overflowed (NaN) design is fitted, as in the batch
-        if not (det <= 0.0 or _cond_2x2(sbb, sxb, sxx) > COND_LIMIT):
+        # its eigenvalues lo <= hi give the condition number hi / lo; negated
+        # so that an overflowed (NaN) design is fitted, as in the batch
+        tr = sbb + sxx
+        disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
+        lo = (tr - disc) / 2.0
+        hi = (tr + disc) / 2.0
+        if not (det <= 0.0 or lo <= 0.0 or hi / lo > COND_LIMIT):
             spb = float(dp.dot(b))
             spx = float(dp.dot(x))
             theta_hat = (sxx * spb - sxb * spx) / det
@@ -255,7 +248,7 @@ def _fit_impact(h: np.ndarray, out: np.ndarray):
     rows = np.vecdot(h[0:3, None], h[None, 1:3]).reshape(6, n_sims)
     diag, sxb = rows[5:1:-3], rows[3]
     sxx, sbb = diag
-    # the 2x2 normal equations as in estimate_all, _cond_2x2 inlined
+    # the 2x2 normal equations and their conditioning test as in estimate_all
     det = sbb * sxx - sxb * sxb
     tr = sbb + sxx
     disc_sq = tr * tr - 4.0 * det

@@ -12,39 +12,38 @@ comparison. Everything is deterministic given (n_sims, base_seed, params,
 mandate).
 
 Two engines run episodes: run_episode, the readable scalar reference, on
-floats (strategies.order_rule, through decide_order), and _run_batch, which
-advances many episodes of one strategy at once, on (n_sims,) vectors
-(order_rule, and strategies._ar_order for the online rule). The Monte Carlo
-and convergence studies run on the batch engine. No order moves the
-information process, so a study computes the information path X_0..X_T (with
-info_step) and lays out its shocks by period once, and every strategy reads
-them. Naive orders read no noise at all, so the batch engine decides one row
-of them on floats and copies it to every simulation. For the informed rule
-the period loop only decides orders and remaining shares. The prices of both
-follow after the loop from one sequential np.add.accumulate along the period
-axis, and every rule's accumulated costs from another. Such an accumulate is
-a left fold and rounds exactly as the loop's running sums; np.sum and
-np.mean along a contiguous axis sum pairwise and would not. The online
-strategy keeps stepping its price in the loop, as its refit needs the price
-changes. Before the loop it fits the information half of every period's
-refit (estimation.fit_information) and the rho part of the tilt of every
-period that can tilt (strategies.ar_rho_factor), and copies X_1..X_T into
-its one (3, n_sims, T) history buffer of price changes, orders and X. In the
-loop it refits only the impact half: estimation._fit_impact takes its sums
-from that buffer and writes its values straight into the estimates log (into
-one reused slot in a study). The rule, strategies._ar_order, reads an impact
-fit only on its impact_valid rows, fitted in that same period, so the loop
-masks in no prior and builds no estimates object; the logged run carries the
-prior of a failed fit forward after the loop, along the period axis. The
-whole loop runs under one np.errstate. So the batch engine's results equal
-run_episode's bit for bit.
+floats (strategies.order_rule, through decide_order), and the batch engine,
+which advances many episodes of one strategy at once, on (n_sims,) vectors
+(order_rule, and strategies._ar_order for the online rule). _run_batch gives
+a Monte Carlo study each rule's orders and accumulated costs; the convergence
+study runs the online rule's period loop, _ar_orders, directly and reduces
+its estimates log. No order moves the information process, so a study
+computes the information path X_0..X_T (with info_step) and lays out its
+shocks by period once, and every strategy reads them. Naive orders read no
+noise at all, so the batch engine decides one row of them on floats and
+copies it to every simulation. For the informed rule the period loop only
+decides orders and remaining shares. The prices of both follow after the loop
+from one sequential np.add.accumulate along the period axis, and every rule's
+accumulated costs from another. Such an accumulate is a left fold and rounds
+exactly as the loop's running sums; np.sum and np.mean along a contiguous
+axis sum pairwise and would not. The online strategy keeps stepping its price
+in the loop, as its refit needs the price changes. Before the loop it fits
+the information half of every period's refit (estimation.fit_information) and
+the rho part of the tilt of every period that can tilt
+(strategies.ar_rho_factor), and copies X_1..X_T into its one (3, n_sims, T)
+history buffer of price changes, orders and X. In the loop it refits only the
+impact half: estimation._fit_impact takes its sums from that buffer and
+writes its values straight into the estimates log (into one reused slot in a
+study). The rule, strategies._ar_order, reads an impact fit only on its
+impact_valid rows, fitted in that same period, so the loop masks in no prior
+and builds no estimates object; the logged run carries the prior of a failed
+fit forward after the loop, along the period axis. The whole loop runs under
+one np.errstate. So the batch engine's results equal run_episode's bit for
+bit.
 
 A Monte Carlo study reads only orders and costs, so there the online
-strategy refits only after periods 3..T-2 and keeps no estimates log: an
-order tilts only by impact fits of at least 3 observations, period T buys
-the remainder, and a row it tilts by was fitted in that same period, so no
-prior is carried and the residual variance sigma_eta_sq_hat is never
-fitted. run_convergence keeps the full log. The study's noise rows are
+strategy refits in a shorter window and keeps no estimates log (see
+_ar_orders); run_convergence keeps the full log. The study's noise rows are
 keyed from substream seeds hashed off one SHA-256 prefix over (b"episode",
 base_seed), as market._noise_rows keys each path off one prefix over
 b"noise".
@@ -231,23 +230,17 @@ def _shared_path(params: MarketParams, eps: np.ndarray, eta: np.ndarray) -> _Sha
 
 
 def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionMandate,
-               path: _SharedPath, clamp_nonneg_orders: bool, keep_log: bool = True):
-    """The batch engine: run_episode on every simulation of a shared path
-    at once, bit for bit. Naive orders read no noise, so one row of them,
-    decided on floats, serves every simulation. For the other rules the
-    period loop decides orders (the online strategy also steps its price
-    and refits). The prices of the non-online rules and every rule's
-    accumulated costs follow after it, by sequential sums over periods.
-
-    With keep_log False (a Monte Carlo study, which reads only orders and
-    costs), the online strategy keeps no estimates log and refits only
-    after periods 3..T-2, with no prior and no sigma_eta_sq_hat: the rule
-    tilts only by impact fits of n >= 3 observations, period T buys the
-    remainder, and a row it tilts by was fitted in that same period, so
-    the orders are the logged run's."""
+               path: _SharedPath, clamp_nonneg_orders: bool):
+    """The Monte Carlo study's engine: run_episode on every simulation of a
+    shared path at once, bit for bit, as the (n_sims, T) orders and the
+    (n_sims, T) accumulated costs C_1..C_T. Naive orders read no noise, so
+    one row of them, decided on floats, serves every simulation. For the
+    other rules the period loop decides orders (the online strategy also
+    steps its price and refits, in the study's window of _ar_orders). The
+    prices of the non-online rules and every rule's accumulated costs follow
+    after it, by sequential sums over periods."""
     T = mandate.horizon
     n = path.eps.shape[1]
-    estimates_log = None
     if strategy_kind == "naive":
         # order_rule on floats equals it on arrays, row by row, bit for bit
         s, row = float(mandate.s0), []
@@ -260,8 +253,8 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
     elif strategy_kind == "informed":
         orders = _informed_orders(params, mandate, path, clamp_nonneg_orders)
     else:
-        orders, prices, estimates_log = _ar_orders(params, mandate, path,
-                                                   clamp_nonneg_orders, keep_log)
+        orders, prices, _ = _ar_orders(params, mandate, path, clamp_nonneg_orders,
+                                       keep_log=False)
     if strategy_kind != "ar":
         prices = _accumulate_prices(mandate.p0, params.theta * orders.T, path)
     # accumulated costs C_t = C_{t-1} + P_t * B_t from C_0 = 0.0: the zero row
@@ -270,7 +263,7 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
     cost[0] = 0.0
     np.multiply(prices, orders.T, out=cost[1:])
     np.add.accumulate(cost, axis=0, out=cost)
-    return cost[T].copy(), orders, np.ascontiguousarray(cost[1:].T), estimates_log
+    return orders, np.ascontiguousarray(cost[1:].T)
 
 
 def _informed_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPath,
@@ -296,10 +289,17 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
     otherwise). Each period decides its orders in one call of
     strategies._ar_order, steps the price and refits the impact half
     (estimation._fit_impact, which takes its sums from the history buffer)
-    into a slot: the log's column with keep_log, else one slot that each
-    refit overwrites, as the rule reads only the last. The loop runs under
-    one np.errstate, for the failed fits and unread rows that warn; it
-    silences the price step too."""
+    into a slot.
+
+    With keep_log (run_convergence), every period from 2 on refits into the
+    log's column. Without it (a Monte Carlo study, which reads only orders
+    and costs), the loop refits only after periods 3..T-2, into one slot
+    that each refit overwrites, with no prior and no sigma_eta_sq_hat: the
+    rule tilts only by impact fits of n >= 3 observations, period T buys
+    the remainder, and a row it tilts by was fitted in that same period, so
+    the orders are the logged run's. The loop runs under one np.errstate,
+    for the failed fits and unread rows that warn; it silences the price
+    step too."""
     T = mandate.horizon
     n = path.eps.shape[1]
     info = np.ascontiguousarray(path.info.T)
@@ -451,8 +451,8 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
 
     stats = {}
     for strat in strategies:
-        actual, orders, cum_cost, _ = _run_batch(strat, params, mandate, path,
-                                                 clamp_nonneg_orders, keep_log=False)
+        orders, cum_cost = _run_batch(strat, params, mandate, path, clamp_nonneg_orders)
+        actual = cum_cost[:, -1].copy()
         imp = (benchmark - actual) / mandate.s0
         periodwise = np.mean((bench_cum - cum_cost) / mandate.s0, axis=1)
         stats[strat] = StrategyStats(
@@ -482,13 +482,15 @@ class ConvergenceSummary:
 def run_convergence(n_sims: int, params: MarketParams, mandate: ExecutionMandate,
                     base_seed: int, clamp_nonneg_orders: bool = False
                     ) -> ConvergenceSummary:
-    """Run n_sims online-strategy episodes on the batch engine, simulation i
-    on the noise path of substream_seed(base_seed, i) as in run_monte_carlo,
-    and summarize their estimate trajectories. Equals summarize_convergence
-    over the same episodes from run_episode, bit for bit."""
+    """Run n_sims online-strategy episodes in the online rule's logged
+    period loop (_ar_orders), simulation i on the noise path of
+    substream_seed(base_seed, i) as in run_monte_carlo, and summarize their
+    estimate trajectories. Equals summarize_convergence over the same
+    episodes from run_episode, bit for bit."""
     eps, eta = _noise_arrays(n_sims, params, mandate.horizon, base_seed)
-    return _reduce_estimates(_run_batch("ar", params, mandate, _shared_path(params, eps, eta),
-                                        clamp_nonneg_orders)[3])
+    path = _shared_path(params, eps, eta)
+    return _reduce_estimates(_ar_orders(params, mandate, path, clamp_nonneg_orders,
+                                        keep_log=True)[2])
 
 
 def summarize_convergence(episodes) -> ConvergenceSummary:

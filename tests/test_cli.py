@@ -349,12 +349,14 @@ def test_an_out_dir_that_is_a_file_exits_1_with_the_mkdir_error(tmp_path, comman
 @pytest.mark.parametrize("command", list(_SMALL_RUNS))
 def test_an_allocation_that_fails_exits_1_with_one_line(tmp_path, monkeypatch, command,
                                                         message, line):
-    # the engine (and simulate's episode) raising as numpy does when an
-    # array cannot be allocated; no real memory limit is involved
+    # the engines (the study's, the online loop that convergence runs, and
+    # simulate's episode) raising as numpy does when an array cannot be
+    # allocated; no real memory limit is involved
     def fail(*args, **kwargs):
         raise MemoryError(message)
 
     monkeypatch.setattr(simulation, "_run_batch", fail)
+    monkeypatch.setattr(simulation, "_ar_orders", fail)
     monkeypatch.setattr(cli, "run_episode", fail)
     out_dir = tmp_path / "out"
     rc, out, err, _ = _run_cli([command, *_SMALL_RUNS[command], "--out-dir", str(out_dir)])
@@ -796,6 +798,7 @@ def test_a_command_refuses_an_out_dir_the_file_system_cannot_encode_before_runni
     # a hand-built spec is refused too, by the command, before its episode or study
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(simulation, "_run_batch", _never_run)
+    monkeypatch.setattr(simulation, "_ar_orders", _never_run)
     monkeypatch.setattr(cli, "run_episode", _never_run)
     message = f"out_dir: cannot be encoded as {sys.getfilesystemencoding()} (got '\\ud800')"
     strategies = ("naive",) if command == "simulate" else ("ar",)

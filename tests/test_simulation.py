@@ -225,9 +225,17 @@ def test_rho_estimate_tightens_with_time():
 
 
 def _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=False):
-    """The batch engine's logged run on the (n_sims, T) shock arrays eps and eta."""
+    """The Monte Carlo study's engine on the (n_sims, T) shock arrays eps and
+    eta: (orders, accumulated costs)."""
     path = simulation._shared_path(params, eps, eta)
     return simulation._run_batch(kind, params, mandate, path, clamp_nonneg_orders)
+
+
+def _logged(params, mandate, eps, eta, clamp_nonneg_orders=False):
+    """The convergence study's logged online loop on the (n_sims, T) shock
+    arrays eps and eta: (orders, prices, estimates log)."""
+    path = simulation._shared_path(params, eps, eta)
+    return simulation._ar_orders(params, mandate, path, clamp_nonneg_orders, keep_log=True)
 
 
 # large gamma and rho make the informed tilt f_t * X_{t-1} outweigh the
@@ -245,28 +253,29 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
     eps = np.stack([p.eps for p in paths])
     eta = np.stack([p.eta for p in paths])
     for kind in ("naive", "informed", "ar"):
-        cost, orders, cum_cost, log = _batch(kind, params, mandate, eps, eta,
-                                             clamp_nonneg_orders=clamp)
+        orders, cum_cost = _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=clamp)
+        if kind == "ar":
+            # the convergence study's logged loop places the study's orders
+            logged_orders, _, log = _logged(params, mandate, eps, eta, clamp_nonneg_orders=clamp)
+            assert logged_orders.tobytes() == orders.tobytes()
         for i, path in enumerate(paths):
             ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
             ref_orders = np.array(ref.blotter.shares_bought[1:])
             ref_cum = np.array(ref.blotter.accumulated_cost[1:])
-            assert cost[i].tobytes() == np.float64(ref.actual_cost).tobytes()
+            assert cum_cost[i, -1].tobytes() == np.float64(ref.actual_cost).tobytes()
             assert orders[i].tobytes() == ref_orders.tobytes()
             assert cum_cost[i].tobytes() == ref_cum.tobytes()
             if kind == "ar":
                 for name in ESTIMATE_FIELDS + ("impact_valid", "rho_valid"):
                     ref_log = np.array([getattr(est, name) for est in ref.estimates_log])
                     assert log[name][i].tobytes() == ref_log.tobytes(), name
-            else:
-                assert log is None
     if T == 100:
         # the online rule did leave the uniform split
         assert log["impact_valid"].any() and log["rho_valid"].any()
         assert (orders[:, :-1] != 100000.0 / T).any()
     if params is STEEP and T >= 3:
         # the clamp is exercised: unclamped interior orders do go negative
-        interior = _batch("informed", params, mandate, eps, eta)[1][:, :-1]
+        interior = _batch("informed", params, mandate, eps, eta)[0][:, :-1]
         assert (interior < 0.0).any()
 
 
@@ -296,7 +305,7 @@ def test_every_batch_ar_decision_passes_through_ar_order(monkeypatch, T, clamp, 
 
     monkeypatch.setattr(simulation, "_ar_order", recording)
     path = simulation._shared_path(params, *simulation._noise_arrays(n_sims, params, T, 5))
-    orders = simulation._run_batch("ar", params, mandate, path, clamp, keep_log)[1]
+    orders = simulation._ar_orders(params, mandate, path, clamp, keep_log)[0]
     assert [call[:3] for call in calls] == [(t, T, clamp) for t in range(1, T + 1)]
     assert np.stack([call[3] for call in calls], axis=1).tobytes() == orders.tobytes()
 
@@ -316,7 +325,7 @@ def test_batch_estimates_are_c_contiguous_n_sims_by_t(T):
     # run_convergence reduces them with nanmean and nanstd along axis 0, which
     # round differently over a Fortran-ordered or transposed layout
     eps, eta = market._noise_rows(5, range(5), T, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-    log = _batch("ar", BASELINE, ExecutionMandate(100000.0, 50.0, T), eps, eta)[3]
+    log = _logged(BASELINE, ExecutionMandate(100000.0, 50.0, T), eps, eta)[2]
     assert tuple(log) == ESTIMATE_FIELDS + ("impact_valid", "rho_valid")
     for name, values in log.items():
         assert values.shape == (5, T) and values.flags.c_contiguous, name
@@ -335,13 +344,12 @@ def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
         with np.errstate(over="ignore"):  # the improvement per share overflows
             ref = run_episode(kind, BASELINE, mandate, path, clamp_nonneg_orders=clamp)
         assert ref.blotter.shares_bought[1] == 0.0 and ref.blotter.price[1] < 0.0
-        cost, orders, cum_cost, _ = _batch(
-            kind, BASELINE, mandate, path.eps[None, :], path.eta[None, :],
-            clamp_nonneg_orders=clamp)
+        orders, cum_cost = _batch(kind, BASELINE, mandate, path.eps[None, :],
+                                  path.eta[None, :], clamp_nonneg_orders=clamp)
         ref_orders = np.array(ref.blotter.shares_bought[1:])
         ref_cum = np.array(ref.blotter.accumulated_cost[1:])
         assert math.copysign(1.0, ref_cum[0]) == 1.0, kind
-        assert cost.tobytes() == np.float64(ref.actual_cost).tobytes(), kind
+        assert cum_cost[:, -1].tobytes() == np.float64(ref.actual_cost).tobytes(), kind
         assert orders[0].tobytes() == ref_orders.tobytes(), kind
         assert cum_cost[0].tobytes() == ref_cum.tobytes(), kind
 
@@ -577,7 +585,7 @@ def test_shares_are_conserved_property(scenario):
     eps, eta = market._noise_rows(4, [substream_seed(seed, i) for i in range(4)],
                                   mandate.horizon, params.sigma_eps_sq, params.sigma_eta_sq)
     for kind in STRATEGIES:
-        orders = _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=clamp)[1]
+        orders = _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=clamp)[0]
         for row in orders.tolist():
             # relative to the shares traded, which is s0 unless an order is
             # negative; the running position rounds at the scale of the trades
@@ -637,26 +645,31 @@ def test_zero_noise_gives_every_strategy_the_same_orders_property(scenario):
     params = replace(params, sigma_eps_sq=0.0, sigma_eta_sq=0.0)
     zeros = np.zeros((2, mandate.horizon))
     orders = {kind: _batch(kind, params, mandate, zeros, zeros,
-                           clamp_nonneg_orders=clamp)[1]
+                           clamp_nonneg_orders=clamp)[0]
               for kind in STRATEGIES}
     for kind in STRATEGIES:
         assert orders[kind].tobytes() == orders["naive"].tobytes(), kind
 
 
-@pytest.mark.parametrize("study", [
-    lambda mandate: run_monte_carlo(7, STRATEGIES, BASELINE, mandate, 0),
-    lambda mandate: run_convergence(7, BASELINE, mandate, 0),
+# each study with a calibration that overflows inside it: s0 = 1e308 the
+# accumulated costs, gamma = sigma_eta_sq = 1e300 the shared path's gamma * X
+# (the convergence study books no costs)
+@pytest.mark.parametrize("study, overflowing", [
+    (lambda params, mandate: run_monte_carlo(7, STRATEGIES, params, mandate, 0),
+     (BASELINE, ExecutionMandate(1e308, 50.0, 20))),
+    (lambda params, mandate: run_convergence(7, params, mandate, 0),
+     (replace(BASELINE, gamma=1e300, sigma_eta_sq=1e300), MANDATE)),
 ], ids=["montecarlo", "convergence"])
-def test_studies_leave_the_numpy_error_state_as_they_found_it(study):
+def test_studies_leave_the_numpy_error_state_as_they_found_it(study, overflowing):
     before = np.geterr()
-    study(MANDATE)
+    study(BASELINE, MANDATE)
     assert np.geterr() == before
-    # s0 = 1e308 overflows the accumulated costs: under "raise" the study
-    # raises from inside, and must still restore the caller's state
+    # under "raise" the study raises from inside, and must still restore the
+    # caller's state
     with np.errstate(over="raise", invalid="raise"):
         inside = np.geterr()
         with pytest.raises(FloatingPointError):
-            study(ExecutionMandate(1e308, 50.0, 20))
+            study(*overflowing)
         assert np.geterr() == inside
     assert np.geterr() == before
 
@@ -679,6 +692,8 @@ def test_ar_runs_at_an_overflowing_s0_emit_the_pinned_warnings(T):
         "overflow encountered in multiply", "invalid value encountered in subtract"}
     assert _runtime_warnings(lambda: _batch("ar", BASELINE, mandate, eps, eta)) == {
         "overflow encountered in multiply"}
+    # the convergence study's logged loop books no costs, and warns of nothing
+    assert _runtime_warnings(lambda: _logged(BASELINE, mandate, eps, eta)) == set()
 
 
 @pytest.mark.parametrize("n_episodes, T", [(1, 1), (2, 3), (37, 5), (200, 100)])
