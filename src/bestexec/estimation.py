@@ -96,12 +96,18 @@ def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarra
     (x0, X_1, ..., X_n), the information series with its pre-trade value
     first. A fit that fails (n < 2, a singular or ill-conditioned impact
     design, an all-zero lag series) keeps the prior's values when a prior is
-    given, NaN otherwise, and its validity flag is False.
+    given, NaN otherwise, and its validity flag is False. Histories of
+    mismatched lengths are refused by name.
     """
     dp, b = delta_p, orders
+    n = len(dp)
+    if len(b) != n:
+        raise ValueError(f"orders: must have len(delta_p) = {n} values (got {len(b)})")
+    if len(info_series) != n + 1:
+        raise ValueError(f"info_series: must have len(delta_p) + 1 = {n + 1} values "
+                         f"(got {len(info_series)})")
     x = info_series[1:]
     lag = info_series[:-1]
-    n = len(dp)
     base = prior if prior is not None else ParameterEstimates.invalid()
     theta_hat, gamma_hat = base.theta_hat, base.gamma_hat
     rho_hat = base.rho_hat

@@ -136,18 +136,24 @@ class NoisePath:
     """One realization of the exogenous shocks, periods 1..T.
 
     eps[t-1] / eta[t-1] hold the period-t shocks (shocks are 1-based to match
-    blotter period numbering; period 0 is the pre-trade state). Arrays are
-    read-only; regenerating from the same seed reproduces them bit-for-bit.
+    blotter period numbering; period 0 is the pre-trade state). The path
+    keeps its own read-only float64 copies of the one-dimensional eps and
+    eta it is given, so the caller's arrays stay writable; regenerating
+    from the same seed reproduces them bit-for-bit.
     """
 
     eps: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self):
+        for name in ("eps", "eta"):
+            shocks = np.array(getattr(self, name), dtype=float)
+            if shocks.ndim != 1:
+                raise ValueError(f"{name}: must be one-dimensional (got shape {shocks.shape})")
+            shocks.flags.writeable = False
+            object.__setattr__(self, name, shocks)
         if len(self.eps) != len(self.eta):
             raise ValueError("eps and eta must have equal length")
-        self.eps.flags.writeable = False
-        self.eta.flags.writeable = False
 
     @property
     def horizon(self) -> int:

@@ -15,31 +15,31 @@ Two engines run episodes: run_episode, the readable scalar reference, on
 floats (strategies.order_rule, through decide_order), and the batch engine,
 which advances many episodes of one strategy at once, on (n_sims,) vectors
 (order_rule, and strategies._ar_order for the online rule). _run_batch gives
-a Monte Carlo study each rule's orders and accumulated costs; the convergence
-study runs the online rule's period loop, _ar_orders, directly and reduces
-its estimates log. No order moves the information process, so a study
-computes the information path X_0..X_T (with info_step) and lays out its
-shocks by period once, and every strategy reads them. Naive orders read no
-noise at all, so the batch engine decides one row of them on floats and
-copies it to every simulation. For the informed rule the period loop only
-decides orders and remaining shares. The prices of both follow after the loop
-from one sequential np.add.accumulate along the period axis, and every rule's
-accumulated costs from another. Such an accumulate is a left fold and rounds
-exactly as the loop's running sums; np.sum and np.mean along a contiguous
-axis sum pairwise and would not. The online strategy keeps stepping its price
-in the loop, as its refit needs the price changes. Before the loop it fits
-the information half of every period's refit (estimation.fit_information) and
-the rho part of the tilt of every period that can tilt
-(strategies.ar_rho_factor), and copies X_1..X_T into its one (3, n_sims, T)
-history buffer of price changes, orders and X. In the loop it refits only the
-impact half: estimation._fit_impact takes its sums from that buffer and
-writes its values straight into the estimates log (into one reused slot in a
-study). The rule, strategies._ar_order, reads an impact fit only on its
-impact_valid rows, fitted in that same period, so the loop masks in no prior
-and builds no estimates object; the logged run carries the prior of a failed
-fit forward after the loop, along the period axis. The whole loop runs under
-one np.errstate. So the batch engine's results equal run_episode's bit for
-bit.
+a Monte Carlo study each rule's orders and accumulated costs; the
+convergence study runs the online rule's period loop, _ar_orders, directly
+and reduces its estimates log. No order moves the information process, so a
+study computes the information path X_0..X_T (with info_step) and lays out
+its shocks by period once, and every strategy reads them. Naive orders read
+no noise at all, so the batch engine decides one row of them on floats and
+copies it to every simulation. The period loops decide orders only. In a
+Monte Carlo study every rule's prices follow after its loop from one
+sequential np.add.accumulate along the period axis (_accumulate_prices), and
+its accumulated costs from another. Such an accumulate is a left fold and
+rounds exactly as the loop's running sums; np.sum and np.mean along a
+contiguous axis sum pairwise and would not. The online strategy keeps one
+running price in its loop, stepped by price_step as in run_episode, only for
+its refit's price changes. Before the loop it fits the information half of
+every period's refit (estimation.fit_information) and the rho part of the
+tilt of every period that can tilt (strategies.ar_rho_factor), and copies
+X_1..X_T into its one (3, n_sims, T) history buffer of price changes, orders
+and X. In the loop it refits only the impact half: estimation._fit_impact
+takes its sums from that buffer and writes its values straight into the
+estimates log (into one reused slot in a study). The rule,
+strategies._ar_order, reads an impact fit only on its impact_valid rows,
+fitted in that same period, so the loop masks in no prior and builds no
+estimates object; the logged run carries the prior of a failed fit forward
+after the loop, along the period axis. The whole loop runs under one
+np.errstate. So the batch engine's results equal run_episode's bit for bit.
 
 A Monte Carlo study reads only orders and costs, so there the online
 strategy refits in a shorter window and keeps no estimates log (see
@@ -210,13 +210,12 @@ def _expected_cost_for(strategy_kind, params, mandate, schedule,
 @dataclass(frozen=True)
 class _SharedPath:
     """A study's common random numbers laid out by period, for every strategy:
-    the price shocks eps (T, n_sims), the information path info (T+1, n_sims)
-    with X_0 = 0 in row 0, and gamma_info = gamma * X_1..X_T. No order moves
-    the information, so one path serves every strategy of a study."""
+    the price shocks eps (T, n_sims) and the information path info (T+1,
+    n_sims) with X_0 = 0 in row 0. No order moves the information, so one
+    path serves every strategy of a study."""
 
     eps: np.ndarray
     info: np.ndarray
-    gamma_info: np.ndarray
 
 
 def _shared_path(params: MarketParams, eps: np.ndarray, eta: np.ndarray) -> _SharedPath:
@@ -226,7 +225,7 @@ def _shared_path(params: MarketParams, eps: np.ndarray, eta: np.ndarray) -> _Sha
     x = info[0]
     for t, eta_t in enumerate(np.ascontiguousarray(eta.T), start=1):
         info[t] = x = info_step(x, params.rho, eta_t)
-    return _SharedPath(np.ascontiguousarray(eps.T), info, params.gamma * info[1:])
+    return _SharedPath(np.ascontiguousarray(eps.T), info)
 
 
 def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionMandate,
@@ -235,10 +234,9 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
     shared path at once, bit for bit, as the (n_sims, T) orders and the
     (n_sims, T) accumulated costs C_1..C_T. Naive orders read no noise, so
     one row of them, decided on floats, serves every simulation. For the
-    other rules the period loop decides orders (the online strategy also
-    steps its price and refits, in the study's window of _ar_orders). The
-    prices of the non-online rules and every rule's accumulated costs follow
-    after it, by sequential sums over periods."""
+    other rules a period loop decides the orders (the online strategy's also
+    refits, in the study's window of _ar_orders). Every rule's prices and
+    accumulated costs follow after it, by sequential sums over periods."""
     T = mandate.horizon
     n = path.eps.shape[1]
     if strategy_kind == "naive":
@@ -253,10 +251,8 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
     elif strategy_kind == "informed":
         orders = _informed_orders(params, mandate, path, clamp_nonneg_orders)
     else:
-        orders, prices, _ = _ar_orders(params, mandate, path, clamp_nonneg_orders,
-                                       keep_log=False)
-    if strategy_kind != "ar":
-        prices = _accumulate_prices(mandate.p0, params.theta * orders.T, path)
+        orders = _ar_orders(params, mandate, path, clamp_nonneg_orders, keep_log=False)[0]
+    prices = _accumulate_prices(mandate.p0, params, orders, path)
     # accumulated costs C_t = C_{t-1} + P_t * B_t from C_0 = 0.0: the zero row
     # makes a first term of -0.0 give +0.0, as the loop's 0.0 + (-0.0) does
     cost = np.empty((T + 1, n))
@@ -284,12 +280,12 @@ def _informed_orders(params: MarketParams, mandate: ExecutionMandate, path: _Sha
 
 def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPath,
                clamp_nonneg_orders: bool, keep_log: bool):
-    """The period loop of the online rule: its (n_sims, T) orders, its
-    (T, n_sims) prices and, with keep_log, its estimates log (None
-    otherwise). Each period decides its orders in one call of
-    strategies._ar_order, steps the price and refits the impact half
-    (estimation._fit_impact, which takes its sums from the history buffer)
-    into a slot.
+    """The period loop of the online rule: its (n_sims, T) orders and, with
+    keep_log, its estimates log (None otherwise). Each period decides its
+    orders in one call of strategies._ar_order, steps its running price
+    (market.price_step, for the refit's price changes only) and refits the
+    impact half (estimation._fit_impact, which takes its sums from the
+    history buffer) into a slot.
 
     With keep_log (run_convergence), every period from 2 on refits into the
     log's column. Without it (a Monte Carlo study, which reads only orders
@@ -329,7 +325,6 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
     refits = range(2, T + 1) if keep_log else range(3, T - 1)
     s = np.full(n, float(mandate.s0))
     price = np.full(n, float(mandate.p0))
-    prices = np.empty((T, n))
     ok, slot = None, impact[:, :, 0]  # before the first refit, the rule reads no fit
     with np.errstate(all="ignore"):
         for t in range(1, T + 1):
@@ -337,9 +332,8 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
                               t, T, clamp_nonneg_orders)
             s = s - order
             orders[:, t - 1] = order
-            # price_step's left fold, gamma * X_t read from the shared path
-            prices[t - 1] = price_new = (price + params.theta * order
-                                         + path.gamma_info[t - 1] + path.eps[t - 1])
+            price_new = price_step(price, order, path.info[t], params.theta, params.gamma,
+                                   path.eps[t - 1])
             np.subtract(price_new, price, out=delta_p[:, t - 1])
             price = price_new
             if t in refits:
@@ -358,19 +352,21 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
             "rho_hat": information.rho_hat, "sigma_eps_sq_hat": s2e,
             "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
             "impact_valid": impact_valid, "rho_valid": information.rho_valid}
-    return orders, prices, estimates_log
+    return orders, estimates_log
 
 
-def _accumulate_prices(p0: float, theta_orders: np.ndarray, path: _SharedPath) -> np.ndarray:
-    """Prices P_1..P_T as a (T, n_sims) view, from the (T, n_sims) impacts
-    theta * B_t. One sequential sum runs down the interleaved rows
-    [p0; theta*B_1; gamma*X_1; eps_1; theta*B_2; ...], so its row 3t is
-    price_step's left fold ((P_{t-1} + theta*B_t) + gamma*X_t) + eps_t."""
-    T, n = theta_orders.shape
+def _accumulate_prices(p0: float, params: MarketParams, orders: np.ndarray,
+                       path: _SharedPath) -> np.ndarray:
+    """Prices P_1..P_T as a (T, n_sims) view, from the (n_sims, T) orders B.
+    One sequential sum runs down the interleaved rows [p0; theta*B_1;
+    gamma*X_1; eps_1; theta*B_2; ...], so its row 3t is price_step's left
+    fold ((P_{t-1} + theta*B_t) + gamma*X_t) + eps_t, each term the same
+    single multiply."""
+    n, T = orders.shape
     terms = np.empty((3 * T + 1, n))
     terms[0] = p0
-    terms[1::3] = theta_orders
-    terms[2::3] = path.gamma_info
+    np.multiply(params.theta, orders.T, out=terms[1::3])
+    np.multiply(params.gamma, path.info[1:], out=terms[2::3])
     terms[3::3] = path.eps
     np.add.accumulate(terms, axis=0, out=terms)
     return terms[3::3]
@@ -490,7 +486,7 @@ def run_convergence(n_sims: int, params: MarketParams, mandate: ExecutionMandate
     eps, eta = _noise_arrays(n_sims, params, mandate.horizon, base_seed)
     path = _shared_path(params, eps, eta)
     return _reduce_estimates(_ar_orders(params, mandate, path, clamp_nonneg_orders,
-                                        keep_log=True)[2])
+                                        keep_log=True)[1])
 
 
 def summarize_convergence(episodes) -> ConvergenceSummary:

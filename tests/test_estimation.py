@@ -204,6 +204,17 @@ def test_estimate_all_empty_history():
     assert math.isnan(est.theta_hat) and math.isnan(est.rho_hat)
 
 
+def test_estimate_all_refuses_histories_of_mismatched_lengths():
+    dp, b, info = np.ones(3), np.ones(3), np.arange(4.0)
+    with pytest.raises(ValueError,
+                       match=r"^orders: must have len\(delta_p\) = 3 values \(got 2\)$"):
+        estimate_all(dp, b[:2], info)
+    for bad in (info[:2], info):
+        with pytest.raises(ValueError, match=r"^info_series: must have len\(delta_p\) \+ 1 = 3 "
+                                             rf"values \(got {len(bad)}\)$"):
+            estimate_all(dp[:2], b[:2], bad)
+
+
 def test_estimate_all_single_observation_is_underdetermined():
     est = _fit([(0.3, 5000.0, 0.05)])
     assert not est.impact_valid

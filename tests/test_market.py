@@ -114,6 +114,26 @@ def test_param_validation():
         NoisePath(eps=np.zeros(3), eta=np.zeros(4))
 
 
+def test_noise_path_keeps_its_own_read_only_float_copies():
+    # the caller's arrays stay writable, a list is taken as an array, and a
+    # shock array that is not one-dimensional is refused by name
+    eps, eta = np.zeros(3), np.array([1, 2, 3])
+    path = NoisePath(eps, eta)
+    eps[0] = 1.0
+    assert path.eps.tolist() == [0.0, 0.0, 0.0]
+    assert path.eta.dtype == np.float64 and path.eta.tolist() == [1.0, 2.0, 3.0]
+    for shocks in (path.eps, path.eta):
+        with pytest.raises(ValueError, match="read-only"):
+            shocks[0] = 2.0
+    assert NoisePath([0.1], [0.2]).horizon == 1
+    with pytest.raises(ValueError, match=r"^eps: must be one-dimensional \(got shape \(2, 3\)\)$"):
+        NoisePath(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match=r"^eta: must be one-dimensional \(got shape \(\)\)$"):
+        NoisePath(np.zeros(1), 0.5)
+    with pytest.raises(ValueError, match="^eps and eta must have equal length$"):
+        NoisePath([0.1, 0.2], [0.3])
+
+
 def test_generate_noise_path_validation():
     with pytest.raises(ValueError):
         generate_noise_path(0, 0, 0.01, 0.01)

@@ -233,7 +233,7 @@ def _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=False):
 
 def _logged(params, mandate, eps, eta, clamp_nonneg_orders=False):
     """The convergence study's logged online loop on the (n_sims, T) shock
-    arrays eps and eta: (orders, prices, estimates log)."""
+    arrays eps and eta: (orders, estimates log)."""
     path = simulation._shared_path(params, eps, eta)
     return simulation._ar_orders(params, mandate, path, clamp_nonneg_orders, keep_log=True)
 
@@ -256,7 +256,7 @@ def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
         orders, cum_cost = _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=clamp)
         if kind == "ar":
             # the convergence study's logged loop places the study's orders
-            logged_orders, _, log = _logged(params, mandate, eps, eta, clamp_nonneg_orders=clamp)
+            logged_orders, log = _logged(params, mandate, eps, eta, clamp_nonneg_orders=clamp)
             assert logged_orders.tobytes() == orders.tobytes()
         for i, path in enumerate(paths):
             ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
@@ -325,7 +325,7 @@ def test_batch_estimates_are_c_contiguous_n_sims_by_t(T):
     # run_convergence reduces them with nanmean and nanstd along axis 0, which
     # round differently over a Fortran-ordered or transposed layout
     eps, eta = market._noise_rows(5, range(5), T, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-    log = _logged(BASELINE, ExecutionMandate(100000.0, 50.0, T), eps, eta)[2]
+    log = _logged(BASELINE, ExecutionMandate(100000.0, 50.0, T), eps, eta)[1]
     assert tuple(log) == ESTIMATE_FIELDS + ("impact_valid", "rho_valid")
     for name, values in log.items():
         assert values.shape == (5, T) and values.flags.c_contiguous, name
@@ -652,8 +652,8 @@ def test_zero_noise_gives_every_strategy_the_same_orders_property(scenario):
 
 
 # each study with a calibration that overflows inside it: s0 = 1e308 the
-# accumulated costs, gamma = sigma_eta_sq = 1e300 the shared path's gamma * X
-# (the convergence study books no costs)
+# accumulated costs, gamma = sigma_eta_sq = 1e300 the spread of the
+# sigma_eta_sq_hat estimates (the convergence study books no costs)
 @pytest.mark.parametrize("study, overflowing", [
     (lambda params, mandate: run_monte_carlo(7, STRATEGIES, params, mandate, 0),
      (BASELINE, ExecutionMandate(1e308, 50.0, 20))),

@@ -119,20 +119,35 @@ def _load_ab_time():
     return module
 
 
-def test_ab_time_times_a_checkout_against_itself(capsys):
+def test_ab_time_times_a_checkout_against_itself(capsys, monkeypatch):
     ab_time = _load_ab_time()
     src = str(ROOT / "src")
     assert ab_time.main([src, src, "--rounds", "4", "--warmup", "1",
                          "--argv", "simulate --strategy ar --horizon 4 --seed {i}",
                          "--argv", "montecarlo --horizon 4 --n-sims 3 --seed {i}"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["a", "b", "median per-round ratio b/a"]
+    assert [line.split(":")[0] for line in lines] == [
+        "a", "b", "median per-round ratio b/a", "rounds in which b was faster",
+        "interquartile range of the per-round ratio b/a"]
     ratio = float(lines[2].split(": ")[1].split()[0])
     assert 0.0 < ratio < float("inf")
+    wins, of = lines[3].split(": ")[1].split(" of ")
+    assert 0 <= int(wins) <= 4 and of == "4"
+    assert 0.0 <= float(lines[4].split(": ")[1]) < float("inf")
     res = ab_time.ab_time(src, src, [["simulate", "--horizon", "3", "--seed", "{i}"]],
                           rounds=2, warmup=0)
     assert res["a_s"] > 0.0 and res["b_s"] > 0.0
     assert 0.0 < res["ratio"] < float("inf")
+    # with every round's time fixed (a 1 s, b as listed), the win count and
+    # the interquartile range of the ratios are exact
+    b_times = [0.5, 2.0, 0.9, 1.1]
+    monkeypatch.setattr(ab_time, "_run_round", lambda cli, argvs, index, out_dir: (
+        b_times[index] if cli.__name__.startswith("_ab_time_b") else 1.0, [0]))
+    res = ab_time.ab_time(src, src, [["simulate"]], rounds=4, warmup=0)
+    assert (res["ratio"], res["b_wins"]) == (1.0, 2)
+    assert res["ratio_iqr"] == pytest.approx(1.325 - 0.8)
+    res = ab_time.ab_time(src, src, [["simulate"]], rounds=1, warmup=0)
+    assert (res["ratio"], res["b_wins"], res["ratio_iqr"]) == (0.5, 1, 0.0)
 
 
 def test_ab_time_stops_when_the_checkouts_exit_differently(tmp_path):

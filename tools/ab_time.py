@@ -7,8 +7,10 @@ it is odd, so drifts in machine speed fall on both alike. Each argv is one
 command line, split as a shell would; "{i}" in it becomes the round index
 (a seed that moves with the round, say). Every call writes to its own
 temporary directory, emptied before the call, so each call creates its
-files as a fresh run would. Prints the median round time of each checkout
-and the median of the per-round ratios b/a:
+files as a fresh run would. Prints the median round time of each checkout,
+the median of the per-round ratios b/a, the number of rounds in which b
+was faster than a, and the interquartile range of the per-round ratios (a
+ratio moved by less than that range is inside the noise):
 
     python tools/ab_time.py ../parent/src src \\
         --argv "simulate --strategy naive --seed {i}" \\
@@ -75,8 +77,11 @@ def _run_round(cli, argvs: list[list[str]], index: int, out_dir: Path) -> tuple[
 
 def ab_time(src_a: str, src_b: str, argvs: list[list[str]], rounds: int,
             warmup: int = 3) -> dict[str, float]:
-    """Median round seconds of checkouts a and b and the median per-round
-    ratio b/a, over `rounds` interleaved rounds after `warmup` untimed ones."""
+    """Median round seconds of checkouts a and b ("a_s", "b_s"), the median
+    per-round ratio b/a ("ratio"), the number of rounds in which b was
+    faster ("b_wins") and the interquartile range of the per-round ratios
+    ("ratio_iqr", by statistics.quantiles' inclusive method; 0.0 for one
+    round), over `rounds` interleaved rounds after `warmup` untimed ones."""
     clis = load_cli(src_a, "_ab_time_a"), load_cli(src_b, "_ab_time_b")
     times: tuple[list[float], list[float]] = ([], [])
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,8 +101,12 @@ def ab_time(src_a: str, src_b: str, argvs: list[list[str]], rounds: int,
                     times[k].append(results[k][0])
         for d in dirs:
             shutil.rmtree(d)
+    ratios = [b / a for a, b in zip(*times)]
+    q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                 if len(ratios) > 1 else ratios * 3)
     return {"a_s": statistics.median(times[0]), "b_s": statistics.median(times[1]),
-            "ratio": statistics.median(b / a for a, b in zip(*times))}
+            "ratio": statistics.median(ratios), "b_wins": sum(r < 1.0 for r in ratios),
+            "ratio_iqr": q3 - q1}
 
 
 def main(args: list[str] | None = None) -> int:
@@ -117,6 +126,8 @@ def main(args: list[str] | None = None) -> int:
     print(f"b: {opts.src_b}: median round {res['b_s'] * 1e3:.4g} ms")
     print(f"median per-round ratio b/a: {res['ratio']:.4f} "
           f"({1.0 / res['ratio']:.3f}x the speed of a)")
+    print(f"rounds in which b was faster: {res['b_wins']} of {opts.rounds}")
+    print(f"interquartile range of the per-round ratio b/a: {res['ratio_iqr']:.4f}")
     return 0
 
 
