@@ -1,6 +1,9 @@
 """Best-execution strategies for block orders under additive permanent price
 impact with AR(1) market information: simulation, valuation, online
-estimation and paired Monte Carlo comparison."""
+estimation and paired Monte Carlo comparison.
+
+Every record is a frozen dataclass; one that holds arrays, lists or dicts
+declares eq=False, and compares and hashes by identity."""
 
 from .estimation import (COND_LIMIT, RHO_CLAMP, THETA_TSTAT_MIN, InformationFit,
                          ParameterEstimates, estimate_all, fit_information)

@@ -162,7 +162,7 @@ def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarra
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InformationFit:
     """The information half of the refit of n_sims information paths after
     every period: each field is a C-contiguous (n_sims, T) array whose

@@ -131,7 +131,7 @@ class ExecutionMandate:
             raise ValueError(f"p0: must be > 0 (got {self.p0})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePath:
     """One realization of the exogenous shocks, periods 1..T.
 

@@ -107,7 +107,7 @@ class Blotter(NamedTuple):
     accumulated_cost: list[float]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """A finished episode: its blotter plus the cost summary."""
 
@@ -207,7 +207,7 @@ def _expected_cost_for(strategy_kind, params, mandate, schedule,
     return naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SharedPath:
     """A study's common random numbers laid out by period, for every strategy:
     the price shocks eps (T, n_sims) and the information path info (T+1,
@@ -374,14 +374,14 @@ def _accumulate_prices(p0: float, params: MarketParams, orders: np.ndarray,
 
 def per_share_improvement(expected_cost: float, actual_cost: float, s0: float) -> float:
     """(expected - actual) / s0: positive when the run beat its benchmark.
-    s0 must be a finite real number > 0."""
+    s0 must be a finite real number > 0; the costs may be arrays."""
     _check_finite("s0", s0)
     if s0 <= 0.0:
         raise ValueError(f"s0: must be > 0 (got {s0})")
     return (expected_cost - actual_cost) / s0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StrategyStats:
     """Cross-simulation statistics for one strategy.
 
@@ -399,7 +399,7 @@ class StrategyStats:
     per_sim_actual_cost: np.ndarray      # (n_sims,)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MonteCarloSummary:
     """Paired-noise study results for a set of strategies."""
 
@@ -449,7 +449,7 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
     for strat in strategies:
         orders, cum_cost = _run_batch(strat, params, mandate, path, clamp_nonneg_orders)
         actual = cum_cost[:, -1].copy()
-        imp = (benchmark - actual) / mandate.s0
+        imp = per_share_improvement(benchmark, actual, mandate.s0)
         periodwise = np.mean((bench_cum - cum_cost) / mandate.s0, axis=1)
         stats[strat] = StrategyStats(
             mean_improvement=float(np.mean(imp)),
@@ -465,7 +465,7 @@ def run_monte_carlo(n_sims: int, strategy_set, params: MarketParams,
                              benchmark_expected_cost=benchmark, stats=stats)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConvergenceSummary:
     """Per-period cross-simulation mean and spread of the five estimates."""
 
@@ -504,6 +504,10 @@ def summarize_convergence(episodes) -> ConvergenceSummary:
         if ep.estimates_log is None:
             raise ValueError("episodes must come from the 'ar' strategy "
                              "(estimates_log missing)")
+        if len(ep.estimates_log) != len(episodes[0].estimates_log):
+            raise ValueError(f"episodes: every episode must have the same horizon "
+                             f"(got {len(episodes[0].estimates_log)} and "
+                             f"{len(ep.estimates_log)})")
     return _reduce_estimates({
         name: np.array([[getattr(est, name) for est in ep.estimates_log]
                         for ep in episodes])

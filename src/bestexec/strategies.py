@@ -84,7 +84,7 @@ def strategy_list(names, field: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSchedule:
     """Per-period value-function and order coefficients, periods 1..T.
 

@@ -11,8 +11,13 @@ must reproduce.
 The exact refit runs the online OLS refit in rational arithmetic on the
 float inputs, so it carries no rounding at all: the ground truth the float
 refits are measured against.
+
+Student's t distribution function for integer degrees of freedom and the
+one-sample Kolmogorov-Smirnov p-value test the refit's sampling law: where
+orders do not read the price shocks, its t-ratios follow t_{n-2} exactly.
 """
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -200,3 +205,58 @@ def exact_refit(delta_p, orders, info_series) -> dict:
             r = [v - rho * w for v, w in zip(x, lag)]
             out["sigma_eta_sq_hat"] = dot(r, r) / (n - 1)
     return out
+
+
+def student_t_cdf(t, nu: int):
+    """P(T <= t) for Student's t with integer nu >= 1 degrees of freedom, on
+    floats or arrays, from Abramowitz & Stegun 26.7.3 (odd nu) and 26.7.4
+    (even nu): with theta = arctan(t / sqrt(nu)), the two-sided
+    A(t | nu) = P(|T| <= t) is a finite series in cos(theta), odd in t, and
+    P(T <= t) = (1 + A) / 2."""
+    theta = np.arctan(np.asarray(t, dtype=float) / math.sqrt(nu))
+    sin, cos2 = np.sin(theta), np.cos(theta) ** 2
+    if nu % 2 == 0:
+        # sin(theta) * (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ... up to cos^(nu-2))
+        term = total = np.ones_like(theta)
+        for j in range(1, nu // 2):
+            term = term * cos2 * (2 * j - 1) / (2 * j)
+            total = total + term
+        two_sided = sin * total
+    else:
+        # (2/pi) (theta + sin(theta) (cos + 2/3 cos^3 + ... up to cos^(nu-2)))
+        term = np.cos(theta)
+        total = np.zeros_like(theta)
+        for j in range(1, (nu - 1) // 2 + 1):
+            total = total + term
+            term = term * cos2 * (2 * j) / (2 * j + 1)
+        two_sided = 2.0 / math.pi * (theta + sin * total)
+    return 0.5 + 0.5 * two_sided
+
+
+def kolmogorov_q(lam: float) -> float:
+    """P(K > lam) for the Kolmogorov distribution, the limit law of
+    sqrt(n) times the one-sample KS statistic: the alternating series
+    2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2) for lam >= 1.18, and its Jacobi
+    dual 1 - sqrt(2 pi)/lam sum_k exp(-(2k-1)^2 pi^2 / (8 lam^2)) below,
+    where the first converges slowly. Both series run to 100 terms."""
+    if lam <= 0.0:
+        return 1.0
+    if lam < 1.18:
+        y = math.exp(-math.pi ** 2 / (8.0 * lam * lam))
+        total = sum(y ** ((2 * k - 1) ** 2) for k in range(1, 101))
+        return 1.0 - math.sqrt(2.0 * math.pi) / lam * total
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
+                     for k in range(1, 101))
+
+
+def ks_pvalue(sample, cdf) -> float:
+    """The one-sample Kolmogorov-Smirnov p-value of sample against the
+    distribution function cdf (which takes an array): the statistic
+    D = sup |F_n - F| and P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D), with
+    Stephens's (1970) finite-n correction to the asymptotic law."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = len(x)
+    f = cdf(x)
+    d = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+    root = math.sqrt(n)
+    return kolmogorov_q((root + 0.12 + 0.11 / root) * d)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exact_refit
+from oracles import exact_refit, kolmogorov_q, ks_pvalue, student_t_cdf
 
-from bestexec import (COND_LIMIT, RHO_CLAMP, ParameterEstimates, estimate_all, fit_information,
-                      info_step, price_step)
+from bestexec import (COND_LIMIT, RHO_CLAMP, ExecutionMandate, MarketParams, NoisePath,
+                      ParameterEstimates, estimate_all, fit_information, info_step, price_step,
+                      run_episode, simulation)
 from bestexec.estimation import _carry_forward, _fit_impact
 
 
@@ -557,3 +558,100 @@ def test_one_pair_rho_fit_keeps_the_sign_the_batch_gives_a_zero_lag_sum():
     est = estimate_all(np.zeros(1), np.zeros(1), info[0])
     assert np.float64(est.rho_hat).tobytes() == np.float64(0.0).tobytes()
     assert fit_information(info).rho_hat[0, 0].tobytes() == np.float64(0.0).tobytes()
+
+
+# The refit's sampling law. Under the naive and informed rules no order reads
+# a price shock, so given the orders B and the information X the impact fit is
+# textbook OLS with normal errors, and (theta_hat - theta)/se(theta_hat) and
+# (gamma_hat - gamma)/se(gamma_hat) follow Student's t with n - 2 degrees of
+# freedom exactly, with s^2 = sigma_eps_sq_hat (n - 1)/(n - 2). The design
+# gate reads only B and X, so the fitted rows keep that law. A history whose
+# price changes pair with the wrong X breaks it. Each case runs
+# SAMPLING_LAW_SIMS simulations of both rules on both engines and tests 2
+# rules x 2 engines x 3 lengths x 2 estimates = 24 t-samples by
+# Kolmogorov-Smirnov at level SAMPLING_LAW_ALPHA; over SAMPLING_LAW_CASES
+# derandomized cases that is 240 tests, so a correct refit fails the property
+# with probability at most 240 * 1e-5 = 0.24% (Bonferroni), fixed once and
+# for all by the derandomized draws.
+SAMPLING_LAW_ALPHA = 1e-5
+SAMPLING_LAW_CASES = 10
+SAMPLING_LAW_SIMS = 300
+SAMPLING_LAW_LENGTHS = (5, 10, 20)
+
+
+def test_student_t_cdf_equals_its_closed_forms_at_one_and_two_degrees():
+    t = np.array([-1e6, -30.0, -2.5, -1.0, -0.1, 0.0, 0.1, 1.0, 2.5, 30.0, 1e6])
+    np.testing.assert_allclose(student_t_cdf(t, 1), 0.5 + np.arctan(t) / np.pi,
+                               rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(student_t_cdf(t, 2), 0.5 + t / (2.0 * np.sqrt(t * t + 2.0)),
+                               rtol=1e-14, atol=1e-16)
+    for nu in range(1, 12):  # a distribution function, symmetric about 0
+        f = student_t_cdf(t, nu)
+        assert np.all(np.diff(f) > 0.0) and f[5] == 0.5
+        np.testing.assert_allclose(f + f[::-1], 1.0, rtol=0, atol=1e-15)
+
+
+def test_ks_pvalue_on_known_laws():
+    # the Kolmogorov tail at its tabulated 10%, 5% and 1% points, and its
+    # two series agreeing where they meet
+    for lam, q in ((1.22384787, 0.10), (1.35809863, 0.05), (1.62762361, 0.01)):
+        assert kolmogorov_q(lam) == pytest.approx(q, abs=1e-8)
+    assert kolmogorov_q(1.18 - 1e-12) == pytest.approx(kolmogorov_q(1.18), rel=1e-9)
+    rng = np.random.default_rng(3)
+    sample = rng.standard_t(3, 500)
+    assert ks_pvalue(sample, lambda t: student_t_cdf(t, 3)) > 0.05
+    assert ks_pvalue(sample, lambda t: student_t_cdf(t, 1)) < 1e-3
+
+
+def _t_ratios(params, history, theta_hat, gamma_hat, s2e, n):
+    """The t-ratios of theta_hat and gamma_hat against the truth, on the
+    rows whose first n periods of the (3, n_sims, T) history (price
+    changes, orders, X) were fitted, where theta_hat is not NaN."""
+    rows = ~np.isnan(theta_hat)
+    b, x = history[1, rows, :n], history[2, rows, :n]
+    sbb, sxx, sxb = (np.einsum("ij,ij->i", u, v) for u, v in ((b, b), (x, x), (x, b)))
+    det = sbb * sxx - sxb * sxb
+    s2 = s2e[rows] * (n - 1) / (n - 2)
+    return ((theta_hat[rows] - params.theta) / np.sqrt(s2 * sxx / det),
+            (gamma_hat[rows] - params.gamma) / np.sqrt(s2 * sbb / det))
+
+
+@settings(max_examples=SAMPLING_LAW_CASES, deadline=None, derandomize=True)
+@given(theta=st.floats(1e-6, 1e-3), gamma=st.floats(-10.0, 10.0), rho=st.floats(-0.95, 0.95),
+       sigma_eps_sq=st.floats(1e-4, 1.0), sigma_eta_sq=st.floats(1e-3, 0.1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_impact_t_ratios_follow_student_t_property(theta, gamma, rho, sigma_eps_sq,
+                                                   sigma_eta_sq, seed):
+    params = MarketParams(theta, gamma, rho, sigma_eps_sq, sigma_eta_sq)
+    mandate = ExecutionMandate(1e5, 50.0, 20)
+    T = mandate.horizon
+    eps, eta = simulation._noise_arrays(SAMPLING_LAW_SIMS, params, T, seed)
+    path = simulation._shared_path(params, eps, eta)
+    for rule in ("naive", "informed"):
+        # the scalar engine's histories, from its blotters
+        blotters = [run_episode(rule, params, mandate, NoisePath(e, h)).blotter
+                    for e, h in zip(eps, eta)]
+        price, bought, info = (np.array([getattr(b, name) for b in blotters]) for name in
+                               ("price", "shares_bought", "market_information"))
+        scalar = np.stack([np.diff(price, axis=1), bought[:, 1:], info[:, 1:]])
+        # the batch engine's, from its orders, its prices and the shared X
+        orders = simulation._run_batch(rule, params, mandate, path, False)[0]
+        prices = simulation._accumulate_prices(mandate.p0, params, orders, path)
+        batch = np.stack([np.diff(prices, axis=0, prepend=mandate.p0).T, orders,
+                          path.info[1:].T])
+        for n in SAMPLING_LAW_LENGTHS:
+            fits = [estimate_all(*scalar[:2, i, :n], info[i, :n + 1]) for i in range(len(eps))]
+            ratios = {"estimate_all": _t_ratios(
+                params, scalar, *(np.array([getattr(f, name) for f in fits]) for name in
+                                  ("theta_hat", "gamma_hat", "sigma_eps_sq_hat")), n)}
+            out = np.empty((3, len(eps)))
+            with np.errstate(all="ignore"):
+                fitted = _fit_impact(batch[:, :, :n], out)[0]
+            out[:, ~fitted] = np.nan
+            ratios["_fit_impact"] = _t_ratios(params, batch, *out, n)
+            for refit, pair in ratios.items():
+                for name, sample in zip(("theta", "gamma"), pair):
+                    # the design gate refuses few rows at these calibrations
+                    assert len(sample) >= SAMPLING_LAW_SIMS // 2, (rule, n, refit, name)
+                    p = ks_pvalue(sample, lambda t: student_t_cdf(t, n - 2))
+                    assert p >= SAMPLING_LAW_ALPHA, (rule, n, refit, name, p)

@@ -1,10 +1,14 @@
 import ast
+import dataclasses
+import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bestexec
+import bestexec.cli
 from bestexec import estimation, market, simulation, strategies, valuation
 
 # the library modules; cli is a front end and exports nothing to the package
@@ -100,3 +104,92 @@ def test_every_exported_name_is_read_outside_the_tests():
         read.update(_read_names(ast.parse(path.read_text(encoding="utf-8"))))
     exported = [f"{module.__name__}.{name}" for module in LIBRARY for name in module.__all__]
     assert sorted(name for name in exported if name.rpartition(".")[2] not in read) == []
+
+
+def _package_records() -> list[type]:
+    """Every dataclass that a module of the package defines; __main__ runs
+    the CLI when imported, and defines none."""
+    modules = [importlib.import_module(f"bestexec.{path.stem}") for path in MODULES
+               if path.stem != "__main__"]
+    return [value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+            and value.__module__ == module.__name__]
+
+
+_PARAMS = market.MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
+_MANDATE = market.ExecutionMandate(1e5, 50.0, 5)
+
+
+def _estimates():
+    info = np.array([0.0, 0.03, -0.01, 0.02, 0.05, -0.04])
+    return estimation.estimate_all(np.array([0.3, 0.1, 0.4, 0.2, 0.05]),
+                                   np.array([5e3, 4e3, 6e3, 5.5e3, 4.5e3]), info)
+
+
+def _shared_path():
+    eps, eta = simulation._noise_arrays(3, _PARAMS, 5, 0)
+    return simulation._shared_path(_PARAMS, eps, eta)
+
+
+# a factory per record, each call building a new instance equal in value to
+# the last; a record the package adds needs one here
+RECORD_SAMPLES = {
+    "cli.RunSpec": lambda: bestexec.cli.RunSpec(horizon=5),
+    "market.MarketParams": lambda: market.MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001),
+    "market.ExecutionMandate": lambda: market.ExecutionMandate(1e5, 50.0, 5),
+    "market.NoisePath": lambda: market.generate_noise_path(0, 5, 0.125 ** 2, 0.001),
+    "estimation.ParameterEstimates": _estimates,
+    "estimation.InformationFit": lambda: estimation.fit_information(
+        np.ascontiguousarray(_shared_path().info.T)),
+    "strategies.CoefficientSchedule": lambda: strategies.solve_coefficients(_PARAMS, 5),
+    "strategies.OrderDecision": lambda: strategies.decide_order("naive", 1e5, 0.0, 1, 5),
+    "simulation.RunResult": lambda: simulation.run_episode(
+        "ar", _PARAMS, _MANDATE, market.generate_noise_path(0, 5, 0.125 ** 2, 0.001)),
+    "simulation._SharedPath": _shared_path,
+    "simulation.StrategyStats": lambda: simulation.run_monte_carlo(
+        3, ("informed",), _PARAMS, _MANDATE, 0).stats["informed"],
+    "simulation.MonteCarloSummary": lambda: simulation.run_monte_carlo(
+        3, ("naive", "ar"), _PARAMS, _MANDATE, 0),
+    "simulation.ConvergenceSummary": lambda: simulation.run_convergence(3, _PARAMS, _MANDATE, 0),
+}
+
+
+def _record_name(cls: type) -> str:
+    return f"{cls.__module__.rpartition('.')[2]}.{cls.__qualname__}"
+
+
+def test_every_record_of_the_package_has_a_sample():
+    assert sorted(map(_record_name, _package_records())) == sorted(RECORD_SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_SAMPLES))
+def test_every_record_is_frozen(name):
+    record = RECORD_SAMPLES[name]()
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_SAMPLES))
+def test_a_record_compares_by_value_only_where_its_value_can_be_hashed(name):
+    # a generated __eq__ over arrays, lists or dicts raises or answers by
+    # identity anyway, and a generated __hash__ over them raises: such a
+    # record declares eq=False and compares and hashes by identity
+    a, b = RECORD_SAMPLES[name](), RECORD_SAMPLES[name]()
+    assert a is not b
+    by_value = type(a).__dataclass_params__.eq
+    assert (a == b) is by_value
+    assert (a == a) is True and (a != b) is not by_value
+    assert (a == object()) is False
+    assert isinstance(hash(a), int)
+    assert (hash(a) == hash(b)) or not by_value
+    value = tuple(getattr(a, field.name) for field in dataclasses.fields(a))
+    assert by_value == _hashable(value)

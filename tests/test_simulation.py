@@ -531,6 +531,16 @@ def test_summarize_convergence_needs_an_episode():
         summarize_convergence([])
 
 
+def test_summarize_convergence_refuses_episodes_of_unequal_horizons():
+    episodes = [run_episode("ar", BASELINE, ExecutionMandate(1e5, 50.0, T),
+                            generate_noise_path(T, T, BASELINE.sigma_eps_sq,
+                                                BASELINE.sigma_eta_sq))
+                for T in (3, 4)]
+    with pytest.raises(ValueError, match=re.escape(
+            "episodes: every episode must have the same horizon (got 3 and 4)")):
+        summarize_convergence(episodes)
+
+
 def test_studies_accept_a_numpy_integer_n_sims():
     s = run_monte_carlo(np.int64(3), ("naive",), BASELINE, MANDATE, 0)
     assert s.n_sims == 3 and type(s.n_sims) is int

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +16,15 @@ from bestexec.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_cli_grid():
-    spec = importlib.util.spec_from_file_location("cli_grid", ROOT / "tools" / "cli_grid.py")
+def _load_tool(name: str):
+    """The script tools/<name>.py, imported as the module `name`."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-cli_grid = _load_cli_grid()
+cli_grid = _load_tool("cli_grid")
 GRID = cli_grid.grid()
 
 
@@ -112,15 +115,8 @@ def test_argv_shape_lines_equal_the_committed_ones():
                               f"got:  {line}\nwant: {want}")
 
 
-def _load_ab_time():
-    spec = importlib.util.spec_from_file_location("ab_time", ROOT / "tools" / "ab_time.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_ab_time_times_a_checkout_against_itself(capsys, monkeypatch):
-    ab_time = _load_ab_time()
+    ab_time = _load_tool("ab_time")
     src = str(ROOT / "src")
     assert ab_time.main([src, src, "--rounds", "4", "--warmup", "1",
                          "--argv", "simulate --strategy ar --horizon 4 --seed {i}",
@@ -156,16 +152,69 @@ def test_ab_time_stops_when_the_checkouts_exit_differently(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text("def main(argv):\n    return 3\n")
-    ab_time = _load_ab_time()
+    ab_time = _load_tool("ab_time")
     with pytest.raises(SystemExit, match="round 0 exit codes differ: a \\[0\\], b \\[3\\]"):
         ab_time.ab_time(str(ROOT / "src"), str(tmp_path / "src"),
                         [["simulate", "--horizon", "4"]], rounds=2, warmup=0)
 
 
 def test_ab_time_rejects_zero_rounds(capsys):
-    ab_time = _load_ab_time()
+    ab_time = _load_tool("ab_time")
     src = str(ROOT / "src")
     with pytest.raises(SystemExit) as info:
         ab_time.main([src, src, "--argv", "simulate", "--rounds", "0"])
     assert info.value.code == 2
     assert "--rounds must be >= 1" in capsys.readouterr().err
+
+
+def _bench_line(correct=True, failed=0, **values):
+    """A bench/run.py result line with the given end-to-end metric values."""
+    return json.dumps({"correct": correct, "attempted": 10, "failed": failed,
+                       "metrics": {name: {"value": v, "unit": "-"} for name, v in values.items()}})
+
+
+def test_bench_pairs_summarizes_canned_runs(capsys, monkeypatch):
+    bench_pairs = _load_tool("bench_pairs")
+    parent_sims = [100.0, 104.0, 96.0, 102.0, 98.0, 100.0, 101.0, 99.0, 103.0, 97.0]
+    calls = []
+
+    def canned(argv, capture_output, text):
+        root, seed = Path(argv[1]).parents[1].name, int(argv[argv.index("--seed") + 1])
+        calls.append((root, seed, argv[argv.index("--seconds") + 1]))
+        k = seed - 50
+        sims = parent_sims[k] * (1.2 if root == "change" else 1.0)  # the change wins every pair
+        p50 = 10.0 if root == "parent" else 13.0  # and is 30% worse on this one
+        rss = 50.0 if root == "parent" else 50.0 + (k % 3 - 1)  # a mix of wins, ties, losses
+        line = _bench_line(sims_per_s=sims, episode_p50_ms=p50, peak_rss_mb=rss, setup_s=0.3)
+        return subprocess.CompletedProcess(argv, 0, stdout=f"workload=w\n{line}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", canned)
+    assert bench_pairs.main(["x/parent", "x/change", "--workload", "study_T20",
+                             "--pairs", "10", "--seed", "50"]) == 0
+    # pair k runs seed 50 + k on both sides, the parent first in even pairs
+    assert [c[:2] for c in calls[:4]] == [("parent", 50), ("change", 50),
+                                         ("change", 51), ("parent", 51)]
+    assert len(calls) == 20 and {c[2] for c in calls} == {"20"}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "workload=study_T20 pairs=10 seeds=50..59 seconds=20"
+    rows = dict(line.split(": ", 1) for line in lines[1:])
+    assert list(rows) == ["sims_per_s", "episode_p50_ms", "peak_rss_mb", "setup_s"]
+    # parent IQR of sims_per_s: quartiles 98.25 and 101.75 of median 100
+    assert rows["sims_per_s"] == ("parent 100 change 120 1/s | parent IQR 3.5% of median | "
+                                  "change won 10 of 10 | gain")
+    assert rows["episode_p50_ms"].endswith("change won 0 of 10 | worse")
+    assert rows["peak_rss_mb"].endswith("change won 4 of 10 | same")  # 3 ties, 3 losses
+    assert rows["setup_s"].endswith("change won 0 of 10 | same")
+
+
+@pytest.mark.parametrize("returncode, line, message", [
+    (1, "", "exited 1"),
+    (0, _bench_line(correct=False), "correct=False"),
+    (0, _bench_line(failed=2), "2 failed calls"),
+])
+def test_bench_pairs_stops_on_a_failed_run(monkeypatch, returncode, line, message):
+    bench_pairs = _load_tool("bench_pairs")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, capture_output, text:
+                        subprocess.CompletedProcess(argv, returncode, stdout=line, stderr=""))
+    with pytest.raises(SystemExit, match=message):
+        bench_pairs.main(["parent", "change", "--workload", "study_T20", "--pairs", "1"])
