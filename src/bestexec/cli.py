@@ -45,7 +45,7 @@ from .market import (ExecutionMandate, MarketParams, _check_count, check_seed,
 # bench/tracer.py wraps bestexec.cli.summarize_convergence
 from .simulation import (ESTIMATE_FIELDS, run_convergence, run_episode,  # noqa: F401
                          run_monte_carlo, summarize_convergence)
-from .strategies import strategy_list
+from .strategies import STRATEGIES, strategy_list
 
 __all__ = ["RunSpec", "SpecError", "parse_config", "cmd_simulate", "cmd_montecarlo",
            "cmd_convergence", "main"]
@@ -78,7 +78,7 @@ class RunSpec:
     s0: float = 100000.0
     p0: float = 50.0
     horizon: int = 20
-    strategies: tuple[str, ...] = ("naive", "informed", "ar")  # held as distinct names
+    strategies: tuple[str, ...] = STRATEGIES  # held as distinct names
     n_sims: int = 100
     seed: int = 0
     out_dir: str = "."

@@ -70,7 +70,8 @@ class ParameterEstimates:
     impact_valid: the (theta, gamma) design was well conditioned at fit time
                   and theta_hat cleared its significance gate.
     rho_valid:    the lag regression was nonsingular and needed no clamping.
-    Values from failed fits are NaN unless a prior carried them forward.
+    Values from failed fits are math.nan (one object: unfitted records compare
+    equal; a NaN from arithmetic does not) unless a prior carried them forward.
     """
 
     theta_hat: float
@@ -84,8 +85,7 @@ class ParameterEstimates:
 
     @classmethod
     def invalid(cls) -> "ParameterEstimates":
-        nan = float("nan")
-        return cls(nan, nan, nan, nan, nan, False, False, 0)
+        return cls(math.nan, math.nan, math.nan, math.nan, math.nan, False, False, 0)
 
 
 def estimate_all(delta_p: np.ndarray, orders: np.ndarray, info_series: np.ndarray,

@@ -15,15 +15,55 @@ refits are measured against.
 Student's t distribution function for integer degrees of freedom and the
 one-sample Kolmogorov-Smirnov p-value test the refit's sampling law: where
 orders do not read the price shocks, its t-ratios follow t_{n-2} exactly.
+
+study_episodes runs the scalar reference, run_episode, on every simulation
+of a study, each on a path it keys itself: the reference that every batch
+entry point must equal byte for byte.
+
+The module also holds what several test files share: the repository root,
+the baseline calibration and load_script, which runs a script of the
+repository as a module.
 """
 
 import math
+import sys
+import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from bestexec import COND_LIMIT, RHO_CLAMP, THETA_TSTAT_MIN
+from bestexec import (COND_LIMIT, RHO_CLAMP, THETA_TSTAT_MIN, MarketParams,
+                      generate_noise_path, run_episode, substream_seed)
+
+ROOT = Path(__file__).resolve().parents[1]
+BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
+
+
+def load_script(path: Path, **imports: types.ModuleType) -> types.ModuleType:
+    """The script at path as a module named by its stem, with the modules
+    `imports` importable by their bare names while it runs. The module is
+    in sys.modules only while the script runs, since a dataclass looks its
+    own module up by name as it is defined. The script is compiled from its
+    source, so nothing is written beside it."""
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    with mock.patch.dict(sys.modules, {module.__name__: module, **imports}):
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def study_episodes(kind, params, mandate, base_seed, n_sims, clamp=False):
+    """run_episode of the rule kind on simulations 0..n_sims-1 of a study
+    with base_seed, simulation i on generate_noise_path(substream_seed(
+    base_seed, i), ...), as a study keys its noise rows: (paths, episodes)."""
+    paths = [generate_noise_path(substream_seed(base_seed, i), mandate.horizon,
+                                 params.sigma_eps_sq, params.sigma_eta_sq)
+             for i in range(n_sims)]
+    return paths, [run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
+                   for path in paths]
 
 
 def affine_policy_expected_cost(coefvec, theta, gamma, rho, sigma_eta_sq,

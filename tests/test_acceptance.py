@@ -3,10 +3,9 @@
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
-from oracles import brute_force_best_execution
+from oracles import BASELINE, ROOT, brute_force_best_execution
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath,
                       cost_sensitivity, estimate_all, generate_noise_path,
@@ -16,9 +15,7 @@ from bestexec import (ExecutionMandate, MarketParams, NoisePath,
 from bestexec.cli import main
 from bestexec.market import info_step, price_step
 
-BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 MANDATE = ExecutionMandate(100000.0, 50.0, 20)
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -54,7 +51,7 @@ def test_criterion_04_informed_value_target_or_dominance():
     # and is unattainable for this simulator's information flow; the required
     # fallback is strict dominance plus the documented discrepancy report
     dominance = v < v_naive
-    report = REPO_ROOT / "docs" / "value_function_conventions.md"
+    report = ROOT / "docs" / "value_function_conventions.md"
     documented = report.exists()
     if documented:
         text = report.read_text()

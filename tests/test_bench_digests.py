@@ -5,36 +5,18 @@ benchmark's own worker code. bench/calibration.py, run.py and child.py are
 loaded by path, and nothing is written beside them."""
 
 import json
-import sys
-import types
 from dataclasses import asdict
-from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import ROOT, load_script
 
 from bestexec import cli
 
-ROOT = Path(__file__).resolve().parents[1]
 BENCH_DIR = ROOT / "bench"
-
-
-def _load(name: str, **imports: types.ModuleType) -> types.ModuleType:
-    """bench/<name>.py as a module, with the modules `imports` importable by
-    their bare names while it runs (child.py imports calibration so)."""
-    path = BENCH_DIR / f"{name}.py"
-    module = types.ModuleType(f"bench_{name}")
-    module.__file__ = str(path)
-    # a dataclass looks its own module up by name as it is defined
-    with mock.patch.dict(sys.modules, {module.__name__: module, **imports}):
-        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
-calibration = _load("calibration")
-run = _load("run")
-child = _load("child", calibration=calibration)
+calibration = load_script(BENCH_DIR / "calibration.py")
+run = load_script(BENCH_DIR / "run.py")
+child = load_script(BENCH_DIR / "child.py", calibration=calibration)  # imported by bare name
 
 # (workload, indices of its reference calls): every call of informed_T100,
 # and the naive and informed calls of the simulate cycle; the ar calls'

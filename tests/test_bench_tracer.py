@@ -1,28 +1,17 @@
 """bench/tracer.py wraps names of the package from outside, by module and
 attribute, and reads attributes of their results. A name it binds must not
 go, or `bench/run.py --trace 1` breaks; these tests load the tracer by path,
-without importing it as a module or writing anything beside it."""
+and write nothing beside it."""
 
 import importlib
-import types
-from pathlib import Path
 
 import numpy as np
+from oracles import ROOT, load_script
 
 from bestexec.estimation import estimate_all
 from bestexec.strategies import decide_order
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-
-
-def _load_tracer():
-    module = types.ModuleType("bench_tracer")
-    module.__file__ = str(TRACER_PATH)
-    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
-    return module
-
-
-tracer = _load_tracer()
+tracer = load_script(ROOT / "bench" / "tracer.py")
 
 
 def test_every_tracer_target_resolves_to_a_callable():

@@ -3,11 +3,10 @@
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from oracles import ROOT
 
-ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exact_refit, kolmogorov_q, ks_pvalue, student_t_cdf
+from oracles import BASELINE, exact_refit, kolmogorov_q, ks_pvalue, student_t_cdf
 
 from bestexec import (COND_LIMIT, RHO_CLAMP, ExecutionMandate, MarketParams, NoisePath,
-                      ParameterEstimates, estimate_all, fit_information, info_step, price_step,
-                      run_episode, simulation)
+                      ParameterEstimates, estimate_all, fit_information, generate_noise_path,
+                      info_step, price_step, run_episode, simulation)
 from bestexec.estimation import _carry_forward, _fit_impact
 
 
@@ -203,6 +203,18 @@ def test_estimate_all_empty_history():
     assert not est.impact_valid and not est.rho_valid
     assert est.n_obs == 0
     assert math.isnan(est.theta_hat) and math.isnan(est.rho_hat)
+
+
+def test_unfitted_estimates_compare_and_hash_by_value():
+    # NaN != NaN, but a tuple compares an element to itself as equal, and
+    # every unfitted field is one object, math.nan
+    assert ParameterEstimates.invalid() == ParameterEstimates.invalid()
+    assert hash(ParameterEstimates.invalid()) == hash(ParameterEstimates.invalid())
+    path = generate_noise_path(0, 20, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
+    a, b = (run_episode("ar", BASELINE, ExecutionMandate(1e5, 50.0, 20), path).estimates_log
+            for _ in range(2))
+    assert any(math.isnan(est.theta_hat) for est in a)
+    assert a == b
 
 
 def test_estimate_all_refuses_histories_of_mismatched_lengths():

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from oracles import BASELINE
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath, check_seed,
                       generate_noise_path, info_step, price_step, run_convergence,
@@ -176,7 +177,7 @@ def test_check_seed_range():
 
 
 # the parameters and mandate of a two-period study
-_STUDY = (MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001), ExecutionMandate(100.0, 50.0, 2))
+_STUDY = (BASELINE, ExecutionMandate(100.0, 50.0, 2))
 
 # each public entry that keys on a seed, as (name the error gives, call)
 _SEEDED_ENTRIES = {

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import BASELINE, ROOT
 
 import bestexec
 import bestexec.cli
@@ -13,7 +14,6 @@ from bestexec import estimation, market, simulation, strategies, valuation
 
 # the library modules; cli is a front end and exports nothing to the package
 LIBRARY = (market, estimation, strategies, valuation, simulation)
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", LIBRARY, ids=lambda module: module.__name__)
@@ -116,7 +116,6 @@ def _package_records() -> list[type]:
             and value.__module__ == module.__name__]
 
 
-_PARAMS = market.MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 _MANDATE = market.ExecutionMandate(1e5, 50.0, 5)
 
 
@@ -127,8 +126,8 @@ def _estimates():
 
 
 def _shared_path():
-    eps, eta = simulation._noise_arrays(3, _PARAMS, 5, 0)
-    return simulation._shared_path(_PARAMS, eps, eta)
+    eps, eta = simulation._noise_arrays(3, BASELINE, 5, 0)
+    return simulation._shared_path(BASELINE, eps, eta)
 
 
 # a factory per record, each call building a new instance equal in value to
@@ -141,16 +140,16 @@ RECORD_SAMPLES = {
     "estimation.ParameterEstimates": _estimates,
     "estimation.InformationFit": lambda: estimation.fit_information(
         np.ascontiguousarray(_shared_path().info.T)),
-    "strategies.CoefficientSchedule": lambda: strategies.solve_coefficients(_PARAMS, 5),
+    "strategies.CoefficientSchedule": lambda: strategies.solve_coefficients(BASELINE, 5),
     "strategies.OrderDecision": lambda: strategies.decide_order("naive", 1e5, 0.0, 1, 5),
     "simulation.RunResult": lambda: simulation.run_episode(
-        "ar", _PARAMS, _MANDATE, market.generate_noise_path(0, 5, 0.125 ** 2, 0.001)),
+        "ar", BASELINE, _MANDATE, market.generate_noise_path(0, 5, 0.125 ** 2, 0.001)),
     "simulation._SharedPath": _shared_path,
     "simulation.StrategyStats": lambda: simulation.run_monte_carlo(
-        3, ("informed",), _PARAMS, _MANDATE, 0).stats["informed"],
+        3, ("informed",), BASELINE, _MANDATE, 0).stats["informed"],
     "simulation.MonteCarloSummary": lambda: simulation.run_monte_carlo(
-        3, ("naive", "ar"), _PARAMS, _MANDATE, 0),
-    "simulation.ConvergenceSummary": lambda: simulation.run_convergence(3, _PARAMS, _MANDATE, 0),
+        3, ("naive", "ar"), BASELINE, _MANDATE, 0),
+    "simulation.ConvergenceSummary": lambda: simulation.run_convergence(3, BASELINE, _MANDATE, 0),
 }
 
 

@@ -2,11 +2,13 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import BASELINE, study_episodes
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath,
                       generate_noise_path, informed_expected_cost,
@@ -18,7 +20,6 @@ from bestexec import market, simulation
 from bestexec.simulation import ESTIMATE_FIELDS
 from bestexec.strategies import STRATEGIES
 
-BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 MANDATE = ExecutionMandate(100000.0, 50.0, 20)
 
 # uniform-split reference run: prices and accumulated costs, periods 0..20
@@ -135,19 +136,6 @@ def test_expected_cost_conventions_per_strategy():
     assert informed.expected_cost == informed_expected_cost(1e5, 50.0, 0.0, 1, sch)
 
 
-def test_monte_carlo_single_simulation_matches_episode():
-    s = run_monte_carlo(1, ("naive",), BASELINE, MANDATE, base_seed=42)
-    path = generate_noise_path(substream_seed(42, 0), 20,
-                               BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-    res = run_episode("naive", BASELINE, MANDATE, path)
-    st = s.stats["naive"]
-    assert st.per_sim_actual_cost[0] == res.actual_cost
-    assert st.mean_improvement == pytest.approx(
-        (s.benchmark_expected_cost - res.actual_cost) / 1e5, rel=1e-12)
-    assert st.sd_improvement == 0.0
-    assert np.array_equal(st.mean_order_size, res.blotter.shares_bought[1:])
-
-
 def test_monte_carlo_is_deterministic():
     a = run_monte_carlo(8, ("naive", "ar"), BASELINE, MANDATE, 3)
     b = run_monte_carlo(8, ("naive", "ar"), BASELINE, MANDATE, 3)
@@ -195,11 +183,7 @@ def test_noiseless_price_equation_pins_impact_estimates():
     # with zero price shocks the impact fit is exact from its first valid
     # period onward, in every simulation
     params = MarketParams(5e-5, 5.0, 0.5, 0.0, 0.001)
-    episodes = []
-    for i in range(20):
-        path = generate_noise_path(substream_seed(9, i), 20, 0.0, 0.001)
-        episodes.append(run_episode("ar", params, MANDATE, path))
-    conv = summarize_convergence(episodes)
+    conv = summarize_convergence(study_episodes("ar", params, MANDATE, 9, 20)[1])
     valid = np.isfinite(conv.mean["theta_hat"])
     assert valid.any()
     assert np.allclose(conv.mean["theta_hat"][valid], 5e-5, rtol=1e-9)
@@ -210,11 +194,7 @@ def test_noiseless_price_equation_pins_impact_estimates():
 
 
 def test_rho_estimate_tightens_with_time():
-    episodes = []
-    for i in range(100):
-        path = generate_noise_path(substream_seed(21, i), 20,
-                                   BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-        episodes.append(run_episode("ar", BASELINE, MANDATE, path))
+    episodes = study_episodes("ar", BASELINE, MANDATE, 21, 100)[1]
     rho_abs_err = {t: [] for t in (3, 20)}
     for ep in episodes:
         for t in (3, 20):
@@ -242,57 +222,50 @@ def _logged(params, mandate, eps, eta, clamp_nonneg_orders=False):
 # uniform part, so interior informed orders go negative
 STEEP = MarketParams(5e-5, 40.0, 0.9, 0.125 ** 2, 0.01)
 
-
-@pytest.mark.parametrize("T", [1, 2, 3, 20, 100])
-@pytest.mark.parametrize("clamp", [False, True])
-@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
-def test_batch_engine_equals_run_episode_bit_for_bit(T, clamp, params):
-    mandate = ExecutionMandate(100000.0, 50.0, T)
-    paths = [generate_noise_path(substream_seed(17, i), T, params.sigma_eps_sq,
-                                 params.sigma_eta_sq) for i in range(25)]
-    eps = np.stack([p.eps for p in paths])
-    eta = np.stack([p.eta for p in paths])
-    for kind in ("naive", "informed", "ar"):
-        orders, cum_cost = _batch(kind, params, mandate, eps, eta, clamp_nonneg_orders=clamp)
-        if kind == "ar":
-            # the convergence study's logged loop places the study's orders
-            logged_orders, log = _logged(params, mandate, eps, eta, clamp_nonneg_orders=clamp)
-            assert logged_orders.tobytes() == orders.tobytes()
-        for i, path in enumerate(paths):
-            ref = run_episode(kind, params, mandate, path, clamp_nonneg_orders=clamp)
-            ref_orders = np.array(ref.blotter.shares_bought[1:])
-            ref_cum = np.array(ref.blotter.accumulated_cost[1:])
-            assert cum_cost[i, -1].tobytes() == np.float64(ref.actual_cost).tobytes()
-            assert orders[i].tobytes() == ref_orders.tobytes()
-            assert cum_cost[i].tobytes() == ref_cum.tobytes()
-            if kind == "ar":
-                for name in ESTIMATE_FIELDS + ("impact_valid", "rho_valid"):
-                    ref_log = np.array([getattr(est, name) for est in ref.estimates_log])
-                    assert log[name][i].tobytes() == ref_log.tobytes(), name
-    if T == 100:
-        # the online rule did leave the uniform split
-        assert log["impact_valid"].any() and log["rho_valid"].any()
-        assert (orders[:, :-1] != 100000.0 / T).any()
-    if params is STEEP and T >= 3:
-        # the clamp is exercised: unclamped interior orders do go negative
-        interior = _batch("informed", params, mandate, eps, eta)[0][:, :-1]
-        assert (interior < 0.0).any()
+# calibrations that take the refit and the informed tilt off the paths the
+# paper's own takes: no price shocks (the impact fit is exact), no
+# information shocks (X stays at zero and the rho fit has no signal), a
+# mean-reverting X, and no information impact (the informed tilt vanishes)
+QUIET_PRICES = replace(BASELINE, sigma_eps_sq=0.0)
+NO_INFORMATION = replace(BASELINE, sigma_eta_sq=0.0)
+MEAN_REVERTING = replace(BASELINE, rho=-0.5)
+NO_TILT = replace(BASELINE, gamma=0.0)
 
 
-@pytest.mark.parametrize("T", [3, 5, 20])
-@pytest.mark.parametrize("clamp", [False, True])
-@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
-@pytest.mark.parametrize("keep_log", [False, True], ids=["study", "logged"])
-def test_every_batch_ar_decision_passes_through_ar_order(monkeypatch, T, clamp, params,
-                                                         keep_log):
-    # a wrapper of simulation._ar_order sees every period of the engine's
-    # online rule, in order, and the tags its arguments imply are the tags
-    # run_episode gets from decide_order, simulation by simulation
-    n_sims = 12
-    mandate = ExecutionMandate(100000.0, 50.0, T)
-    calls, ar_order = [], simulation._ar_order
+def _same(got, want) -> bool:
+    """got and want have one dtype, one shape and the same bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
-    def recording(s, ok, theta_hat, gamma_hat, rho_factor, x_prev, t, horizon, clamps=False):
+
+def _check_engines_agree(params, mandate, base_seed, n_sims, clamp):
+    """run_episode is the reference that every batch entry point equals byte
+    for byte. It runs simulation i on the path of substream_seed(base_seed,
+    i), keyed apart from the studies' rows, so this also checks the studies'
+    noise keying end to end:
+
+    (a) _run_batch, on the references' stacked paths, places each rule's
+        orders and books its accumulated and final costs;
+    (b) for ar, _ar_orders calls simulation._ar_order once per period, in
+        order and with the clamp flag, in both loop modes; its results are
+        the loop's orders, which are the references'; the tags its
+        arguments imply are those run_episode gets from decide_order; and
+        the logged loop's log holds the references' estimates_log;
+    (c) run_monte_carlo gives each rule's costs, mean orders and
+        accumulated-cost variances, and at n_sims = 1 a zero spread and the
+        reference's improvement on the common uniform-split benchmark;
+    (d) run_convergence is summarize_convergence over the ar references.
+
+    Returns the references' orders by rule, and the ar references' log and
+    tags, for the fixed grid's non-vacuity checks."""
+    T = mandate.horizon
+    decide, ar_order, decisions, calls = simulation.decide_order, simulation._ar_order, [], []
+
+    def deciding(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    def ordering(s, ok, theta_hat, gamma_hat, rho_factor, x_prev, t, horizon, clamps=False):
         order = ar_order(s, ok, theta_hat, gamma_hat, rho_factor, x_prev, t, horizon, clamps)
         if t == horizon:
             tags = np.full(len(s), "final_period")
@@ -303,21 +276,107 @@ def test_every_batch_ar_decision_passes_through_ar_order(monkeypatch, T, clamp, 
         calls.append((t, horizon, clamps, order.copy(), tags))
         return order
 
-    monkeypatch.setattr(simulation, "_ar_order", recording)
-    path = simulation._shared_path(params, *simulation._noise_arrays(n_sims, params, T, 5))
-    orders = simulation._ar_orders(params, mandate, path, clamp, keep_log)[0]
-    assert [call[:3] for call in calls] == [(t, T, clamp) for t in range(1, T + 1)]
-    assert np.stack([call[3] for call in calls], axis=1).tobytes() == orders.tobytes()
+    episodes = {kind: study_episodes(kind, params, mandate, base_seed, n_sims, clamp)[1]
+                for kind in ("naive", "informed")}
+    with mock.patch.object(simulation, "decide_order", deciding):
+        paths, episodes["ar"] = study_episodes("ar", params, mandate, base_seed, n_sims, clamp)
+    tags = np.array([decision.rationale_tag for decision in decisions]).reshape(n_sims, T)
+    path = simulation._shared_path(params, np.stack([p.eps for p in paths]),
+                                   np.stack([p.eta for p in paths]))
+    summary = run_monte_carlo(n_sims, STRATEGIES, params, mandate, base_seed,
+                              clamp_nonneg_orders=clamp)
+    orders = {}
+    for kind, refs in episodes.items():
+        cost = np.array([ref.actual_cost for ref in refs])
+        orders[kind] = np.array([ref.blotter.shares_bought[1:] for ref in refs])
+        cum = np.array([ref.blotter.accumulated_cost[1:] for ref in refs])
+        batch_orders, batch_cum = simulation._run_batch(kind, params, mandate, path, clamp)
+        assert _same(batch_orders, orders[kind]), kind
+        assert _same(batch_cum, cum), kind
+        assert _same(batch_cum[:, -1], cost), kind
+        stats = summary.stats[kind]
+        assert _same(stats.per_sim_actual_cost, cost), kind
+        assert _same(stats.mean_order_size, np.mean(orders[kind], axis=0)), kind
+        if n_sims > 1:
+            assert _same(stats.accumulated_cost_variance, np.var(cum, axis=0, ddof=1)), kind
+        else:
+            assert _same(stats.accumulated_cost_variance, np.zeros(T)), kind
+            assert _same(stats.sd_improvement, 0.0), kind
+            assert _same(stats.mean_improvement, per_share_improvement(
+                summary.benchmark_expected_cost, cost[0], mandate.s0)), kind
 
-    decisions, decide = [], simulation.decide_order
-    monkeypatch.setattr(simulation, "decide_order",
-                        lambda *args: decisions.append(decide(*args)) or decisions[-1])
-    ref_orders = _reference_arrays("ar", params, mandate, 5, n_sims, clamp)[1]
-    ref_tags = np.array([d.rationale_tag for d in decisions]).reshape(n_sims, T)
-    assert orders.tobytes() == ref_orders.tobytes()
-    assert (np.stack([call[4] for call in calls], axis=1) == ref_tags).all()
-    if T == 20:
-        assert (ref_tags == "autoregressive").any()
+    with mock.patch.object(simulation, "_ar_order", ordering):
+        for keep_log in (False, True):
+            calls.clear()
+            loop_orders, log = simulation._ar_orders(params, mandate, path, clamp, keep_log)
+            assert [call[:3] for call in calls] == [(t, T, clamp) for t in range(1, T + 1)]
+            assert _same(np.stack([call[3] for call in calls], axis=1), loop_orders)
+            assert _same(loop_orders, orders["ar"]), keep_log
+            assert np.array_equal(np.stack([call[4] for call in calls], axis=1), tags), keep_log
+    for name in ESTIMATE_FIELDS + ("impact_valid", "rho_valid"):
+        ref_log = [[getattr(est, name) for est in ref.estimates_log] for ref in episodes["ar"]]
+        assert _same(log[name], np.array(ref_log)), name
+
+    conv = run_convergence(n_sims, params, mandate, base_seed, clamp_nonneg_orders=clamp)
+    ref = summarize_convergence(episodes["ar"])
+    assert conv.n_episodes == ref.n_episodes == n_sims
+    for name in ESTIMATE_FIELDS:
+        for stat in ("mean", "sd", "n_values"):
+            assert _same(getattr(conv, stat)[name], getattr(ref, stat)[name]), (stat, name)
+    return orders, log, tags
+
+
+# the union of the grids of the tests the oracle replaced, over the paper's
+# calibration, STEEP and the four above: T = 1..5 cross the edges of the
+# study's refit range, periods 3..T-2. Every non-vacuity check below holds
+# at GRID_N_SIMS; n_sims = 1 has no spread to reduce
+GRID_SEED, GRID_N_SIMS = 17, 12
+FIXED_GRID = [pytest.param(params, T, clamp, n_sims, id=f"{name}-{clamp}-{T}-{n_sims}")
+              for name, params in (("baseline", BASELINE), ("steep", STEEP),
+                                   ("quiet-prices", QUIET_PRICES),
+                                   ("no-information", NO_INFORMATION),
+                                   ("mean-reverting", MEAN_REVERTING), ("no-tilt", NO_TILT))
+              for clamp in (False, True) for T in (1, 2, 3, 4, 5, 20, 100)
+              for n_sims in ((GRID_N_SIMS, 1) if T == 20 else (GRID_N_SIMS,))]
+
+
+@pytest.mark.parametrize("params, T, clamp, n_sims", FIXED_GRID)
+def test_engines_agree_on_the_fixed_grid(params, T, clamp, n_sims):
+    orders, log, tags = _check_engines_agree(params, ExecutionMandate(100000.0, 50.0, T),
+                                             GRID_SEED, n_sims, clamp)
+    if n_sims == 1:
+        return
+    if params is NO_INFORMATION:
+        # X never moves, so no fit is ever valid and the rule falls back
+        assert not (log["impact_valid"].any() or log["rho_valid"].any())
+        assert (tags[:, :-1] == "naive_fallback").all()
+    elif T == 100:
+        # the online rule did leave the uniform split
+        assert log["impact_valid"].any() and log["rho_valid"].any()
+        assert (orders["ar"][:, :-1] != 100000.0 / T).any()
+    elif T == 20:
+        assert (tags == "autoregressive").any()
+    if params is QUIET_PRICES and T >= 20:
+        valid = log["impact_valid"]
+        assert valid.any()
+        assert np.allclose(log["theta_hat"][valid], QUIET_PRICES.theta, rtol=1e-9)
+    if params is NO_TILT:
+        assert _same(orders["informed"], orders["naive"])
+    if params is STEEP and T >= 3:
+        # unclamped interior orders go negative, so the clamp floors some
+        interior = orders["informed"][:, :-1]
+        assert (interior == 0.0).any() if clamp else (interior < 0.0).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(1e-7, 1e-3), gamma=st.floats(-50.0, 50.0),
+       rho=st.floats(-0.99, 0.99),
+       sigma_eps_sq=st.sampled_from([0.0, 1e-4, 0.125 ** 2, 1.0]),
+       sigma_eta_sq=st.sampled_from([0.0, 1e-4, 0.001, 0.1]),
+       T=st.integers(1, 30), seed=st.integers(0, 2 ** 64 - 1), clamp=st.booleans())
+def test_engines_agree_property(theta, gamma, rho, sigma_eps_sq, sigma_eta_sq, T, seed, clamp):
+    _check_engines_agree(MarketParams(theta, gamma, rho, sigma_eps_sq, sigma_eta_sq),
+                         ExecutionMandate(100000.0, 50.0, T), seed, 3, clamp)
 
 
 @pytest.mark.parametrize("T", [1, 2, 20])
@@ -352,88 +411,6 @@ def test_batch_engine_keeps_the_sign_of_a_zero_first_cost(clamp):
         assert cum_cost[:, -1].tobytes() == np.float64(ref.actual_cost).tobytes(), kind
         assert orders[0].tobytes() == ref_orders.tobytes(), kind
         assert cum_cost[0].tobytes() == ref_cum.tobytes(), kind
-
-
-# T = 1..5 cross the edges of the study's refit range, periods 3..T-2
-@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 20])
-@pytest.mark.parametrize("clamp", [False, True])
-@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
-def test_monte_carlo_equals_per_simulation_run_episode(T, clamp, params):
-    n_sims = 9
-    mandate = ExecutionMandate(100000.0, 50.0, T)
-    s = run_monte_carlo(n_sims, ("naive", "informed", "ar"), params, mandate,
-                        base_seed=11, clamp_nonneg_orders=clamp)
-    for kind in s.strategies:
-        refs = [run_episode(kind, params, mandate,
-                            generate_noise_path(substream_seed(11, i), T,
-                                                params.sigma_eps_sq,
-                                                params.sigma_eta_sq),
-                            clamp_nonneg_orders=clamp)
-                for i in range(n_sims)]
-        ref_cost = np.array([r.actual_cost for r in refs])
-        ref_orders = np.array([r.blotter.shares_bought[1:] for r in refs])
-        ref_cum = np.array([r.blotter.accumulated_cost[1:] for r in refs])
-        st = s.stats[kind]
-        assert st.per_sim_actual_cost.tobytes() == ref_cost.tobytes()
-        assert st.mean_order_size.tobytes() == np.mean(ref_orders, axis=0).tobytes()
-        assert (st.accumulated_cost_variance.tobytes()
-                == np.var(ref_cum, axis=0, ddof=1).tobytes())
-
-
-def _reference_arrays(kind, params, mandate, base_seed, n_sims, clamp):
-    """Per-simulation run_episode results, stacked as the batch engine's
-    (actual_cost, orders, accumulated_cost) plus the episodes."""
-    refs = [run_episode(kind, params, mandate,
-                        generate_noise_path(substream_seed(base_seed, i), mandate.horizon,
-                                            params.sigma_eps_sq, params.sigma_eta_sq),
-                        clamp_nonneg_orders=clamp)
-            for i in range(n_sims)]
-    cost = np.array([r.actual_cost for r in refs])
-    orders = np.array([r.blotter.shares_bought[1:] for r in refs])
-    cum = np.array([r.blotter.accumulated_cost[1:] for r in refs])
-    return cost, orders, cum, refs
-
-
-@pytest.mark.parametrize("T", [1, 2, 3, 20, 100])
-@pytest.mark.parametrize("clamp", [False, True])
-@pytest.mark.parametrize("params", [BASELINE, STEEP], ids=["baseline", "steep"])
-def test_run_convergence_equals_summarized_run_episode(T, clamp, params):
-    mandate = ExecutionMandate(100000.0, 50.0, T)
-    refs = _reference_arrays("ar", params, mandate, 5, 8, clamp)[3]
-    ref = summarize_convergence(refs)
-    conv = run_convergence(8, params, mandate, 5, clamp_nonneg_orders=clamp)
-    assert conv.n_episodes == ref.n_episodes == 8
-    for name in ESTIMATE_FIELDS:
-        assert conv.mean[name].tobytes() == ref.mean[name].tobytes(), name
-        assert conv.sd[name].tobytes() == ref.sd[name].tobytes(), name
-
-
-@settings(max_examples=40, deadline=None)
-@given(theta=st.floats(1e-7, 1e-3), gamma=st.floats(-50.0, 50.0),
-       rho=st.floats(-0.99, 0.99),
-       sigma_eps_sq=st.sampled_from([0.0, 1e-4, 0.125 ** 2, 1.0]),
-       sigma_eta_sq=st.sampled_from([0.0, 1e-4, 0.001, 0.1]),
-       T=st.integers(1, 30), seed=st.integers(0, 2 ** 64 - 1), clamp=st.booleans())
-def test_batch_engine_equals_scalar_engine_property(theta, gamma, rho, sigma_eps_sq,
-                                                    sigma_eta_sq, T, seed, clamp):
-    params = MarketParams(theta, gamma, rho, sigma_eps_sq, sigma_eta_sq)
-    mandate = ExecutionMandate(100000.0, 50.0, T)
-    n_sims = 3
-    s = run_monte_carlo(n_sims, ("naive", "informed", "ar"), params, mandate, seed,
-                        clamp_nonneg_orders=clamp)
-    for kind in s.strategies:
-        ref_cost, ref_orders, ref_cum, refs = _reference_arrays(kind, params, mandate,
-                                                                seed, n_sims, clamp)
-        got = s.stats[kind]
-        assert got.per_sim_actual_cost.tobytes() == ref_cost.tobytes(), kind
-        assert got.mean_order_size.tobytes() == np.mean(ref_orders, axis=0).tobytes(), kind
-        assert (got.accumulated_cost_variance.tobytes()
-                == np.var(ref_cum, axis=0, ddof=1).tobytes()), kind
-    ref = summarize_convergence(refs)  # refs of the last strategy, ar
-    conv = run_convergence(n_sims, params, mandate, seed, clamp_nonneg_orders=clamp)
-    for name in ESTIMATE_FIELDS:
-        assert conv.mean[name].tobytes() == ref.mean[name].tobytes(), name
-        assert conv.sd[name].tobytes() == ref.sd[name].tobytes(), name
 
 
 def test_ar_value_toggle_uses_the_schedule_of_valid_final_estimates():
@@ -561,19 +538,6 @@ def test_study_noise_rows_equal_their_substream_paths(base_seed):
 def test_monte_carlo_accepts_largest_seed():
     s = run_monte_carlo(2, ("naive",), BASELINE, MANDATE, 2 ** 64 - 1)
     assert s.base_seed == 2 ** 64 - 1
-
-
-def test_run_convergence_summarizes_the_paired_ar_episodes():
-    conv = run_convergence(6, BASELINE, MANDATE, 4)
-    ref = summarize_convergence(
-        run_episode("ar", BASELINE, MANDATE,
-                    generate_noise_path(substream_seed(4, i), 20,
-                                        BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq))
-        for i in range(6))
-    assert conv.n_episodes == 6
-    for name in conv.mean:
-        assert conv.mean[name].tobytes() == ref.mean[name].tobytes()
-        assert conv.sd[name].tobytes() == ref.sd[name].tobytes()
 
 
 @st.composite

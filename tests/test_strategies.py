@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_best_execution, numpy_scalar_schedule
+from oracles import BASELINE, brute_force_best_execution, numpy_scalar_schedule
 
 from bestexec import (TAGS, MarketParams, ParameterEstimates, ar_adjustment_factor,
                       ar_rho_factor, decide_order, naive_order, order_rule,
                       solve_coefficients)
 from bestexec.strategies import AUTOREGRESSIVE, NAIVE_FALLBACK, STRATEGIES, _ar_order
-
-BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 
 
 def _informed(s, x, t, sch):

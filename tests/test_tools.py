@@ -2,7 +2,6 @@
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import subprocess
@@ -10,21 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import ROOT, load_script
 
 from bestexec.cli import main
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_tool(name: str):
-    """The script tools/<name>.py, imported as the module `name`."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-cli_grid = _load_tool("cli_grid")
+TOOLS = ROOT / "tools"
+cli_grid = load_script(TOOLS / "cli_grid.py")
 GRID = cli_grid.grid()
 
 
@@ -116,7 +106,7 @@ def test_argv_shape_lines_equal_the_committed_ones():
 
 
 def test_ab_time_times_a_checkout_against_itself(capsys, monkeypatch):
-    ab_time = _load_tool("ab_time")
+    ab_time = load_script(TOOLS / "ab_time.py")
     src = str(ROOT / "src")
     assert ab_time.main([src, src, "--rounds", "4", "--warmup", "1",
                          "--argv", "simulate --strategy ar --horizon 4 --seed {i}",
@@ -152,14 +142,14 @@ def test_ab_time_stops_when_the_checkouts_exit_differently(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text("def main(argv):\n    return 3\n")
-    ab_time = _load_tool("ab_time")
+    ab_time = load_script(TOOLS / "ab_time.py")
     with pytest.raises(SystemExit, match="round 0 exit codes differ: a \\[0\\], b \\[3\\]"):
         ab_time.ab_time(str(ROOT / "src"), str(tmp_path / "src"),
                         [["simulate", "--horizon", "4"]], rounds=2, warmup=0)
 
 
 def test_ab_time_rejects_zero_rounds(capsys):
-    ab_time = _load_tool("ab_time")
+    ab_time = load_script(TOOLS / "ab_time.py")
     src = str(ROOT / "src")
     with pytest.raises(SystemExit) as info:
         ab_time.main([src, src, "--argv", "simulate", "--rounds", "0"])
@@ -174,7 +164,7 @@ def _bench_line(correct=True, failed=0, **values):
 
 
 def test_bench_pairs_summarizes_canned_runs(capsys, monkeypatch):
-    bench_pairs = _load_tool("bench_pairs")
+    bench_pairs = load_script(TOOLS / "bench_pairs.py")
     parent_sims = [100.0, 104.0, 96.0, 102.0, 98.0, 100.0, 101.0, 99.0, 103.0, 97.0]
     calls = []
 
@@ -213,7 +203,7 @@ def test_bench_pairs_summarizes_canned_runs(capsys, monkeypatch):
     (0, _bench_line(failed=2), "2 failed calls"),
 ])
 def test_bench_pairs_stops_on_a_failed_run(monkeypatch, returncode, line, message):
-    bench_pairs = _load_tool("bench_pairs")
+    bench_pairs = load_script(TOOLS / "bench_pairs.py")
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, capture_output, text:
                         subprocess.CompletedProcess(argv, returncode, stdout=line, stderr=""))
     with pytest.raises(SystemExit, match=message):

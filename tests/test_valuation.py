@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from oracles import brute_force_best_execution
+from oracles import BASELINE, brute_force_best_execution
 
 from bestexec import (MarketParams, cost_sensitivity, informed_expected_cost,
                       naive_expected_cost, solve_coefficients)
-
-BASELINE = MarketParams(5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)
 
 
 def test_naive_expected_cost_anchors():
