@@ -461,7 +461,7 @@ def test_monte_carlo_rejects_unknown_strategy_before_drawing_noise(monkeypatch):
         run_monte_carlo(0, ("naive", "twap"), BASELINE, MANDATE, 0)
     # a str would be read as its characters, None as no set at all, a set in
     # an order that follows PYTHONHASHSEED and an iterator only once
-    for strategy_set in ("ar", None, 5, {"ar"}, iter(["ar"])):
+    for strategy_set in ("ar", None, 5, {"ar"}, frozenset({"ar"}), iter(["ar"]), {"ar": 1}):
         message = (r"^strategy_set: must be a sequence of names "
                    rf"\(got {re.escape(repr(strategy_set))}\)$")
         with pytest.raises(ValueError, match=message):
