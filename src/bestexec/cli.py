@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .market import (ExecutionMandate, MarketParams, _check_count, check_seed,
+from .market import (ExecutionMandate, MarketParams, _check_count, _shown, check_seed,
                      generate_noise_path, substream_seed)
 # summarize_convergence is unused here but stays importable under this name:
 # bench/tracer.py wraps bestexec.cli.summarize_convergence
@@ -96,11 +96,11 @@ class RunSpec:
             _check_count("n_sims", self.n_sims)
             if self.horizon > _MAX_SHOCK_PAIRS:
                 raise ValueError(f"horizon: must be <= {_MAX_SHOCK_PAIRS} for a noise buffer "
-                                 f"numpy can address (got {self.horizon})")
+                                 f"numpy can address (got {_shown(self.horizon)})")
             if self.n_sims > _MAX_SHOCK_PAIRS // self.horizon:
                 raise ValueError(f"n_sims: must be <= {_MAX_SHOCK_PAIRS // self.horizon} at "
                                  f"horizon {self.horizon} for a noise buffer numpy can "
-                                 f"address (got {self.n_sims})")
+                                 f"address (got {_shown(self.n_sims)})")
             object.__setattr__(self, "strategies", strategy_list(self.strategies, "strategy"))
         except ValueError as exc:
             raise SpecError(str(exc)) from exc

@@ -30,6 +30,7 @@ import hashlib
 import math
 import numbers
 import struct
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -48,15 +49,29 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """str(value) for a message; an int too long for str (beyond
+    sys.get_int_max_str_digits() digits) is shown by that limit instead."""
+    try:
+        return str(value)
+    except ValueError:
+        return (f"{'a negative' if value < 0 else 'an'} int of more than "
+                f"{sys.get_int_max_str_digits()} digits")
+
+
 def _check_finite(name: str, value) -> None:
-    """Reject a value that is not a real number (a str or a bool, say) or is
-    NaN or infinite; the message names the field `name`. Exact floats and
-    ints skip the ABC check, and an exact int, finite however large, skips
-    math.isfinite too, which overflows beyond the float range."""
+    """Reject a value that is not a real number (a str or a bool, say), is
+    NaN or infinite, or lies beyond the float range (an int such as 10**400,
+    which every float-valued field is computed as); the message names the
+    field `name`. Exact floats and ints skip the ABC check."""
     if (type(value) is not float and type(value) is not int
             and (isinstance(value, bool) or not isinstance(value, numbers.Real))):
         raise ValueError(f"{name}: must be a real number (got {value!r})")
-    if type(value) is not int and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # math.isfinite converts to a float first
+        finite, value = False, "a number beyond the float range"
+    if not finite:
         raise ValueError(f"{name}: must be finite (got {value})")
 
 
@@ -81,7 +96,7 @@ def _check_count(name: str, value) -> int:
     message names the field `name`."""
     _check_integer(name, value)
     if value < 1:
-        raise ValueError(f"{name}: must be >= 1 (got {value})")
+        raise ValueError(f"{name}: must be >= 1 (got {_shown(value)})")
     return int(value)
 
 
@@ -122,7 +137,8 @@ class ExecutionMandate:
     def __post_init__(self):
         _check_finite("s0", self.s0)
         _check_finite("p0", self.p0)
-        if not isinstance(self.horizon, bool):  # a bool horizon fails the count check
+        # an integer is finite however large, and a bool fails the count check
+        if not isinstance(self.horizon, numbers.Integral):
             _check_finite("horizon", self.horizon)
         _check_count("horizon", self.horizon)
         if self.s0 <= 0.0:
@@ -166,7 +182,7 @@ def check_seed(seed: int, name: str = "seed") -> int:
     generate_noise_path key on; the message names the field `name`."""
     _check_integer(name, seed)
     if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"{name}: must be in [0, 2**64) (got {seed})")
+        raise ValueError(f"{name}: must be in [0, 2**64) (got {_shown(seed)})")
     return int(seed)
 
 

@@ -300,12 +300,6 @@ def test_a_strategy_flag_takes_the_config_lines_comma_list(form):
         "naive", "ar", "informed")
 
 
-def test_largest_seed_is_accepted(tmp_path):
-    rc = main(["montecarlo", "--seed", str(2 ** 64 - 1), "--n-sims", "2",
-               "--strategy", "naive", "--out-dir", str(tmp_path)])
-    assert rc == 0
-
-
 def test_a_value_may_start_with_one_dash(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "-x").write_text("horizon = 3\n")
@@ -351,6 +345,7 @@ def _run_cli(argv):
 
 # the most shock pairs a noise buffer numpy can address holds
 _LIMIT = np.iinfo(np.intp).max // 16
+_BUFFER = "for a noise buffer numpy can address"
 _CHOOSE = "(choose from naive, informed, ar)"
 _NO_VALUE = object()  # a text that no hand-built value stands for
 
@@ -358,25 +353,35 @@ _NO_VALUE = object()  # a text that no hand-built value stands for
 # None, a hand-built RunSpec's value or _NO_VALUE, the message[, the commands
 # that refuse it, if not all]), checked at every door by _check_refused
 _REFUSALS = [
-    *((key, text, float(text), f"{key}: must be finite (got {text})")
+    # NaN, infinities and an int beyond the float range, which no float field holds
+    *((key, text, value, f"{key}: must be finite (got {shown})")
       for key in ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq", "s0", "p0")
-      for text in ("nan", "inf", "-inf")),
+      for text, value, shown in (*((text, float(text), text) for text in ("nan", "inf", "-inf")),
+                                 (None, 10 ** 400, "a number beyond the float range"))),
     ("theta", "abc", _NO_VALUE, "theta: unparsable value 'abc'"),
     ("theta", "0", 0.0, "theta: must be > 0 for the informed/ar strategies (got 0.0)"),
     ("theta", "-1e-5", -1e-5, "theta: must be > 0 for the informed/ar strategies (got -1e-05)"),
     ("rho", "1.5", 1.5, "rho: |rho| must be < 1 (got 1.5)"),
     ("sigma_eps_sq", "-1", -1.0, "sigma_eps_sq: must be >= 0 (got -1.0)"),
+    ("p0", "0", 0.0, "p0: must be > 0 (got 0.0)"),
     ("horizon", "0", 0, "horizon: must be >= 1 (got 0)"),
     ("horizon", "2.5", _NO_VALUE, "horizon: unparsable value '2.5'"),
-    *(("horizon", str(n), n, f"horizon: must be <= {_LIMIT} for a noise buffer numpy can "
-       f"address (got {n})") for n in (_LIMIT + 1, 10 ** 400)),
+    *(("horizon", str(n), n, f"horizon: must be <= {_LIMIT} {_BUFFER} (got {n})")
+      for n in (_LIMIT + 1, 10 ** 400)),
     ("n_sims", "0", 0, "n_sims: must be >= 1 (got 0)"),
     ("n_sims", None, 2.5, "n_sims: must be an integer (got 2.5)"),
     # simulate reads no n_sims, but a spec holds no size numpy cannot address
-    *(("n_sims", str(n), n, f"n_sims: must be <= {_LIMIT // 20} at horizon 20 for a noise "
-       f"buffer numpy can address (got {n})") for n in (_LIMIT // 20 + 1, 10 ** 23)),
+    *(("n_sims", str(n), n, f"n_sims: must be <= {_LIMIT // 20} at horizon 20 {_BUFFER} "
+       f"(got {n})") for n in (_LIMIT // 20 + 1, 10 ** 23)),
     *(("seed", str(n), n, f"seed: must be in [0, 2**64) (got {n})")
       for n in (-1, 2 ** 64, 99999999999999999999999)),
+    # an int too long for str is shown by str's limit
+    *((key, None, n, f"{key}: must be {bound} (got {an} int of more than "
+       f"{sys.get_int_max_str_digits()} digits)") for key, n, bound, an in (
+        ("horizon", 10 ** 5000, f"<= {_LIMIT} {_BUFFER}", "an"),
+        ("n_sims", 10 ** 5000, f"<= {_LIMIT // 20} at horizon 20 {_BUFFER}", "an"),
+        ("n_sims", -10 ** 5000, ">= 1", "a negative"),
+        ("seed", 10 ** 5000, "in [0, 2**64)", "an"))),
     ("strategy", "twap", ("twap",), f"strategy: unknown strategy 'twap' {_CHOOSE}"),
     ("strategy", "naive,twap", ["naive", "twap"], f"strategy: unknown strategy 'twap' {_CHOOSE}"),
     ("strategy", "", (), "strategy: at least one strategy required"),
@@ -404,9 +409,8 @@ _REFUSALS = [
 
 
 def _check_exits_2(argv, message, lines="", commands=cli._COMMANDS):
-    """Each command, run with a config file of `strategy = ar` and lines, then
-    argv, exits 2 with the one line `error: message` and writes no file. The
-    ar rule runs in every command and needs theta > 0."""
+    """Each command, run with a config file of `strategy = ar` (a rule that needs theta > 0) and
+    lines, then argv, exits 2 with the one line `error: message` and writes no file."""
     Path("run.cfg").write_text("strategy = ar\n" + lines, encoding="utf-8")
     for command in commands:
         result = _run_cli([command, "--config", "run.cfg", *argv])
@@ -415,14 +419,12 @@ def _check_exits_2(argv, message, lines="", commands=cli._COMMANDS):
 
 
 def _check_refused(field, text, value, message, commands=cli._COMMANDS):
-    """Each command refuses a value with the message at every door: as
-    `--key text`, `--key=text` and the line `key = text` through main, unless
-    text is None; in a hand-built RunSpec, unless value is _NO_VALUE."""
+    """Each command refuses the value with the message at every door: `--key text`, `--key=text`
+    and `key = text` unless text is None, a hand-built RunSpec unless value is _NO_VALUE."""
     if text is not None:
         flag = "--" + field.replace("_", "-")
-        _check_exits_2([flag, text], message, commands=commands)
-        _check_exits_2([f"{flag}={text}"], message, commands=commands)
-        _check_exits_2([], message, f"{field} = {text}\n", commands)
+        for argv, line in ([flag, text], ""), ([f"{flag}={text}"], ""), ([], f"{field} = {text}\n"):
+            _check_exits_2(argv, message, line, commands)
     for command in commands if value is not _NO_VALUE else ():
         with pytest.raises(SpecError) as info:
             cli._COMMANDS[command](RunSpec(**{field.replace("strategy", "strategies"): value}))
@@ -450,8 +452,7 @@ def test_every_door_refuses_a_bad_value_with_one_message(tmp_path, monkeypatch, 
     ([], "theta 1\n", "config: line 2: expected 'key = value', got 'theta 1'"),
     ([], "clamp_nonneg_orders = maybe\n", "clamp_nonneg_orders: expected a boolean, got 'maybe'"),
 ])
-def test_a_token_or_line_that_one_door_reads_is_refused_there(tmp_path, monkeypatch, argv, lines,
-                                                              message):
+def test_a_refusal_that_one_door_alone_meets(tmp_path, monkeypatch, argv, lines, message):
     monkeypatch.chdir(tmp_path)
     _check_exits_2(argv, message, lines)
 
@@ -672,10 +673,12 @@ def test_a_size_numpy_can_address_but_no_memory_holds_exits_1(tmp_path):
     assert not out_dir.exists()
 
 
-def test_the_size_bound_is_the_noise_buffer_numpy_can_address():
-    # the table refuses one more shock pair than these
+def test_each_bound_admits_its_largest_value(tmp_path):
+    # the table refuses one more shock pair or seed than these
     assert RunSpec(horizon=_LIMIT, n_sims=1).horizon == _LIMIT
     assert RunSpec(horizon=7, n_sims=_LIMIT // 7).n_sims == _LIMIT // 7
+    assert main(["montecarlo", "--seed", str(2 ** 64 - 1), "--n-sims", "2",
+                 "--strategy", "naive", "--out-dir", str(tmp_path)]) == 0
 
 
 def _unreadable_paths(tmp_path):
@@ -723,33 +726,34 @@ def test_a_command_refuses_an_out_dir_the_file_system_cannot_encode_before_runni
     assert list(tmp_path.iterdir()) == []
 
 
+def _python(args, cwd, **env):
+    """The finished run of a Python subprocess with args, in cwd, that imports
+    this checkout's bestexec, with env's variables set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **env)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 def test_an_out_dir_the_locale_cannot_encode_exits_2_and_a_byte_argv_writes(tmp_path):
     (tmp_path / "run.cfg").write_bytes("out_dir = résultats\n".encode("utf-8"))
     # the C locale without UTF-8 mode: the file system's encoding is ASCII
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
-               LC_ALL="C", PYTHONUTF8="0")
-    command = [sys.executable, "-m", "bestexec", "simulate", "--horizon", "3"]
-    proc = subprocess.run([*command, "--config", "run.cfg"], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    command = ["-m", "bestexec", "simulate", "--horizon", "3"]
+    proc = _python([*command, "--config", "run.cfg"], tmp_path, LC_ALL="C", PYTHONUTF8="0")
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == "error: out_dir: cannot be encoded as ascii (got 'r\\xe9sultats')\n"
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
     # --out-dir $'\xff': argv decodes the byte to '\udcff', which encodes back to it
-    proc = subprocess.run([*command, "--out-dir", b"\xff"], cwd=tmp_path, env=env,
-                          capture_output=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    proc = _python([*command, "--out-dir", b"\xff"], tmp_path, LC_ALL="C", PYTHONUTF8="0")
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     assert os.listdir(tmp_path / os.fsdecode(b"\xff")) == ["blotter.csv"]
 
 
 def test_a_config_file_is_read_as_utf8_under_any_locale(tmp_path):
     (tmp_path / "run.cfg").write_bytes("out_dir = résultats\n".encode("utf-8"))
-    # the C locale without UTF-8 mode: open's default encoding is ASCII
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
-               LC_ALL="C", PYTHONUTF8="0")
     code = ("from bestexec.cli import parse_config\n"
             "print(ascii(parse_config(['--config', 'run.cfg']).out_dir))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    # the C locale without UTF-8 mode: open's default encoding is ASCII
+    proc = _python(["-c", code], tmp_path, LC_ALL="C", PYTHONUTF8="0")
     assert (proc.returncode, proc.stdout) == (0, ascii("résultats") + "\n"), proc.stderr
 
 
@@ -766,10 +770,7 @@ def test_no_command_or_help_prints_the_help_with_exit_0(argv):
 
 
 def test_the_module_entry_point_prints_the_help(tmp_path):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "bestexec", "--help"], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _python(["-m", "bestexec", "--help"], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.__doc__.strip() + "\n", "")
 
 

@@ -145,7 +145,9 @@ def test_generate_noise_path_validation():
 PARAM_FIELDS = ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq")
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# an int beyond the float range holds no float field's value
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10 ** 400, id="10**400")])
 @pytest.mark.parametrize("field", PARAM_FIELDS)
 def test_market_params_reject_non_finite_fields(field, value):
     values = dict(zip(PARAM_FIELDS, (5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)))
@@ -154,8 +156,11 @@ def test_market_params_reject_non_finite_fields(field, value):
         MarketParams(**values)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["s0", "p0", "horizon"])
+@pytest.mark.parametrize("field, value", [
+    *(pytest.param(field, value, id=f"{field}-{value}") for field in ("s0", "p0", "horizon")
+      for value in (math.nan, math.inf, -math.inf)),
+    # no price or size beyond the float range; an int horizon is a count however large
+    *(pytest.param(field, 10 ** 400, id=f"{field}-10**400") for field in ("s0", "p0"))])
 def test_mandate_rejects_non_finite_fields(field, value):
     values = {"s0": 1e5, "p0": 50.0, "horizon": 20}
     values[field] = value

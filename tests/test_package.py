@@ -33,25 +33,39 @@ def test_every_public_package_name_is_in_a_library_modules_all():
 # names a module imports only so that bench/tracer.py can wrap them in that
 # module's namespace, where the tracer looks them up; the module itself never
 # reads them
-TRACER_ONLY = {"cli": {"summarize_convergence"}, "simulation": {"generate_noise_path"}}
+TRACER_ONLY = {"cli.summarize_convergence", "simulation.generate_noise_path"}
+PACKAGE = Path(bestexec.__file__).parent
 # __init__.py only re-exports
-MODULES = sorted(p for p in Path(bestexec.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the package and every directory of scripts or tests; each check walks one
+DIRECTORIES = [PACKAGE, ROOT / "tests", ROOT / "tools", ROOT / "demos"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
-def test_every_name_a_module_imports_is_used_there(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(alias.asname or alias.name for alias in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exempt = TRACER_ONLY.get(path.stem, set())
-    assert sorted(imported - used - exempt) == []
-    assert exempt <= imported - used  # an exemption that no longer applies goes
+def _trees(directory):
+    """(path, syntax tree) of each Python file in directory, in name order."""
+    paths = sorted(directory.glob("*.py"))
+    assert paths  # the walk found the directory's modules
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+@pytest.mark.parametrize("directory", DIRECTORIES, ids=lambda directory: directory.name)
+def test_every_name_a_module_imports_is_used_there(directory):
+    unused = set()
+    for path, tree in _trees(directory):
+        if path == PACKAGE / "__init__.py":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update(f"{path.stem}.{name}" for name in imported - used)
+    exempt = TRACER_ONLY if directory == PACKAGE else set()
+    assert sorted(unused - exempt) == []
+    assert exempt <= unused  # an exemption that no longer applies goes
 
 
 def _defined_names(tree):
@@ -74,15 +88,14 @@ def _read_names(tree):
             yield node.attr
 
 
-def test_every_module_level_private_name_is_read_in_the_package():
+@pytest.mark.parametrize("directory", DIRECTORIES, ids=lambda directory: directory.name)
+def test_every_module_level_private_name_is_read_in_its_directory(directory):
     # a helper whose last caller was deleted is dead code, and goes with it
     private, read = [], set()
-    for path in sorted(Path(bestexec.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in _trees(directory):
         private += [f"{path.stem}.{name}" for name in _defined_names(tree)
                     if name.startswith("_") and not name.startswith("__")]
         read.update(_read_names(tree))
-    assert private  # the walk found the package's helpers
     assert sorted(name for name in private if name.partition(".")[2] not in read) == []
 
 
