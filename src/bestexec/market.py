@@ -61,16 +61,16 @@ def _shown(value) -> str:
 
 def _check_finite(name: str, value) -> None:
     """Reject a value that is not a real number (a str or a bool, say), is
-    NaN or infinite, or lies beyond the float range (an int such as 10**400,
-    which every float-valued field is computed as); the message names the
-    field `name`. Exact floats and ints skip the ABC check."""
+    NaN or infinite, or lies beyond the float range, as an int such as
+    10**400 does; the message names the field `name`. Exact floats and ints
+    skip the ABC check."""
     if (type(value) is not float and type(value) is not int
             and (isinstance(value, bool) or not isinstance(value, numbers.Real))):
         raise ValueError(f"{name}: must be a real number (got {value!r})")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # math.isfinite converts to a float first
-        finite, value = False, "a number beyond the float range"
+        raise ValueError(f"{name}: must be finite (got a number beyond the float range)") from None
     if not finite:
         raise ValueError(f"{name}: must be finite (got {value})")
 
