@@ -178,10 +178,13 @@ def _sqrt(q: Fraction) -> Fraction:
         return Fraction((Decimal(q.numerator) / Decimal(q.denominator)).sqrt())
 
 
-def exact_refit(delta_p, orders, info_series) -> dict:
-    """estimate_all's refit of one history with no prior, in exact rational
-    arithmetic (fractions.Fraction) on the float inputs: exact sums,
-    Cramer's rule, residual variances and the rho clamp. Returns a dict:
+def exact_refit(delta_p, orders, info_series) -> list[dict]:
+    """estimate_all's refit of every prefix of one history with no prior, in
+    exact rational arithmetic (fractions.Fraction) on the float inputs:
+    exact sums, Cramer's rule, residual variances and the rho clamp. Element
+    n - 1 refits the first n periods. The sums run over the periods once,
+    and each residual sum of squares is expanded in them, which is exact in
+    rationals. Each element is a dict:
 
     impact_fitted     the impact design is fitted: n >= 2, its determinant
                       is > 0 and its condition number is <= COND_LIMIT
@@ -201,32 +204,31 @@ def exact_refit(delta_p, orders, info_series) -> dict:
                       the clamped fit, raw == clamped, and its residual
                       variance (n >= 2); None and False where not fitted
     """
-    dp = [Fraction(v) for v in np.asarray(delta_p, dtype=float).tolist()]
-    b = [Fraction(v) for v in np.asarray(orders, dtype=float).tolist()]
-    info = [Fraction(v) for v in np.asarray(info_series, dtype=float).tolist()]
-    x, lag = info[1:], info[:-1]
-    n = len(dp)
-
-    def dot(u, v):
-        return sum((p * q for p, q in zip(u, v)), Fraction(0))
-
-    out = dict(impact_fitted=False, cond=None, theta_hat=None, gamma_hat=None,
-               sigma_eps_sq_hat=None, t_ratio=None, impact_valid=False,
-               rho_fitted=False, rho_raw=None, rho_hat=None, rho_valid=False,
-               sigma_eta_sq_hat=None)
-    if n >= 2:
-        sbb, sxb, sxx = dot(b, b), dot(x, b), dot(x, x)
+    dp, b, info = ([Fraction(v) for v in np.asarray(a, dtype=float).tolist()]
+                   for a in (delta_p, orders, info_series))
+    clamp = Fraction(RHO_CLAMP)
+    spp = spb = spx = sbb = sxb = sxx = den = num = Fraction(0)
+    fits = []
+    for n, (p, q, x, lag) in enumerate(zip(dp, b, info[1:], info[:-1]), start=1):
+        spp, spb, spx = spp + p * p, spb + p * q, spx + p * x
+        sbb, sxb, sxx = sbb + q * q, sxb + x * q, sxx + x * x
+        den, num = den + lag * lag, num + lag * x
+        out = dict(impact_fitted=False, cond=None, theta_hat=None, gamma_hat=None,
+                   sigma_eps_sq_hat=None, t_ratio=None, impact_valid=False,
+                   rho_fitted=False, rho_raw=None, rho_hat=None, rho_valid=False,
+                   sigma_eta_sq_hat=None)
         det = sbb * sxx - sxb * sxb
-        if det > 0:
+        if n >= 2 and det > 0:
             # hi * lo = det, so hi / lo = hi^2 / det; tr^2 - 4 det >= 0 exactly
             tr = sbb + sxx
             hi = (tr + _sqrt(tr * tr - 4 * det)) / 2
             out["cond"] = hi * hi / det
-            spb, spx = dot(dp, b), dot(dp, x)
             theta = (sxx * spb - sxb * spx) / det
             gamma = (sbb * spx - sxb * spb) / det
-            r = [p - theta * q - gamma * v for p, q, v in zip(dp, b, x)]
-            s2e = dot(r, r) / (n - 1)
+            # sum (dP - theta B - gamma X)^2
+            sse = (spp - 2 * (theta * spb + gamma * spx)
+                   + theta * theta * sbb + 2 * theta * gamma * sxb + gamma * gamma * sxx)
+            s2e = sse / (n - 1)
             out.update(impact_fitted=out["cond"] <= COND_LIMIT, theta_hat=theta,
                        gamma_hat=gamma, sigma_eps_sq_hat=s2e)
             if theta > 0 and n >= 3:
@@ -235,16 +237,14 @@ def exact_refit(delta_p, orders, info_series) -> dict:
                     out["t_ratio"] = theta * theta / (Fraction(THETA_TSTAT_MIN) ** 2 * var_theta)
                 out["impact_valid"] = (out["impact_fitted"]
                                        and (var_theta == 0 or out["t_ratio"] >= 1))
-    den = dot(lag, lag)
-    if den != 0:
-        raw = dot(lag, x) / den
-        clamp = Fraction(RHO_CLAMP)
-        rho = min(max(raw, -clamp), clamp)
-        out.update(rho_fitted=True, rho_raw=raw, rho_hat=rho, rho_valid=rho == raw)
-        if n >= 2:
-            r = [v - rho * w for v, w in zip(x, lag)]
-            out["sigma_eta_sq_hat"] = dot(r, r) / (n - 1)
-    return out
+        if den != 0:
+            raw = num / den
+            rho = min(max(raw, -clamp), clamp)
+            out.update(rho_fitted=True, rho_raw=raw, rho_hat=rho, rho_valid=rho == raw)
+            if n >= 2:  # sum (X - rho lag)^2
+                out["sigma_eta_sq_hat"] = (sxx - 2 * rho * num + rho * rho * den) / (n - 1)
+        fits.append(out)
+    return fits
 
 
 def student_t_cdf(t, nu: int):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,153 +13,78 @@ from bestexec import (COND_LIMIT, RHO_CLAMP, ExecutionMandate, MarketParams, Noi
                       info_step, price_step, run_episode, simulation)
 from bestexec.estimation import _carry_forward, _fit_impact
 
+ESTIMATE_ATTRS = ("theta_hat", "gamma_hat", "rho_hat", "sigma_eps_sq_hat",
+                  "sigma_eta_sq_hat", "impact_valid", "rho_valid")
+
+
+def _refits(delta_p, orders, info_series):
+    """Both refits of every prefix of the (n_rows, T) price changes and
+    orders and the (n_rows, T + 1) information series (one history may come
+    as 1-D arrays), as {"estimate_all": fields, "batch": fields}: each field
+    of ESTIMATE_ATTRS is an (n_rows, T) array whose column n - 1 refits the
+    first n periods. estimate_all runs chained with its prior on prefix
+    views of one buffer per row, as run_episode runs it; the batch runs as
+    _ar_orders(keep_log=True) does: fit_information, _fit_impact from n = 2
+    into the log's column ("impact_fitted" holds its mask), _carry_forward.
+    Floating-point warnings are silenced, as the engines silence them."""
+    dp, b, info = (np.atleast_2d(np.asarray(a, dtype=float)) for a in
+                   (delta_p, orders, info_series))
+    n_rows, T = dp.shape
+    history = np.stack([dp, b, info[:, 1:]])
+    impact = np.empty((3, n_rows, T))
+    fitted = np.zeros((n_rows, T), dtype=bool)
+    impact_valid = np.zeros((n_rows, T), dtype=bool)
+    chains = []
+    with np.errstate(all="ignore"):
+        information = fit_information(np.ascontiguousarray(info))
+        for n in range(2, T + 1):
+            fitted[:, n - 1], impact_valid[:, n - 1] = _fit_impact(history[:, :, :n],
+                                                                   impact[:, :, n - 1])
+        for row_dp, row_b, row_info in zip(dp.copy(), b.copy(), info.copy()):
+            est, chain = None, []
+            for n in range(1, T + 1):
+                est = estimate_all(row_dp[:n], row_b[:n], row_info[:n + 1], prior=est)
+                assert est.n_obs == n
+                chain.append(est)
+            chains.append(chain)
+    theta_hat, gamma_hat, s2e_hat = _carry_forward(fitted, impact)
+    batch = {"theta_hat": theta_hat, "gamma_hat": gamma_hat, "rho_hat": information.rho_hat,
+             "sigma_eps_sq_hat": s2e_hat, "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
+             "impact_valid": impact_valid, "rho_valid": information.rho_valid,
+             "impact_fitted": fitted}
+    scalar = {name: np.array([[getattr(est, name) for est in chain] for chain in chains])
+              for name in ESTIMATE_ATTRS}
+    return {"estimate_all": scalar, "batch": batch}
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _assert_refits_agree_bit_for_bit(refits):
+    scalar, batch = refits["estimate_all"], refits["batch"]
+    for name in ESTIMATE_ATTRS:
+        for n in range(1, scalar[name].shape[1] + 1):
+            assert batch[name][:, n - 1].tobytes() == scalar[name][:, n - 1].tobytes(), (n, name)
+
 
 def _arrays(rows, x0=0.0):
-    """(delta_p, orders, info_series) of the records (dP_k, B_k, X_k), with the
-    information series starting at x0."""
-    rows = list(rows)
-    dp = np.array([r[0] for r in rows], dtype=float)
-    b = np.array([r[1] for r in rows], dtype=float)
-    info = np.array([x0] + [r[2] for r in rows], dtype=float)
-    return dp, b, info
+    """(delta_p, orders, info_series) of the records (dP_k, B_k, X_k) after x0."""
+    dp, b, x = np.array(list(rows), dtype=float).reshape(-1, 3).T.copy()
+    return dp, b, np.concatenate([[x0], x])
 
 
-def _fit(rows, x0=0.0, prior=None):
-    return estimate_all(*_arrays(rows, x0), prior=prior)
+def _info_only(info_series):
+    """The history of an information series alone: zero orders and price
+    changes make the impact design singular, so only the rho fit runs."""
+    return _arrays([(0.0, 0.0, x) for x in info_series[1:]], info_series[0])
 
 
-def _fit_rho(info_series):
-    """The refit of an information series alone: zero orders and price changes
-    make the impact design singular, so only the rho fit runs."""
-    n = len(info_series) - 1
-    return estimate_all(np.zeros(n), np.zeros(n), np.asarray(info_series, dtype=float))
-
-
-def test_fit_impact_hand_system():
-    est = _fit([(0.25, 5000.0, 0.0), (0.35, 5000.0, 0.02)])
-    assert est.theta_hat == pytest.approx(5e-5, rel=1e-12)
-    assert est.gamma_hat == pytest.approx(5.0, rel=1e-12)
-
-
-def test_fit_impact_all_zero_information_is_singular():
-    est = _fit([(0.25, 5000.0, 0.0), (0.26, 6000.0, 0.0), (0.27, 7000.0, 0.0)])
-    assert math.isnan(est.theta_hat) and math.isnan(est.gamma_hat)
-    assert math.isnan(est.sigma_eps_sq_hat)
-    assert not est.impact_valid
-
-
-def test_fit_impact_needs_two_observations():
-    est = _fit([(0.25, 5000.0, 0.01)])
-    assert math.isnan(est.theta_hat) and math.isnan(est.gamma_hat)
-    assert not est.impact_valid
-
-
-def _noiseless_history(theta, gamma, rho, orders, x0=1.0):
-    """Exact-dynamics history (delta_p, orders, info_series) with zero shocks
-    and a nonzero information start."""
-    rows = []
-    p, x = 50.0, x0
-    for b in orders:
-        x_new = info_step(x, rho, 0.0)
-        p_new = price_step(p, b, x_new, theta, gamma, 0.0)
-        rows.append((p_new - p, b, x_new))
-        p, x = p_new, x_new
-    return _arrays(rows, x0)
-
-
-def test_noiseless_path_recovers_parameters():
-    theta, gamma, rho = 5e-5, 5.0, 0.5
-    orders = [5000.0 + 700.0 * k for k in range(10)]
-    est = estimate_all(*_noiseless_history(theta, gamma, rho, orders))
-    assert est.theta_hat == pytest.approx(theta, rel=1e-9)
-    assert est.gamma_hat == pytest.approx(gamma, rel=1e-9)
-    assert est.rho_hat == pytest.approx(rho, rel=1e-9)
-    assert est.impact_valid and est.rho_valid
-    assert est.sigma_eps_sq_hat <= 1e-18
-    assert est.sigma_eta_sq_hat <= 1e-18
-
-
-def test_noiseless_dyadic_path_recovery_is_exact():
-    # powers of two throughout: every sum, product and Cramer solve is exact,
-    # so the estimates equal the generating constants bit for bit
-    theta, gamma, rho = 2.0 ** -14, 4.0, 0.5
-    orders = [8192.0, 4096.0, 16384.0, 2048.0, 32768.0]
-    est = estimate_all(*_noiseless_history(theta, gamma, rho, orders, x0=1.0))
-    assert est.theta_hat == theta
-    assert est.gamma_hat == gamma
-    assert est.rho_hat == rho
-    assert est.sigma_eps_sq_hat == 0.0
-    assert est.sigma_eta_sq_hat == 0.0
-    assert est.impact_valid and est.rho_valid
-
-
-def test_fit_rho_hand_series():
-    est = _fit_rho([1.0, 0.5, 0.25])
-    assert est.rho_hat == pytest.approx(0.5, rel=1e-12)
-    assert est.rho_valid
-
-
-def test_fit_rho_zero_series_is_singular():
-    est = _fit_rho([0.0, 0.0, 0.0])
-    assert math.isnan(est.rho_hat) and math.isnan(est.sigma_eta_sq_hat)
-    assert not est.rho_valid
-
-
-def test_fit_rho_noiseless_ar1():
-    xs = [1.0]
-    for _ in range(10):
-        xs.append(info_step(xs[-1], 0.9, 0.0))
-    assert _fit_rho(xs).rho_hat == pytest.approx(0.9, rel=1e-12)
-
-
-def test_fit_rho_depends_on_series_order():
-    forward = _fit_rho([1.0, 0.5, 0.25])
-    reversed_fit = _fit_rho([0.25, 0.5, 1.0])
-    assert forward.rho_hat != reversed_fit.rho_hat
-    assert reversed_fit.rho_hat == 0.999  # raw 2.0, clamped
-    assert not reversed_fit.rho_valid
-
-
-def test_estimate_all_flags_clamped_rho_invalid():
-    est = _fit([(0.0, 5000.0, 0.5), (0.0, 6000.0, 1.0)], x0=0.25)
-    assert est.rho_hat == 0.999
-    assert not est.rho_valid
-
-
-def test_fit_variances_hand_residuals():
-    # B = (1, 0, 1), X = (0, 1, 1) and x0 = 1 give theta_hat = 1, gamma_hat = 2
-    # with price residuals (0.5, 0.5, -0.5), and rho_hat = 0.5 with information
-    # residuals (-0.5, 1, 0.5); every step is exact in binary
-    rows = [(1.5, 1.0, 0.0), (2.5, 0.0, 1.0), (2.5, 1.0, 1.0)]
-    est = _fit(rows, x0=1.0)
-    assert (est.theta_hat, est.gamma_hat, est.rho_hat) == (1.0, 2.0, 0.5)
-    assert est.sigma_eps_sq_hat == 0.375
-    assert est.sigma_eta_sq_hat == 0.75
-    # each variance is SSE / (n - 1) at the returned estimates
-    dp, b, info = _arrays(rows, x0=1.0)
-    r = dp - est.theta_hat * b - est.gamma_hat * info[1:]
-    assert est.sigma_eps_sq_hat == float(r @ r) / 2
-    r = info[1:] - est.rho_hat * info[:-1]
-    assert est.sigma_eta_sq_hat == float(r @ r) / 2
-
-
-def test_fit_variances_needs_two_observations():
-    # one observation: rho is fitted but neither variance is
-    est = _fit([(0.1, 5000.0, 0.5)], x0=1.0)
-    assert est.rho_hat == 0.5
-    assert math.isnan(est.sigma_eps_sq_hat) and math.isnan(est.sigma_eta_sq_hat)
-    prior = ParameterEstimates(0.0, 0.0, 0.0, 0.25, 0.125, True, True, 0)
-    est = _fit([(0.1, 5000.0, 0.5)], x0=1.0, prior=prior)
-    assert (est.sigma_eps_sq_hat, est.sigma_eta_sq_hat) == (0.25, 0.125)
-
-
-def _simulated_history(n, theta, gamma, rho, eps, eta, order_of):
+def _simulated_history(n, theta, gamma, rho, eps, eta, order_of, x0=0.0):
     """(delta_p, orders, info_series) of n periods of the true dynamics,
-    starting at p = 50 and x0 = 0, with order order_of(k) in period k + 1."""
-    dp = np.empty(n)
-    b = np.empty(n)
-    info = np.zeros(n + 1)
-    p, x = 50.0, 0.0
+    starting at p = 50 and x0, with order order_of(k) in period k + 1."""
+    dp, b, info = np.empty(n), np.empty(n), np.full(n + 1, x0)
+    p, x = 50.0, x0
     for k in range(n):
         b[k] = order_of(k)
         x_new = info_step(x, rho, eta[k])
@@ -167,6 +93,111 @@ def _simulated_history(n, theta, gamma, rho, eps, eta, order_of):
         info[k + 1] = x_new
         p, x = p_new, x_new
     return dp, b, info
+
+
+def _noiseless_history(theta, gamma, rho, orders, x0=1.0):
+    """The history of the orders with zero shocks and a nonzero information start."""
+    zeros = [0.0] * len(orders)
+    return _simulated_history(len(orders), theta, gamma, rho, zeros, zeros, orders.__getitem__, x0)
+
+
+def _insignificant_theta():
+    rng = np.random.default_rng(29)
+    x = rng.normal(0.0, 0.2, 6)
+    dp = 5.0 * x + rng.normal(0.0, 0.05, 6)
+    return _arrays(zip(dp, np.full(6, 5000.0), x))
+
+
+def _random_designs():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        b, x, dp = rng.uniform(1e3, 1e4, n), rng.normal(0.0, 0.2, n), rng.normal(0.0, 0.5, n)
+        yield _arrays(zip(dp, b, x))
+
+
+approx, NAN = pytest.approx, math.nan
+# One row per refit case: an id, a history of at least one period and the
+# fields both refits must give after its last period. A bool matches by value
+# and type, NaN by isnan, another float by its bits (0.0 is +0.0) and
+# pytest.approx by itself. normal_equations = tol asserts that the residual
+# of theta_hat and gamma_hat is orthogonal to B and to X, within tol of
+# ||dP|| times the regressor's norm. A new refit case gets a row here.
+REFIT_CASES = [
+    # two observations fit two parameters exactly; zero residuals say nothing
+    ("two-points-interpolate", _arrays([(0.25, 5000.0, 0.0), (0.35, 5000.0, 0.02)]),
+     dict(theta_hat=approx(5e-5, rel=1e-12), gamma_hat=approx(5.0, rel=1e-12),
+          impact_valid=False)),
+    ("zero-information-is-singular",
+     _arrays([(0.25, 5000.0, 0.0), (0.26, 6000.0, 0.0), (0.27, 7000.0, 0.0)]),
+     dict(theta_hat=NAN, gamma_hat=NAN, sigma_eps_sq_hat=NAN, impact_valid=False)),
+    # one observation: rho is fitted, but neither the impact nor a variance
+    ("one-observation-fits-rho-alone", _arrays([(0.1, 5000.0, 0.5)], x0=1.0),
+     dict(theta_hat=NAN, gamma_hat=NAN, impact_valid=False, rho_hat=0.5, rho_valid=True,
+          sigma_eps_sq_hat=NAN, sigma_eta_sq_hat=NAN)),
+    ("noiseless-path-recovers-parameters",
+     _noiseless_history(5e-5, 5.0, 0.5, [5000.0 + 700.0 * k for k in range(10)]),
+     dict(theta_hat=approx(5e-5, rel=1e-9), gamma_hat=approx(5.0, rel=1e-9),
+          rho_hat=approx(0.5, rel=1e-9), impact_valid=True, rho_valid=True,
+          sigma_eps_sq_hat=approx(0.0, abs=1e-18), sigma_eta_sq_hat=approx(0.0, abs=1e-18))),
+    # powers of two throughout: every sum, product and Cramer solve is exact,
+    # so the estimates equal the generating constants bit for bit
+    ("noiseless-dyadic-path-is-exact",
+     _noiseless_history(2.0 ** -14, 4.0, 0.5, [8192.0, 4096.0, 16384.0, 2048.0, 32768.0]),
+     dict(theta_hat=2.0 ** -14, gamma_hat=4.0, rho_hat=0.5, sigma_eps_sq_hat=0.0,
+          sigma_eta_sq_hat=0.0, impact_valid=True, rho_valid=True)),
+    # B = (1, 0, 1), X = (0, 1, 1) and x0 = 1 give theta_hat = 1, gamma_hat = 2
+    # with price residuals (0.5, 0.5, -0.5), and rho_hat = 0.5 with information
+    # residuals (-0.5, 1, 0.5): each variance is SSE / (n - 1), exact in binary
+    ("hand-residuals", _arrays([(1.5, 1.0, 0.0), (2.5, 0.0, 1.0), (2.5, 1.0, 1.0)], x0=1.0),
+     dict(theta_hat=1.0, gamma_hat=2.0, rho_hat=0.5, sigma_eps_sq_hat=0.375,
+          sigma_eta_sq_hat=0.75)),
+    # price changes carry no real order-size signal: theta_hat is noise around
+    # zero and must not be handed to the order rule as a divisor
+    ("insignificant-theta-is-unusable", _insignificant_theta(), dict(impact_valid=False)),
+    ("rho-hand-series", _info_only([1.0, 0.5, 0.25]),
+     dict(rho_hat=approx(0.5, rel=1e-12), rho_valid=True)),
+    # the same series reversed: raw rho_hat 2.0, clamped
+    ("rho-reversed-series-is-clamped", _info_only([0.25, 0.5, 1.0]),
+     dict(rho_hat=0.999, rho_valid=False)),
+    ("rho-zero-series-is-singular", _info_only([0.0, 0.0, 0.0]),
+     dict(rho_hat=NAN, sigma_eta_sq_hat=NAN, rho_valid=False)),
+    ("rho-noiseless-ar1", _info_only(_noiseless_history(0.0, 0.0, 0.9, [0.0] * 10)[2]),
+     dict(rho_hat=approx(0.9, rel=1e-12))),
+    ("clamped-rho-is-invalid", _arrays([(0.0, 5000.0, 0.5), (0.0, 6000.0, 1.0)], x0=0.25),
+     dict(rho_hat=0.999, rho_valid=False)),
+    # at n = 1, dot returns the lone product -1.0 * 0.0 = -0.0 itself, while
+    # @ and np.vecdot sum it from 0.0 and give +0.0: the rho fit keeps @
+    ("one-pair-rho-fit-is-plus-zero", _info_only([-1.0, 0.0]), dict(rho_hat=0.0)),
+    *((f"random-design-{k}", history, dict(normal_equations=1e-9))
+      for k, history in enumerate(_random_designs())),
+]
+
+
+@pytest.mark.parametrize("history, expected", [case[1:] for case in REFIT_CASES],
+                         ids=[case[0] for case in REFIT_CASES])
+def test_refit_case(history, expected):
+    dp, b, info = history
+    for refit, fields in _refits(*history).items():
+        for name, want in expected.items():
+            if name == "normal_equations":
+                r = dp - fields["theta_hat"][0, -1] * b - fields["gamma_hat"][0, -1] * info[1:]
+                for regressor in (b, info[1:]):
+                    assert (abs(r @ regressor)
+                            <= want * np.linalg.norm(dp) * np.linalg.norm(regressor)), refit
+            else:
+                got = fields[name][0, -1]
+                assert (type(got) is np.bool_ and got == want if isinstance(want, bool)
+                        else math.isnan(got) if want is NAN
+                        else _same_bits(got, want) if isinstance(want, float)
+                        else got == want), (refit, name, got, want)
+
+
+def test_fit_variances_needs_two_observations():
+    # one observation fits no variance, so both carry the prior's
+    prior = ParameterEstimates(0.0, 0.0, 0.0, 0.25, 0.125, True, True, 0)
+    est = estimate_all(*_arrays([(0.1, 5000.0, 0.5)], x0=1.0), prior=prior)
+    assert (est.sigma_eps_sq_hat, est.sigma_eta_sq_hat) == (0.25, 0.125)
 
 
 def test_long_path_variance_consistency():
@@ -180,22 +211,6 @@ def test_long_path_variance_consistency():
     assert est.impact_valid and est.rho_valid
     assert abs(est.sigma_eps_sq_hat - s2e) / s2e < 0.10
     assert abs(est.sigma_eta_sq_hat - s2h) / s2h < 0.10
-
-
-def test_residual_orthogonality_after_fit():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        n = int(rng.integers(3, 30))
-        b = rng.uniform(1e3, 1e4, n)
-        x = rng.normal(0.0, 0.2, n)
-        dp = rng.normal(0.0, 0.5, n)
-        est = _fit(zip(dp, b, x))
-        if math.isnan(est.theta_hat):
-            continue
-        r = dp - est.theta_hat * b - est.gamma_hat * x
-        norm_dp = np.linalg.norm(dp)
-        assert abs(r @ b) <= 1e-9 * norm_dp * np.linalg.norm(b)
-        assert abs(r @ x) <= 1e-9 * norm_dp * np.linalg.norm(x)
 
 
 def test_estimate_all_empty_history():
@@ -228,12 +243,6 @@ def test_estimate_all_refuses_histories_of_mismatched_lengths():
             estimate_all(dp[:2], b[:2], bad)
 
 
-def test_estimate_all_single_observation_is_underdetermined():
-    est = _fit([(0.3, 5000.0, 0.05)])
-    assert not est.impact_valid
-    assert est.n_obs == 1
-
-
 def test_estimate_all_carries_prior_values_on_failure():
     good = _noiseless_history(5e-5, 5.0, 0.5, [5000.0 + 700.0 * k for k in range(8)])
     prior = estimate_all(*good)
@@ -243,39 +252,6 @@ def test_estimate_all_carries_prior_values_on_failure():
     assert est.gamma_hat == prior.gamma_hat
     assert est.rho_hat == prior.rho_hat
     assert not est.impact_valid and not est.rho_valid
-
-
-def test_insignificant_theta_is_flagged_unusable():
-    # price changes carry no real order-size signal: theta_hat is noise around
-    # zero and must not be handed to the order rule as a divisor
-    rng = np.random.default_rng(29)
-    x = rng.normal(0.0, 0.2, 6)
-    dp = 5.0 * x + rng.normal(0.0, 0.05, 6)
-    est = _fit(zip(dp, np.full(6, 5000.0), x))
-    assert not est.impact_valid
-
-
-def test_two_point_interpolation_is_not_usable():
-    # two observations fit two parameters exactly; zero residuals say nothing
-    est = _fit([(0.25, 5000.0, 0.0), (0.35, 5000.0, 0.02)])
-    assert est.theta_hat == pytest.approx(5e-5, rel=1e-12)
-    assert not est.impact_valid
-
-
-def test_streaming_consistency_full_refit():
-    # refitting on growing prefix views of preallocated buffers, as run_episode
-    # does, must match a one-shot fit on freshly built arrays
-    rng = np.random.default_rng(31)
-    rows = [(float(rng.normal(0.3, 0.1)), float(rng.uniform(4e3, 6e3)),
-             float(rng.normal(0.0, 0.2))) for _ in range(15)]
-    dp, b, info = np.empty(15), np.empty(15), np.zeros(16)
-    for t, row in enumerate(rows, start=1):
-        dp[t - 1], b[t - 1], info[t] = row
-        final_incr = estimate_all(dp[:t], b[:t], info[:t + 1])
-    final_full = _fit(rows)
-    for name in ("theta_hat", "gamma_hat", "rho_hat",
-                 "sigma_eps_sq_hat", "sigma_eta_sq_hat"):
-        assert getattr(final_incr, name) == getattr(final_full, name)
 
 
 def test_estimates_converge_with_sample_size():
@@ -302,10 +278,6 @@ def test_estimates_converge_with_sample_size():
         assert np.mean(err_long[name]) < np.mean(err_short[name]), name
 
 
-ESTIMATE_ATTRS = ("theta_hat", "gamma_hat", "rho_hat", "sigma_eps_sq_hat",
-                  "sigma_eta_sq_hat", "impact_valid", "rho_valid")
-
-
 def _batch_test_rows(n_obs):
     """Histories (dp, B, X) that between them take every branch of the refit:
     well posed, all-zero information (both fits singular), constant orders,
@@ -320,7 +292,7 @@ def _batch_test_rows(n_obs):
     x_ar = np.cumsum(rng.normal(0.0, 0.03, n_obs))
     x_jump = x_ar.copy()
     x_jump[n_obs - 4] = 1e12
-    rows = [
+    return [
         (5e-5 * b_var + 5.0 * x_ar + rng.normal(0.0, 0.1, n_obs), b_var, x_ar),
         (5e-5 * b_var + rng.normal(0.0, 0.1, n_obs), b_var, np.zeros(n_obs)),
         (rng.normal(0.3, 0.1, n_obs), np.full(n_obs, 5000.0), x_ar),
@@ -332,44 +304,16 @@ def _batch_test_rows(n_obs):
         (rng.normal(0.0, 1e300, n_obs), 1e300 * b_var, 1e300 * x_ar),
         (5e-5 * b_var + 5.0 * x_jump, b_var, x_jump),
     ]
-    return rows
 
 
 def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
-    # the batch engine's composition: after every period _fit_impact, with
-    # no prior, then each failed fit's prior carried forward along the
-    # period axis
     n_obs = 12
     rows = _batch_test_rows(n_obs)
-    dp = np.array([r[0] for r in rows])
-    b = np.array([r[1] for r in rows])
-    info = np.zeros((len(rows), n_obs + 1))
-    info[:, 1:] = [r[2] for r in rows]
-    history = np.stack([dp, b, info[:, 1:]])
-    information = fit_information(info)
-    impact = np.empty((3, len(rows), n_obs))
-    fitted = np.zeros((len(rows), n_obs), dtype=bool)
-    impact_valid = np.zeros((len(rows), n_obs), dtype=bool)
-    for n in range(2, n_obs + 1):
-        # the overflow history overflows in the sums and the fit, as in simulate
-        with np.errstate(all="ignore"):
-            fit = _fit_impact(history[:, :, :n], impact[:, :, n - 1])
-        fitted[:, n - 1], impact_valid[:, n - 1] = fit
-    theta_hat, gamma_hat, s2e_hat = _carry_forward(fitted, impact)
-    batch = {"theta_hat": theta_hat, "gamma_hat": gamma_hat, "rho_hat": information.rho_hat,
-             "sigma_eps_sq_hat": s2e_hat, "sigma_eta_sq_hat": information.sigma_eta_sq_hat,
-             "impact_valid": impact_valid, "rho_valid": information.rho_valid}
-    scalar = [None] * len(rows)
-    for n in range(1, n_obs + 1):
-        # the overflow history overflows in the scalar dot products, as in simulate
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(rows)):
-                scalar[i] = estimate_all(dp[i, :n].copy(), b[i, :n].copy(),
-                                         info[i, :n + 1].copy(), prior=scalar[i])
-        for name in ESTIMATE_ATTRS:
-            ref = np.array([getattr(est, name) for est in scalar])
-            assert batch[name][:, n - 1].tobytes() == ref.tobytes(), (n, name)
+    dp, b, x = (np.array([r[k] for r in rows]) for k in range(3))
+    refits = _refits(dp, b, np.pad(x, ((0, 0), (1, 0))))
+    _assert_refits_agree_bit_for_bit(refits)
     # every branch was taken at the final length
+    batch = refits["batch"]
     last = {name: column[:, -1] for name, column in batch.items()}
     assert last["impact_valid"].any() and not last["impact_valid"].all()
     assert last["rho_valid"].any() and not last["rho_valid"].all()
@@ -378,7 +322,7 @@ def test_batch_refit_equals_chained_estimate_all_bit_for_bit():
     assert last["sigma_eps_sq_hat"][4] <= 1e-20
     assert last["theta_hat"][5] < 0.0
     # the jump history's usable fit before its jump is carried through the end
-    assert impact_valid[8, n_obs - 5] and not fitted[8, n_obs - 4:].any()
+    assert batch["impact_valid"][8, n_obs - 5] and not batch["impact_fitted"][8, n_obs - 4:].any()
     for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat"):
         carried = batch[name][8, n_obs - 5:]
         assert np.isfinite(carried).all() and (carried == carried[0]).all(), name
@@ -396,19 +340,12 @@ _INFO_VALUES = st.one_of(
 @given(n_rows=st.integers(1, 3), T=st.integers(1, 40), zeros=st.integers(0, 41),
        data=st.data())
 def test_fit_information_equals_estimate_all_property(n_rows, T, zeros, data):
+    # information histories alone: zero orders and price changes
     info = np.array(data.draw(st.lists(
         st.lists(_INFO_VALUES, min_size=T + 1, max_size=T + 1),
         min_size=n_rows, max_size=n_rows), label="info"))
     info[:, :zeros] = 0.0  # an all-zero prefix: the rho fit stays singular
-    fit = fit_information(info)
-    for i in range(n_rows):
-        est = None
-        for n in range(1, T + 1):
-            with np.errstate(all="ignore"):
-                est = estimate_all(np.zeros(n), np.zeros(n), info[i, :n + 1].copy(), prior=est)
-            for name in ("rho_hat", "rho_valid", "sigma_eta_sq_hat"):
-                assert (np.array(getattr(est, name)).tobytes()
-                        == getattr(fit, name)[i, n - 1].tobytes()), (i, n, name)
+    _assert_refits_agree_bit_for_bit(_refits(np.zeros((n_rows, T)), np.zeros((n_rows, T)), info))
 
 
 def _exact_test_history(T, constant, zeros, jump, rho, scale, noise, seed):
@@ -433,17 +370,15 @@ def _exact_test_history(T, constant, zeros, jump, rho, scale, noise, seed):
     return delta_p, orders, info
 
 
-def _scaled_error(got, exact, regressor, regressand):
-    """|got - exact| * ||regressor|| / ||regressand||: a coefficient's error as
-    the share of the data's size that it moves the fitted values by."""
-    sq = [sum(Fraction(v) ** 2 for v in a.tolist()) for a in (regressor, regressand)]
-    return math.sqrt((Fraction(got) - exact) ** 2 * sq[0] / sq[1])
+def _scaled_error(got, exact, regressor_sq, regressand_sq):
+    """|got - exact| * ||regressor|| / ||regressand|| from the sums of squares:
+    the share of the data's size that the error moves the fitted values by."""
+    return math.sqrt((Fraction(got) - exact) ** 2 * regressor_sq / regressand_sq)
 
 
-def _mean_square_error(got, exact, regressand):
-    """|got - exact| over the mean square sum(y^2) / (n - 1) of the regressand y."""
-    mean_square = sum(Fraction(v) ** 2 for v in regressand.tolist()) / (len(regressand) - 1)
-    return float(abs(Fraction(got) - exact) / mean_square)
+def _mean_square_error(got, exact, regressand_sq, n):
+    """|got - exact| over the mean square sum(y^2) / (n - 1) of n values y."""
+    return float(abs(Fraction(got) - exact) / (regressand_sq / (n - 1)))
 
 
 # Error bounds, in units of EPS. Over 6,000 such histories (about 63,000
@@ -473,52 +408,50 @@ RHO_MARGIN = Fraction(1, 10 ** 12)  # |raw rho_hat| within 1e-12 of RHO_CLAMP
        scale=st.sampled_from([0.03, 3.0, 300.0]), noise=st.sampled_from([0.0, 1e-3, 0.125, 1.0]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_refit_equals_exact_ols_property(T, constant, zeros, jump, rho, scale, noise, seed):
-    # estimate_all, chained with its prior as the scalar engine runs it, and
-    # _fit_impact with none, against the exact refit of every prefix
+    # every field of both refits of every prefix against its exact refit;
+    # a failed fit carries the prior forward, NaN before the first
     dp, b, info = _exact_test_history(T, constant, zeros, jump, rho, scale, noise, seed)
-    est = None
-    for n in range(1, T + 1):
-        prior = est
-        exact = exact_refit(dp[:n], b[:n], info[:n + 1])
-        with np.errstate(all="ignore"):  # the jump overflows no sum, but may underflow
-            est = estimate_all(dp[:n].copy(), b[:n].copy(), info[:n + 1].copy(), prior=prior)
-            if n >= 2:
-                impact = np.empty((3, 1))
-                history = np.stack([dp[:n], b[:n], info[1:n + 1]])[:, None]
-                fitted, valid = _fit_impact(history, impact)
-        cond = exact["cond"]
+    refits = _refits(dp, b, info)
+    # the exact sums of squares of every prefix of dP, B, X and the lags
+    sq = {key: list(accumulate(Fraction(v) ** 2 for v in series.tolist()))
+          for key, series in (("dp", dp), ("b", b), ("x", info[1:]), ("lag", info[:-1]))}
+    clamp = Fraction(RHO_CLAMP)
+    for n, exact in enumerate(exact_refit(dp, b, info), start=1):
+        cond, t_ratio, raw = exact["cond"], exact["t_ratio"], exact["rho_raw"]
         near_limit = (cond is not None
                       and COND_LIMIT / COND_MARGIN <= cond <= COND_LIMIT * COND_MARGIN)
         if n >= 2 and not near_limit:
-            assert fitted[0] == exact["impact_fitted"], (n, cond)
-            t_ratio = exact["t_ratio"]
-            if t_ratio is None or abs(t_ratio - 1) > T_RATIO_MARGIN:
-                assert est.impact_valid == valid[0] == exact["impact_valid"], (n, t_ratio)
-        if exact["impact_fitted"] and cond < WELL_CONDITIONED:
-            for k, (name, regressor) in enumerate((("theta_hat", b[:n]),
-                                                   ("gamma_hat", info[1:n + 1]))):
-                for got in (getattr(est, name), impact[k, 0]):
-                    error = _scaled_error(got, exact[name], regressor, dp[:n])
-                    assert error <= IMPACT_ERROR_PER_COND * cond, (n, name, error, cond)
-            for got in (est.sigma_eps_sq_hat, impact[2, 0]):
-                error = _mean_square_error(got, exact["sigma_eps_sq_hat"], dp[:n])
-                assert error <= VARIANCE_ERROR_BOUND, (n, error)
-        elif not exact["impact_fitted"] and not near_limit:
-            # a failed fit carries the prior forward, NaN before the first
-            carried = prior if prior is not None else ParameterEstimates.invalid()
-            for name in ("theta_hat", "gamma_hat", "sigma_eps_sq_hat"):
-                assert (np.float64(getattr(est, name)).tobytes()
-                        == np.float64(getattr(carried, name)).tobytes()), (n, name)
-        raw = exact["rho_raw"]
-        if raw is None or abs(abs(raw) - Fraction(RHO_CLAMP)) > RHO_MARGIN:
-            assert est.rho_valid == exact["rho_valid"], (n, raw)
-        if exact["rho_fitted"]:
-            error = _scaled_error(est.rho_hat, exact["rho_hat"], info[:n], info[1:n + 1])
-            assert error <= RHO_ERROR_BOUND, (n, error)
-            if n >= 2:
-                error = _mean_square_error(est.sigma_eta_sq_hat, exact["sigma_eta_sq_hat"],
-                                           info[1:n + 1])
-                assert error <= VARIANCE_ERROR_BOUND, (n, error)
+            assert refits["batch"]["impact_fitted"][0, n - 1] == exact["impact_fitted"], (n, cond)
+        for refit, fields in refits.items():
+            got = {name: fields[name][0, n - 1] for name in ESTIMATE_ATTRS}
+            prior = {name: fields[name][0, n - 2] if n >= 2 else NAN for name in ESTIMATE_ATTRS}
+            carried = [name for name in ESTIMATE_ATTRS if _same_bits(got[name], prior[name])]
+            if not near_limit and (t_ratio is None or abs(t_ratio - 1) > T_RATIO_MARGIN):
+                assert got["impact_valid"] == exact["impact_valid"], (refit, n, t_ratio)
+            if exact["impact_fitted"] and cond < WELL_CONDITIONED:
+                for name, regressor in (("theta_hat", "b"), ("gamma_hat", "x")):
+                    error = _scaled_error(got[name], exact[name], sq[regressor][n - 1],
+                                          sq["dp"][n - 1])
+                    assert error <= IMPACT_ERROR_PER_COND * cond, (refit, n, name, error, cond)
+                error = _mean_square_error(got["sigma_eps_sq_hat"], exact["sigma_eps_sq_hat"],
+                                           sq["dp"][n - 1], n)
+                assert error <= VARIANCE_ERROR_BOUND, (refit, n, error)
+            elif not exact["impact_fitted"] and not near_limit:
+                assert {"theta_hat", "gamma_hat", "sigma_eps_sq_hat"} <= {*carried}, (refit, n)
+            if raw is None or abs(abs(raw) - clamp) > RHO_MARGIN:
+                assert got["rho_valid"] == exact["rho_valid"], (refit, n, raw)
+            if exact["rho_fitted"]:
+                error = _scaled_error(got["rho_hat"], exact["rho_hat"], sq["lag"][n - 1],
+                                      sq["x"][n - 1])
+                assert error <= RHO_ERROR_BOUND, (refit, n, error)
+            else:
+                assert "rho_hat" in carried, (refit, n)
+            if exact["sigma_eta_sq_hat"] is not None:
+                error = _mean_square_error(got["sigma_eta_sq_hat"], exact["sigma_eta_sq_hat"],
+                                           sq["x"][n - 1], n)
+                assert error <= VARIANCE_ERROR_BOUND, (refit, n, error)
+            else:
+                assert "sigma_eta_sq_hat" in carried, (refit, n)
 
 
 def test_dot_equals_matmul_on_1d_views_bit_for_bit():
@@ -563,15 +496,6 @@ def test_broadcast_vecdot_block_equals_separate_vecdots_bit_for_bit():
         f"{differ[0]}); the batch engine equals estimate_all only through this identity")
 
 
-def test_one_pair_rho_fit_keeps_the_sign_the_batch_gives_a_zero_lag_sum():
-    # at n = 1, dot returns the lone product -1.0 * 0.0 = -0.0 itself, while
-    # @ and np.vecdot sum it from 0.0 and give +0.0: the rho fit keeps @
-    info = np.array([[-1.0, 0.0]])
-    est = estimate_all(np.zeros(1), np.zeros(1), info[0])
-    assert np.float64(est.rho_hat).tobytes() == np.float64(0.0).tobytes()
-    assert fit_information(info).rho_hat[0, 0].tobytes() == np.float64(0.0).tobytes()
-
-
 # The refit's sampling law. Under the naive and informed rules no order reads
 # a price shock, so given the orders B and the information X the impact fit is
 # textbook OLS with normal errors, and (theta_hat - theta)/se(theta_hat) and
@@ -579,12 +503,12 @@ def test_one_pair_rho_fit_keeps_the_sign_the_batch_gives_a_zero_lag_sum():
 # freedom exactly, with s^2 = sigma_eps_sq_hat (n - 1)/(n - 2). The design
 # gate reads only B and X, so the fitted rows keep that law. A history whose
 # price changes pair with the wrong X breaks it. Each case runs
-# SAMPLING_LAW_SIMS simulations of both rules on both engines and tests 2
-# rules x 2 engines x 3 lengths x 2 estimates = 24 t-samples by
-# Kolmogorov-Smirnov at level SAMPLING_LAW_ALPHA; over SAMPLING_LAW_CASES
-# derandomized cases that is 240 tests, so a correct refit fails the property
-# with probability at most 240 * 1e-5 = 0.24% (Bonferroni), fixed once and
-# for all by the derandomized draws.
+# SAMPLING_LAW_SIMS simulations of both rules on both engines, whose histories
+# are equal, and tests 2 rules x 2 refits x 3 lengths x 2 estimates = 24
+# t-samples by Kolmogorov-Smirnov at level SAMPLING_LAW_ALPHA; over
+# SAMPLING_LAW_CASES derandomized cases that is 240 tests, so a correct refit
+# fails with probability at most 240 * 1e-5 = 0.24% (Bonferroni), fixed once
+# and for all by the derandomized draws.
 SAMPLING_LAW_ALPHA = 1e-5
 SAMPLING_LAW_CASES = 10
 SAMPLING_LAW_SIMS = 300
@@ -615,17 +539,17 @@ def test_ks_pvalue_on_known_laws():
     assert ks_pvalue(sample, lambda t: student_t_cdf(t, 1)) < 1e-3
 
 
-def _t_ratios(params, history, theta_hat, gamma_hat, s2e, n):
-    """The t-ratios of theta_hat and gamma_hat against the truth, on the
-    rows whose first n periods of the (3, n_sims, T) history (price
-    changes, orders, X) were fitted, where theta_hat is not NaN."""
-    rows = ~np.isnan(theta_hat)
+def _t_ratios(params, history, rows, fields, n):
+    """The t-ratios of a refit's theta_hat and gamma_hat against the truth
+    after the first n periods of the (3, n_sims, T) history, on the rows."""
+    theta_hat, gamma_hat, s2e = (fields[name][rows, n - 1] for name in
+                                 ("theta_hat", "gamma_hat", "sigma_eps_sq_hat"))
     b, x = history[1, rows, :n], history[2, rows, :n]
     sbb, sxx, sxb = (np.einsum("ij,ij->i", u, v) for u, v in ((b, b), (x, x), (x, b)))
     det = sbb * sxx - sxb * sxb
-    s2 = s2e[rows] * (n - 1) / (n - 2)
-    return ((theta_hat[rows] - params.theta) / np.sqrt(s2 * sxx / det),
-            (gamma_hat[rows] - params.gamma) / np.sqrt(s2 * sbb / det))
+    s2 = s2e * (n - 1) / (n - 2)
+    return ((theta_hat - params.theta) / np.sqrt(s2 * sxx / det),
+            (gamma_hat - params.gamma) / np.sqrt(s2 * sbb / det))
 
 
 @settings(max_examples=SAMPLING_LAW_CASES, deadline=None, derandomize=True)
@@ -651,19 +575,14 @@ def test_impact_t_ratios_follow_student_t_property(theta, gamma, rho, sigma_eps_
         prices = simulation._accumulate_prices(mandate.p0, params, orders, path)
         batch = np.stack([np.diff(prices, axis=0, prepend=mandate.p0).T, orders,
                           path.info[1:].T])
+        assert scalar.tobytes() == batch.tobytes(), rule
+        refits = _refits(batch[0], batch[1], info)
         for n in SAMPLING_LAW_LENGTHS:
-            fits = [estimate_all(*scalar[:2, i, :n], info[i, :n + 1]) for i in range(len(eps))]
-            ratios = {"estimate_all": _t_ratios(
-                params, scalar, *(np.array([getattr(f, name) for f in fits]) for name in
-                                  ("theta_hat", "gamma_hat", "sigma_eps_sq_hat")), n)}
-            out = np.empty((3, len(eps)))
-            with np.errstate(all="ignore"):
-                fitted = _fit_impact(batch[:, :, :n], out)[0]
-            out[:, ~fitted] = np.nan
-            ratios["_fit_impact"] = _t_ratios(params, batch, *out, n)
-            for refit, pair in ratios.items():
-                for name, sample in zip(("theta", "gamma"), pair):
-                    # the design gate refuses few rows at these calibrations
-                    assert len(sample) >= SAMPLING_LAW_SIMS // 2, (rule, n, refit, name)
+            # the design gate refuses few rows at these calibrations
+            rows = refits["batch"]["impact_fitted"][:, n - 1]
+            assert rows.sum() >= SAMPLING_LAW_SIMS // 2, (rule, n)
+            for refit, fields in refits.items():
+                for name, sample in zip(("theta", "gamma"),
+                                        _t_ratios(params, batch, rows, fields, n)):
                     p = ks_pvalue(sample, lambda t: student_t_cdf(t, n - 2))
                     assert p >= SAMPLING_LAW_ALPHA, (rule, n, refit, name, p)
