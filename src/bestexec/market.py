@@ -75,6 +75,14 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name}: must be finite (got {value})")
 
 
+def _store_floats(record, names) -> None:
+    """Store the record's checked fields as floats, so that an int runs
+    through the model in float arithmetic, overflowing to inf as a float
+    does, not in Python int arithmetic, which raises OverflowError."""
+    for name in names:
+        object.__setattr__(record, name, float(getattr(record, name)))
+
+
 def _check_integer(name: str, value) -> None:
     """Reject a value that is not an integer (or is a bool); the message
     names the field `name`. Exact ints skip the ABC check."""
@@ -124,6 +132,7 @@ class MarketParams:
             raise ValueError(f"rho: |rho| must be < 1 (got {self.rho})")
         _check_variance("sigma_eps_sq", self.sigma_eps_sq)
         _check_variance("sigma_eta_sq", self.sigma_eta_sq)
+        _store_floats(self, ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq"))
 
 
 @dataclass(frozen=True)
@@ -145,6 +154,7 @@ class ExecutionMandate:
             raise ValueError(f"s0: must be > 0 (got {self.s0})")
         if self.p0 <= 0.0:
             raise ValueError(f"p0: must be > 0 (got {self.p0})")
+        _store_floats(self, ("s0", "p0"))
 
 
 @dataclass(frozen=True, eq=False)

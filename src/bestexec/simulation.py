@@ -241,7 +241,7 @@ def _run_batch(strategy_kind: str, params: MarketParams, mandate: ExecutionManda
     n = path.eps.shape[1]
     if strategy_kind == "naive":
         # order_rule on floats equals it on arrays, row by row, bit for bit
-        s, row = float(mandate.s0), []
+        s, row = mandate.s0, []
         for t in range(1, T + 1):
             order = order_rule("naive", s, 0.0, t, T, clamp=clamp_nonneg_orders)[0]
             s = s - order
@@ -266,7 +266,7 @@ def _informed_orders(params: MarketParams, mandate: ExecutionMandate, path: _Sha
                      clamp_nonneg_orders: bool) -> np.ndarray:
     """The period loop of the informed rule: its (n_sims, T) orders."""
     T = mandate.horizon
-    s = np.full(path.eps.shape[1], float(mandate.s0))
+    s = np.full(path.eps.shape[1], mandate.s0)
     orders = np.empty((len(s), T))
     # the informed tilt f_t * X_{t-1} of every period, in one product
     tilts = solve_coefficients(params, T).f[:, None] * path.info[:-1]
@@ -323,8 +323,8 @@ def _ar_orders(params: MarketParams, mandate: ExecutionMandate, path: _SharedPat
         impact = np.empty((3, n, 1))
     # an impact fit needs 2 observations: after period 1 nothing is fitted
     refits = range(2, T + 1) if keep_log else range(3, T - 1)
-    s = np.full(n, float(mandate.s0))
-    price = np.full(n, float(mandate.p0))
+    s = np.full(n, mandate.s0)
+    price = np.full(n, mandate.p0)
     ok, slot = None, impact[:, :, 0]  # before the first refit, the rule reads no fit
     with np.errstate(all="ignore"):
         for t in range(1, T + 1):

@@ -511,6 +511,17 @@ def test_overflow_exits_2_before_writing(tmp_path, argv, name):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "total cost"),
+                                           ("montecarlo", "benchmark expected cost")])
+def test_a_hand_built_spec_of_ints_overflows_as_its_floats_do(tmp_path, command, name):
+    for theta, s0 in ((3.0, 1e300), (3, 10 ** 300)):
+        spec = RunSpec(theta=theta, s0=s0, horizon=3, n_sims=2, strategies=("naive",),
+                       out_dir=str(tmp_path))
+        with pytest.raises(SpecError, match=rf"^overflow: {name} is not finite$"):
+            cli._COMMANDS[command](spec)
+    assert not any(tmp_path.iterdir())
+
+
 def test_convergence_never_fitted_cells_stay_nan_with_exit_0(tmp_path):
     # no information noise: no simulation ever fits, so every cell is NaN
     rc, out, err, caught = _run_cli(["convergence", "--sigma-eta-sq", "0", "--horizon", "4",

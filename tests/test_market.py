@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -243,6 +244,13 @@ def test_mandate_rejects_non_integer_horizon(horizon):
 
 def test_mandate_accepts_numpy_integer_horizon():
     assert ExecutionMandate(1e5, 50.0, np.int64(20)).horizon == 20
+
+
+def test_ints_are_stored_as_floats_and_the_horizon_as_an_int():
+    params, mandate = MarketParams(3, -2, 0, 1, 0), ExecutionMandate(10 ** 300, 50, 20)
+    assert {type(v) for v in dataclasses.astuple(params)} == {float}
+    assert [(v, type(v)) for v in dataclasses.astuple(mandate)] == [
+        (1e300, float), (50.0, float), (20, int)]
 
 
 MANDATE_FIELDS = ("s0", "p0", "horizon")
