@@ -208,3 +208,15 @@ def test_bench_pairs_stops_on_a_failed_run(monkeypatch, returncode, line, messag
                         subprocess.CompletedProcess(argv, returncode, stdout=line, stderr=""))
     with pytest.raises(SystemExit, match=message):
         bench_pairs.main(["parent", "change", "--workload", "study_T20", "--pairs", "1"])
+
+
+def test_a_seeds_mutants_are_fixed_and_every_survivor_site_exists():
+    # each line of the survivors of tools/mutants.py --seed 30 --count 70 is
+    # "<id> <site> <change>: <reason>"; no mutant runs here
+    mutants = load_script(TOOLS / "mutants.py")
+    drawn = mutants.draw(30, 70)
+    assert drawn == mutants.draw(30, 70) != mutants.draw(31, 70)
+    for line in (ROOT / "tests" / "data" / "mutant_survivors.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            ident, site, change = line.split(": ", 1)[0].split(" ", 2)
+            assert (drawn[int(ident[1:])].site, drawn[int(ident[1:])].change) == (site, change)
