@@ -40,7 +40,8 @@ def _refits(delta_p, orders, info_series):
         for n in range(2, T + 1):
             fitted[:, n - 1], impact_valid[:, n - 1] = _fit_impact(history[:, :, :n],
                                                                    impact[:, :, n - 1])
-        for row_dp, row_b, row_info in zip(dp.copy(), b.copy(), info.copy()):
+        for row in zip(dp, b, info):
+            row_dp, row_b, row_info = (a.copy() for a in row)  # a buffer of its own
             est, chain = None, []
             for n in range(1, T + 1):
                 est = estimate_all(row_dp[:n], row_b[:n], row_info[:n + 1], prior=est)

@@ -18,10 +18,11 @@ bytecode is never written, so no stale cache can stand in for the mutant):
 
 from the copy's root, with PYTHONPATH=src, one BLAS thread and no example
 database left from an earlier mutant. SELF_TEST, the test of this tool's
-committed survivors, reads the mutated source as its data, so it is left out. One line per mutant gives its id, its
-site (file:line:column of the token, the column counted from 1), the change
-and the first failing test, or SURVIVED. A run that takes longer than
-TIMEOUT seconds is stopped, and counts as killing the mutant.
+committed survivors, reads the mutated source as its data, so it is left
+out. One line per mutant gives its id, its site (file:line:column of the
+token, the column counted from 1), the change and the first failing test,
+or SURVIVED. A run that takes longer than TIMEOUT seconds is stopped, and
+counts as killing the mutant.
 
 --against PARENT also runs PARENT's tests, tools, bench and data against
 the same mutated source (this checkout's src/ in a copy of PARENT's tree),
@@ -31,7 +32,7 @@ tests do not. Both suites first run on the unmutated source, and the tool
 stops if either fails there.
 
     python tools/mutants.py --seed 30 --count 70
-    python tools/mutants.py --seed 31 --count 40 src/bestexec/estimation.py --against ../parent
+    python tools/mutants.py --seed 32 --count 45 src/bestexec/estimation.py --against ../parent
 """
 
 from __future__ import annotations
@@ -143,16 +144,16 @@ def _file_mutants(file: str, source: str) -> list[Mutant]:
             for (line, col), old, new in sorted(found)]
 
 
-def catalogue(files: list[str] | None = None, root: Path = ROOT) -> list[Mutant]:
-    """Every mutant of the files (paths relative to root), file by file."""
+def catalogue(files: list[str] | None = None) -> list[Mutant]:
+    """Every mutant of the files (paths relative to the checkout root), file
+    by file."""
     return [m for file in (files or DEFAULT_FILES)
-            for m in _file_mutants(file, (root / file).read_text(encoding="utf-8"))]
+            for m in _file_mutants(file, (ROOT / file).read_text(encoding="utf-8"))]
 
 
-def draw(seed: int, count: int, files: list[str] | None = None,
-         root: Path = ROOT) -> list[Mutant]:
+def draw(seed: int, count: int, files: list[str] | None = None) -> list[Mutant]:
     """The count mutants that random.Random(seed) samples from the catalogue."""
-    mutants = catalogue(files, root)
+    mutants = catalogue(files)
     if not 1 <= count <= len(mutants):
         raise SystemExit(f"mutants: --count must be in 1..{len(mutants)}")
     return random.Random(seed).sample(mutants, count)
@@ -179,22 +180,22 @@ def _tier1(tree: Path) -> str | None:
     return f"exit status {proc.returncode}"
 
 
-def _copy_checkout(root: Path, src: Path, dest: Path) -> Path:
-    """A copy of the checkout at root, with the src directory src, at dest."""
+def _copy_checkout(root: Path, dest: Path) -> Path:
+    """A copy at dest of the checkout at root, with this checkout's src/."""
     shutil.copytree(root, dest, ignore=_COPY_IGNORE)
     shutil.rmtree(dest / "src")
-    shutil.copytree(src, dest / "src", ignore=_COPY_IGNORE)
+    shutil.copytree(ROOT / "src", dest / "src", ignore=_COPY_IGNORE)
     return dest
 
 
-def run(mutants: list[Mutant], parent: Path | None, out=sys.stdout) -> int:
+def run(mutants: list[Mutant], parent: Path | None) -> int:
     """Run tier-1 on each mutant, in this checkout's copy and, with parent,
     in the parent's; print one line per mutant and the kill sets. Returns
     the exit status."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        trees = {"checkout": _copy_checkout(ROOT, ROOT / "src", Path(tmp, "checkout"))}
+        trees = {"checkout": _copy_checkout(ROOT, Path(tmp, "checkout"))}
         if parent is not None:
-            trees["parent"] = _copy_checkout(parent, ROOT / "src", Path(tmp, "parent"))
+            trees["parent"] = _copy_checkout(parent, Path(tmp, "parent"))
         for name, tree in trees.items():
             failed = _tier1(tree)
             if failed is not None:
@@ -217,26 +218,22 @@ def run(mutants: list[Mutant], parent: Path | None, out=sys.stdout) -> int:
                     killed[name].add(ident)
                 verdict = f"killed by {failed}" if failed is not None else "SURVIVED"
                 verdicts.append(verdict if parent is None else f"{name}: {verdict}")
-            print(f"{ident} {mutant.site} {mutant.change}: {' | '.join(verdicts)}",
-                  file=out, flush=True)
+            print(f"{ident} {mutant.site} {mutant.change}: {' | '.join(verdicts)}", flush=True)
     ids = [f"M{k:02d}" for k in range(len(mutants))]
 
     def listed(members):
         return " ".join(i for i in ids if i in members) or "none"
 
-    print(f"{len(mutants)} mutants in {time.perf_counter() - start:.0f} s", file=out)
+    print(f"{len(mutants)} mutants in {time.perf_counter() - start:.0f} s")
     for name in killed:
-        print(f"killed by the {name}'s tier-1: {len(killed[name])}: {listed(killed[name])}",
-              file=out)
+        print(f"killed by the {name}'s tier-1: {len(killed[name])}: {listed(killed[name])}")
     if parent is None:
-        print(f"survivors: {listed(set(ids) - killed['checkout'])}", file=out)
+        print(f"survivors: {listed(set(ids) - killed['checkout'])}")
         return 0
     lost = killed["parent"] - killed["checkout"]
-    print(f"killed by the parent's only: {listed(lost)}", file=out)
-    print(f"killed by the checkout's only: {listed(killed['checkout'] - killed['parent'])}",
-          file=out)
-    print(f"survivors of both: {listed(set(ids) - killed['checkout'] - killed['parent'])}",
-          file=out)
+    print(f"killed by the parent's only: {listed(lost)}")
+    print(f"killed by the checkout's only: {listed(killed['checkout'] - killed['parent'])}")
+    print(f"survivors of both: {listed(set(ids) - killed['checkout'] - killed['parent'])}")
     return 1 if lost else 0
 
 
