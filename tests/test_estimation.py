@@ -189,9 +189,9 @@ def test_refit_case(history, expected):
             else:
                 got = fields[name][0, -1]
                 assert (type(got) is np.bool_ and got == want if isinstance(want, bool)
-                        else math.isnan(got) if want is NAN
-                        else _same_bits(got, want) if isinstance(want, float)
-                        else got == want), (refit, name, got, want)
+                        else got == want if not isinstance(want, float)
+                        else math.isnan(got) if math.isnan(want)
+                        else _same_bits(got, want)), (refit, name, got, want)
 
 
 def test_fit_variances_needs_two_observations():
