@@ -8,17 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BASELINE, study_episodes
+from oracles import BASELINE, affine_policy_expected_cost, study_episodes
 
-from bestexec import (ExecutionMandate, MarketParams, NoisePath,
-                      generate_noise_path, informed_expected_cost,
-                      naive_expected_cost, per_share_improvement,
-                      run_convergence, run_episode,
-                      run_monte_carlo, solve_coefficients,
+from bestexec import (ExecutionMandate, MarketParams, NoisePath, ParameterEstimates,
+                      ar_rho_factor, generate_noise_path, informed_expected_cost,
+                      naive_expected_cost, order_rule, per_share_improvement,
+                      run_convergence, run_episode, run_monte_carlo, solve_coefficients,
                       summarize_convergence, substream_seed)
 from bestexec import market, simulation
 from bestexec.simulation import ESTIMATE_FIELDS
-from bestexec.strategies import STRATEGIES
+from bestexec.strategies import STRATEGIES, _ar_order
 
 MANDATE = ExecutionMandate(100000.0, 50.0, 20)
 
@@ -538,34 +537,24 @@ def test_shares_are_conserved_property(scenario):
                 assert min(row[:-1], default=0.0) >= 0.0, kind
 
 
-@settings(max_examples=200, deadline=None)
-@given(scenario=_scenarios())
-def test_informed_value_at_zero_information_is_at_most_uniform_split_property(scenario):
-    params, mandate, _, _ = scenario
-    T = mandate.horizon
-    informed = informed_expected_cost(mandate.s0, mandate.p0, 0.0, 1,
-                                      solve_coefficients(params, T))
-    uniform = naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
-    # the two closed forms round differently: allow a few ulps
-    assert informed <= uniform * (1.0 + 1e-12)
-
-
 _SIGNS = st.sampled_from([-1.0, 1.0])
+# calibrations of the studies' statistical oracles, with no boundary values
+# (gamma, rho or sigma_eta_sq at 0): there the informed and online rules
+# are the naive one and no timing error could show
+_CALIBRATIONS = dict(
+    theta_exp=st.floats(-6.0, -4.0), gamma=st.floats(1.0, 10.0), gamma_sign=_SIGNS,
+    rho=st.floats(0.2, 0.9), rho_sign=_SIGNS, sigma_eta_sq=st.floats(1e-4, 1e-2),
+    sigma_eps_sq=st.floats(0.0, 0.05), T=st.integers(5, 20), seed=st.integers(0, 2 ** 64 - 1))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(theta_exp=st.floats(-6.0, -4.0), gamma=st.floats(1.0, 10.0), gamma_sign=_SIGNS,
-       rho=st.floats(0.2, 0.9), rho_sign=_SIGNS, sigma_eta_sq=st.floats(1e-4, 1e-2),
-       sigma_eps_sq=st.floats(0.0, 0.05), T=st.integers(5, 20),
-       seed=st.integers(0, 2 ** 64 - 1))
+@given(**_CALIBRATIONS)
 def test_study_means_equal_the_closed_form_values_property(theta_exp, gamma, gamma_sign, rho,
                                                            rho_sign, sigma_eta_sq,
                                                            sigma_eps_sq, T, seed):
     # naive's mean improvement is 0, and informed beats it by the gap of the
-    # two closed-form values, each within z = 5 paired standard errors. No
-    # boundary values (gamma, rho or sigma_eta_sq at 0): there the informed
-    # rule is the naive one and no timing error could show. With 60
-    # comparisons, the false-alarm rate is about 60 * 5.7e-7 = 3e-5
+    # two closed-form values, each within z = 5 paired standard errors. With
+    # 60 comparisons, the false-alarm rate is about 60 * 5.7e-7 = 3e-5
     params = MarketParams(10.0 ** theta_exp, gamma_sign * gamma, rho_sign * rho,
                           sigma_eps_sq, sigma_eta_sq)
     mandate = ExecutionMandate(100000.0, 50.0, T)
@@ -579,6 +568,66 @@ def test_study_means_equal_the_closed_form_values_property(theta_exp, gamma, gam
                                               solve_coefficients(params, T))) / mandate.s0
     assert (abs(float(np.mean(gain)) - expected_gain)
             <= z * float(np.std(gain, ddof=1)) / math.sqrt(n_sims))
+
+
+def _true_ar_policy(params, T, s0):
+    """affine_policy_expected_cost's coefficients of the online rule fed the
+    true theta, gamma and rho from period 1: B_t = S_t / (T - t + 1) +
+    f_t X_{t-1}, with S_t = s0 - B_1 - ... - B_{t-1} and f_t = gamma /
+    (theta (T - t + 1)) * sum_{i=1}^{T-t} (T - t - i) rho^i summed term by
+    term, unrolled into B_t = k_t + sum_{j<t} c_{t,j} X_j."""
+    k, c, coefvec = np.zeros(T), np.zeros((T, T)), []
+    for t in range(1, T):
+        f = params.gamma / (params.theta * (T - t + 1)) * math.fsum(
+            (T - t - i) * params.rho ** i for i in range(1, T - t + 1))
+        k[t - 1] = (s0 - k[:t - 1].sum()) / (T - t + 1)
+        c[t - 1] = -c[:t - 1].sum(axis=0) / (T - t + 1)
+        if t > 1:
+            c[t - 1, t - 2] += f
+        coefvec += [k[t - 1], *c[t - 1, :t - 1]]
+    return coefvec
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**_CALIBRATIONS)
+def test_truth_fed_ar_gain_equals_the_exact_value_property(theta_exp, gamma, gamma_sign, rho,
+                                                          rho_sign, sigma_eta_sq,
+                                                          sigma_eps_sq, T, seed):
+    # the online rule fed the true theta, gamma and rho from period 1, on a
+    # study's shared path, beats naive by the gap of the two exact values
+    # within z = 5 paired standard errors, through both forms of its tilt:
+    # order_rule on arrays with one fit of floats, and _ar_order with every
+    # row fed the truth and its rho factors taken on a column of periods.
+    # With 60 comparisons, the false-alarm rate is about 60 * 5.7e-7 = 3e-5
+    params = MarketParams(10.0 ** theta_exp, gamma_sign * gamma, rho_sign * rho,
+                          sigma_eps_sq, sigma_eta_sq)
+    mandate = ExecutionMandate(100000.0, 50.0, T)
+    n_sims, z = 4000, 5.0
+    path = simulation._shared_path(params, *simulation._noise_arrays(n_sims, params, T, seed))
+    naive_cost = simulation._run_batch("naive", params, mandate, path, False)[1][:, -1]
+    truth = ParameterEstimates(params.theta, params.gamma, params.rho, sigma_eps_sq,
+                               sigma_eta_sq, True, True, 0)
+    every_row = np.ones(n_sims, dtype=bool)
+    thetas, gammas = np.full(n_sims, params.theta), np.full(n_sims, params.gamma)
+    rho_factors = ar_rho_factor(np.full((T, n_sims), params.rho),
+                                np.arange(1, T + 1)[:, None], T)
+    forms = {"order_rule": lambda s, t: order_rule("ar", s, path.info[t - 1], t, T,
+                                                   estimates=truth)[0],
+             "_ar_order": lambda s, t: _ar_order(s, every_row, thetas, gammas,
+                                                 rho_factors[t - 1], path.info[t - 1], t, T)}
+    expected_gain = (naive_expected_cost(mandate.s0, mandate.p0, 1, T, params.theta)
+                     - affine_policy_expected_cost(
+                         _true_ar_policy(params, T, mandate.s0), params.theta, params.gamma,
+                         params.rho, sigma_eta_sq, mandate.p0, 0.0, mandate.s0, T)) / mandate.s0
+    for name, form in forms.items():
+        s, orders = np.full(n_sims, mandate.s0), np.empty((n_sims, T))
+        for t in range(1, T + 1):
+            orders[:, t - 1] = form(s, t)
+            s = s - orders[:, t - 1]
+        prices = simulation._accumulate_prices(mandate.p0, params, orders, path)
+        gain = (naive_cost - (prices * orders.T).sum(axis=0)) / mandate.s0
+        assert (abs(float(np.mean(gain)) - expected_gain)
+                <= z * float(np.std(gain, ddof=1)) / math.sqrt(n_sims)), name
 
 
 @settings(max_examples=60, deadline=None)

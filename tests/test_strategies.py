@@ -1,15 +1,17 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import BASELINE, brute_force_best_execution, numpy_scalar_schedule
 
 from bestexec import (TAGS, MarketParams, ParameterEstimates, ar_adjustment_factor,
                       ar_rho_factor, decide_order, naive_order, order_rule,
                       solve_coefficients)
-from bestexec.strategies import AUTOREGRESSIVE, NAIVE_FALLBACK, STRATEGIES, _ar_order
+from bestexec.strategies import (AUTOREGRESSIVE, FINAL_PERIOD, NAIVE_FALLBACK, STRATEGIES,
+                                 _ar_order)
 
 
 def _informed(s, x, t, sch):
@@ -19,10 +21,115 @@ def _informed(s, x, t, sch):
     return order, TAGS[tag]
 
 
-def test_naive_order_values():
-    assert naive_order(100000, 1, 20) == 5000
-    assert naive_order(95000, 2, 20) == 5000
-    assert naive_order(12345.0, 20, 20) == 12345.0
+def _fit(theta=5e-5, gamma=5.0, rho=0.5, impact_valid=True, rho_valid=True):
+    return ParameterEstimates(theta, gamma, rho, 0.01, 0.001, impact_valid, rho_valid, 10)
+
+
+def _engine_fits(fits, T):
+    """The online rule's inputs from one fit per row, as simulation._ar_orders
+    forms them: the usable mask ok, theta_hat, gamma_hat and the (T, n) rho
+    factors of every period, from one call of ar_rho_factor on a column of
+    periods. The batch refit's impact_valid implies theta_hat > 0, so a
+    row's impact fit counts as valid here only where theta_hat > 0."""
+    theta, gamma, rho = (np.array([getattr(fit, name) for fit in fits])
+                         for name in ("theta_hat", "gamma_hat", "rho_hat"))
+    rho_valid = np.array([fit.rho_valid for fit in fits])
+    ok = np.array([fit.impact_valid and fit.theta_hat > 0.0 for fit in fits]) & rho_valid
+    rho = np.where(rho_valid, rho, 0.0)
+    return ok, theta, gamma, ar_rho_factor(np.tile(rho, (T, 1)), np.arange(1, T + 1)[:, None], T)
+
+
+def _engine_tags(ok, t, T):
+    """The tag codes of the rows of _ar_order's orders: final_period at
+    t = T, autoregressive where ok holds, naive_fallback elsewhere."""
+    return FINAL_PERIOD if t == T else np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK)
+
+
+_F = solve_coefficients(BASELINE, 20).f.tolist()
+# the online rule's order at the baseline fit, period 5 of 20, 80,000 shares
+# left and X_4 = 0.2, with its tilt summed term by term
+_AR_ORDER = 80000.0 / 16 + 5.0 / (5e-5 * 16) * math.fsum(
+    (15 - k) * 0.5 ** k for k in range(1, 16)) * 0.2
+# One row per hand case of the order rules at T = 20: an id, the strategy,
+# (s, x_prev, t), order_rule's keywords and the order and tag name that every
+# form must give; an error row has the message of the ValueError every form
+# raises in place of the order, and no tag. A float matches by its bits and
+# pytest.approx by itself. A new case of the rules gets a row here.
+RULE_CASES = [
+    ("naive-uniform-split", "naive", (100000.0, 0.0, 1), {}, 5000.0, "naive_fallback"),
+    ("naive-after-a-period", "naive", (95000.0, 0.0, 2), {}, 5000.0, "naive_fallback"),
+    ("naive-ignores-information", "naive", (80000.0, 0.2, 5), {}, 5000.0, "naive_fallback"),
+    ("naive-last-period", "naive", (12345.0, 0.0, 20), {}, 12345.0, "final_period"),
+    ("informed-zero-information-is-naive", "informed", (90000.0, 0.0, 3),
+     dict(tilt=_F[2] * 0.0), 5000.0, "informed"),
+    ("informed-tilts-by-f-x", "informed", (80000.0, 0.2, 5), dict(tilt=_F[4] * 0.2),
+     5000.0 + _F[4] * 0.2, "informed"),
+    ("informed-last-period-ignores-information", "informed", (3726.61, 5.0, 20),
+     dict(tilt=_F[19] * 5.0), 3726.61, "final_period"),
+    ("ar-before-any-fit", "ar", (100000.0, 0.0, 1), dict(estimates=None), 5000.0,
+     "naive_fallback"),
+    ("ar-usable-fit", "ar", (80000.0, 0.2, 5), dict(estimates=_fit()),
+     pytest.approx(_AR_ORDER, rel=1e-12), "autoregressive"),
+    *((f"ar-{name}-falls-back", "ar", (80000.0, 0.2, 5), dict(estimates=fit), 5000.0,
+       "naive_fallback")
+      for name, fit in (("invalid-impact", _fit(impact_valid=False)),
+                        ("invalid-rho", _fit(rho_valid=False)),
+                        ("negative-theta", _fit(theta=-1e-5)))),
+    *((f"{kind}-last-period-takes-the-rest", kind, (3726.6147, 0.4, 20), keywords,
+       3726.6147, "final_period")
+      for kind, keywords in (("naive", {}), ("informed", dict(tilt=_F[19] * 0.4)),
+                             ("ar", dict(estimates=_fit())))),
+    ("ar-clamped-sell-is-zero", "ar", (80000.0, -20.0, 5), dict(estimates=_fit(), clamp=True),
+     0.0, "autoregressive"),
+    # the clamp floors only orders below zero: a -0.0 order passes as is
+    ("clamp-keeps-minus-zero", "ar", (-0.0, 0.0, 1), dict(estimates=None, clamp=True), -0.0,
+     "naive_fallback"),
+    ("informed-needs-a-tilt", "informed", (100000.0, 0.0, 1), {}, "tilt", None),
+    ("unknown-strategy", "twap", (100000.0, 0.0, 1), {},
+     r"^strategy_kind: unknown strategy 'twap' \(choose from naive, informed, ar\)$", None),
+]
+
+
+@pytest.mark.parametrize("kind, args, keywords, order, tag", [case[1:] for case in RULE_CASES],
+                         ids=[case[0] for case in RULE_CASES])
+def test_rule_case(kind, args, keywords, order, tag):
+    s, x_prev, t = args
+    tilt, estimates = keywords.get("tilt"), keywords.get("estimates")
+    clamp = keywords.get("clamp", False)
+    forms = {
+        "float": lambda: order_rule(kind, s, x_prev, t, 20, tilt, estimates, clamp),
+        # decide_order given numpy scalars, as a library caller may pass them
+        "decide_order": lambda: decide_order(kind, np.float64(s), np.float64(x_prev), t, 20,
+                                             None if tilt is None else np.float64(tilt),
+                                             estimates, clamp),
+        # order_rule on arrays, with one fit of floats for every row
+        "arrays": lambda: order_rule(kind, np.array([s]), np.array([x_prev]), t, 20,
+                                     None if tilt is None else np.array([tilt]), estimates,
+                                     clamp)}
+    if tag is None:
+        for name, form in forms.items():
+            with pytest.raises(ValueError, match=order):
+                form()
+        return
+    got, code = forms["float"]()
+    assert (got == order if not isinstance(order, float)
+            else np.float64(got).tobytes() == np.float64(order).tobytes()), (got, order)
+    assert TAGS[code] == tag
+    decision = forms["decide_order"]()
+    assert type(decision.order) is float and decision.rationale_tag == tag
+    results = [forms["arrays"](), (np.array([decision.order]), code)]
+    if kind == "naive":
+        results.append((np.array([naive_order(s, t, 20)]), code))
+    if kind == "ar":
+        # the batch engine's step, one fit per row; no fit before the first
+        ok, theta, gamma, factors = (_engine_fits([estimates], 20) if estimates is not None
+                                     else (None, None, None, np.zeros((20, 1))))
+        results.append((_ar_order(np.array([s]), ok, theta, gamma, factors[t - 1],
+                                  np.array([x_prev]), t, 20, clamp),
+                        _engine_tags(False if ok is None else ok, t, 20)))
+    for array, array_code in results:
+        assert array.tobytes() == np.float64(got).tobytes()
+        assert (np.asarray(array_code) == code).all()
 
 
 def test_naive_order_rejects_period_beyond_horizon():
@@ -78,20 +185,6 @@ def test_solve_coefficients_rejects_a_horizon_that_is_not_an_integer():
             solve_coefficients(BASELINE, bad)
 
 
-def test_informed_order_zero_information_is_naive():
-    sch = solve_coefficients(BASELINE, 20)
-    order, tag = _informed(90000.0, 0.0, 3, sch)
-    assert order == pytest.approx(naive_order(90000.0, 3, 20), rel=1e-12)
-    assert tag == "informed"
-
-
-def test_informed_order_terminal_ignores_information():
-    sch = solve_coefficients(BASELINE, 20)
-    order, tag = _informed(3726.61, 5.0, 20, sch)
-    assert order == 3726.61
-    assert tag == "final_period"
-
-
 def test_informed_order_is_affine_in_information_with_slope_f():
     sch = solve_coefficients(BASELINE, 20)
     rng = np.random.default_rng(3)
@@ -142,16 +235,6 @@ def test_ar_adjustment_factor_matches_term_by_term_sum():
         assert got == pytest.approx(expected, rel=1e-10, abs=tol)
 
 
-def _engine_ar_step(s, x_prev, t, T, theta, gamma, rho, impact_ok, rho_ok, clamp=False):
-    """The batch engine's online step on (n,) arrays of fits, one per row:
-    the usable mask and the rho factor, as the engine forms them, and its
-    call of _ar_order. Returns the orders and the usable mask."""
-    ok = impact_ok & rho_ok & (theta > 0.0)
-    rho_factor = ar_rho_factor(np.where(ok, rho, 0.0), t, T)
-    with np.errstate(all="ignore"):
-        return _ar_order(s, ok, theta, gamma, rho_factor, x_prev, t, T, clamp), ok
-
-
 def test_ar_rho_factor_rejects_a_unit_root_array():
     with pytest.raises(ValueError, match=r"^rho_hat: \|rho_hat\| must be < 1 \(got 1\.0\)$"):
         ar_rho_factor(np.array([1.0]), 5, 20)
@@ -160,31 +243,6 @@ def test_ar_rho_factor_rejects_a_unit_root_array():
 def test_schedule_at_rejects_a_period_outside_the_horizon():
     with pytest.raises(ValueError, match="^t: period 0 outside schedule horizon 20$"):
         solve_coefficients(BASELINE, 20).at(0)
-
-
-def test_ar_rho_factor_of_every_period_equals_the_float_form():
-    # the batch engine takes the rho part of every period in one call, with t
-    # a column of periods; each element must equal the float form, and the
-    # ar order built from it the float rule's, bit for bit
-    rng = np.random.default_rng(9)
-    T, n = 40, 30
-    rho = rng.uniform(-0.99, 0.99, (T, n))
-    rho[rng.random((T, n)) < 0.1] = 0.0
-    factor = ar_rho_factor(rho, np.arange(1, T + 1)[:, None], T)
-    assert factor.tobytes() == np.array([[ar_rho_factor(r, t, T) for r in row]
-                                         for t, row in enumerate(rho.tolist(), start=1)]
-                                        ).tobytes()
-    theta, gamma = 10 ** rng.uniform(-6, -3, n), rng.uniform(-10, 10, n)
-    s, x_prev = rng.uniform(0.0, 1e5, n), rng.normal(0.0, 1.0, n)
-    yes = np.ones(n, dtype=bool)
-    for t in (1, T // 2, T - 2, T - 1):
-        expected = np.array([
-            order_rule("ar", si, xi, t, T, estimates=_estimates(th, g, r))[0]
-            for si, xi, th, g, r in zip(s.tolist(), x_prev.tolist(), theta.tolist(),
-                                        gamma.tolist(), rho[t - 1].tolist())]).tobytes()
-        # the batch engine's call: the factor of every period, taken at once
-        got = _ar_order(s, yes, theta, gamma, factor[t - 1], x_prev, t, T)
-        assert got.tobytes() == expected
 
 
 _THETAS = st.floats(1e-12, 1e-1) | st.sampled_from([5e-324, 1e-300, 1.0, 1e300])
@@ -229,67 +287,6 @@ def test_float_power_equals_python_pow_bit_for_bit():
             "this identity")
 
 
-def _estimates(theta=5e-5, gamma=5.0, rho=0.5, impact_valid=True, rho_valid=True):
-    return ParameterEstimates(theta, gamma, rho, 0.01, 0.001,
-                              impact_valid, rho_valid, 10)
-
-
-def test_decide_order_naive_and_fallback_tags():
-    order, tag = order_rule("naive", 100000.0, 0.0, 1, 20)
-    assert order == 5000
-    assert TAGS[tag] == "naive_fallback"
-    # auto-regressive with no history yet falls back to the uniform split
-    order, tag = order_rule("ar", 100000.0, 0.0, 1, 20, estimates=None)
-    assert order == 5000
-    assert TAGS[tag] == "naive_fallback"
-
-
-def test_decide_order_ar_uses_estimates_when_valid():
-    est = _estimates()
-    order, tag = order_rule("ar", 80000.0, 0.2, 5, 20, estimates=est)
-    f_hat = ar_adjustment_factor(est.theta_hat, est.gamma_hat, est.rho_hat, 5, 20)
-    assert TAGS[tag] == "autoregressive"
-    assert order == pytest.approx(80000.0 / 16 + f_hat * 0.2, rel=1e-12)
-
-
-def test_decide_order_ar_fallback_on_invalid_estimates():
-    for est in (_estimates(impact_valid=False), _estimates(rho_valid=False),
-                _estimates(theta=-1e-5)):
-        order, tag = order_rule("ar", 80000.0, 0.2, 5, 20, estimates=est)
-        assert TAGS[tag] == "naive_fallback"
-        assert order == 5000
-
-
-def test_decide_order_terminal_returns_remainder_for_all_strategies():
-    sch = solve_coefficients(BASELINE, 20)
-    for kind, kwargs in (("naive", {}), ("informed", {"tilt": sch.f[19] * 0.4}),
-                         ("ar", {"estimates": _estimates()})):
-        order, tag = order_rule(kind, 3726.6147, 0.4, 20, 20, **kwargs)
-        assert order == 3726.6147
-        assert TAGS[tag] == "final_period"
-
-
-def test_decide_order_contract_violations():
-    with pytest.raises(ValueError, match="tilt"):
-        order_rule("informed", 100000.0, 0.0, 1, 20)
-    message = r"^strategy_kind: unknown strategy 'twap' \(choose from naive, informed, ar\)$"
-    with pytest.raises(ValueError, match=message):
-        order_rule("twap", 100000.0, 0.0, 1, 20)
-
-
-def test_decide_order_returns_a_python_float_and_the_tag_name():
-    sch = solve_coefficients(BASELINE, 20)
-    x = np.float64(0.2)  # a library caller may pass numpy scalars
-    for kind, tilt, estimates, tag in (
-            ("naive", None, None, "naive_fallback"),
-            ("informed", sch.f[4] * x, None, "informed"),
-            ("ar", None, _estimates(), "autoregressive")):
-        dec = decide_order(kind, np.float64(80000.0), x, 5, 20, tilt, estimates)
-        assert type(dec.order) is float, kind
-        assert dec.rationale_tag == tag
-        assert dec.order == order_rule(kind, 80000.0, x, 5, 20, tilt, estimates)[0]
-
-
 def test_informed_matches_brute_force_small_horizons():
     rng = np.random.default_rng(6)
     for _ in range(6):
@@ -330,62 +327,51 @@ _ESTIMATE_ROWS = st.tuples(
     _VALID, _VALID)                                                  # impact, rho valid
 
 
-@settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(STRATEGIES), T=st.integers(1, 30), data=st.data(),
+def _random_rows(n):
+    """n seeded rows of shares, X_{t-1}, no tilt and a fit with random
+    theta_hat, gamma_hat and rho_hat, each validity flag set in nine rows of
+    ten: numpy's array power rounds differently from Python's float ** in a
+    few percent of (rho_hat, m) pairs, and 400 rows at T = 100 show it."""
+    rng = np.random.default_rng(8)
+    return list(zip(rng.uniform(-1e5, 1e6, n).tolist(), rng.uniform(-10, 10, n).tolist(),
+                    [0.0] * n, zip((10 ** rng.uniform(-7, -3, n)).tolist(),
+                                   rng.uniform(-50, 50, n).tolist(),
+                                   rng.uniform(-0.99, 0.99, n).tolist(),
+                                   (rng.random(n) < 0.9).tolist(),
+                                   (rng.random(n) < 0.9).tolist())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(STRATEGIES), T=st.integers(1, 100), first_fit=st.integers(1, 101),
        clamp=st.booleans(),
        rows=st.lists(st.tuples(_SHARES, st.floats(-10.0, 10.0), st.floats(-1e3, 1e3),
                                _ESTIMATE_ROWS), min_size=1, max_size=8))
-def test_order_rule_on_arrays_equals_the_rule_on_each_row_property(kind, T, data, clamp,
-                                                                   rows):
-    t = data.draw(st.integers(1, T), label="t")
+@example(kind="ar", T=100, first_fit=1, clamp=False, rows=_random_rows(400))
+def test_rules_on_arrays_equal_the_float_rule_in_every_period_property(kind, T, first_fit,
+                                                                      clamp, rows):
+    # every period of the horizon on (n,) arrays, one row per draw: naive and
+    # informed through order_rule, ar as the batch engine steps it, with no
+    # fit before period first_fit; row i of each must be the float rule's on
+    # row i's floats, orders and tags
     s, x_prev, tilt, est = (list(col) for col in zip(*rows))
     # a valid rho fit has |rho_hat| < 1
-    est = [(th, g, r if not r_ok or abs(r) < 1.0 else 0.5, i_ok, r_ok)
-           for th, g, r, i_ok, r_ok in est]
-    scalar_est = [ParameterEstimates(th, g, r, 0.01, 0.001, i_ok, r_ok, t)
-                  for th, g, r, i_ok, r_ok in est]
-    by_row = [order_rule(kind, *row, t, T, tilt_i, est_i, clamp)
-              for *row, tilt_i, est_i in zip(s, x_prev, tilt, scalar_est)]
-    expected_orders = np.array([o for o, _ in by_row]).tobytes()
-    expected_tags = np.array([c for _, c in by_row]).tobytes()
-    s, x_prev = np.array(s), np.array(x_prev)
-    if kind != "ar":
-        order, tag = order_rule(kind, s, x_prev, t, T, np.array(tilt), None, clamp)
-    else:
-        # the engine's step, one fit per row; its usable mask is the tag
-        order, ok = _engine_ar_step(s, x_prev, t, T, *(np.array(col) for col in zip(*est)),
-                                    clamp)
-        assert order.tobytes() == expected_orders
-        if t < T:
-            assert (np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK).tobytes()
-                    == expected_tags)
-        # order_rule on arrays with one fit of floats for every row
-        shared = scalar_est[0]
-        by_row = [order_rule(kind, si, xi, t, T, None, shared, clamp)
-                  for si, xi in zip(s.tolist(), x_prev.tolist())]
-        expected_orders = np.array([o for o, _ in by_row]).tobytes()
-        expected_tags = np.array([c for _, c in by_row]).tobytes()
-        order, tag = order_rule(kind, s, x_prev, t, T, None, shared, clamp)
-    assert order.tobytes() == expected_orders
-    assert np.broadcast_to(tag, order.shape).tobytes() == expected_tags
-
-
-def test_ar_rule_on_many_random_rows_equals_the_scalar_rule():
-    # numpy's array power rounds differently from Python's float ** in a few
-    # percent of cases, so the engine's array step must take f_hat from the
-    # scalar form
-    rng = np.random.default_rng(8)
-    n = 400
-    for T in (3, 20, 100):
-        for t in range(1, T):
-            theta, gamma = 10 ** rng.uniform(-7, -3, n), rng.uniform(-50, 50, n)
-            rho = rng.uniform(-0.99, 0.99, n)
-            impact_ok, rho_ok = rng.random(n) < 0.9, rng.random(n) < 0.9
-            s, x_prev = rng.uniform(-1e5, 1e6, n), rng.uniform(-10, 10, n)
-            order, ok = _engine_ar_step(s, x_prev, t, T, theta, gamma, rho, impact_ok, rho_ok)
-            by_row = [order_rule("ar", s[i], x_prev[i], t, T, estimates=ParameterEstimates(
-                          theta[i], gamma[i], rho[i], 0.01, 0.001, impact_ok[i], rho_ok[i], t))
-                      for i in range(n)]
-            assert order.tobytes() == np.array([o for o, _ in by_row]).tobytes(), (T, t)
-            assert (np.where(ok, AUTOREGRESSIVE, NAIVE_FALLBACK).tobytes()
-                    == np.array([c for _, c in by_row]).tobytes()), (T, t)
+    fits = [ParameterEstimates(th, g, r if not r_ok or abs(r) < 1.0 else 0.5, 0.01, 0.001,
+                               i_ok, r_ok, 3)
+            for th, g, r, i_ok, r_ok in est]
+    ok, theta, gamma, factors = _engine_fits(fits, T)
+    arrays = [np.array(col) for col in (s, x_prev, tilt)]
+    orders, tags, by_row = np.empty((T, len(rows))), np.empty((T, len(rows)), dtype=int), []
+    for t in range(1, T + 1):
+        fitted = t >= first_fit
+        by_row += [order_rule(kind, *row, t, T, tilt_i, fit if fitted else None, clamp)
+                   for *row, tilt_i, fit in zip(s, x_prev, tilt, fits)]
+        if kind == "ar":
+            with np.errstate(all="ignore"):  # as in the engine's loop
+                orders[t - 1] = _ar_order(arrays[0], ok if fitted else None, theta, gamma,
+                                          factors[t - 1], arrays[1], t, T, clamp)
+            tags[t - 1] = _engine_tags(ok & fitted, t, T)
+        else:
+            orders[t - 1], tags[t - 1] = order_rule(kind, arrays[0], arrays[1], t, T,
+                                                    arrays[2], None, clamp)
+    assert orders.tobytes() == np.array([o for o, _ in by_row]).tobytes()
+    assert tags.ravel().tolist() == [c for _, c in by_row]
