@@ -181,7 +181,13 @@ def fit_information(info_series: np.ndarray) -> InformationFit:
     0), as estimate_all computes them period after period from no prior:
     equal to them bit for bit. Each prefix's sums are np.vecdot over row
     views, the dot products of estimate_all; the divisions, clamps and
-    carried-forward values then run over all periods at once."""
+    carried-forward values then run over all periods at once. info_series
+    must be a 2-D numpy array."""
+    if not isinstance(info_series, np.ndarray) or info_series.ndim != 2:
+        got = (f"shape {info_series.shape}" if isinstance(info_series, np.ndarray)
+               else f"a {type(info_series).__name__}")
+        raise ValueError(f"info_series: must be a 2-D numpy array of shape (n_sims, T + 1) "
+                         f"(got {got})")
     fit, fitted = _fit_rho(info_series)
     n_sims, T = fit.rho_hat.shape
     lag = info_series[:, :-1]

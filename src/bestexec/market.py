@@ -294,7 +294,11 @@ def price_step(p_prev: float, order: float, x_t: float,
 
 def stationary_info_component_std(gamma: float, rho: float, sigma_eta_sq: float) -> float:
     """Stationary standard deviation of the price's information component,
-    gamma * sigma_eta / sqrt(1 - rho^2). Requires |rho| < 1."""
+    gamma * sigma_eta / sqrt(1 - rho^2). gamma and rho must be finite real
+    numbers with |rho| < 1, and sigma_eta_sq finite and >= 0."""
+    _check_finite("gamma", gamma)
+    _check_finite("rho", rho)
     if not abs(rho) < 1.0:
         raise ValueError(f"rho: |rho| must be < 1 for a stationary process (got {rho})")
+    _check_variance("sigma_eta_sq", sigma_eta_sq)
     return gamma * math.sqrt(sigma_eta_sq) / math.sqrt(1.0 - rho * rho)

@@ -138,7 +138,8 @@ def run_episode(strategy_kind: str, params: MarketParams,
     """
     T = mandate.horizon
     if noise_path.horizon != T:
-        raise ValueError(f"noise path length {noise_path.horizon} != horizon {T}")
+        raise ValueError(f"noise_path: must have the mandate's horizon of {T} periods "
+                         f"(got {noise_path.horizon})")
     schedule = f = None
     if strategy_kind == "informed":
         schedule = solve_coefficients(params, T)
@@ -502,7 +503,7 @@ def summarize_convergence(episodes) -> ConvergenceSummary:
         raise ValueError("episodes: need at least one episode")
     for ep in episodes:
         if ep.estimates_log is None:
-            raise ValueError("episodes must come from the 'ar' strategy "
+            raise ValueError("episodes: must come from the 'ar' strategy "
                              "(estimates_log missing)")
         if len(ep.estimates_log) != len(episodes[0].estimates_log):
             raise ValueError(f"episodes: every episode must have the same horizon "

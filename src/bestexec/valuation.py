@@ -13,8 +13,9 @@ with the schedule produced by solve_coefficients, where X is the most
 recently observed information value (decisions act on one-period-lagged
 information; see docs/value_function_conventions.md for the benchmark values
 produced by the alternative timing convention). Since c_t, d_t <= 0, the
-informed value never exceeds the uniform-split value at X = 0, strictly so
-when gamma, rho and sigma_eta_sq are all nonzero.
+informed value never exceeds the uniform-split value at X = 0. From T = 3
+on it is strictly lower when gamma, rho and sigma_eta_sq are all nonzero;
+for T <= 2, d_1 = 0 and the two values are equal.
 """
 
 from __future__ import annotations

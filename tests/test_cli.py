@@ -462,7 +462,7 @@ def test_an_unknown_command_exits_2_naming_the_choices():
                                         "(choose from simulate, montecarlo, convergence)\n", [])
 
 
-def test_cached_flag_parser_keeps_no_state_between_calls(tmp_path):
+def test_cli_calls_keep_no_state_between_them(tmp_path):
     small = ["--horizon", "4", "--n-sims", "3"]
     calls = [
         ["simulate", "--strategy", "ar"],

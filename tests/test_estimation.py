@@ -233,17 +233,6 @@ def test_unfitted_estimates_compare_and_hash_by_value():
     assert a == b
 
 
-def test_estimate_all_refuses_histories_of_mismatched_lengths():
-    dp, b, info = np.ones(3), np.ones(3), np.arange(4.0)
-    with pytest.raises(ValueError,
-                       match=r"^orders: must have len\(delta_p\) = 3 values \(got 2\)$"):
-        estimate_all(dp, b[:2], info)
-    for bad in (info[:2], info):
-        with pytest.raises(ValueError, match=r"^info_series: must have len\(delta_p\) \+ 1 = 3 "
-                                             rf"values \(got {len(bad)}\)$"):
-            estimate_all(dp[:2], b[:2], bad)
-
-
 def test_estimate_all_carries_prior_values_on_failure():
     good = _noiseless_history(5e-5, 5.0, 0.5, [5000.0 + 700.0 * k for k in range(8)])
     prior = estimate_all(*good)

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import re
 import sys
 import threading
 
@@ -10,8 +9,8 @@ import pytest
 from oracles import BASELINE
 
 from bestexec import (ExecutionMandate, MarketParams, NoisePath, check_seed,
-                      generate_noise_path, info_step, price_step, run_convergence,
-                      run_monte_carlo, stationary_info_component_std, substream_seed)
+                      generate_noise_path, info_step, price_step, run_monte_carlo,
+                      stationary_info_component_std, substream_seed)
 from bestexec.market import _noise_rows
 
 
@@ -35,12 +34,6 @@ def test_substreams_are_distinct():
     a = generate_noise_path(substream_seed(0, 0), 20, 0.01, 0.01)
     b = generate_noise_path(substream_seed(0, 1), 20, 0.01, 0.01)
     assert not np.array_equal(a.eps, b.eps)
-
-
-def test_noise_path_arrays_are_read_only():
-    path = generate_noise_path(3, 10, 0.01, 0.01)
-    with pytest.raises(ValueError):
-        path.eps[0] = 1.0
 
 
 def test_sample_moments_large_sample():
@@ -94,114 +87,28 @@ def test_ar1_stationary_variance():
 def test_stationary_info_component_std():
     assert stationary_info_component_std(0.0, 0.9, 0.01) == 0.0
     assert stationary_info_component_std(3.0, 0.0, 0.04) == pytest.approx(3.0 * 0.2, rel=1e-12)
-    with pytest.raises(ValueError):
-        stationary_info_component_std(5.0, 1.0, 0.001)
-
-
-def test_param_validation():
-    with pytest.raises(ValueError, match="rho"):
-        MarketParams(5e-5, 5.0, 1.0, 0.01, 0.001)
-    with pytest.raises(ValueError, match="sigma_eps_sq"):
-        MarketParams(5e-5, 5.0, 0.5, -0.01, 0.001)
-    with pytest.raises(ValueError, match="sigma_eta_sq"):
-        MarketParams(5e-5, 5.0, 0.5, 0.01, -0.001)
-    with pytest.raises(ValueError, match="s0"):
-        ExecutionMandate(0.0, 50.0, 20)
-    with pytest.raises(ValueError, match="p0"):
-        ExecutionMandate(1e5, -1.0, 20)
-    with pytest.raises(ValueError, match="horizon"):
-        ExecutionMandate(1e5, 50.0, 0)
-    with pytest.raises(ValueError):
-        NoisePath(eps=np.zeros(3), eta=np.zeros(4))
 
 
 def test_noise_path_keeps_its_own_read_only_float_copies():
-    # the caller's arrays stay writable, a list is taken as an array, and a
-    # shock array that is not one-dimensional is refused by name
+    # the caller's arrays stay writable and a list is taken as an array; a
+    # generated path's arrays are read-only too
     eps, eta = np.zeros(3), np.array([1, 2, 3])
     path = NoisePath(eps, eta)
     eps[0] = 1.0
     assert path.eps.tolist() == [0.0, 0.0, 0.0]
     assert path.eta.dtype == np.float64 and path.eta.tolist() == [1.0, 2.0, 3.0]
-    for shocks in (path.eps, path.eta):
-        with pytest.raises(ValueError, match="read-only"):
+    generated = generate_noise_path(3, 10, 0.01, 0.01)
+    for shocks in (path.eps, path.eta, generated.eps, generated.eta):
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
             shocks[0] = 2.0
     assert NoisePath([0.1], [0.2]).horizon == 1
-    with pytest.raises(ValueError, match=r"^eps: must be one-dimensional \(got shape \(2, 3\)\)$"):
-        NoisePath(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError, match=r"^eta: must be one-dimensional \(got shape \(\)\)$"):
-        NoisePath(np.zeros(1), 0.5)
-    with pytest.raises(ValueError, match="^eps and eta must have equal length$"):
-        NoisePath([0.1, 0.2], [0.3])
-
-
-def test_generate_noise_path_validation():
-    with pytest.raises(ValueError):
-        generate_noise_path(0, 0, 0.01, 0.01)
-    with pytest.raises(ValueError):
-        generate_noise_path(0, 10, -0.01, 0.01)
-
-
-PARAM_FIELDS = ("theta", "gamma", "rho", "sigma_eps_sq", "sigma_eta_sq")
-
-
-# an int beyond the float range holds no float field's value
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
-                                   pytest.param(10 ** 400, id="10**400")])
-@pytest.mark.parametrize("field", PARAM_FIELDS)
-def test_market_params_reject_non_finite_fields(field, value):
-    values = dict(zip(PARAM_FIELDS, (5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)))
-    values[field] = value
-    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
-        MarketParams(**values)
-
-
-@pytest.mark.parametrize("field, value", [
-    *(pytest.param(field, value, id=f"{field}-{value}") for field in ("s0", "p0", "horizon")
-      for value in (math.nan, math.inf, -math.inf)),
-    # no price or size beyond the float range; an int horizon is a count however large
-    *(pytest.param(field, 10 ** 400, id=f"{field}-10**400") for field in ("s0", "p0"))])
-def test_mandate_rejects_non_finite_fields(field, value):
-    values = {"s0": 1e5, "p0": 50.0, "horizon": 20}
-    values[field] = value
-    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
-        ExecutionMandate(**values)
 
 
 def test_check_seed_range():
     assert check_seed(0) == 0
     assert check_seed(2 ** 64 - 1) == 2 ** 64 - 1
-    for bad in (-1, 2 ** 64):
-        with pytest.raises(ValueError, match="^base_seed: "):
-            check_seed(bad, "base_seed")
-    # an integral numpy seed passes; a float or a bool does not become seed 1
+    # an integral numpy seed passes as its int
     assert check_seed(np.uint64(7)) == 7 and type(check_seed(np.uint64(7))) is int
-    for bad in (1.5, 1.0, True, "1"):
-        with pytest.raises(ValueError, match="^base_seed: must be an integer"):
-            check_seed(bad, "base_seed")
-
-
-# the parameters and mandate of a two-period study
-_STUDY = (BASELINE, ExecutionMandate(100.0, 50.0, 2))
-
-# each public entry that keys on a seed, as (name the error gives, call)
-_SEEDED_ENTRIES = {
-    "generate_noise_path": ("seed", lambda seed: generate_noise_path(seed, 4, 1.0, 1.0)),
-    "substream_seed": ("seed", lambda seed: substream_seed(seed, 0)),
-    "substream_seed index": ("index", lambda seed: substream_seed(0, seed)),
-    "run_monte_carlo": ("base_seed", lambda seed: run_monte_carlo(1, ("naive",), *_STUDY, seed)),
-    "run_convergence": ("base_seed", lambda seed: run_convergence(1, *_STUDY, seed)),
-}
-
-
-@pytest.mark.parametrize("bad, wording", [
-    (1.5, "must be an integer"), (True, "must be an integer"), ("3", "must be an integer"),
-    (-1, r"must be in \[0, 2\*\*64\)"), (2 ** 64, r"must be in \[0, 2\*\*64\)")])
-@pytest.mark.parametrize("entry", list(_SEEDED_ENTRIES))
-def test_seeded_entries_check_their_seeds(entry, bad, wording):
-    name, call = _SEEDED_ENTRIES[entry]
-    with pytest.raises(ValueError, match=f"^{name}: {wording}"):
-        call(bad)
 
 
 def test_numpy_integer_seed_keys_as_its_int():
@@ -209,8 +116,9 @@ def test_numpy_integer_seed_keys_as_its_int():
     assert path.eps.tobytes() == generate_noise_path(7, 4, 1.0, 1.0).eps.tobytes()
     assert substream_seed(np.int64(3), np.uint32(2)) == substream_seed(3, 2)
     # a study's noise rows key on the int too
-    costs = [run_monte_carlo(2, ("informed",), *_STUDY, seed).stats["informed"]
-             .per_sim_actual_cost.tobytes() for seed in (np.int64(7), 7)]
+    costs = [run_monte_carlo(2, ("informed",), BASELINE, ExecutionMandate(100.0, 50.0, 2),
+                             seed).stats["informed"].per_sim_actual_cost.tobytes()
+             for seed in (np.int64(7), 7)]
     assert costs[0] == costs[1]
 
 
@@ -235,12 +143,6 @@ def test_noise_arrays_rows_equal_freshly_keyed_generators(horizon):
         assert (eps[i].tobytes(), eta[i].tobytes()) == (path.eps.tobytes(), path.eta.tobytes())
 
 
-@pytest.mark.parametrize("horizon", [2.5, True, False, 20.0])
-def test_mandate_rejects_non_integer_horizon(horizon):
-    with pytest.raises(ValueError, match=r"^horizon: must be an integer \(got "):
-        ExecutionMandate(1e5, 50.0, horizon)
-
-
 def test_mandate_accepts_numpy_integer_horizon():
     assert ExecutionMandate(1e5, 50.0, np.int64(20)).horizon == 20
 
@@ -250,26 +152,6 @@ def test_ints_are_stored_as_floats_and_the_horizon_as_an_int():
     assert {type(v) for v in dataclasses.astuple(params)} == {float}
     assert [(v, type(v)) for v in dataclasses.astuple(mandate)] == [
         (1e300, float), (50.0, float), (20, int)]
-
-
-MANDATE_FIELDS = ("s0", "p0", "horizon")
-
-
-@pytest.mark.parametrize("value", ["5e-5", None, True, False, [1.0]])
-@pytest.mark.parametrize("field", PARAM_FIELDS + MANDATE_FIELDS)
-def test_value_types_reject_non_real_fields(field, value):
-    if field in PARAM_FIELDS:
-        cls = MarketParams
-        values = dict(zip(PARAM_FIELDS, (5e-5, 5.0, 0.5, 0.125 ** 2, 0.001)))
-    else:
-        cls = ExecutionMandate
-        values = {"s0": 1e5, "p0": 50.0, "horizon": 20}
-    values[field] = value
-    # a bool horizon is named by the integer check; every other case by the real check
-    kind = "an integer" if field == "horizon" and isinstance(value, bool) else "a real number"
-    message = rf"^{field}: must be {kind} \(got {re.escape(repr(value))}\)$"
-    with pytest.raises(ValueError, match=message):
-        cls(**values)
 
 
 def test_threads_drawing_at_once_get_the_serial_rows():
@@ -305,26 +187,6 @@ def test_threads_drawing_at_once_get_the_serial_rows():
         for b, (eps, eta) in rows.items():
             assert eps.tobytes() == serial[b][0].tobytes(), (k, b)
             assert eta.tobytes() == serial[b][1].tobytes(), (k, b)
-
-
-@pytest.mark.parametrize("call", [
-    lambda horizon, s2e, s2h: _noise_rows(1, [1], horizon, s2e, s2h),
-    lambda horizon, s2e, s2h: generate_noise_path(1, horizon, s2e, s2h),
-], ids=["arrays", "path"])
-@pytest.mark.parametrize("horizon, s2e, s2h, message", [
-    (True, 0.01, 0.001, r"horizon: must be an integer \(got True\)"),
-    (2.5, 0.01, 0.001, r"horizon: must be an integer \(got 2\.5\)"),
-    (0, 0.01, 0.001, r"horizon: must be >= 1 \(got 0\)"),
-    (20, math.nan, 0.001, r"sigma_eps_sq: must be finite \(got nan\)"),
-    (20, 0.01, math.inf, r"sigma_eta_sq: must be finite \(got inf\)"),
-    (20, -0.01, 0.001, r"sigma_eps_sq: must be >= 0 \(got -0\.01\)"),
-    (20, 0.01, -0.001, r"sigma_eta_sq: must be >= 0 \(got -0\.001\)"),
-    (20, "0.01", 0.001, r"sigma_eps_sq: must be a real number \(got '0\.01'\)"),
-])
-def test_noise_generation_rejects_bad_inputs_naming_the_field(call, horizon, s2e, s2h,
-                                                              message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call(horizon, s2e, s2h)
 
 
 # the first draws of generate_noise_path(0, 4, 1.0, 1.0), eps then eta, as

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -94,28 +93,8 @@ def test_clamped_orders_stay_nonnegative_and_conserve():
         assert abs(sum(res.blotter.shares_bought[1:]) - 100000.0) <= 1e-6
 
 
-def test_run_episode_rejects_mismatched_path():
-    path = generate_noise_path(0, 19, 0.01, 0.001)
-    with pytest.raises(ValueError):
-        run_episode("naive", BASELINE, MANDATE, path)
-
-
 def test_per_share_improvement_values():
     assert per_share_improvement(123.0, 123.0, 10.0) == 0.0
-    with pytest.raises(ValueError):
-        per_share_improvement(1.0, 1.0, 0.0)
-
-
-@pytest.mark.parametrize("s0, message", [
-    (0.0, r"s0: must be > 0 \(got 0\.0\)"),
-    (-1.0, r"s0: must be > 0 \(got -1\.0\)"),
-    (math.nan, r"s0: must be finite \(got nan\)"),
-    (math.inf, r"s0: must be finite \(got inf\)"),
-    ("1", r"s0: must be a real number \(got '1'\)"),
-])
-def test_per_share_improvement_rejects_a_bad_s0_naming_it(s0, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        per_share_improvement(1.0, 2.0, s0)
 
 
 def test_expected_cost_conventions_per_strategy():
@@ -138,13 +117,6 @@ def test_summarize_convergence_spread_zero_for_single_episode():
     for name in conv.sd:
         finite = np.isfinite(conv.sd[name])
         assert np.all(conv.sd[name][finite] == 0.0)
-
-
-def test_summarize_convergence_requires_estimate_logs():
-    path = generate_noise_path(5, 20, BASELINE.sigma_eps_sq, BASELINE.sigma_eta_sq)
-    res = run_episode("naive", BASELINE, MANDATE, path)
-    with pytest.raises(ValueError):
-        summarize_convergence([res])
 
 
 def test_noiseless_price_equation_pins_impact_estimates():
@@ -418,72 +390,10 @@ def test_ar_value_toggle_falls_back_to_uniform_split_when_never_valid():
         assert res.expected_cost == naive_expected_cost(1e5, 50.0, 1, 2, BASELINE.theta)
 
 
-def _never_drawn(*args, **kwargs):
-    raise AssertionError("noise drawn")
-
-
-def test_monte_carlo_rejects_unknown_strategy_before_drawing_noise(monkeypatch):
-    monkeypatch.setattr(simulation, "_noise_rows", _never_drawn)
-    choose = r" \(choose from naive, informed, ar\)$"
-    with pytest.raises(ValueError, match=r"^strategy_set: unknown strategy 'twap'" + choose):
-        run_monte_carlo(0, ("naive", "twap"), BASELINE, MANDATE, 0)
-    # a str would be read as its characters, None as no set at all, a set in
-    # an order that follows PYTHONHASHSEED and an iterator only once
-    for strategy_set in ("ar", None, 5, {"ar"}, frozenset({"ar"}), iter(["ar"]), {"ar": 1}):
-        message = (r"^strategy_set: must be a sequence of names "
-                   rf"\(got {re.escape(repr(strategy_set))}\)$")
-        with pytest.raises(ValueError, match=message):
-            run_monte_carlo(0, strategy_set, BASELINE, MANDATE, 0)
-    # a name is checked before it is hashed, and an empty list runs nothing
-    with pytest.raises(ValueError, match=r"^strategy_set: unknown strategy \['ar'\]" + choose):
-        run_monte_carlo(2, [["ar"]], BASELINE, MANDATE, 0)
-    with pytest.raises(ValueError, match="^strategy_set: at least one strategy required$"):
-        run_monte_carlo(2, (), BASELINE, MANDATE, 0)
-    with pytest.raises(AssertionError, match="^noise drawn$"):  # a good list draws
-        run_monte_carlo(2, ["ar", "ar"], BASELINE, MANDATE, 0)
-
-
-@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
-def test_monte_carlo_rejects_out_of_range_base_seed(seed):
-    with pytest.raises(ValueError, match="base_seed"):
-        run_monte_carlo(2, ("naive",), BASELINE, MANDATE, seed)
-    with pytest.raises(ValueError, match="base_seed"):
-        run_convergence(2, BASELINE, MANDATE, seed)
-
-
-@pytest.mark.parametrize("n_sims", [True, False, 2.5, 3.0, "3", None])
-def test_studies_reject_a_non_integer_n_sims(n_sims):
-    message = rf"^n_sims: must be an integer \(got {re.escape(repr(n_sims))}\)$"
-    with pytest.raises(ValueError, match=message):
-        run_monte_carlo(n_sims, ("naive",), BASELINE, MANDATE, 0)
-    with pytest.raises(ValueError, match=message):
-        run_convergence(n_sims, BASELINE, MANDATE, 0)
-
-
-def test_studies_reject_n_sims_below_one():
-    with pytest.raises(ValueError, match=r"^n_sims: must be >= 1 \(got 0\)$"):
-        run_monte_carlo(0, ("naive",), BASELINE, MANDATE, 0)
-
-
 def test_study_noise_is_allocated_before_any_seed_is_hashed():
     # 10**23 rows: hashing the seeds first would run for years
-    with pytest.raises(ValueError, match="dimension|too big"):
+    with pytest.raises(ValueError, match="^Maximum allowed dimension exceeded$"):
         simulation._noise_arrays(10 ** 23, BASELINE, 2, 0)
-
-
-def test_summarize_convergence_needs_an_episode():
-    with pytest.raises(ValueError, match="^episodes: need at least one episode$"):
-        summarize_convergence([])
-
-
-def test_summarize_convergence_refuses_episodes_of_unequal_horizons():
-    episodes = [run_episode("ar", BASELINE, ExecutionMandate(1e5, 50.0, T),
-                            generate_noise_path(T, T, BASELINE.sigma_eps_sq,
-                                                BASELINE.sigma_eta_sq))
-                for T in (3, 4)]
-    with pytest.raises(ValueError, match=re.escape(
-            "episodes: every episode must have the same horizon (got 3 and 4)")):
-        summarize_convergence(episodes)
 
 
 def test_studies_accept_a_numpy_integer_n_sims():

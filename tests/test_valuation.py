@@ -12,11 +12,6 @@ def test_naive_expected_cost_anchors():
     assert naive_expected_cost(12345.0, 42.0, 3, 9, 0.0) == 12345.0 * 42.0
 
 
-def test_naive_expected_cost_rejects_bad_period():
-    with pytest.raises(ValueError):
-        naive_expected_cost(1e5, 50.0, 21, 20, 5e-5)
-
-
 def test_informed_equals_naive_without_information_channel():
     # gamma = 0 or rho = 0 shuts the information channel: the informed value
     # is the uniform split's at any information
